@@ -1,12 +1,13 @@
 // Live-update benchmark (src/live/): update throughput of the incremental
-// R-tree + band maintenance, query latency on a mutating catalog vs the
+// R-tree maintenance, query latency on a mutating catalog vs the
 // rebuild-from-scratch alternative, and the cost of an epoch invalidation
 // sweep against a warm result cache.
 //
 // Headline numbers: LiveUpdateThroughput (ops/sec absorbed while staying
 // queryable) and the Live-vs-Rebuild pair — the incremental engine answers
-// right after an update in O(band) filter time, where the rebuild baseline
-// pays a full Engine (re-)construction per epoch.
+// right after an update by running the r-skyband filter over its live
+// R-tree, where the rebuild baseline pays a full Engine (re-)construction
+// per epoch.
 //
 // Env knobs (bench_common.h): UTK_BENCH_SCALE (dataset size multiplier).
 #include "bench_common.h"
@@ -57,10 +58,6 @@ void LiveUpdateThroughput(benchmark::State& state) {
     }
   }
   state.SetItemsProcessed(state.iterations());
-  state.counters["band"] =
-      static_cast<double>(live.counters().band);
-  state.counters["rebuilds"] =
-      static_cast<double>(live.counters().band_rebuilds);
 }
 BENCHMARK(LiveUpdateThroughput)->Arg(2000)->Arg(20000)
     ->Unit(benchmark::kMicrosecond);

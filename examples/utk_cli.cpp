@@ -16,8 +16,7 @@
 //             [--partitioner rr|spatial]
 //   updates   --data FILE.csv [--ops N] [--batch B] [--insert-frac F]
 //             [--dist IND|COR|ANTI] [--mode utk1|utk2] [--k K] [--sigma S]
-//             [--queries Q] [--band-k K] [--band-slack S] [--seed SEED]
-//             [--verify 0|1] [--serve 0|1]
+//             [--queries Q] [--seed SEED] [--verify 0|1] [--serve 0|1]
 //   save      --data FILE.csv --dir DIR [--fsync none|commit|always]
 //             [--compact-bytes N]      create a persistent catalog from CSV
 //   open      --dir DIR [--ops N --seed S] [--k K --box ...] [--verify 0|1]
@@ -481,10 +480,6 @@ int CmdUpdates(const std::map<std::string, std::string>& flags) {
   const Scalar sigma =
       flags.count("sigma") ? std::atof(flags.at("sigma").c_str()) : 0.1;
 
-  LiveConfig config;
-  config.band_k = std::max(k, intf("band-k", 16));
-  config.band_slack = intf("band-slack", 16);
-
   UpdateTraceOptions trace_opt;
   if (flags.count("insert-frac"))
     trace_opt.insert_fraction = std::atof(flags.at("insert-frac").c_str());
@@ -496,7 +491,7 @@ int CmdUpdates(const std::map<std::string, std::string>& flags) {
   Dataset initial = loaded.data();
   std::vector<UpdateOp> trace = MakeUpdateTrace(initial, ops, trace_opt);
 
-  auto live = std::make_shared<LiveEngine>(std::move(initial), config);
+  auto live = std::make_shared<LiveEngine>(std::move(initial));
   Server server(live, CacheConfig{});
   std::optional<CacheAttachment> link;
   if (use_serve) link.emplace(*live, server.cache());
@@ -531,21 +526,17 @@ int CmdUpdates(const std::map<std::string, std::string>& flags) {
     }
     LiveCounters c = live->counters();
     std::printf(
-        "epoch %llu: live=%lld band=%lld rebuilds=%lld  batch %.3f ms, "
-        "%d queries %.3f ms\n",
+        "epoch %llu: live=%lld  batch %.3f ms, %d queries %.3f ms\n",
         static_cast<unsigned long long>(c.epoch),
-        static_cast<long long>(c.live), static_cast<long long>(c.band),
-        static_cast<long long>(c.band_rebuilds), update_ms, queries, query_ms);
+        static_cast<long long>(c.live), update_ms, queries, query_ms);
   }
 
   LiveCounters c = live->counters();
   std::printf(
-      "applied %lld inserts / %lld erases in %.2f ms total; %lld band "
-      "rebuilds; %lld pool / %lld direct / %lld fallback queries\n",
+      "applied %lld inserts / %lld erases in %.2f ms total; %lld direct / "
+      "%lld fallback queries\n",
       static_cast<long long>(c.inserts), static_cast<long long>(c.erases),
-      total.ElapsedMs(), static_cast<long long>(c.band_rebuilds),
-      static_cast<long long>(c.pool_queries),
-      static_cast<long long>(c.direct_queries),
+      total.ElapsedMs(), static_cast<long long>(c.direct_queries),
       static_cast<long long>(c.fallback_queries));
   if (use_serve) {
     CacheCounters cc = server.cache_counters();

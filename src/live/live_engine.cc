@@ -40,34 +40,26 @@ void MapIds(const std::vector<int32_t>& live_ids, std::vector<int32_t>* ids) {
 
 }  // namespace
 
-LiveEngine::LiveEngine(Dataset data, LiveConfig config)
-    : config_(config),
-      data_(std::move(data)),
+LiveEngine::LiveEngine(Dataset data)
+    : data_(std::move(data)),
       alive_(data_.size(), 1),
       tree_(RTree::BulkLoad(data_)),
-      cols_(data_),
-      band_(std::max(config.band_k, 1), config.band_slack) {
+      cols_(data_) {
   live_.store(static_cast<int64_t>(data_.size()), std::memory_order_relaxed);
-  band_.Rebuild(data_, tree_);
 }
 
 LiveEngine::LiveEngine(Dataset data, std::vector<char> alive, RTree tree,
-                       uint64_t epoch, LiveConfig config)
-    : config_(config),
-      data_(std::move(data)),
+                       uint64_t epoch)
+    : data_(std::move(data)),
       alive_(std::move(alive)),
       tree_(std::move(tree)),
-      cols_(data_),
-      band_(std::max(config.band_k, 1), config.band_slack) {
+      cols_(data_) {
   assert(alive_.size() == data_.size());
   int64_t live = 0;
   for (char a : alive_) live += a ? 1 : 0;
   assert(tree_.num_records() == live);
   live_.store(live, std::memory_order_relaxed);
   epoch_.store(epoch, std::memory_order_relaxed);
-  // The band rebuild walks the tree, which indexes only alive records, so a
-  // recovered engine tracks exactly the band a never-restarted one would.
-  band_.Rebuild(data_, tree_);
 }
 
 LiveEngine::~LiveEngine() = default;
@@ -122,20 +114,12 @@ QueryResult LiveEngine::RunBandPipeline(const QuerySpec& spec,
   r.mode = spec.mode;
   r.algorithm = algo;
 
+  // The live tree indexes exactly the alive records, so this is the filter
+  // a from-scratch Engine over the compacted catalog would run.
   QueryStats filter_stats;
-  RSkybandResult band;
-  if (spec.k <= band_.k()) {
-    // The maintained band is a superset of the r-skyband for every region
-    // and every k <= band_k (live_band.h), so refiltering it within itself
-    // is exactly the partitioned engine's pool argument.
-    band = ComputeRSkybandFromPool(data_, band_.BandIds(), spec.region,
-                                   spec.k, &filter_stats, &cols_);
-    pool_queries_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    band = ComputeRSkyband(data_, tree_, spec.region, spec.k, &filter_stats,
-                           &cols_);
-    direct_queries_.fetch_add(1, std::memory_order_relaxed);
-  }
+  RSkybandResult band = ComputeRSkyband(data_, tree_, spec.region, spec.k,
+                                        &filter_stats, &cols_);
+  direct_queries_.fetch_add(1, std::memory_order_relaxed);
 
   if (algo == Algorithm::kRsa) {
     Rsa::Options opt;
@@ -213,7 +197,6 @@ PlanNode LiveEngine::Explain(const QuerySpec& spec) const {
   root.detail = PlanDetail(d, spec.k, live_size());
   root.est_ms = d.est_ms;
   if (d.algorithm == Algorithm::kRsa || d.algorithm == Algorithm::kJaa) {
-    root.detail += spec.k <= band_.k() ? " path=band-pool" : " path=direct";
     root.children = AlgorithmPlanChildren(d.algorithm, spec.mode, live_size(),
                                           spec.k, pref_dim());
   } else {
@@ -296,7 +279,6 @@ int32_t LiveEngine::InsertLocked(Record rec, UpdateEvent* event) {
   // row) before any index reads the new record.
   cols_.SetRow(id, data_[id].attrs);
   tree_.Insert(data_, id);
-  band_.Insert(data_, tree_, id);
   live_.fetch_add(1, std::memory_order_release);
   inserts_.fetch_add(1, std::memory_order_relaxed);
   event->inserted.push_back(data_[id]);
@@ -311,13 +293,10 @@ int32_t LiveEngine::InsertLocked(Record rec, UpdateEvent* event) {
 bool LiveEngine::EraseLocked(int32_t id, UpdateEvent* event) {
   if (id < 0 || id >= static_cast<int32_t>(alive_.size()) || !alive_[id])
     return false;
-  // Band first (it reads the record against the pre-delete tracked set),
-  // then the tree; the tombstone keeps the attributes so invalidation
-  // predicates and revivals can still read them.
-  const bool incremental = band_.Erase(data_, id);
+  // The tombstone keeps the attributes so invalidation predicates and
+  // revivals can still read them.
   tree_.Erase(data_, id);
   alive_[id] = 0;
-  if (!incremental) band_.Rebuild(data_, tree_);  // deletion budget spent
   live_.fetch_sub(1, std::memory_order_release);
   erases_.fetch_add(1, std::memory_order_relaxed);
   event->erased.push_back(id);
@@ -462,9 +441,6 @@ LiveCounters LiveEngine::counters() const {
   c.live = live_size();
   c.inserts = inserts_.load(std::memory_order_relaxed);
   c.erases = erases_.load(std::memory_order_relaxed);
-  c.band = band_.band_size();
-  c.band_rebuilds = band_.rebuilds();
-  c.pool_queries = pool_queries_.load(std::memory_order_relaxed);
   c.direct_queries = direct_queries_.load(std::memory_order_relaxed);
   c.fallback_queries = fallback_queries_.load(std::memory_order_relaxed);
   return c;

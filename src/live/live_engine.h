@@ -4,24 +4,19 @@
 // catalog mutate. It owns an epoch-versioned dataset addressed by *stable*
 // record ids: erased slots become tombstones (attributes kept, excluded
 // from every index), inserts take the next id or revive a tombstone. Each
-// committed update batch advances the epoch and incrementally maintains
+// committed update batch advances the epoch and incrementally maintains the
+// R-tree (index/rtree.h Insert/Erase — no bulk rebuild) and the SoA column
+// mirror (exec/column_store.h SetRow).
 //
-//   * the R-tree (index/rtree.h Insert/Erase — no bulk rebuild), and
-//   * the r-skyband superset band (skyline/live_band.h): an insert can only
-//     add itself or demote band members it strongly dominates; a delete can
-//     only promote records it shielded. Bounded dominated-by counters keep
-//     both updates O(band); when the deletion budget saturates the band is
-//     rebuilt from the tree (the counters' exactness bound — see
-//     live_band.h — is what makes everything in between sound).
-//
-// Queries answer over the live structures. RSA/JAA specs with k <= band_k
-// refine the maintained band through the exact machinery the partitioned
-// engine already trusts (ComputeRSkybandFromPool + RunFiltered), larger k
-// filters the live R-tree directly, and algorithms outside the r-skyband
-// pipeline (naive oracle, SK/ON baselines) run on a lazily rebuilt compact
-// engine with answers mapped back to live ids — every path returns exactly
-// what a from-scratch Engine over the current live records would (modulo
-// the id compaction, which the compact path maps through monotonically).
+// Queries answer over those live structures. RSA/JAA specs run the paper's
+// BBS r-skyband filter (ComputeRSkyband, Section 4.1) over the live R-tree
+// and refine its output with Rsa/Jaa::RunFiltered — the same filter and
+// refinement Engine runs over its bulk-loaded tree. Algorithms outside the
+// r-skyband pipeline (naive oracle, SK/ON baselines) run on a lazily
+// rebuilt compact engine with answers mapped back to live ids — every path
+// returns exactly what a from-scratch Engine over the current live records
+// would (modulo the id compaction, which the compact path maps through
+// monotonically).
 //
 // Serving contract: every committed epoch emits an invalidation sweep to
 // each attached serve::ResultCache (ApplyInvalidation) with a conservative
@@ -56,18 +51,8 @@
 #include "exec/column_store.h"
 #include "index/rtree.h"
 #include "serve/result_cache.h"
-#include "skyline/live_band.h"
 
 namespace utk {
-
-/// Live-update knobs.
-struct LiveConfig {
-  /// Largest query k the maintained band can answer (larger k falls back to
-  /// filtering the live R-tree directly — still exact, just not O(band)).
-  int band_k = 16;
-  /// Deletions absorbed between band rebuilds (live_band.h slack).
-  int band_slack = 16;
-};
 
 /// Read-only view of the complete catalog state, valid only for the duration
 /// of the call it is passed to (the references alias engine internals under
@@ -102,10 +87,9 @@ struct LiveCounters {
   int64_t live = 0;          ///< records currently alive
   int64_t inserts = 0;       ///< records inserted (including revivals)
   int64_t erases = 0;        ///< records erased
-  int64_t band = 0;          ///< current band size
-  int64_t band_rebuilds = 0; ///< counter-saturation (and initial) rebuilds
-  int64_t pool_queries = 0;  ///< queries answered from the maintained band
-  int64_t direct_queries = 0;   ///< k > band_k: filtered the live tree
+  int64_t band_rebuilds = 0; ///< always 0: no maintained band to rebuild
+  int64_t pool_queries = 0;  ///< always 0: no maintained band to refine
+  int64_t direct_queries = 0;   ///< RSA/JAA runs that filtered the live tree
   int64_t fallback_queries = 0; ///< answered via the compact fallback engine
 };
 
@@ -113,7 +97,7 @@ class LiveEngine final : public QueryEngine {
  public:
   /// Takes ownership of `data` (ids 0..n-1, the repo invariant) as epoch 0.
   /// An empty dataset is a valid start — build the catalog with Insert.
-  explicit LiveEngine(Dataset data, LiveConfig config = {});
+  explicit LiveEngine(Dataset data);
 
   /// Recovery constructor (src/storage/catalog.cc): resumes a persisted
   /// catalog mid-history. `data`/`alive` are the id-addressed state
@@ -122,7 +106,7 @@ class LiveEngine final : public QueryEngine {
   /// `epoch` is the committed batch count the state was saved at — the
   /// engine continues from there as if it had applied those batches itself.
   LiveEngine(Dataset data, std::vector<char> alive, RTree tree,
-             uint64_t epoch, LiveConfig config = {});
+             uint64_t epoch);
 
   ~LiveEngine() override;
 
@@ -151,8 +135,8 @@ class LiveEngine final : public QueryEngine {
   Algorithm Plan(const QuerySpec& spec) const override;
   std::optional<std::string> Validate(const QuerySpec& spec) const override;
   QueryResult Run(const QuerySpec& spec) const override;
-  /// EXPLAIN: live.run over the band pipeline's filter/refine subtree for
-  /// RSA/JAA plans; for baseline/naive plans the compact-fallback engine.run
+  /// EXPLAIN: live.run over the live-tree filter/refine subtree for RSA/JAA
+  /// plans; for baseline/naive plans the compact-fallback engine.run
   /// subtree the query would actually execute.
   PlanNode Explain(const QuerySpec& spec) const override;
   std::vector<int32_t> TopK(const Vec& w, int k) const override;
@@ -208,7 +192,6 @@ class LiveEngine final : public QueryEngine {
   void WithSnapshot(const std::function<void(const CatalogView&)>& fn) const;
 
   LiveCounters counters() const;
-  const LiveConfig& config() const { return config_; }
 
  private:
   struct UpdateEvent {
@@ -248,10 +231,10 @@ class LiveEngine final : public QueryEngine {
       UTK_REQUIRES_SHARED(mu_);
   QueryResult RunViaCompact(const QuerySpec& spec) const
       UTK_REQUIRES_SHARED(mu_);
+  /// RSA/JAA over the live tree's r-skyband. Shared lock on mu_ held.
   QueryResult RunBandPipeline(const QuerySpec& spec, Algorithm algo) const
       UTK_REQUIRES_SHARED(mu_);
 
-  LiveConfig config_;
   /// Cost model captured at construction (DefaultCostModel()); immutable
   /// afterwards, so DecideLocked needs no extra synchronization.
   std::shared_ptr<const CostModel> model_ = DefaultCostModel();
@@ -264,12 +247,10 @@ class LiveEngine final : public QueryEngine {
   std::vector<char> alive_ UTK_GUARDED_BY(mu_);
   RTree tree_ UTK_GUARDED_BY(mu_);
   ColumnStore cols_ UTK_GUARDED_BY(mu_);
-  LiveSkyband band_ UTK_GUARDED_BY(mu_);
   std::atomic<uint64_t> epoch_{0};
   std::atomic<int64_t> live_{0};
   std::atomic<int64_t> inserts_{0};
   std::atomic<int64_t> erases_{0};
-  mutable std::atomic<int64_t> pool_queries_{0};
   mutable std::atomic<int64_t> direct_queries_{0};
   mutable std::atomic<int64_t> fallback_queries_{0};
 

@@ -17,10 +17,4 @@ bool WeaklyDominates(const Vec& a, const Vec& b, Scalar eps) {
   return true;
 }
 
-bool StronglyDominates(const Vec& a, const Vec& b, Scalar margin) {
-  for (size_t i = 0; i < a.size(); ++i)
-    if (!EpsGt(a[i], b[i], margin)) return false;
-  return true;
-}
-
 }  // namespace utk

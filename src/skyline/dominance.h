@@ -26,15 +26,6 @@ inline bool Dominates(const Record& a, const Record& b) {
 /// True iff a >= b component-wise (weak dominance; equality allowed).
 bool WeaklyDominates(const Vec& a, const Vec& b, Scalar eps = kEps);
 
-/// True iff a beats b by more than `margin` in *every* dimension. With
-/// margin = kEps this is the region-robust form of dominance: the score gap
-/// S(a) - S(b) is a convex combination of the per-dimension gaps, so it
-/// exceeds kEps for every weight vector in the simplex — a strongly
-/// dominating record r-dominates (rdominance.h) with respect to every query
-/// region. The live-update band (skyline/live_band.h) counts only strong
-/// dominators so that its membership bound stays sound for any region.
-bool StronglyDominates(const Vec& a, const Vec& b, Scalar margin);
-
 }  // namespace utk
 
 #endif  // UTK_SKYLINE_DOMINANCE_H_

@@ -20,7 +20,15 @@ struct HeapEntry {
   Scalar key;
   bool is_record;
   int32_t id;
-  bool operator<(const HeapEntry& o) const { return key < o.key; }
+  /// Max-heap priority: higher key; on equal keys nodes before records,
+  /// then ascending id. No node can then hold a record that outranks one
+  /// already popped, so records pop in (pivot score desc, id asc) order
+  /// whatever the tree's shape (see RSkybandResult::ids).
+  bool operator<(const HeapEntry& o) const {
+    if (key != o.key) return key < o.key;
+    if (is_record != o.is_record) return is_record;
+    return id > o.id;
+  }
 };
 
 Scalar CornerScore(const Vec& corner, const Vec& pivot) {

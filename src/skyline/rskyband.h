@@ -34,7 +34,11 @@ namespace utk {
 
 /// Output of the filtering step.
 struct RSkybandResult {
-  /// Record ids of r-skyband members, in decreasing pivot-score order.
+  /// Record ids of r-skyband members, in decreasing pivot-score order with
+  /// ties by ascending id — a total order fixed by the records alone, so
+  /// two trees over the same records (a bulk-loaded one and an
+  /// incrementally maintained one) yield the same band, and monotonically
+  /// renumbered ids yield the same band renumbered.
   std::vector<int32_t> ids;
   /// dominators[i] = indices (into `ids`) of members that r-dominate ids[i].
   std::vector<std::vector<int>> dominators;

@@ -119,7 +119,7 @@ std::unique_ptr<Catalog> Catalog::Create(const std::string& dir, Dataset data,
   std::unique_ptr<Catalog> cat(new Catalog());
   cat->dir_ = dir;
   cat->opt_ = opt;
-  cat->engine_ = std::make_shared<LiveEngine>(std::move(data), opt.live);
+  cat->engine_ = std::make_shared<LiveEngine>(std::move(data));
   {
     MutexLock lock(cat->cat_mu_);
     cat->seqno_ = 1;
@@ -193,8 +193,7 @@ std::unique_ptr<Catalog> Catalog::Open(const std::string& dir,
   }
 
   cat->engine_ = std::make_shared<LiveEngine>(
-      seg->MaterializeAll(), seg->AliveVector(), seg->Tree(), seg->epoch(),
-      opt.live);
+      seg->MaterializeAll(), seg->AliveVector(), seg->Tree(), seg->epoch());
 
   // Replay: each committed batch goes back through the exact ApplyBatch
   // path that produced it. Any skipped op or epoch drift means the WAL and

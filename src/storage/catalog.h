@@ -50,8 +50,6 @@ struct CatalogOptions {
   /// Fold the WAL into a fresh segment once it exceeds this many bytes
   /// (checked after each committed batch). 0 disables auto-compaction.
   uint64_t compact_wal_bytes = 4ull << 20;
-  /// Knobs for the recovered engine.
-  LiveConfig live;
 };
 
 /// A consistent snapshot of the catalog's persistence state.
