@@ -1,6 +1,6 @@
-// Serving-layer benchmark: hot (exact-hit), warm (containment-hit), and cold
-// (miss) latency of the ResultCache/Server under the overlapping-workload
-// traces of data/workload.h. The headline counter is `speedup` on
+// Serving-layer benchmark: hot (exact-hit) and cold (miss) latency of the
+// ResultCache/Server under the overlapping-workload traces of
+// data/workload.h. The headline counter is `speedup` on
 // ExactHitSpeedup — cold ms/query over warm exact-hit ms/query — which the
 // serving layer must keep >= 10x (see EXPERIMENTS.md and test_serve.cc).
 //
@@ -80,45 +80,6 @@ void ExactHitSpeedup(benchmark::State& state) {
 BENCHMARK(ExactHitSpeedup)->Arg(5)->Arg(10)->Unit(benchmark::kMillisecond)
     ->Iterations(1);
 
-/// Containment-hit latency: warm the cache with the hot regions, then serve
-/// only nested sub-regions. Compares against running those same sub-region
-/// queries cold.
-void SemanticHitLatency(benchmark::State& state) {
-  const int n = ScaledN(2000);
-  const int k = 10;
-  const auto mode = state.range(0) == 0 ? QueryMode::kUtk1 : QueryMode::kUtk2;
-  const Engine& engine = Corpus::Synthetic(Distribution::kAnticorrelated, n, 3);
-  ServeTrace trace = Trace(4 * NumQueries(), 0.0, 1.0, 103);
-  auto hot = SpecsFor(trace.hot, mode, k);
-  auto subs = SpecsFor(trace.queries, mode, k);
-
-  double warm_ms = 0.0, cold_ms = 0.0;
-  int64_t semantic_hits = 0;
-  for (auto _ : state) {
-    Server server(Borrow(engine));
-    for (const QuerySpec& spec : hot) server.Query(spec);
-    Timer warm;
-    for (const QuerySpec& spec : subs) {
-      QueryResult r = server.Query(spec);
-      if (!r.ok) {
-        state.SkipWithError(r.error.c_str());
-        return;
-      }
-      semantic_hits += r.stats.cache_semantic_hits;
-    }
-    warm_ms += warm.ElapsedMs();
-    Timer cold;
-    for (const QuerySpec& spec : subs) benchmark::DoNotOptimize(engine.Run(spec));
-    cold_ms += cold.ElapsedMs();
-  }
-  const double queries = state.iterations() * subs.size();
-  state.counters["warm_ms_per_query"] = warm_ms / queries;
-  state.counters["cold_ms_per_query"] = cold_ms / queries;
-  state.counters["semantic_hit_rate"] = semantic_hits / queries;
-}
-BENCHMARK(SemanticHitLatency)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
 /// The mixed overlapping trace end to end through QueryBatch: the serving
 /// scenario of ROADMAP.md. Reports hit rate and per-query latency.
 void MixedTrace(benchmark::State& state) {
@@ -137,8 +98,6 @@ void MixedTrace(benchmark::State& state) {
     CacheCounters counters = server.cache_counters();
     state.counters["hit_rate"] = counters.HitRate();
     state.counters["exact_hits"] = static_cast<double>(counters.exact_hits);
-    state.counters["semantic_hits"] =
-        static_cast<double>(counters.semantic_hits);
     state.counters["ms_per_query"] =
         batch.total.elapsed_ms / static_cast<double>(specs.size());
   }

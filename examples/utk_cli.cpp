@@ -12,8 +12,7 @@
 //   immutable --data FILE.csv --k K --weights w1,w2,...
 //   serve     --data FILE.csv [--trace FILE|-] [--gen N --mode utk1|utk2
 //             --k K --sigma S --seed SEED] [--cache-entries N] [--cache-mb M]
-//             [--semantic 0|1] [--threads T] [--shards S] [--tiles T]
-//             [--partitioner rr|spatial]
+//             [--threads T] [--shards S] [--tiles T] [--partitioner rr|spatial]
 //   updates   --data FILE.csv [--ops N] [--batch B] [--insert-frac F]
 //             [--dist IND|COR|ANTI] [--mode utk1|utk2] [--k K] [--sigma S]
 //             [--queries Q] [--seed SEED] [--verify 0|1] [--serve 0|1]
@@ -283,7 +282,7 @@ int CmdUtk(const std::map<std::string, std::string>& flags, bool second) {
     PartitionedEngine partitioned(
         std::make_shared<const Engine>(std::move(engine)), dist);
     DistDetail detail;
-    r = partitioned.Run(spec, nullptr, &detail);
+    r = partitioned.Run(spec, &detail);
     if (r.ok) PrintDistDetail(detail);
   } else {
     r = engine.Run(spec);
@@ -369,10 +368,7 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
     config.max_bytes =
         static_cast<std::size_t>(std::atoll(flags.at("cache-mb").c_str()))
         << 20;
-  if (flags.count("semantic"))
-    config.semantic_reuse = std::atoi(flags.at("semantic").c_str()) != 0;
-  // --shards/--tiles back the server with the partitioned engine; tiled
-  // misses then admit one containment donor per tile (see serve/server.h).
+  // --shards/--tiles back the server with the partitioned engine.
   const DistConfig dist = DistConfigFromFlags(flags);
   std::shared_ptr<const QueryEngine> backend;
   if (WantsDist(dist)) {
@@ -441,9 +437,7 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
       std::printf("q%zu ERROR %s\n", i, r.error.c_str());
       continue;
     }
-    const char* path = r.stats.cache_hits       ? "hit"
-                       : r.stats.cache_semantic_hits ? "semantic"
-                                                     : "miss";
+    const char* path = r.stats.cache_hits ? "hit" : "miss";
     std::printf("q%zu %s k=%d via=%s out=%zu cache=%s ms=%.3f\n", i,
                 QueryModeName(r.mode), specs[i].k, AlgorithmName(r.algorithm),
                 r.ids.size(), path, r.stats.elapsed_ms);
@@ -451,11 +445,10 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
 
   CacheCounters counters = server.cache_counters();
   std::printf(
-      "served %zu queries (%d failed) in %.2f ms: %lld exact, %lld semantic, "
-      "%lld miss, %lld evicted, hit-rate %.2f%%\n",
+      "served %zu queries (%d failed) in %.2f ms: %lld exact, %lld miss, "
+      "%lld evicted, hit-rate %.2f%%\n",
       specs.size(), batch.failed, total_ms,
       static_cast<long long>(counters.exact_hits),
-      static_cast<long long>(counters.semantic_hits),
       static_cast<long long>(counters.misses),
       static_cast<long long>(counters.evictions), 100.0 * counters.HitRate());
   std::fprintf(stderr, "[stats] %s\n", batch.total.ToString().c_str());
@@ -541,10 +534,9 @@ int CmdUpdates(const std::map<std::string, std::string>& flags) {
   if (use_serve) {
     CacheCounters cc = server.cache_counters();
     std::printf(
-        "cache: %lld exact, %lld semantic, %lld miss, %lld invalidated over "
-        "%lld sweeps, %lld stale admits refused\n",
+        "cache: %lld exact, %lld miss, %lld invalidated over %lld sweeps, "
+        "%lld stale admits refused\n",
         static_cast<long long>(cc.exact_hits),
-        static_cast<long long>(cc.semantic_hits),
         static_cast<long long>(cc.misses),
         static_cast<long long>(cc.invalidated),
         static_cast<long long>(cc.invalidation_sweeps),

@@ -61,8 +61,6 @@ class Engine final : public QueryEngine {
   /// Returns nullopt when the file is missing, malformed, or empty.
   static std::optional<Engine> FromCsvFile(const std::string& path);
 
-  using QueryEngine::Run;  // the sink overload forwards to Run(spec)
-
   const Dataset& data() const override { return data_; }
   const RTree& tree() const { return tree_; }
   /// The SoA mirror of data() (exec/column_store.h), built once with the

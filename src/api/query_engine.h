@@ -1,12 +1,15 @@
 // QueryEngine — the abstract query-answering contract behind the serving
 // layer and the CLI.
 //
-// Two implementations exist: utk::Engine (api/engine.h), the single-machine
-// engine that owns one dataset and one R-tree, and utk::PartitionedEngine
+// Implementations: utk::Engine (api/engine.h), the single-machine engine
+// that owns one dataset and one R-tree; utk::PartitionedEngine
 // (dist/partitioned_engine.h), which decomposes each query across data
-// shards and region tiles but answers the same QuerySpec/QueryResult
-// contract. Callers that only *submit* queries (serve/server.h, utk_cli)
-// depend on this interface, so either engine can back them.
+// shards and region tiles; utk::LiveEngine (live/live_engine.h), which
+// applies update batches; and utk::MappedEngine (storage/mapped_engine.h),
+// which answers over mmap'd catalog segments. All answer the same
+// QuerySpec/QueryResult contract through one Run(spec). Callers that only
+// *submit* queries (serve/server.h, utk_cli) depend on this interface, so
+// any engine can back them.
 //
 // Implementations must be const-thread-safe: Plan/Validate/Run/TopK may be
 // called concurrently from any number of threads.
@@ -14,7 +17,6 @@
 #define UTK_API_QUERY_ENGINE_H_
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <utility>
@@ -25,16 +27,6 @@
 #include "common/types.h"
 
 namespace utk {
-
-/// Observer for the complete sub-answers a decomposing engine produces on
-/// the way to the full answer — one call per region tile of a partitioned
-/// run, each a full QueryResult for the sub-spec it is paired with. The
-/// serving layer admits these into its result cache as containment donors,
-/// so a tiled execution warms the semantic cache for free. May be invoked
-/// concurrently from worker threads; engines that do not decompose never
-/// invoke it.
-using PartialResultSink =
-    std::function<void(const QuerySpec& sub_spec, const QueryResult& result)>;
 
 class QueryEngine {
  public:
@@ -53,15 +45,6 @@ class QueryEngine {
   /// Answers one query; invalid specs come back with ok == false and a
   /// diagnostic, never a crash.
   virtual QueryResult Run(const QuerySpec& spec) const = 0;
-
-  /// Answers one query, reporting complete sub-answers to `sink` as they
-  /// finish. The default forwards to Run — only decomposing engines
-  /// (src/dist/) have sub-answers to report.
-  virtual QueryResult Run(const QuerySpec& spec,
-                          const PartialResultSink& sink) const {
-    (void)sink;
-    return Run(spec);
-  }
 
   /// EXPLAIN: the static operator tree `spec` would execute — operator
   /// names from the span vocabulary (DESIGN.md §12), the planned algorithm

@@ -27,10 +27,12 @@ struct QueryStats {
   int64_t peak_bytes = 0;        ///< estimated peak arrangement memory
   // Serving-layer counters (src/serve): how the result was obtained. An
   // engine-only execution leaves all four at zero; the Server sets exactly
-  // one of hits/semantic_hits/misses to 1 per query and charges evictions
-  // to the query whose admission caused them.
+  // one of hits/misses to 1 per query and charges evictions to the query
+  // whose admission caused them.
   int64_t cache_hits = 0;           ///< exact fingerprint cache hits
-  int64_t cache_semantic_hits = 0;  ///< region-containment cache hits
+  /// Always 0: the serving cache reuses exact matches only. Kept so the
+  /// CSV layout (history files, planner calibration data) stays stable.
+  int64_t cache_semantic_hits = 0;
   int64_t cache_misses = 0;         ///< full engine executions
   int64_t cache_evictions = 0;      ///< LRU evictions during admission
   /// Dataset epoch the answer was computed at (QueryEngine::epoch()): 0 for

@@ -33,7 +33,7 @@ ConvexRegion RandomSubBox(const ConvexRegion& parent, Scalar shrink, Rng& rng);
 /// cache outcome it is designed to exercise once the hot set is warm.
 enum class TraceKind {
   kRepeat,     ///< an exact repeat of a hot region (exact-hit path)
-  kSubregion,  ///< a random sub-box of a hot region (containment-hit path)
+  kSubregion,  ///< a random sub-box of a hot region (a miss near hot data)
   kFresh,      ///< an unrelated random region (miss path)
 };
 
@@ -49,8 +49,8 @@ struct ServeTraceOptions {
   uint64_t seed = 1;
 };
 
-/// An overlapping serving workload (the repeated/contained query streams the
-/// serving layer in src/serve is built for): `queries[i]` is classified by
+/// An overlapping serving workload (repeated and contained query streams
+/// for the serving layer in src/serve): `queries[i]` is classified by
 /// `kinds[i]`, and `hot` lists the distinct hot regions that repeats and
 /// subregions are drawn from. Deterministic in the options' seed.
 struct ServeTrace {

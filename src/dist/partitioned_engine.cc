@@ -178,12 +178,7 @@ std::vector<int32_t> PartitionedEngine::FilterPool(
 }
 
 QueryResult PartitionedEngine::Run(const QuerySpec& spec) const {
-  return Run(spec, nullptr, nullptr);
-}
-
-QueryResult PartitionedEngine::Run(const QuerySpec& spec,
-                                   const PartialResultSink& sink) const {
-  return Run(spec, &sink, nullptr);
+  return Run(spec, nullptr);
 }
 
 int PartitionedEngine::EffectiveTiles(const QuerySpec& spec) const {
@@ -198,7 +193,6 @@ int PartitionedEngine::EffectiveTiles(const QuerySpec& spec) const {
 }
 
 QueryResult PartitionedEngine::Run(const QuerySpec& spec,
-                                   const PartialResultSink* sink,
                                    DistDetail* detail) const {
   // Invalid specs and algorithms outside the r-skyband pipeline (naive
   // oracle, SK/ON baselines) run on the embedded single engine unchanged —
@@ -275,14 +269,6 @@ QueryResult PartitionedEngine::Run(const QuerySpec& spec,
       r.stats = r.utk2.stats;
     }
     r.ok = true;
-    // Each tile answer IS Engine::Run's answer for the sub-region, so the
-    // serving layer can admit it as a containment donor. Only report when
-    // the region actually decomposed (a single tile equals the full run).
-    if (sink != nullptr && *sink != nullptr && T > 1) {
-      QuerySpec sub = spec;
-      sub.region = tiles[t];
-      (*sink)(sub, r);
-    }
     tile_results[t] = std::move(r);
   });
 

@@ -10,11 +10,11 @@
 //   (dist/partition.h); each shard owns a re-indexed copy of its records
 //   and its own R-tree. Filtering runs per shard in parallel, and the
 //   per-shard r-skybands union into a candidate pool. Correctness of the
-//   pool (the competitor-restriction argument the SK/ON baselines and the
-//   serving layer already rely on): for any w in R, every member p of the
-//   top-k under w has fewer than k records of D scoring above it, hence
-//   fewer than k within p's shard — so p is in its shard's r-skyband and
-//   therefore in the pool. The pool is then re-filtered *within itself*
+//   pool (the competitor-restriction argument the SK/ON baselines already
+//   rely on): for any w in R, every member p of the top-k under w has
+//   fewer than k records of D scoring above it, hence fewer than k within
+//   p's shard — so p is in its shard's r-skyband and therefore in the
+//   pool. The pool is then re-filtered *within itself*
 //   (ComputeRSkybandFromPool): a pool member pruned there has >= k
 //   r-dominators in the pool, hence in D, so it was outside the global
 //   r-skyband and can never appear in a top-k; every global r-skyband
@@ -104,8 +104,6 @@ class PartitionedEngine final : public QueryEngine {
   /// R-tree is reused rather than rebuilt).
   PartitionedEngine(std::shared_ptr<const Engine> base, DistConfig config);
 
-  using QueryEngine::Run;
-
   const Dataset& data() const override { return base_->data(); }
   Algorithm Plan(const QuerySpec& spec) const override {
     return base_->Plan(spec);
@@ -114,8 +112,6 @@ class PartitionedEngine final : public QueryEngine {
     return base_->Validate(spec);
   }
   QueryResult Run(const QuerySpec& spec) const override;
-  QueryResult Run(const QuerySpec& spec,
-                  const PartialResultSink& sink) const override;
   std::vector<int32_t> TopK(const Vec& w, int k) const override {
     return base_->TopK(w, k);
   }
@@ -131,11 +127,9 @@ class PartitionedEngine final : public QueryEngine {
   /// capped at the thread count — 1 when no model decision applies.
   int EffectiveTiles(const QuerySpec& spec) const;
 
-  /// Full-control entry point: optional per-tile sub-answer sink (invoked
-  /// only when the region actually decomposes into > 1 tile) and optional
-  /// decomposition introspection.
-  QueryResult Run(const QuerySpec& spec, const PartialResultSink* sink,
-                  DistDetail* detail) const;
+  /// Full-control entry point: Run plus optional decomposition
+  /// introspection.
+  QueryResult Run(const QuerySpec& spec, DistDetail* detail) const;
 
   /// The sharded filtering stage alone for region `r`: the sorted union of
   /// per-shard r-skyband ids (a provable superset of every top-k set over

@@ -52,9 +52,8 @@ class ConvexRegion {
   /// constraint): every constraint a.w <= b of *this* satisfies
   /// max_{w in inner} a.w <= b + eps. Closed form when both are boxes, one
   /// LP per constraint otherwise. An empty `inner` is contained vacuously.
-  /// This is the semantic-reuse predicate of the serving layer
-  /// (serve/result_cache.h): UTK answers for a region restrict to any
-  /// contained region.
+  /// Used to check that region tilings and generated sub-regions stay
+  /// inside their parent.
   bool ContainsRegion(const ConvexRegion& inner, Scalar eps = kEps) const;
 
   /// The pivot vector of the region (Section 4.1): for boxes, the average of

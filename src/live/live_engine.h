@@ -113,8 +113,6 @@ class LiveEngine final : public QueryEngine {
   LiveEngine(const LiveEngine&) = delete;
   LiveEngine& operator=(const LiveEngine&) = delete;
 
-  using QueryEngine::Run;
-
   // ------------------------------------------------------------- queries
   /// The id-addressed dataset *including tombstones* (data()[i].id == i
   /// still holds; IsLive distinguishes). Algorithms only dereference ids

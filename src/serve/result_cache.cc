@@ -11,12 +11,6 @@
 namespace utk {
 namespace {
 
-/// Slack allowed when testing donor-region containment. Looser than kEps so
-/// a sub-box sharing a face with its parent (a common workload shape) still
-/// reuses the parent's answer; tight enough that the donor's validity
-/// argument holds to numerical noise.
-constexpr Scalar kContainEps = 1e-9;
-
 void AppendScalar(std::string* out, Scalar v) {
   if (v == 0.0) v = 0.0;  // collapse -0.0 so equal regions fingerprint equal
   char buf[sizeof(Scalar)];
@@ -63,8 +57,7 @@ int64_t BytesOfCell(const Cell& c) {
 double CacheCounters::HitRate() const {
   const int64_t total = Requests();
   if (total == 0) return 0.0;
-  return static_cast<double>(exact_hits + semantic_hits) /
-         static_cast<double>(total);
+  return static_cast<double>(exact_hits) / static_cast<double>(total);
 }
 
 std::string CanonicalFingerprint(const QuerySpec& spec, Algorithm planned,
@@ -141,97 +134,20 @@ ResultCache::Shard& ResultCache::ShardFor(const std::string& key) {
   return *shards_[std::hash<std::string_view>{}(base) % shards_.size()];
 }
 
-bool ResultCache::CanServe(const Entry& entry, const QuerySpec& spec,
-                           Algorithm planned, uint64_t epoch) {
-  if (entry.epoch != epoch) return false;
-  if (entry.k != spec.k) return false;
-  if (spec.mode == QueryMode::kUtk2) {
-    // A UTK2 answer's shape (common arrangement vs per-record cells) must
-    // match what the planned algorithm would produce, so the result a
-    // caller sees never depends on what happens to be cached. This also
-    // rejects UTK1 donors, which carry no cell geometry at all.
-    const bool want_per_record = planned == Algorithm::kBaselineSk ||
-                                 planned == Algorithm::kBaselineOn;
-    const bool has_shape = want_per_record
-                               ? !entry.result.per_record.records.empty()
-                               : !entry.result.utk2.cells.empty();
-    if (!has_shape) return false;
-  }
-  return entry.region.ContainsRegion(spec.region, kContainEps);
-}
-
-bool ResultCache::FindDonor(const QuerySpec& spec, Algorithm planned,
-                            uint64_t epoch, CacheLookup* out) {
-  // One sweep, testing containment on each entry at most once. A donor with
-  // cell geometry wins immediately (cells restrict cheaply — a feasibility
-  // test per cell); the first admissible id-only donor is only *remembered*
-  // as a fallback — copied and MRU-touched after the sweep, so a superseded
-  // fallback costs no copy and no recency distortion.
-  Shard* fallback_shard = nullptr;
-  std::string fallback_key;
-  for (auto& shard : shards_) {
-    MutexLock lock(shard->mu);
-    for (auto it = shard->lru.begin(); it != shard->lru.end(); ++it) {
-      if (fallback_shard != nullptr && !it->HasCells()) continue;
-      if (!CanServe(*it, spec, planned, epoch)) continue;
-      if (it->HasCells()) {
-        out->outcome = CacheOutcome::kSemanticHit;
-        out->result = it->result;
-        out->region = it->region;
-        out->mode = it->mode;
-        shard->lru.splice(shard->lru.begin(), shard->lru, it);  // touch
-        return true;
-      }
-      fallback_shard = shard.get();
-      fallback_key = it->key;
-      break;  // keep scanning other shards for a cell-carrying donor
-    }
-  }
-  if (fallback_shard == nullptr) return false;
-  // The fallback may have been evicted while other shards were scanned; a
-  // vanished fallback is simply a miss.
-  MutexLock lock(fallback_shard->mu);
-  auto it = fallback_shard->index.find(fallback_key);
-  if (it == fallback_shard->index.end()) return false;
-  out->outcome = CacheOutcome::kSemanticHit;
-  out->result = it->second->result;
-  out->region = it->second->region;
-  out->mode = it->second->mode;
-  fallback_shard->lru.splice(fallback_shard->lru.begin(), fallback_shard->lru,
-                             it->second);
-  return true;
-}
-
-CacheLookup ResultCache::Lookup(const QuerySpec& spec, Algorithm planned,
-                                uint64_t epoch) {
-  CacheLookup out;
+std::optional<QueryResult> ResultCache::Lookup(const QuerySpec& spec,
+                                               Algorithm planned,
+                                               uint64_t epoch) {
   const std::string key = CanonicalFingerprint(spec, planned, epoch);
-  {
-    Shard& shard = ShardFor(key);
-    MutexLock lock(shard.mu);
-    auto it = shard.index.find(key);
-    if (it != shard.index.end()) {
-      out.outcome = CacheOutcome::kExactHit;
-      out.result = it->second->result;
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      exact_hits_.fetch_add(1, std::memory_order_relaxed);
-      return out;
-    }
-  }
-  if (config_.semantic_reuse && FindDonor(spec, planned, epoch, &out)) {
-    // Counted by ResolveSemantic once the caller's restriction succeeds.
-    return out;
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  return out;
-}
-
-void ResultCache::ResolveSemantic(bool served) {
-  if (served) {
-    semantic_hits_.fetch_add(1, std::memory_order_relaxed);
-  } else {
+  Shard& shard = ShardFor(key);
+  MutexLock lock(shard.mu);
+  auto it = shard.index.find(key);
+  if (it == shard.index.end()) {
     misses_.fetch_add(1, std::memory_order_relaxed);
+    return std::nullopt;
   }
+  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+  exact_hits_.fetch_add(1, std::memory_order_relaxed);
+  return it->second->result;
 }
 
 int64_t ResultCache::Admit(const QuerySpec& spec, Algorithm planned,
@@ -343,7 +259,6 @@ int64_t ResultCache::ApplyInvalidation(uint64_t from_epoch, uint64_t to_epoch,
 CacheCounters ResultCache::Counters() const {
   CacheCounters c;
   c.exact_hits = exact_hits_.load(std::memory_order_relaxed);
-  c.semantic_hits = semantic_hits_.load(std::memory_order_relaxed);
   c.misses = misses_.load(std::memory_order_relaxed);
   c.evictions = evictions_.load(std::memory_order_relaxed);
   c.inserts = inserts_.load(std::memory_order_relaxed);

@@ -1,32 +1,17 @@
 // ResultCache — a thread-safe, sharded LRU cache of UTK query results keyed
-// by canonical QuerySpec fingerprints, with *semantic* region-containment
-// reuse on top of exact matching.
+// by canonical QuerySpec fingerprints.
 //
-// Semantic reuse rests on two properties of the UTK answer (Section 3.1 of
-// the paper): for any R' contained in R,
-//   (1) UTK1(R') is a subset of UTK1(R) — every top-k set for w in R' is a
-//       top-k set for a weight in R; and
-//   (2) UTK2(R') is the restriction of UTK2(R)'s partition to R' — each cell
-//       of R's decomposition, clipped to R', keeps its exact top-k set.
-// So a cached answer for R can serve any later query whose region lies
-// inside R: UTK2 by clipping cells, UTK1 either from the cells that
-// intersect R' or — when only the id set was cached — by re-deciding each
-// cached id over R' with the *cached ids as the only competitors* (exact,
-// because for w in R' the true top-k contains only cached ids; this is the
-// same competitor-restriction argument the SK/ON baselines already use).
-//
-// The cache itself is deliberately dumb about how donors are turned into
-// answers: Lookup classifies a request as an exact hit (returns the cached
-// result verbatim), a semantic hit (returns a *donor* — the cached result
-// plus the region it answers), or a miss. The Server (serve/server.h) owns
-// the derivation. Exact hits and donor selection both refresh LRU recency.
+// Reuse is exact-match only: Lookup returns the cached result verbatim when
+// a request's fingerprint (mode, k, planned algorithm, canonical region,
+// dataset epoch) matches an entry, and nothing otherwise — the Server
+// (serve/server.h) then runs the engine and Admits the fresh answer. A
+// served answer is therefore always byte-identical to the engine's Run.
+// Hits refresh LRU recency.
 //
 // Sharding: entries are distributed over `shards` independent LRU lists by
 // fingerprint hash; each shard has its own mutex and an equal slice of the
 // entry/byte budgets, so concurrent sessions on different fingerprints never
-// contend. Semantic lookup scans shards in order (most-recently-used entry
-// first within a shard) and takes the first admissible donor, preferring
-// donors that carry cell geometry because they are cheaper to restrict.
+// contend.
 #ifndef UTK_SERVE_RESULT_CACHE_H_
 #define UTK_SERVE_RESULT_CACHE_H_
 
@@ -35,6 +20,7 @@
 #include <functional>
 #include <list>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -49,14 +35,15 @@ struct CacheConfig {
   std::size_t max_entries = 4096;        ///< total entries across shards
   std::size_t max_bytes = 256ull << 20;  ///< total estimated result bytes
   int shards = 8;                        ///< independent LRU shards (>= 1)
-  bool semantic_reuse = true;            ///< containment lookup on/off
 };
 
 /// Monotonic cache-wide counters (a consistent snapshot via Counters()).
 struct CacheCounters {
   int64_t exact_hits = 0;     ///< Lookup returned the cached result verbatim
-  int64_t semantic_hits = 0;  ///< Lookup returned a containment donor
-  int64_t misses = 0;         ///< Lookup found nothing reusable
+  /// Always 0: the cache reuses exact matches only. Kept until perfbench,
+  /// which reads it, drops it.
+  int64_t semantic_hits = 0;
+  int64_t misses = 0;         ///< Lookup found no entry
   int64_t evictions = 0;      ///< entries dropped by the LRU budgets
   int64_t inserts = 0;        ///< successful Admit calls
   int64_t entries = 0;        ///< entries currently resident
@@ -66,8 +53,8 @@ struct CacheCounters {
   int64_t invalidated = 0;          ///< entries dropped by sweeps
   int64_t stale_rejects = 0;        ///< admits refused for a superseded epoch
 
-  int64_t Requests() const { return exact_hits + semantic_hits + misses; }
-  /// Fraction of requests served from the cache (exact + semantic).
+  int64_t Requests() const { return exact_hits + misses; }
+  /// Fraction of requests served from the cache.
   double HitRate() const;
 };
 
@@ -86,21 +73,6 @@ std::string CanonicalFingerprint(const QuerySpec& spec, Algorithm planned,
 /// Estimated resident size of a cached result, for the byte budget.
 int64_t EstimateResultBytes(const QueryResult& r);
 
-enum class CacheOutcome {
-  kExactHit,     ///< `result` is the cached answer for this very spec
-  kSemanticHit,  ///< `result`+`region`+`mode` describe a containing donor
-  kMiss,         ///< nothing reusable; run the engine and Admit
-};
-
-/// What Lookup found. For a semantic hit the caller must still restrict
-/// `result` (answered over `region`, in `mode`) to the requested region.
-struct CacheLookup {
-  CacheOutcome outcome = CacheOutcome::kMiss;
-  QueryResult result;
-  ConvexRegion region;
-  QueryMode mode = QueryMode::kUtk1;
-};
-
 /// Read-only view of a cached entry handed to invalidation predicates.
 struct CacheEntryView {
   QueryMode mode;
@@ -118,21 +90,13 @@ class ResultCache {
  public:
   explicit ResultCache(CacheConfig config = {});
 
-  /// Classifies `spec` against the cache. `planned` must be the engine's
-  /// Plan(spec) so kAuto specs fingerprint identically to their resolved
-  /// form, and `epoch` the engine's epoch() read before running (0 for
-  /// immutable engines). Thread-safe; updates recency and the
-  /// exact-hit/miss counters. A kSemanticHit outcome is NOT counted yet —
-  /// the caller must report whether the donor's restriction actually served
-  /// the query via ResolveSemantic, so degenerate restrictions count as
-  /// misses.
-  CacheLookup Lookup(const QuerySpec& spec, Algorithm planned,
-                     uint64_t epoch = 0);
-
-  /// Settles the counter for a kSemanticHit returned by Lookup: a semantic
-  /// hit when `served`, a miss when the caller had to fall back to a full
-  /// engine run.
-  void ResolveSemantic(bool served);
+  /// The cached answer for `spec`, or nullopt. `planned` must be the
+  /// engine's Plan(spec) so kAuto specs fingerprint identically to their
+  /// resolved form, and `epoch` the engine's epoch() read before running (0
+  /// for immutable engines). Thread-safe; counts exactly one hit or one miss
+  /// and refreshes the hit entry's recency.
+  std::optional<QueryResult> Lookup(const QuerySpec& spec, Algorithm planned,
+                                    uint64_t epoch = 0);
 
   /// Inserts a fresh engine result (replacing any entry with the same
   /// fingerprint) and enforces the budgets. Returns the number of entries
@@ -172,12 +136,6 @@ class ResultCache {
     ConvexRegion region;
     QueryResult result;
     int64_t bytes = 0;
-
-    /// True when the result carries cell geometry (UTK2 shapes), making it
-    /// the preferred donor kind.
-    bool HasCells() const {
-      return !result.utk2.cells.empty() || !result.per_record.records.empty();
-    }
   };
   struct Shard {
     Mutex mu;
@@ -191,23 +149,12 @@ class ResultCache {
   /// Shard choice hashes the key *without* its epoch suffix, so re-tagging
   /// an entry to a new epoch never moves it across shards.
   Shard& ShardFor(const std::string& key);
-  /// True iff `entry` may answer `spec` by restriction: current epoch, same
-  /// k, region containment, and UTK2 requests need a donor whose shape
-  /// (common arrangement vs per-record cells) matches the planned
-  /// algorithm's.
-  static bool CanServe(const Entry& entry, const QuerySpec& spec,
-                       Algorithm planned, uint64_t epoch);
-  /// Scans every shard (MRU-first) for an admissible donor in one pass,
-  /// preferring donors with cell geometry over id-only ones.
-  bool FindDonor(const QuerySpec& spec, Algorithm planned, uint64_t epoch,
-                 CacheLookup* out);
 
   CacheConfig config_;
   std::size_t entries_per_shard_ = 0;
   int64_t bytes_per_shard_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<int64_t> exact_hits_{0};
-  std::atomic<int64_t> semantic_hits_{0};
   std::atomic<int64_t> misses_{0};
   std::atomic<int64_t> evictions_{0};
   std::atomic<int64_t> inserts_{0};

@@ -1,38 +1,18 @@
 // Server — a serving session that answers UTK queries cache-first.
 //
-// A Server wraps a shared, immutable QueryEngine (api/query_engine.h) — the
-// single-machine utk::Engine or the sharded/tiled utk::PartitionedEngine,
-// both const-thread-safe, so one engine can back many concurrent sessions —
-// and a ResultCache. Query resolution order:
-//   1. exact fingerprint hit  -> return the cached result verbatim;
-//   2. semantic hit           -> restrict a containing donor's answer to the
-//                                requested region (see below);
-//   3. miss                   -> QueryEngine::Run, then Admit the fresh
-//                                result. A decomposing engine additionally
-//                                reports each completed region tile through
-//                                the PartialResultSink, and every tile is
-//                                admitted as a containment donor of its
-//                                sub-region — tiled execution warms the
-//                                semantic cache for free.
+// A Server wraps a shared QueryEngine (api/query_engine.h) — the
+// single-machine utk::Engine, the sharded/tiled utk::PartitionedEngine, or a
+// live/catalog-backed engine, all const-thread-safe, so one engine can back
+// many concurrent sessions — and a ResultCache. Query resolution has two
+// paths:
+//   1. exact fingerprint hit -> return the cached result verbatim;
+//   2. miss                  -> QueryEngine::Run, then Admit the fresh
+//                               result under the epoch read before running.
 //
-// Restriction of a donor answered over R to a requested region R' ⊆ R:
-//   * UTK2 from a JAA donor: clip every cell (cell bounds + R' constraints),
-//     keep cells that retain interior, recompute each witness as the clipped
-//     cell's Chebyshev center; top-k sets are unchanged by clipping.
-//   * UTK2 from a baseline (per-record) donor: clip each record's validity
-//     cells the same way; records left without cells drop out.
-//   * UTK1 from any UTK2-shaped donor: the union of top-k sets over cells
-//     that still intersect R' (one feasibility test per cell).
-//   * UTK1 from a UTK1-only donor: re-decide each cached id over R' with the
-//     cached ids as the only competitors (early-exit kSPR). Exact because
-//     for every w in R' the true top-k is a subset of the donor's id set —
-//     the same competitor-restriction argument the SK/ON baselines use.
-//
-// Served results mirror Engine::Run answers (UTK1 ids byte-identical; UTK2
-// semantically the same partition, possibly with different cell geometry).
-// `stats` describes the *serving*: exactly one of cache_hits /
-// cache_semantic_hits / cache_misses is 1, evictions are charged to the
-// admitting query, and `algorithm` names whatever produced the donor.
+// Every served answer is therefore byte-identical to the backing engine's
+// Run for the same spec, UTK2 cell geometry and witnesses included. `stats`
+// describes the *serving*: exactly one of cache_hits / cache_misses is 1
+// and evictions are charged to the admitting query.
 //
 // Thread-safety: Query/QueryBatch may be called concurrently from any number
 // of threads; the cache is internally synchronized and the engine is
@@ -71,7 +51,7 @@ class Server {
 
   /// EXPLAIN ANALYZE through the serving layer: runs Query with tracing on
   /// and rebuilds the executed tree (a cache hit shows serve.cache_probe
-  /// and no engine subtree; a miss the full run + admits). `result`, when
+  /// and no engine subtree; a miss the full run + admit). `result`, when
   /// non-null, receives the answer.
   PlanNode ExplainAnalyze(const QuerySpec& spec,
                           QueryResult* result = nullptr);
@@ -88,12 +68,9 @@ class Server {
   CacheCounters cache_counters() const { return cache_.Counters(); }
 
  private:
-  QueryResult ServeFromDonor(const QuerySpec& spec,
-                             CacheLookup donor) const;
-  /// Full engine execution with per-tile donor admission (miss path and
-  /// degenerate-restriction fallback). Admits the full result too (tagged
-  /// with the epoch observed before running); returns it with
-  /// cache_evictions charged.
+  /// The miss path: runs the engine and admits the result (tagged with the
+  /// epoch observed before running); returns it with cache_evictions
+  /// charged.
   QueryResult RunAndAdmit(const QuerySpec& spec, Algorithm planned,
                           uint64_t epoch);
 

@@ -55,8 +55,6 @@ class MappedEngine final : public QueryEngine {
   MappedEngine(const MappedEngine&) = delete;
   MappedEngine& operator=(const MappedEngine&) = delete;
 
-  using QueryEngine::Run;
-
   /// Forces full materialization — only call this when you need the AoS
   /// catalog; queries don't.
   const Dataset& data() const override;

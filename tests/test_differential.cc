@@ -5,7 +5,7 @@
 //   Engine(rsa) == Engine(jaa-union)            (UTK1)
 //   Engine == PartitionedEngine (shards+tiles)  (both modes)
 //   Engine == Server cold (miss) == Server warm (exact hit, byte-equal)
-//   Engine == Server warm on a contained sub-region (semantic hit)
+//   Engine == Server on a contained sub-region (a miss, byte-equal)
 //   Engine == LiveEngine after replaying the same records as inserts
 //   Engine == MappedEngine over a written segment (mmap, lazy rows)
 //   SoA columnar filter/top-k == AoS scalar path (bit-for-bit, per draw)
@@ -13,9 +13,10 @@
 // UTK1 answers must be byte-identical. UTK2 answers are compared as the
 // partition they describe — same record union, same distinct top-k set
 // collection, every cell's top-k exact at its witness — because tile seams
-// and donor clipping legitimately change cell geometry. Every UTK2 result
-// must arrive in canonical cell order (core/utk.h Canonicalize): the
-// ordering is asserted here, once, instead of per-test sorts.
+// legitimately change cell geometry. Server answers are byte-equal to the
+// engine's, cells and witnesses included. Every UTK2 result must arrive in
+// canonical cell order (core/utk.h Canonicalize): the ordering is asserted
+// here, once, instead of per-test sorts.
 //
 // Seeds: the base seed is fixed (UTK_DIFF_SEED overrides it; UTK_DIFF_DRAWS
 // scales the draw count) and every failure message carries the failing
@@ -77,6 +78,16 @@ void ExpectSameUtk2(const Engine& ref, int k, const QueryResult& want,
     std::vector<int32_t> topk = ref.TopK(cell.witness, k);
     std::sort(topk.begin(), topk.end());
     EXPECT_EQ(topk, cell.topk);
+  }
+}
+
+/// Byte-equal UTK2 cells: same top-k lists and bit-equal witnesses, in the
+/// same order.
+void ExpectSameCells(const QueryResult& want, const QueryResult& got) {
+  ASSERT_EQ(got.utk2.cells.size(), want.utk2.cells.size());
+  for (size_t c = 0; c < got.utk2.cells.size(); ++c) {
+    EXPECT_EQ(got.utk2.cells[c].topk, want.utk2.cells[c].topk);
+    EXPECT_EQ(got.utk2.cells[c].witness, want.utk2.cells[c].witness);
   }
 }
 
@@ -186,28 +197,23 @@ TEST(Differential, AllExecutionPathsAgree) {
       ExpectSameUtk2(*engine, d.k, want, via_dist);
     }
 
-    // --- Server: cold (miss), warm (exact, byte-equal), semantic ------
+    // --- Server: cold (miss), warm (exact hit), sub-box (miss) ---------
     Server server(engine);
     QueryResult cold = server.Query(spec);
     ASSERT_TRUE(cold.ok) << cold.error;
     EXPECT_EQ(cold.stats.cache_misses, 1);
     EXPECT_EQ(cold.ids, want.ids);
+    ExpectSameCells(want, cold);
 
     QueryResult warm = server.Query(spec);
     ASSERT_TRUE(warm.ok) << warm.error;
     EXPECT_EQ(warm.stats.cache_hits, 1);
     EXPECT_EQ(warm.ids, cold.ids);
-    if (d.mode == QueryMode::kUtk2) {
-      // Exact hits return the cached result verbatim.
-      ASSERT_EQ(warm.utk2.cells.size(), cold.utk2.cells.size());
-      for (size_t c = 0; c < warm.utk2.cells.size(); ++c) {
-        EXPECT_EQ(warm.utk2.cells[c].topk, cold.utk2.cells[c].topk);
-        EXPECT_EQ(warm.utk2.cells[c].witness, cold.utk2.cells[c].witness);
-      }
-    }
+    // Exact hits return the cached result verbatim.
+    ExpectSameCells(cold, warm);
 
-    // A contained sub-box exercises the semantic (containment) path; the
-    // served restriction must equal a fresh engine run on the sub-region.
+    // A contained sub-box of the cached region is a miss, answered by the
+    // engine byte for byte.
     Rng sub_rng(d.seed ^ 0x5bf03635ull);
     QuerySpec sub = spec;
     sub.region = RandomSubBox(d.region, 0.6, sub_rng);
@@ -215,9 +221,9 @@ TEST(Differential, AllExecutionPathsAgree) {
     QueryResult fresh = engine->Run(sub);
     ASSERT_EQ(via_cache.ok, fresh.ok) << via_cache.error;
     if (fresh.ok) {
+      EXPECT_EQ(via_cache.stats.cache_misses, 1);
       EXPECT_EQ(via_cache.ids, fresh.ids);
-      if (d.mode == QueryMode::kUtk2) ExpectSameUtk2(*engine, d.k, fresh,
-                                                     via_cache);
+      ExpectSameCells(fresh, via_cache);
     }
 
     // --- LiveEngine: replay the same records as inserts ---------------

@@ -7,8 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <mutex>
 #include <set>
 #include <tuple>
 #include <vector>
@@ -363,7 +361,7 @@ TEST(DistEngine, DetailReportsTheDecomposition) {
   PartitionedEngine dist(MakeData(0), config);
   QuerySpec spec = MakeSpec(QueryMode::kUtk1, 3, RegionFor(2));
   DistDetail detail;
-  QueryResult r = dist.Run(spec, nullptr, &detail);
+  QueryResult r = dist.Run(spec, &detail);
   ASSERT_TRUE(r.ok) << r.error;
   ASSERT_EQ(detail.tiles.size(), 3u);
   ASSERT_EQ(detail.filter.size(), 3u);
@@ -377,44 +375,6 @@ TEST(DistEngine, DetailReportsTheDecomposition) {
     bands += detail.band_sizes[t];
   }
   EXPECT_EQ(r.stats.candidates, bands);
-}
-
-TEST(DistEngine, SinkSeesOneFullAnswerPerTile) {
-  DistConfig config;
-  config.shards = 2;
-  config.tiles = 3;
-  PartitionedEngine dist(MakeData(0), config);
-  Engine reference(MakeData(0));
-  QuerySpec spec = MakeSpec(QueryMode::kUtk2, 3, RegionFor(2));
-
-  std::atomic<int> calls{0};
-  std::vector<int32_t> union_ids;
-  std::mutex mu;
-  PartialResultSink sink = [&](const QuerySpec& sub, const QueryResult& part) {
-    ++calls;
-    EXPECT_TRUE(part.ok);
-    EXPECT_TRUE(spec.region.ContainsRegion(sub.region));
-    // Each tile answer is the engine's answer for the sub-region.
-    std::lock_guard<std::mutex> lock(mu);
-    QueryResult direct = reference.Run(sub);
-    EXPECT_EQ(part.ids, direct.ids);
-    union_ids.insert(union_ids.end(), part.ids.begin(), part.ids.end());
-  };
-  QueryResult r = dist.Run(spec, sink);
-  ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(calls.load(), 3);
-  std::sort(union_ids.begin(), union_ids.end());
-  union_ids.erase(std::unique(union_ids.begin(), union_ids.end()),
-                  union_ids.end());
-  EXPECT_EQ(union_ids, r.ids);
-
-  // A single tile is the full run: nothing to report.
-  DistConfig solo = config;
-  solo.tiles = 1;
-  PartitionedEngine undivided(MakeData(0), solo);
-  calls = 0;
-  ASSERT_TRUE(undivided.Run(spec, sink).ok);
-  EXPECT_EQ(calls.load(), 0);
 }
 
 TEST(DistEngine, SharesABaseEngineWithoutRebuildingIt) {

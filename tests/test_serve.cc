@@ -1,12 +1,13 @@
 // The serving layer (src/serve): canonical fingerprints, exact-hit identity,
-// semantic region-containment reuse (UTK1 and UTK2, from every donor shape),
-// LRU eviction under tight budgets, concurrency, and the warm/cold speedup
-// the ResultCache exists to deliver.
+// misses answered byte-identically to the engine (sub-regions of cached
+// regions included), LRU eviction under tight budgets, concurrency, and the
+// warm/cold speedup the ResultCache exists to deliver.
 #include "serve/server.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -39,10 +40,40 @@ std::set<std::vector<int32_t>> TopkSets(const Utk2Result& r) {
   return sets;
 }
 
-bool CellContains(const std::vector<Halfspace>& bounds, const Vec& w) {
-  for (const Halfspace& h : bounds)
-    if (!h.Contains(w)) return false;
-  return true;
+void ExpectSameBounds(const std::vector<Halfspace>& want,
+                      const std::vector<Halfspace>& got) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].a, want[i].a);
+    EXPECT_EQ(got[i].b, want[i].b);
+  }
+}
+
+/// Byte-for-byte answer equality: ids, UTK2 cells (bounds, witnesses, top-k
+/// lists) and per-record baseline cells.
+void ExpectSameAnswer(const QueryResult& want, const QueryResult& got) {
+  ASSERT_EQ(got.ok, want.ok) << got.error;
+  EXPECT_EQ(got.mode, want.mode);
+  EXPECT_EQ(got.algorithm, want.algorithm);
+  EXPECT_EQ(got.ids, want.ids);
+  ASSERT_EQ(got.utk2.cells.size(), want.utk2.cells.size());
+  for (size_t i = 0; i < got.utk2.cells.size(); ++i) {
+    EXPECT_EQ(got.utk2.cells[i].topk, want.utk2.cells[i].topk);
+    EXPECT_EQ(got.utk2.cells[i].witness, want.utk2.cells[i].witness);
+    ExpectSameBounds(want.utk2.cells[i].bounds, got.utk2.cells[i].bounds);
+  }
+  ASSERT_EQ(got.per_record.records.size(), want.per_record.records.size());
+  for (size_t i = 0; i < got.per_record.records.size(); ++i) {
+    const auto& g = got.per_record.records[i];
+    const auto& w = want.per_record.records[i];
+    EXPECT_EQ(g.id, w.id);
+    ASSERT_EQ(g.cells.size(), w.cells.size());
+    for (size_t c = 0; c < g.cells.size(); ++c) {
+      EXPECT_EQ(g.cells[c].interior, w.cells[c].interior);
+      EXPECT_EQ(g.cells[c].covering, w.cells[c].covering);
+      ExpectSameBounds(w.cells[c].bounds, g.cells[c].bounds);
+    }
+  }
 }
 
 class ServeTestBase : public ::testing::Test {
@@ -151,13 +182,7 @@ TEST_F(ServeTestBase, ExactHitReturnsIdenticalResult) {
     ASSERT_TRUE(hit.ok) << hit.error;
     EXPECT_EQ(hit.stats.cache_hits, 1);
     EXPECT_EQ(hit.stats.cache_misses, 0);
-    EXPECT_EQ(hit.algorithm, fresh.algorithm);
-    EXPECT_EQ(hit.ids, fresh.ids);
-    ASSERT_EQ(hit.utk2.cells.size(), fresh.utk2.cells.size());
-    for (size_t i = 0; i < hit.utk2.cells.size(); ++i) {
-      EXPECT_EQ(hit.utk2.cells[i].topk, fresh.utk2.cells[i].topk);
-      EXPECT_EQ(hit.utk2.cells[i].witness, fresh.utk2.cells[i].witness);
-    }
+    ExpectSameAnswer(fresh, hit);
   }
   CacheCounters c = server.cache_counters();
   EXPECT_EQ(c.exact_hits, 2);
@@ -165,172 +190,42 @@ TEST_F(ServeTestBase, ExactHitReturnsIdenticalResult) {
   EXPECT_DOUBLE_EQ(c.HitRate(), 0.5);
 }
 
-// The acceptance property: for random nested regions R' inside R, the
-// cache-served answer for R' equals a fresh Engine::Run answer, for every
-// donor shape the cache can hold.
-TEST_F(ServeTestBase, ContainmentUtk1FromUtk1Donor) {
+// The cache reuses exact fingerprints only: a sub-region of a cached region
+// is a miss, answered by the engine byte for byte (cells and witnesses
+// included), and its exact repeat is then a hit.
+TEST_F(ServeTestBase, SubRegionOfACachedRegionIsAMiss) {
   Rng rng(11);
-  for (int trial = 0; trial < 8; ++trial) {
-    Server server(engine_);
-    ConvexRegion outer = RandomQueryBox(2, 0.12, rng);
-    ConvexRegion inner = RandomSubBox(outer, rng.Uniform(0.3, 0.9), rng);
+  for (QueryMode mode : {QueryMode::kUtk1, QueryMode::kUtk2}) {
+    for (int trial = 0; trial < 4; ++trial) {
+      Server server(engine_);
+      ConvexRegion outer = RandomQueryBox(2, 0.12, rng);
+      ConvexRegion inner = RandomSubBox(outer, rng.Uniform(0.3, 0.9), rng);
 
-    QueryResult warm = server.Query(MakeSpec(QueryMode::kUtk1, 4, outer));
-    ASSERT_TRUE(warm.ok) << warm.error;
-    EXPECT_EQ(warm.stats.cache_misses, 1);
+      QueryResult warm = server.Query(MakeSpec(mode, 3, outer));
+      ASSERT_TRUE(warm.ok) << warm.error;
+      EXPECT_EQ(warm.stats.cache_misses, 1);
 
-    QueryResult served = server.Query(MakeSpec(QueryMode::kUtk1, 4, inner));
-    ASSERT_TRUE(served.ok) << served.error;
-    EXPECT_EQ(served.stats.cache_semantic_hits, 1) << "trial " << trial;
+      const QuerySpec sub = MakeSpec(mode, 3, inner);
+      QueryResult served = server.Query(sub);
+      EXPECT_EQ(served.stats.cache_misses, 1) << "trial " << trial;
+      ExpectSameAnswer(engine_->Run(sub), served);
 
-    QueryResult fresh = engine_->Run(MakeSpec(QueryMode::kUtk1, 4, inner));
-    ASSERT_TRUE(fresh.ok) << fresh.error;
-    EXPECT_EQ(served.ids, fresh.ids) << "trial " << trial;
+      QueryResult repeat = server.Query(sub);
+      EXPECT_EQ(repeat.stats.cache_hits, 1) << "trial " << trial;
+      ExpectSameAnswer(served, repeat);
 
-    // The served restriction is admitted under its own fingerprint, so an
-    // exact repeat of the sub-region is an O(1) exact hit.
-    QueryResult repeat = server.Query(MakeSpec(QueryMode::kUtk1, 4, inner));
-    ASSERT_TRUE(repeat.ok) << repeat.error;
-    EXPECT_EQ(repeat.stats.cache_hits, 1) << "trial " << trial;
-    EXPECT_EQ(repeat.ids, fresh.ids);
-  }
-}
-
-// A UTK2 answer's shape must match the planned algorithm: a JAA-shaped
-// donor never serves an explicit baseline request and vice versa, so what a
-// caller reads out of utk2/per_record never depends on cache state.
-TEST_F(ServeTestBase, Utk2DonorShapeMustMatchPlannedAlgorithm) {
-  Rng rng(37);
-  ConvexRegion outer = RandomQueryBox(2, 0.1, rng);
-  ConvexRegion inner = RandomSubBox(outer, 0.6, rng);
-
-  Server server(engine_);
-  ASSERT_TRUE(server.Query(MakeSpec(QueryMode::kUtk2, 3, outer)).ok);  // JAA
-  QueryResult r = server.Query(
-      MakeSpec(QueryMode::kUtk2, 3, inner, Algorithm::kBaselineSk));
-  ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(r.stats.cache_misses, 1);  // JAA donor must not serve it
-  EXPECT_EQ(r.algorithm, Algorithm::kBaselineSk);
-  EXPECT_FALSE(r.per_record.records.empty());
-
-  Server server2(engine_);
-  ASSERT_TRUE(
-      server2.Query(MakeSpec(QueryMode::kUtk2, 3, outer, Algorithm::kBaselineSk))
-          .ok);
-  QueryResult jaa = server2.Query(MakeSpec(QueryMode::kUtk2, 3, inner));
-  ASSERT_TRUE(jaa.ok) << jaa.error;
-  EXPECT_EQ(jaa.stats.cache_misses, 1);  // baseline donor must not serve kAuto
-  EXPECT_FALSE(jaa.utk2.cells.empty());
-}
-
-TEST_F(ServeTestBase, ContainmentUtk1FromUtk2Donor) {
-  Rng rng(13);
-  for (int trial = 0; trial < 6; ++trial) {
-    Server server(engine_);
-    ConvexRegion outer = RandomQueryBox(2, 0.1, rng);
-    ConvexRegion inner = RandomSubBox(outer, rng.Uniform(0.3, 0.9), rng);
-
-    ASSERT_TRUE(server.Query(MakeSpec(QueryMode::kUtk2, 3, outer)).ok);
-    QueryResult served = server.Query(MakeSpec(QueryMode::kUtk1, 3, inner));
-    ASSERT_TRUE(served.ok) << served.error;
-    EXPECT_EQ(served.stats.cache_semantic_hits, 1) << "trial " << trial;
-
-    QueryResult fresh = engine_->Run(MakeSpec(QueryMode::kUtk1, 3, inner));
-    EXPECT_EQ(served.ids, fresh.ids) << "trial " << trial;
-  }
-}
-
-TEST_F(ServeTestBase, ContainmentUtk2FromJaaDonor) {
-  Rng rng(17);
-  for (int trial = 0; trial < 6; ++trial) {
-    Server server(engine_);
-    ConvexRegion outer = RandomQueryBox(2, 0.1, rng);
-    ConvexRegion inner = RandomSubBox(outer, rng.Uniform(0.4, 0.9), rng);
-    const int k = 3;
-
-    ASSERT_TRUE(server.Query(MakeSpec(QueryMode::kUtk2, k, outer)).ok);
-    QueryResult served = server.Query(MakeSpec(QueryMode::kUtk2, k, inner));
-    ASSERT_TRUE(served.ok) << served.error;
-    EXPECT_EQ(served.stats.cache_semantic_hits, 1) << "trial " << trial;
-
-    QueryResult fresh = engine_->Run(MakeSpec(QueryMode::kUtk2, k, inner));
-    ASSERT_TRUE(fresh.ok) << fresh.error;
-
-    // Same record union and the same collection of distinct top-k sets.
-    EXPECT_EQ(served.ids, fresh.ids) << "trial " << trial;
-    EXPECT_EQ(TopkSets(served.utk2), TopkSets(fresh.utk2));
-
-    // Ground truth: every served cell's witness must rank exactly its cell's
-    // top-k set, and the witness must lie in the queried region.
-    for (const Utk2Cell& cell : served.utk2.cells) {
-      EXPECT_TRUE(inner.Contains(cell.witness));
-      EXPECT_EQ(Sorted(cell.topk),
-                Sorted(engine_->TopK(cell.witness, k)));
-    }
-    // Cross-coverage: each fresh cell's witness falls in a served cell with
-    // the identical top-k set.
-    for (const Utk2Cell& cell : fresh.utk2.cells) {
-      bool found = false;
-      for (const Utk2Cell& sc : served.utk2.cells) {
-        if (!CellContains(sc.bounds, cell.witness)) continue;
-        EXPECT_EQ(Sorted(sc.topk), Sorted(cell.topk));
-        found = true;
-        break;
-      }
-      EXPECT_TRUE(found) << "fresh witness not covered, trial " << trial;
+      CacheCounters c = server.cache_counters();
+      EXPECT_EQ(c.misses, 2);
+      EXPECT_EQ(c.exact_hits, 1);
+      EXPECT_EQ(c.semantic_hits, 0);
     }
   }
-}
-
-TEST_F(ServeTestBase, ContainmentUtk2FromBaselineDonor) {
-  Rng rng(19);
-  Server server(engine_);
-  ConvexRegion outer = RandomQueryBox(2, 0.1, rng);
-  ConvexRegion inner = RandomSubBox(outer, 0.6, rng);
-  const int k = 3;
-
-  QuerySpec warm = MakeSpec(QueryMode::kUtk2, k, outer, Algorithm::kBaselineSk);
-  ASSERT_TRUE(server.Query(warm).ok);
-
-  QueryResult served =
-      server.Query(MakeSpec(QueryMode::kUtk2, k, inner, Algorithm::kBaselineSk));
-  ASSERT_TRUE(served.ok) << served.error;
-  EXPECT_EQ(served.stats.cache_semantic_hits, 1);
-  EXPECT_FALSE(served.per_record.records.empty());
-
-  QueryResult fresh =
-      engine_->Run(MakeSpec(QueryMode::kUtk2, k, inner, Algorithm::kBaselineSk));
-  ASSERT_TRUE(fresh.ok) << fresh.error;
-  EXPECT_EQ(served.ids, fresh.ids);
-
-  // Every surviving validity cell's interior point must actually rank its
-  // record in the top-k.
-  for (const auto& rec : served.per_record.records) {
-    for (const Cell& cell : rec.cells) {
-      std::vector<int32_t> topk = engine_->TopK(cell.interior, k);
-      EXPECT_NE(std::find(topk.begin(), topk.end(), rec.id), topk.end());
-    }
-  }
-}
-
-TEST_F(ServeTestBase, SemanticReuseCanBeDisabled) {
-  CacheConfig config;
-  config.semantic_reuse = false;
-  Server server(engine_, config);
-  ConvexRegion outer = ConvexRegion::FromBox({0.15, 0.15}, {0.35, 0.35});
-  ConvexRegion inner = ConvexRegion::FromBox({0.2, 0.2}, {0.3, 0.3});
-  ASSERT_TRUE(server.Query(MakeSpec(QueryMode::kUtk1, 3, outer)).ok);
-  QueryResult r = server.Query(MakeSpec(QueryMode::kUtk1, 3, inner));
-  ASSERT_TRUE(r.ok);
-  EXPECT_EQ(r.stats.cache_misses, 1);
-  EXPECT_EQ(server.cache_counters().semantic_hits, 0);
 }
 
 TEST_F(ServeTestBase, LruEvictionUnderTightCapacity) {
   CacheConfig config;
   config.max_entries = 2;
   config.shards = 1;
-  config.semantic_reuse = false;  // isolate the exact-match LRU behavior
   Server server(engine_, config);
 
   auto spec_at = [](Scalar lo) {
@@ -356,7 +251,6 @@ TEST_F(ServeTestBase, ByteBudgetEvicts) {
   CacheConfig config;
   config.max_bytes = 1;  // smaller than any result: every admission evicts
   config.shards = 1;
-  config.semantic_reuse = false;
   Server server(engine_, config);
   ASSERT_TRUE(
       server
@@ -424,26 +318,23 @@ TEST_F(ServeTestBase, ConcurrentMixedLoadIsDeterministic) {
     // batch stats agree with the cache's own counters.
     CacheCounters counters = server.cache_counters();
     EXPECT_EQ(counters.Requests(), static_cast<int64_t>(specs.size()));
-    EXPECT_EQ(batch.total.cache_hits + batch.total.cache_semantic_hits +
-                  batch.total.cache_misses,
+    EXPECT_EQ(batch.total.cache_hits + batch.total.cache_misses,
               static_cast<int64_t>(specs.size()));
     EXPECT_EQ(batch.total.cache_hits, counters.exact_hits);
-    EXPECT_EQ(batch.total.cache_semantic_hits, counters.semantic_hits);
     EXPECT_EQ(batch.total.cache_misses, counters.misses);
     if (threads == 1) {
       // Sequential execution makes the exact split deterministic: repeats of
       // an already-served hot region must be exact hits.
-      EXPECT_GT(counters.exact_hits + counters.semantic_hits, 0);
+      EXPECT_GT(counters.exact_hits, 0);
     }
   }
 }
 
 // A Server backed by the partitioned engine (src/dist/) through the
-// QueryEngine interface: answers equal the single-engine server's, and a
-// tiled miss admits one donor per region tile on top of the full result, so
-// later sub-region queries inside a single tile are semantic hits against
-// tile donors.
-TEST_F(ServeTestBase, PartitionedEngineServesAndTilesWarmTheCache) {
+// QueryEngine interface: answers equal the single-engine answers, a miss
+// admits exactly one entry (the full result), and a sub-region of one tile
+// is a miss answered by the partitioned engine's own Run.
+TEST_F(ServeTestBase, PartitionedEngineServesThroughTheCache) {
   DistConfig config;
   config.shards = 3;
   config.tiles = 3;
@@ -457,25 +348,26 @@ TEST_F(ServeTestBase, PartitionedEngineServesAndTilesWarmTheCache) {
   ASSERT_TRUE(miss.ok) << miss.error;
   EXPECT_EQ(miss.stats.cache_misses, 1);
   EXPECT_EQ(miss.ids, engine_->Run(spec).ids);
-  // One admission per tile plus the full result.
-  EXPECT_EQ(server.cache_counters().inserts, 4);
+  EXPECT_EQ(server.cache_counters().inserts, 1);
 
   // An exact repeat is a verbatim hit.
   QueryResult hit = server.Query(spec);
   ASSERT_TRUE(hit.ok);
   EXPECT_EQ(hit.stats.cache_hits, 1);
-  EXPECT_EQ(hit.ids, miss.ids);
+  ExpectSameAnswer(miss, hit);
 
-  // A strict sub-region of one *tile* (the region's left third along axis 0
-  // lies inside the first-level cut) is served semantically from a donor —
-  // and the restriction equals the fresh engine answer.
+  // A strict sub-region of one tile (the region's left third along axis 0)
+  // misses. The answer is the partitioned engine's, byte for byte, and the
+  // same partition as the single engine's.
   ConvexRegion sub = ConvexRegion::FromBox({0.16, 0.22}, {0.2, 0.3});
   QuerySpec sub_spec = MakeSpec(QueryMode::kUtk2, 4, sub);
-  QueryResult semantic = server.Query(sub_spec);
-  ASSERT_TRUE(semantic.ok) << semantic.error;
-  EXPECT_EQ(semantic.stats.cache_semantic_hits, 1);
-  EXPECT_EQ(semantic.ids, engine_->Run(sub_spec).ids);
-  EXPECT_EQ(TopkSets(semantic.utk2), TopkSets(engine_->Run(sub_spec).utk2));
+  QueryResult sub_miss = server.Query(sub_spec);
+  ASSERT_TRUE(sub_miss.ok) << sub_miss.error;
+  EXPECT_EQ(sub_miss.stats.cache_misses, 1);
+  ExpectSameAnswer(dist->Run(sub_spec), sub_miss);
+  QueryResult single = engine_->Run(sub_spec);
+  EXPECT_EQ(sub_miss.ids, single.ids);
+  EXPECT_EQ(TopkSets(sub_miss.utk2), TopkSets(single.utk2));
 }
 
 // The speedup the cache exists for: serving a warm exact-hit query must be
@@ -553,19 +445,16 @@ TEST(ServeEpoch, SweepDropsAffectedRetagsUnaffectedRejectsStale) {
   EXPECT_EQ(dropped, 1);
 
   // The dropped entry misses at epoch 1; the re-tagged one exact-hits.
-  EXPECT_EQ(cache.Lookup(spec_a, Algorithm::kRsa, 1).outcome,
-            CacheOutcome::kMiss);
-  CacheLookup hit = cache.Lookup(spec_b, Algorithm::kRsa, 1);
-  EXPECT_EQ(hit.outcome, CacheOutcome::kExactHit);
-  EXPECT_EQ(hit.result.ids, res_b.ids);
+  EXPECT_FALSE(cache.Lookup(spec_a, Algorithm::kRsa, 1).has_value());
+  std::optional<QueryResult> hit = cache.Lookup(spec_b, Algorithm::kRsa, 1);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->ids, res_b.ids);
   // ...and no longer matches its old epoch (no stale reuse either way).
-  EXPECT_EQ(cache.Lookup(spec_b, Algorithm::kRsa, 0).outcome,
-            CacheOutcome::kMiss);
+  EXPECT_FALSE(cache.Lookup(spec_b, Algorithm::kRsa, 0).has_value());
 
   // An admit computed against the superseded dataset is refused.
   EXPECT_EQ(cache.Admit(spec_a, Algorithm::kRsa, res_a, /*epoch=*/0), 0);
-  EXPECT_EQ(cache.Lookup(spec_a, Algorithm::kRsa, 0).outcome,
-            CacheOutcome::kMiss);
+  EXPECT_FALSE(cache.Lookup(spec_a, Algorithm::kRsa, 0).has_value());
 
   CacheCounters c = cache.Counters();
   EXPECT_EQ(c.invalidation_sweeps, 1);
@@ -590,14 +479,13 @@ TEST(ServeEpoch, RekeyCollisionKeepsTheFreshEntryServable) {
   const int64_t dropped = cache.ApplyInvalidation(
       0, 1, [](const CacheEntryView&) { return false; });  // unaffected
   EXPECT_EQ(dropped, 1);  // the superseded twin, not the fresh entry
-  CacheLookup hit = cache.Lookup(spec, Algorithm::kRsa, 1);
-  EXPECT_EQ(hit.outcome, CacheOutcome::kExactHit);
-  EXPECT_EQ(hit.result.ids, res.ids);
+  std::optional<QueryResult> hit = cache.Lookup(spec, Algorithm::kRsa, 1);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->ids, res.ids);
   EXPECT_EQ(cache.Counters().entries, 1);
   // Re-admitting and re-hitting keeps working (the index stayed sane).
   cache.Admit(spec, Algorithm::kRsa, res, /*epoch=*/1);
-  EXPECT_EQ(cache.Lookup(spec, Algorithm::kRsa, 1).outcome,
-            CacheOutcome::kExactHit);
+  EXPECT_TRUE(cache.Lookup(spec, Algorithm::kRsa, 1).has_value());
   EXPECT_EQ(cache.Counters().entries, 1);
 }
 
@@ -613,8 +501,7 @@ TEST(ServeEpoch, EntriesThatMissedASweepAreDropped) {
   // the epoch-0 entry is unauditable and must go even though the predicate
   // says unaffected.
   cache.ApplyInvalidation(1, 2, [](const CacheEntryView&) { return false; });
-  EXPECT_EQ(cache.Lookup(spec, Algorithm::kRsa, 2).outcome,
-            CacheOutcome::kMiss);
+  EXPECT_FALSE(cache.Lookup(spec, Algorithm::kRsa, 2).has_value());
   EXPECT_EQ(cache.Counters().entries, 0);
 }
 
