@@ -1,36 +1,23 @@
 #include "api/engine.h"
 
+#include <memory>
 #include <utility>
 
-#include "common/parallel.h"
 #include "core/baseline.h"
 #include "core/jaa.h"
 #include "core/naive.h"
 #include "core/rsa.h"
 #include "core/topk.h"
 #include "data/io.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
+#include "skyline/rskyband.h"
 
 namespace utk {
-namespace {
-
-QueryResult Fail(const QuerySpec& spec, std::string why) {
-  QueryResult r;
-  r.ok = false;
-  r.error = std::move(why);
-  r.mode = spec.mode;
-  r.algorithm = spec.algorithm;
-  return r;
-}
-
-}  // namespace
 
 Engine::Engine(Dataset data)
-    : data_(std::move(data)),
+    : QueryEngine("engine.run"),
+      data_(std::move(data)),
       tree_(RTree::BulkLoad(data_)),
-      cols_(data_),
-      model_(DefaultCostModel()) {}
+      cols_(data_) {}
 
 std::optional<Engine> Engine::FromCsvFile(const std::string& path) {
   std::optional<Dataset> data = LoadCsvFile(path);
@@ -38,143 +25,124 @@ std::optional<Engine> Engine::FromCsvFile(const std::string& path) {
   return Engine(std::move(*data));
 }
 
-Algorithm Engine::Plan(const QuerySpec& spec) const {
-  return Decide(spec).algorithm;
-}
-
-PlanDecision Engine::Decide(const QuerySpec& spec) const {
-  return DecidePlan(model_.get(), spec, size(), pref_dim());
-}
-
-PlanNode Engine::Explain(const QuerySpec& spec) const {
-  PlanNode root;
-  root.op = "engine.run";
-  if (std::optional<std::string> error = Validate(spec)) {
-    root.detail = "invalid: " + *error;
-    return root;
-  }
-  const PlanDecision d = Decide(spec);
-  root.detail = PlanDetail(d, spec.k, size());
-  root.est_ms = d.est_ms;
-  root.children =
-      AlgorithmPlanChildren(d.algorithm, spec.mode, size(), spec.k, pref_dim());
-  return root;
-}
-
-std::optional<std::string> Engine::Validate(const QuerySpec& spec) const {
-  if (data_.empty()) return "engine holds an empty dataset";
-  if (spec.k < 1) return "k must be >= 1";
-  if (spec.region.dim() != pref_dim())
-    return "region has " + std::to_string(spec.region.dim()) +
-           " preference dims, dataset needs " + std::to_string(pref_dim());
-  if (!spec.region.HasInteriorPoint())
-    return "query region has empty interior";
-  const Algorithm algo = Plan(spec);
-  if (spec.mode == QueryMode::kUtk2 &&
-      (algo == Algorithm::kRsa || algo == Algorithm::kNaive))
-    return std::string(AlgorithmName(algo)) +
-           " answers UTK1 only; use JAA or a baseline for UTK2";
-  return std::nullopt;
-}
-
-QueryResult Engine::Run(const QuerySpec& spec) const {
-  UTK_SPAN("engine.run");
-  obs::QueryLogScope slow_log("engine.run");
-  QueryHistoryScope history;
-  if (std::optional<std::string> error = Validate(spec))
-    return Fail(spec, std::move(*error));
-
-  const PlanDecision decision = Decide(spec);
+QueryResult Engine::Execute(const QuerySpec& spec,
+                            const PlanDecision& decision) const {
   const Algorithm algo = decision.algorithm;
+  if (algo == Algorithm::kRsa || algo == Algorithm::kJaa)
+    return RunRSkyband(data_, tree_, &cols_, spec, algo);
   QueryResult r;
+  r.ok = true;
   r.mode = spec.mode;
   r.algorithm = algo;
-  switch (algo) {
-    case Algorithm::kAuto:  // unreachable: Plan() resolved it
-      return Fail(spec, "planner returned kAuto");
-    case Algorithm::kRsa: {
-      Rsa::Options opt;
-      opt.use_drill = spec.use_drill;
-      opt.use_lemma1 = spec.use_lemma1;
-      opt.wave_cap = spec.wave_cap;
-      opt.refine_threads = spec.refine_threads;
-      Utk1Result res = Rsa(opt).Run(data_, tree_, spec.region, spec.k, &cols_);
-      r.ids = std::move(res.ids);
-      r.stats = res.stats;
-      break;
-    }
-    case Algorithm::kJaa: {
-      Jaa::Options opt;
-      opt.use_lemma1 = spec.use_lemma1;
-      opt.wave_cap = spec.wave_cap;
-      opt.refine_threads = spec.refine_threads;
-      r.utk2 = Jaa(opt).Run(data_, tree_, spec.region, spec.k, &cols_);
-      r.ids = r.utk2.AllRecords();
-      r.stats = r.utk2.stats;
-      break;
-    }
-    case Algorithm::kBaselineSk:
-    case Algorithm::kBaselineOn: {
-      Baseline b(algo == Algorithm::kBaselineSk ? BaselineFilter::kSkyband
-                                                : BaselineFilter::kOnion);
-      if (spec.mode == QueryMode::kUtk1) {
-        Utk1Result res = b.RunUtk1(data_, tree_, spec.region, spec.k, &cols_);
-        r.ids = std::move(res.ids);
-        r.stats = res.stats;
-      } else {
-        r.per_record = b.RunUtk2(data_, tree_, spec.region, spec.k, &cols_);
-        r.ids = r.per_record.AllRecords();
-        r.stats = r.per_record.stats;
-      }
-      break;
-    }
-    case Algorithm::kNaive: {
-      Timer timer;
-      r.ids = NaiveUtk1(data_, spec.region, spec.k);
-      r.stats.candidates = size();
-      r.stats.elapsed_ms = timer.ElapsedMs();
-      break;
-    }
+  if (algo == Algorithm::kNaive) {
+    Timer timer;
+    r.ids = NaiveUtk1(data_, spec.region, spec.k);
+    r.stats.candidates = size();
+    r.stats.elapsed_ms = timer.ElapsedMs();
+    return r;
   }
-  r.ok = true;
-  r.stats.planned_algorithm = static_cast<int64_t>(algo);
-  r.stats.plan_reason = static_cast<int64_t>(decision.reason);
-
-  // The mispredict rate over a workload is the planner's live quality
-  // signal (gated in tools/check_bench.py).
-  NotePlanOutcome(decision, r.stats.elapsed_ms);
-
-  static obs::Counter& queries =
-      obs::MetricRegistry::Global().GetCounter("utk_engine_queries_total");
-  static obs::Histogram& latency = obs::MetricRegistry::Global().GetHistogram(
-      "utk_engine_query_latency_us");
-  queries.Add();
-  latency.Observe(static_cast<int64_t>(r.stats.elapsed_ms * 1000.0));
-  slow_log.Finish(r.stats, [&spec] { return SpecFingerprint(spec); });
-  history.Record(spec, r, size(), pref_dim());
+  Baseline b(algo == Algorithm::kBaselineSk ? BaselineFilter::kSkyband
+                                            : BaselineFilter::kOnion);
+  if (spec.mode == QueryMode::kUtk1) {
+    Utk1Result res = b.RunUtk1(data_, tree_, spec.region, spec.k, &cols_);
+    r.ids = std::move(res.ids);
+    r.stats = res.stats;
+  } else {
+    r.per_record = b.RunUtk2(data_, tree_, spec.region, spec.k, &cols_);
+    r.ids = r.per_record.AllRecords();
+    r.stats = r.per_record.stats;
+  }
   return r;
-}
-
-BatchQueryResult Engine::RunBatch(std::span<const QuerySpec> specs,
-                                  int threads) const {
-  UTK_SPAN_VAL("engine.batch", static_cast<int64_t>(specs.size()));
-  BatchQueryResult batch;
-  batch.results.resize(specs.size());
-  ParallelFor(static_cast<int>(specs.size()),
-              threads <= 0 ? DefaultThreads() : threads,
-              [&](int i) { batch.results[i] = Run(specs[i]); });
-  std::vector<QueryStats> stats;
-  stats.reserve(batch.results.size());
-  for (const QueryResult& r : batch.results) {
-    stats.push_back(r.stats);
-    if (!r.ok) ++batch.failed;
-  }
-  batch.total = QueryStats::Merge(stats);
-  return batch;
 }
 
 std::vector<int32_t> Engine::TopK(const Vec& w, int k) const {
   return TopKRTree(data_, tree_, w, k, nullptr, &cols_);
+}
+
+QueryResult RefineBand(const Dataset& data, const RSkybandResult& band,
+                       const ConvexRegion& region, const QuerySpec& spec,
+                       Algorithm algo) {
+  QueryResult r;
+  r.ok = true;
+  r.mode = spec.mode;
+  r.algorithm = algo;
+  if (algo == Algorithm::kRsa) {
+    Rsa::Options opt;
+    opt.use_drill = spec.use_drill;
+    opt.use_lemma1 = spec.use_lemma1;
+    opt.wave_cap = spec.wave_cap;
+    opt.refine_threads = spec.refine_threads;
+    Utk1Result res = Rsa(opt).RunFiltered(data, band, region, spec.k);
+    r.ids = std::move(res.ids);
+    r.stats = res.stats;
+  } else {
+    Jaa::Options opt;
+    opt.use_lemma1 = spec.use_lemma1;
+    opt.wave_cap = spec.wave_cap;
+    opt.refine_threads = spec.refine_threads;
+    r.utk2 = Jaa(opt).RunFiltered(data, band, region, spec.k);
+    r.ids = r.utk2.AllRecords();
+    r.stats = r.utk2.stats;
+  }
+  return r;
+}
+
+QueryResult RunRSkyband(
+    const Dataset& data, const RTree& tree, const ColumnStore* cols,
+    const QuerySpec& spec, Algorithm algo,
+    const std::function<void(const RSkybandResult&)>& on_band) {
+  Timer timer;
+  QueryStats filter_stats;
+  RSkybandResult band =
+      ComputeRSkyband(data, tree, spec.region, spec.k, &filter_stats, cols);
+  if (on_band) on_band(band);
+  QueryResult r = RefineBand(data, band, spec.region, spec, algo);
+  const int64_t candidates = r.stats.candidates;
+  r.stats += filter_stats;
+  r.stats.candidates = candidates;
+  r.stats.elapsed_ms = timer.ElapsedMs();
+  return r;
+}
+
+Dataset CompactRecords(const Dataset& data, std::span<const char> alive,
+                       std::vector<int32_t>* stable_ids) {
+  Dataset compact;
+  if (stable_ids != nullptr) stable_ids->clear();
+  for (size_t i = 0; i < data.size(); ++i) {
+    if (!alive[i]) continue;
+    Record r = data[i];
+    r.id = static_cast<int32_t>(compact.size());
+    compact.push_back(std::move(r));
+    if (stable_ids != nullptr) stable_ids->push_back(static_cast<int32_t>(i));
+  }
+  return compact;
+}
+
+QueryResult CompactFallback::Execute(uint64_t epoch, const Dataset& data,
+                                     std::span<const char> alive,
+                                     const QuerySpec& spec,
+                                     const PlanDecision& decision) const {
+  std::shared_ptr<const Snapshot> snap;
+  {
+    MutexLock lock(mu_);
+    if (snapshot_ == nullptr || epoch_ != epoch) {
+      std::vector<int32_t> stable_ids;
+      Dataset compact = CompactRecords(data, alive, &stable_ids);
+      snapshot_ = std::make_shared<const Snapshot>(
+          Snapshot{std::move(stable_ids), Engine(std::move(compact))});
+      epoch_ = epoch;
+    }
+    snap = snapshot_;
+  }
+  QueryResult r = snap->engine.Execute(spec, decision);
+  const std::vector<int32_t>& ids = snap->stable_ids;
+  auto map_ids = [&ids](std::vector<int32_t>* v) {
+    for (int32_t& id : *v) id = ids[id];
+  };
+  map_ids(&r.ids);
+  for (Utk2Cell& cell : r.utk2.cells) map_ids(&cell.topk);
+  for (auto& rec : r.per_record.records) rec.id = ids[rec.id];
+  return r;
 }
 
 }  // namespace utk

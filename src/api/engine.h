@@ -10,6 +10,7 @@
 #ifndef UTK_API_ENGINE_H_
 #define UTK_API_ENGINE_H_
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -17,34 +18,25 @@
 #include <utility>
 #include <vector>
 
-#include "api/planner.h"
 #include "api/query.h"
 #include "api/query_engine.h"
+#include "common/annotations.h"
 #include "common/types.h"
 #include "exec/column_store.h"
 #include "index/rtree.h"
 
 namespace utk {
 
-/// Results of a RunBatch call, input-ordered.
-struct BatchQueryResult {
-  std::vector<QueryResult> results;  ///< results[i] answers specs[i]
-  QueryStats total;                  ///< stats merged over all results
-  int failed = 0;                    ///< number of results with !ok
-};
+struct RSkybandResult;
 
-// Thread-safety: an Engine is immutable after construction. `Plan`, `Run`,
-// `RunBatch`, and `TopK` are const and touch only the dataset and R-tree
-// read-only, so any number of threads (and serving sessions — see
-// serve/server.h) may call them concurrently on one shared engine without
-// synchronization. The engine is move-only: datasets and their R-trees are
-// heavy, so share a single instance (e.g. via std::shared_ptr<const Engine>)
-// instead of copying. Moving is cheap and safe — the R-tree stores record
-// ids, never pointers into the dataset vector.
-//
-// Engine implements the QueryEngine contract (api/query_engine.h); the
-// serving layer accepts either this engine or the partitioned one
-// (dist/partitioned_engine.h) through that interface.
+// Engine supplies Execute to the QueryEngine pipeline (api/query_engine.h),
+// root span engine.run. Thread-safety: immutable after construction; every
+// query entry point is const and reads the dataset and R-tree only, so any
+// number of threads (and serving sessions — see serve/server.h) may share
+// one engine without synchronization. Move-only: share a single instance
+// (e.g. via std::shared_ptr<const Engine>) instead of copying. Moving is
+// cheap and safe — the R-tree stores record ids, never pointers into the
+// dataset vector.
 class Engine final : public QueryEngine {
  public:
   /// Takes ownership of `data` and bulk-loads the R-tree once. The dataset
@@ -62,59 +54,80 @@ class Engine final : public QueryEngine {
   static std::optional<Engine> FromCsvFile(const std::string& path);
 
   const Dataset& data() const override { return data_; }
+  int64_t size() const override { return static_cast<int64_t>(data_.size()); }
+  int dim() const override { return DataDim(data_); }
   const RTree& tree() const { return tree_; }
-  /// The SoA mirror of data() (exec/column_store.h), built once with the
-  /// R-tree. All hot query paths consume it; it is exposed so co-located
-  /// components (the partitioned engine's single-shard alias, benchmarks,
-  /// differential tests) can share rather than rebuild it.
+  /// The SoA mirror of data() the hot paths consume, exposed so co-located
+  /// components (shard aliases, benchmarks, tests) share it.
   const ColumnStore& cols() const { return cols_; }
 
-  /// The algorithm `spec` will execute with: resolves kAuto against this
-  /// engine's dataset, leaves explicit choices untouched.
-  Algorithm Plan(const QuerySpec& spec) const override;
-
-  /// The full planning verdict behind Plan: algorithm, reason, the cost
-  /// model's estimate and runner-up when one is installed.
-  PlanDecision Decide(const QuerySpec& spec) const;
-
-  /// EXPLAIN: engine.run over the planned algorithm's filter/refine
-  /// subtree, with the decision (and its cost estimate) on the root.
-  PlanNode Explain(const QuerySpec& spec) const override;
-
-  /// Replaces the cost model captured at construction (from
-  /// DefaultCostModel()). Call before sharing the engine across threads —
-  /// the engine is immutable-after-setup, not synchronized.
+  /// Replaces the cost model captured at construction. Call before sharing
+  /// the engine across threads — it is not synchronized.
   void set_cost_model(std::shared_ptr<const CostModel> model) {
     model_ = std::move(model);
   }
-  const CostModel* cost_model() const { return model_.get(); }
 
-  /// The rejection rules Run applies before executing, without running:
-  /// nullopt when `spec` would execute, otherwise the exact diagnostic Run
-  /// would return. The serving layer uses this to bypass its cache for
-  /// specs the engine will reject.
-  std::optional<std::string> Validate(const QuerySpec& spec) const override;
-
-  /// Answers one query. Invalid specs (k < 1, region dimensionality
-  /// mismatch, algorithm/mode combinations that cannot answer — e.g. RSA
-  /// for UTK2) come back with ok == false and a diagnostic, never a crash.
-  QueryResult Run(const QuerySpec& spec) const override;
-
-  /// Answers independent queries concurrently (threads <= 0 means
-  /// DefaultThreads()). results[i] always answers specs[i] and equals what
-  /// Run(specs[i]) returns — thread count never changes the output.
-  BatchQueryResult RunBatch(std::span<const QuerySpec> specs,
-                            int threads = 0) const;
-
-  /// Convenience: the plain top-k for reduced weight vector `w`, answered
-  /// over the engine's R-tree (branch-and-bound, no dataset scan).
+  /// Branch-and-bound top-k over the R-tree (no dataset scan).
   std::vector<int32_t> TopK(const Vec& w, int k) const override;
 
  private:
+  // Both run decisions their outer engine's Run already made.
+  friend class CompactFallback;
+  friend class PartitionedEngine;
+
+  /// RSA/JAA through RunRSkyband over the bulk-loaded tree; the SK/ON
+  /// baselines and the naive oracle directly.
+  QueryResult Execute(const QuerySpec& spec,
+                      const PlanDecision& decision) const override;
+
   Dataset data_;
   RTree tree_;
   ColumnStore cols_;
-  std::shared_ptr<const CostModel> model_;
+};
+
+/// Refinement half of the r-skyband pipeline: RSA (Section 4) for kRsa,
+/// JAA (Section 5) otherwise, over a filtered `band` with `spec`'s knobs.
+/// PartitionedEngine refines its pooled per-tile bands through this.
+QueryResult RefineBand(const Dataset& data, const RSkybandResult& band,
+                       const ConvexRegion& region, const QuerySpec& spec,
+                       Algorithm algo);
+
+/// The r-skyband pipeline every RSA/JAA plan runs: the BBS filter over
+/// `tree` (Section 4.1), `on_band` (MappedEngine gathers the band rows
+/// there), then RefineBand. Stats sum both halves; candidates = band size.
+QueryResult RunRSkyband(
+    const Dataset& data, const RTree& tree, const ColumnStore* cols,
+    const QuerySpec& spec, Algorithm algo,
+    const std::function<void(const RSkybandResult&)>& on_band = nullptr);
+
+/// The records with alive[i] != 0 re-indexed 0..m-1 in id order — what a
+/// from-scratch Engine would be built on; `stable_ids` (optional) receives
+/// the strictly increasing new-id -> stable-id map.
+Dataset CompactRecords(const Dataset& data, std::span<const char> alive,
+                       std::vector<int32_t>* stable_ids = nullptr);
+
+/// The stable-id compact fallback LiveEngine and MappedEngine share for
+/// plans outside the r-skyband pipeline (SK/ON baselines, naive oracle):
+/// an Engine over CompactRecords, rebuilt at most once per epoch, whose
+/// answer ids map back monotonically (sorted lists and the canonical cell
+/// order survive). Thread-safe.
+class CompactFallback {
+ public:
+  /// Executes `decision` on the engine for `epoch`, (re)built from
+  /// `data`/`alive` when the cached one is for another epoch.
+  QueryResult Execute(uint64_t epoch, const Dataset& data,
+                      std::span<const char> alive, const QuerySpec& spec,
+                      const PlanDecision& decision) const;
+
+ private:
+  struct Snapshot {
+    std::vector<int32_t> stable_ids;
+    Engine engine;
+  };
+
+  mutable Mutex mu_;
+  mutable std::shared_ptr<const Snapshot> snapshot_ UTK_GUARDED_BY(mu_);
+  mutable uint64_t epoch_ UTK_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace utk

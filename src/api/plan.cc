@@ -246,11 +246,12 @@ PlanNode CoalescePlan(const PlanNode& root) {
 }
 
 PlanNode AnalyzeWithTrace(const PlanNode& static_plan,
-                          const std::function<double()>& fn) {
+                          const std::function<QueryResult()>& run,
+                          QueryResult* result) {
   const bool was_tracing = obs::TracingEnabled();
   obs::SetTracingEnabled(true);
   const int64_t t0 = obs::NowMicros();
-  const double elapsed_ms = fn();
+  QueryResult r = run();
   std::vector<obs::TraceEvent> events = obs::TraceSnapshot();
   obs::SetTracingEnabled(was_tracing);
 
@@ -259,10 +260,11 @@ PlanNode AnalyzeWithTrace(const PlanNode& static_plan,
     // Spans compiled out or dropped: the static tree with the measured
     // total is the best ANALYZE available.
     actual = static_plan;
-    actual.actual_ms = elapsed_ms;
-    return actual;
+    actual.actual_ms = r.stats.elapsed_ms;
+  } else {
+    AnnotateEstimates(&actual, static_plan);
   }
-  AnnotateEstimates(&actual, static_plan);
+  if (result != nullptr) *result = std::move(r);
   return actual;
 }
 

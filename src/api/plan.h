@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "api/query.h"
 #include "obs/trace.h"
 
 namespace utk {
@@ -75,16 +76,17 @@ void AnnotateEstimates(PlanNode* tree, const PlanNode& reference);
 /// coalescing is idempotent and leaves static EXPLAIN trees alone.
 PlanNode CoalescePlan(const PlanNode& root);
 
-/// The ANALYZE driver shared by every engine: flips tracing on, runs `fn`
-/// (which must execute the query and return its elapsed milliseconds),
-/// rebuilds the executed tree from the spans `fn` recorded, and grafts
-/// `static_plan`'s estimates onto it. Tracing is restored to its previous
-/// state afterwards. When no spans were recorded (e.g. compiled out),
-/// returns `static_plan` with actual_ms set on the root — never an empty
-/// tree. NOT concurrency-safe: spans from concurrently traced queries end
+/// The ANALYZE driver shared by every engine and the Server: flips tracing
+/// on, answers the query with `run`, rebuilds the executed tree from the
+/// spans it recorded, and grafts `static_plan`'s estimates onto it. Tracing
+/// is restored to its previous state afterwards. When no spans were
+/// recorded (e.g. compiled out), returns `static_plan` with actual_ms set
+/// on the root — never an empty tree. `result`, when non-null, receives the
+/// answer. NOT concurrency-safe: spans from concurrently traced queries end
 /// up interleaved in the same buffers.
 PlanNode AnalyzeWithTrace(const PlanNode& static_plan,
-                          const std::function<double()>& fn);
+                          const std::function<QueryResult()>& run,
+                          QueryResult* result);
 
 }  // namespace utk
 

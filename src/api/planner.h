@@ -74,10 +74,10 @@ int64_t EstimateBandSize(int64_t n, int k, int pref_dim);
 /// 1 / (1 + #constraints) for a general convex region.
 double RegionWidth(const ConvexRegion& region);
 
-/// Can `algo` answer (mode, n, pref_dim) at all? Mirrors Engine::Validate's
-/// mode rules and caps the naive oracle (LP enumeration is quadratic in n
-/// and exponential in pref_dim) so a miscalibrated model can never pick a
-/// plan that cannot finish.
+/// Can `algo` answer (mode, n, pref_dim) at all? Mirrors
+/// QueryEngine::Validate's mode rules and caps the naive oracle (LP
+/// enumeration is quadratic in n and exponential in pref_dim) so a
+/// miscalibrated model can never pick a plan that cannot finish.
 bool AlgorithmEligible(Algorithm algo, QueryMode mode, int64_t n,
                        int pref_dim);
 
@@ -164,10 +164,9 @@ std::shared_ptr<const CostModel> DefaultCostModel();
 // QuerySpec/QueryResult to a HistoryRecord lives here).
 // ---------------------------------------------------------------------------
 
-/// RAII marker for one top-level query. Engines that can be nested inside
-/// another engine's Run (the compact-fallback paths, the serving layer's
-/// miss path) open one of these; only the outermost scope on the thread
-/// appends a history row, so one user query is one row.
+/// RAII marker for one top-level query. QueryEngine::Run and Server::Query
+/// each open one; only the outermost scope on the thread appends a history
+/// row, so a query served through a Server's miss path is one row.
 class QueryHistoryScope {
  public:
   QueryHistoryScope();

@@ -1,32 +1,56 @@
-// QueryEngine — the abstract query-answering contract behind the serving
-// layer and the CLI.
+// QueryEngine — the one query pipeline behind every engine: utk::Engine
+// (api/engine.h), utk::PartitionedEngine (dist/), utk::LiveEngine (live/)
+// and utk::MappedEngine (storage/). Callers that only *submit* queries
+// (serve/server.h, utk_cli) depend on this interface, so any engine can
+// back them.
 //
-// Implementations: utk::Engine (api/engine.h), the single-machine engine
-// that owns one dataset and one R-tree; utk::PartitionedEngine
-// (dist/partitioned_engine.h), which decomposes each query across data
-// shards and region tiles; utk::LiveEngine (live/live_engine.h), which
-// applies update batches; and utk::MappedEngine (storage/mapped_engine.h),
-// which answers over mmap'd catalog segments. All answer the same
-// QuerySpec/QueryResult contract through one Run(spec). Callers that only
-// *submit* queries (serve/server.h, utk_cli) depend on this interface, so
-// any engine can back them.
+// Run is a template method, the same for every engine:
 //
-// Implementations must be const-thread-safe: Plan/Validate/Run/TopK may be
-// called concurrently from any number of threads.
+//   Run = Validate -> Decide -> Execute -> stamp/record
+//
+//   1. open the engine's root span (engine.run / live.run / mapped.run /
+//      dist.run), the slow-query scope and the history scope;
+//   2. apply the rejection rules against size(), the LIVE record count;
+//   3. plan once (DecidePlan with the engine's cost model);
+//   4. Execute(spec, decision) — the only step an engine supplies;
+//   5. stamp epoch / planned_algorithm / plan_reason, NotePlanOutcome,
+//      count utk_engine_queries_total + utk_engine_query_latency_us, emit
+//      the slow-log line and the history row.
+//
+// Steps 2-4 and the epoch stamp run inside ReadPinned, so a mutating
+// engine (LiveEngine) answers a whole query at one epoch. Explain has the
+// same shape with ExplainChildren in place of Execute. Implementations must
+// be const-thread-safe: every query entry point may run concurrently.
 #ifndef UTK_API_QUERY_ENGINE_H_
 #define UTK_API_QUERY_ENGINE_H_
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <optional>
+#include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "api/plan.h"
+#include "api/planner.h"
 #include "api/query.h"
 #include "common/types.h"
 
 namespace utk {
+
+/// Results of a RunBatch / Server::QueryBatch call, input-ordered.
+struct BatchQueryResult {
+  std::vector<QueryResult> results;  ///< results[i] answers specs[i]
+  QueryStats total;                  ///< stats merged over all results
+  int failed = 0;                    ///< number of results with !ok
+};
+
+/// Answers independent specs concurrently (threads <= 0 means
+/// DefaultThreads()); results[i] answers specs[i] whatever the thread count.
+BatchQueryResult AnswerBatch(
+    std::span<const QuerySpec> specs, int threads,
+    const std::function<QueryResult(const QuerySpec&)>& answer);
 
 class QueryEngine {
  public:
@@ -35,59 +59,88 @@ class QueryEngine {
   /// The dataset queries are answered over (data[i].id == i invariant).
   virtual const Dataset& data() const = 0;
 
-  /// The algorithm `spec` will execute with (kAuto resolved).
-  virtual Algorithm Plan(const QuerySpec& spec) const = 0;
-
-  /// The rejection rules Run applies, without running: nullopt when `spec`
-  /// would execute, otherwise the exact diagnostic Run would return.
-  virtual std::optional<std::string> Validate(const QuerySpec& spec) const = 0;
-
-  /// Answers one query; invalid specs come back with ok == false and a
-  /// diagnostic, never a crash.
-  virtual QueryResult Run(const QuerySpec& spec) const = 0;
-
-  /// EXPLAIN: the static operator tree `spec` would execute — operator
-  /// names from the span vocabulary (DESIGN.md §12), the planned algorithm
-  /// and the planner's reason in the root detail, cardinality/cost
-  /// estimates where the engine can make them. Never runs the query; for a
-  /// spec Validate rejects, the root detail carries the diagnostic.
-  virtual PlanNode Explain(const QuerySpec& spec) const = 0;
-
-  /// EXPLAIN ANALYZE: runs the query with span tracing on, rebuilds the
-  /// *executed* operator tree from the recorded spans, and grafts Explain's
-  /// estimates onto it (api/plan.h). `result`, when non-null, receives the
-  /// query's answer — ANALYZE pays the full execution. Not safe to run
-  /// concurrently with other traced queries (their spans interleave).
-  virtual PlanNode ExplainAnalyze(const QuerySpec& spec,
-                                  QueryResult* result = nullptr) const {
-    const PlanNode static_plan = Explain(spec);
-    QueryResult local;
-    PlanNode analyzed = AnalyzeWithTrace(static_plan, [&]() {
-      local = Run(spec);
-      return local.stats.elapsed_ms;
-    });
-    if (result != nullptr) *result = std::move(local);
-    return analyzed;
-  }
-
   /// The plain top-k for reduced weight vector `w`.
   virtual std::vector<int32_t> TopK(const Vec& w, int k) const = 0;
 
-  /// Version of the dataset answers are computed against. Immutable engines
-  /// are forever at epoch 0; a live engine (src/live/) advances the epoch on
-  /// every committed update batch. The serving layer reads the epoch before
-  /// running a query and tags the cached result with it, so results computed
-  /// against a superseded dataset are never admitted as current (see
-  /// serve/result_cache.h).
+  /// Version of the dataset answers are computed against: 0 forever for
+  /// immutable engines, the committed update batch count for a live one.
+  /// The serving layer tags cached results with it (serve/result_cache.h).
   virtual uint64_t epoch() const { return 0; }
 
-  /// Catalog cardinality / dimensionality. Virtual with data()-derived
-  /// defaults: the mmap-backed engine (src/storage/mapped_engine.h) answers
-  /// them from segment metadata so Validate/Plan never force the lazy
-  /// dataset to materialize.
-  virtual int64_t size() const { return static_cast<int64_t>(data().size()); }
-  virtual int dim() const { return DataDim(data()); }
+  /// LIVE records (tombstones excluded: what Validate, the planner and the
+  /// history row's `n` see) and attribute dimensionality. Neither touches
+  /// data(), so both are safe during live updates and lazy datasets.
+  virtual int64_t size() const = 0;
+  virtual int dim() const = 0;
   int pref_dim() const { return PrefDim(dim()); }
+
+  /// The cost model Decide plans with (nullptr: the heuristic).
+  virtual const CostModel* cost_model() const { return model_.get(); }
+
+  /// The planning verdict for `spec` (api/planner.h) and its algorithm.
+  PlanDecision Decide(const QuerySpec& spec) const;
+  Algorithm Plan(const QuerySpec& spec) const {
+    return Decide(spec).algorithm;
+  }
+
+  /// The rejection rules Run applies, without running: nullopt when `spec`
+  /// would execute, otherwise the exact diagnostic Run would return.
+  std::optional<std::string> Validate(const QuerySpec& spec) const;
+
+  /// Answers one query; invalid specs come back with ok == false and a
+  /// diagnostic, never a crash.
+  QueryResult Run(const QuerySpec& spec) const;
+
+  /// EXPLAIN: the static operator tree `spec` would execute — the root op
+  /// with the decision in its detail (the diagnostic for a rejected spec)
+  /// over ExplainChildren, in span vocabulary (DESIGN.md §12).
+  PlanNode Explain(const QuerySpec& spec) const;
+
+  /// EXPLAIN ANALYZE: runs the query traced and returns the executed
+  /// operator tree with Explain's estimates grafted on (AnalyzeWithTrace).
+  PlanNode ExplainAnalyze(const QuerySpec& spec,
+                          QueryResult* result = nullptr) const;
+
+  /// AnswerBatch over Run: results[i] equals Run(specs[i]).
+  BatchQueryResult RunBatch(std::span<const QuerySpec> specs,
+                            int threads = 0) const;
+
+ protected:
+  /// `root_op` (a static string) names Run's root span and Explain's root.
+  explicit QueryEngine(const char* root_op) : root_op_(root_op) {}
+
+  /// Answers a validated `spec` with the algorithm `decision` chose: ok,
+  /// mode, algorithm, answer and execution stats; Run stamps the rest.
+  virtual QueryResult Execute(const QuerySpec& spec,
+                              const PlanDecision& decision) const = 0;
+
+  /// The static counterpart of Execute: the subtree under Explain's root.
+  /// Defaults to the planned algorithm's filter/refine subtree.
+  virtual std::vector<PlanNode> ExplainChildren(
+      const QuerySpec& spec, const PlanDecision& decision) const;
+
+  /// Runs `body` (Run's steps 2-4 + epoch stamp) with the catalog pinned;
+  /// LiveEngine holds its shared lock, immutable engines need nothing.
+  virtual void ReadPinned(const std::function<void()>& body) const {
+    body();
+  }
+
+  /// Run with `execute` in place of Execute (PartitionedEngine's
+  /// Run(spec, detail) reports extra detail through it).
+  QueryResult RunWith(
+      const QuerySpec& spec,
+      const std::function<QueryResult(const PlanDecision&)>& execute) const;
+
+  /// DefaultCostModel() at construction; only Engine::set_cost_model
+  /// replaces it.
+  std::shared_ptr<const CostModel> model_ = DefaultCostModel();
+
+ private:
+  /// Validate's rules; on success fills `decision` (the rules need it).
+  std::optional<std::string> Prepare(const QuerySpec& spec,
+                                     PlanDecision* decision) const;
+
+  const char* root_op_;
 };
 
 }  // namespace utk

@@ -55,6 +55,8 @@
   UTK_THREAD_ANNOTATION(acquired_before(__VA_ARGS__))
 #define UTK_ACQUIRED_AFTER(...) \
   UTK_THREAD_ANNOTATION(acquired_after(__VA_ARGS__))
+#define UTK_ASSERT_SHARED_CAPABILITY(x) \
+  UTK_THREAD_ANNOTATION(assert_shared_capability(x))
 #define UTK_RETURN_CAPABILITY(x) UTK_THREAD_ANNOTATION(lock_returned(x))
 #define UTK_NO_THREAD_SAFETY_ANALYSIS \
   UTK_THREAD_ANNOTATION(no_thread_safety_analysis)
@@ -90,6 +92,10 @@ class UTK_CAPABILITY("shared_mutex") SharedMutex {
   void unlock() UTK_RELEASE() { mu_.unlock(); }
   void lock_shared() UTK_ACQUIRE_SHARED() { mu_.lock_shared(); }
   void unlock_shared() UTK_RELEASE_SHARED() { mu_.unlock_shared(); }
+  /// Tells the analysis the caller holds at least a shared lock — for code
+  /// reached through a callback the lock holder invokes (a boundary the
+  /// analysis cannot see across). Documents the contract; checks nothing.
+  void AssertReaderHeld() const UTK_ASSERT_SHARED_CAPABILITY(this) {}
 
  private:
   std::shared_mutex mu_;

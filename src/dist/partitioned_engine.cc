@@ -4,10 +4,7 @@
 #include <utility>
 
 #include "common/parallel.h"
-#include "core/jaa.h"
-#include "core/rsa.h"
 #include "dist/tiler.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace utk {
@@ -47,14 +44,15 @@ std::vector<int32_t> UnionPool(const std::vector<std::vector<int32_t>>& ids) {
 }  // namespace
 
 PartitionedEngine::PartitionedEngine(Dataset data, DistConfig config)
-    : base_(std::make_shared<const Engine>(std::move(data))),
+    : QueryEngine("dist.run"),
+      base_(std::make_shared<const Engine>(std::move(data))),
       config_(config) {
   BuildShards();
 }
 
 PartitionedEngine::PartitionedEngine(std::shared_ptr<const Engine> base,
                                      DistConfig config)
-    : base_(std::move(base)), config_(config) {
+    : QueryEngine("dist.run"), base_(std::move(base)), config_(config) {
   BuildShards();
 }
 
@@ -74,9 +72,7 @@ void PartitionedEngine::BuildShards() {
   std::vector<std::vector<int32_t>> parts =
       PartitionIds(data, config_.shards, config_.partitioner);
   shards_.resize(parts.size());
-  const int threads =
-      config_.threads <= 0 ? DefaultThreads() : config_.threads;
-  ParallelFor(static_cast<int>(parts.size()), threads, [&](int s) {
+  ParallelFor(static_cast<int>(parts.size()), Threads(), [&](int s) {
     Shard& shard = shards_[s];
     shard.global_ids = std::move(parts[s]);
     shard.owned_records.reserve(shard.global_ids.size());
@@ -113,8 +109,12 @@ std::vector<int32_t> PartitionedEngine::SeedIds(const ConvexRegion& r,
   return seed;
 }
 
+int PartitionedEngine::Threads() const {
+  return config_.threads <= 0 ? DefaultThreads() : config_.threads;
+}
+
 void PartitionedEngine::FilterAll(
-    const std::vector<ConvexRegion>& tiles, int k, int threads,
+    const std::vector<ConvexRegion>& tiles, int k,
     std::vector<std::vector<std::vector<int32_t>>>* ids,
     std::vector<QueryStats>* stats, std::vector<double>* ms,
     std::vector<double>* seed_ms) const {
@@ -137,7 +137,7 @@ void PartitionedEngine::FilterAll(
     }
   }
 
-  ParallelFor(T * S, threads, [&](int idx) {
+  ParallelFor(T * S, Threads(), [&](int idx) {
     UTK_SPAN("dist.shard_filter");
     const int t = idx / S, s = idx % S;
     const Shard& shard = shards_[s];
@@ -163,12 +163,10 @@ void PartitionedEngine::FilterAll(
 std::vector<int32_t> PartitionedEngine::FilterPool(
     const ConvexRegion& r, int k, ShardFilterReport* report,
     QueryStats* stats) const {
-  const int threads =
-      config_.threads <= 0 ? DefaultThreads() : config_.threads;
   std::vector<std::vector<std::vector<int32_t>>> ids;
   std::vector<QueryStats> task_stats;
   std::vector<double> task_ms, seed_ms;
-  FilterAll({r}, k, threads, &ids, &task_stats, &task_ms, &seed_ms);
+  FilterAll({r}, k, &ids, &task_stats, &task_ms, &seed_ms);
   std::vector<int32_t> pool = UnionPool(ids[0]);
   if (report != nullptr)
     *report = MakeReport(num_shards(), 0, ids[0], task_ms, seed_ms[0],
@@ -177,67 +175,45 @@ std::vector<int32_t> PartitionedEngine::FilterPool(
   return pool;
 }
 
-QueryResult PartitionedEngine::Run(const QuerySpec& spec) const {
-  return Run(spec, nullptr);
-}
-
 int PartitionedEngine::EffectiveTiles(const QuerySpec& spec) const {
   if (config_.tiles >= 1) return config_.tiles;
   // Auto (tiles == 0): size the tiling against the model's own cost
   // estimate; with no usable estimate the query stays untiled.
-  const int threads =
-      config_.threads <= 0 ? DefaultThreads() : config_.threads;
-  const PlanDecision d = DecidePlan(base_->cost_model(), spec, base_->size(),
-                                    pref_dim(), threads);
-  return d.tiles;
+  return DecidePlan(cost_model(), spec, size(), pref_dim(), Threads()).tiles;
 }
 
 QueryResult PartitionedEngine::Run(const QuerySpec& spec,
                                    DistDetail* detail) const {
-  // Invalid specs and algorithms outside the r-skyband pipeline (naive
-  // oracle, SK/ON baselines) run on the embedded single engine unchanged —
-  // same diagnostics, same answers. The history scope opens before the
-  // fallback so the nested Engine::Run never double-records the query.
-  QueryHistoryScope history;
-  if (base_->Validate(spec).has_value()) {
-    QueryResult r = base_->Run(spec);
-    history.Record(spec, r, size(), pref_dim());
-    return r;
-  }
-  const PlanDecision decision = base_->Decide(spec);
-  const Algorithm algo = decision.algorithm;
-  if (algo != Algorithm::kRsa && algo != Algorithm::kJaa) {
-    QueryResult r = base_->Run(spec);
-    history.Record(spec, r, size(), pref_dim());
-    return r;
-  }
+  return RunWith(spec, [&](const PlanDecision& decision) {
+    return Execute(spec, decision, detail);
+  });
+}
 
-  UTK_SPAN("dist.run");
-  obs::QueryLogScope slow_log("dist.run");
-  static obs::Counter& queries =
-      obs::MetricRegistry::Global().GetCounter("utk_dist_queries_total");
-  queries.Add();
+QueryResult PartitionedEngine::Execute(const QuerySpec& spec,
+                                       const PlanDecision& decision,
+                                       DistDetail* detail) const {
+  const Algorithm algo = decision.algorithm;
+  if (algo != Algorithm::kRsa && algo != Algorithm::kJaa)
+    return base_->Execute(spec, decision);
+
   Timer timer;
   const std::vector<ConvexRegion> tiles =
       TileRegion(spec.region, EffectiveTiles(spec));
   const int T = static_cast<int>(tiles.size());
   const int S = num_shards();
-  const int threads =
-      config_.threads <= 0 ? DefaultThreads() : config_.threads;
 
   // Stage 1 — sharded filtering, parallel over all (tile, shard) pairs.
   std::vector<std::vector<std::vector<int32_t>>> shard_ids;
   std::vector<QueryStats> filter_stats;
   std::vector<double> filter_ms, seed_ms;
-  FilterAll(tiles, spec.k, threads, &shard_ids, &filter_stats, &filter_ms,
-            &seed_ms);
+  FilterAll(tiles, spec.k, &shard_ids, &filter_stats, &filter_ms, &seed_ms);
 
   // Stage 2 — per-tile pool union, pool re-filter, refinement; parallel
   // over tiles.
   std::vector<QueryResult> tile_results(T);
   std::vector<QueryStats> tile_stats(T);
   std::vector<int64_t> pool_sizes(T), band_sizes(T);
-  ParallelFor(T, threads, [&](int t) {
+  ParallelFor(T, Threads(), [&](int t) {
     UTK_SPAN("dist.tile_refine");
     std::vector<int32_t> pool = UnionPool(shard_ids[t]);
     pool_sizes[t] = static_cast<int64_t>(pool.size());
@@ -245,31 +221,7 @@ QueryResult PartitionedEngine::Run(const QuerySpec& spec,
         ComputeRSkybandFromPool(base_->data(), std::move(pool), tiles[t],
                                 spec.k, &tile_stats[t], &base_->cols());
     band_sizes[t] = static_cast<int64_t>(band.ids.size());
-
-    QueryResult r;
-    r.mode = spec.mode;
-    r.algorithm = algo;
-    if (algo == Algorithm::kRsa) {
-      Rsa::Options opt;
-      opt.use_drill = spec.use_drill;
-      opt.use_lemma1 = spec.use_lemma1;
-      opt.wave_cap = spec.wave_cap;
-      opt.refine_threads = spec.refine_threads;
-      Utk1Result res = Rsa(opt).RunFiltered(base_->data(), band, tiles[t],
-                                            spec.k);
-      r.ids = std::move(res.ids);
-      r.stats = res.stats;
-    } else {
-      Jaa::Options opt;
-      opt.use_lemma1 = spec.use_lemma1;
-      opt.wave_cap = spec.wave_cap;
-      opt.refine_threads = spec.refine_threads;
-      r.utk2 = Jaa(opt).RunFiltered(base_->data(), band, tiles[t], spec.k);
-      r.ids = r.utk2.AllRecords();
-      r.stats = r.utk2.stats;
-    }
-    r.ok = true;
-    tile_results[t] = std::move(r);
+    tile_results[t] = RefineBand(base_->data(), band, tiles[t], spec, algo);
   });
 
   // Merge — UTK1: sorted union of tile id sets; UTK2: concatenated cell
@@ -290,7 +242,7 @@ QueryResult PartitionedEngine::Run(const QuerySpec& spec,
   out.utk2.Canonicalize();
 
   // Counters sum across every shard and tile; `candidates` reports the
-  // refinement input (the pooled bands), matching Engine::Run's semantics,
+  // refinement input (the pooled bands), as every engine reports it,
   // and elapsed_ms is the whole query's wall clock.
   std::vector<QueryStats> parts = std::move(filter_stats);
   parts.insert(parts.end(), tile_stats.begin(), tile_stats.end());
@@ -299,13 +251,7 @@ QueryResult PartitionedEngine::Run(const QuerySpec& spec,
   out.stats.candidates = 0;
   for (int64_t b : band_sizes) out.stats.candidates += b;
   out.stats.elapsed_ms = timer.ElapsedMs();
-  out.stats.planned_algorithm = static_cast<int64_t>(algo);
-  out.stats.plan_reason = static_cast<int64_t>(decision.reason);
   out.utk2.stats = out.stats;
-
-  // Same post-hoc model check as Engine::Run — the decomposed path never
-  // reaches it, so the mispredict rate must be counted here too.
-  NotePlanOutcome(decision, out.stats.elapsed_ms);
 
   if (detail != nullptr) {
     detail->tiles = tiles;
@@ -315,45 +261,33 @@ QueryResult PartitionedEngine::Run(const QuerySpec& spec,
       detail->filter.push_back(MakeReport(S, t, shard_ids[t], filter_ms,
                                           seed_ms[t], pool_sizes[t]));
   }
-  static obs::Histogram& latency = obs::MetricRegistry::Global().GetHistogram(
-      "utk_dist_query_latency_us");
-  latency.Observe(static_cast<int64_t>(out.stats.elapsed_ms * 1000.0));
-  slow_log.Finish(out.stats, [&spec] { return SpecFingerprint(spec); });
-  history.Record(spec, out, size(), pref_dim());
   return out;
 }
 
-PlanNode PartitionedEngine::Explain(const QuerySpec& spec) const {
-  // Fallback paths execute entirely on the embedded engine, so its tree is
-  // the honest EXPLAIN for them.
-  if (base_->Validate(spec).has_value()) return base_->Explain(spec);
-  const PlanDecision d = base_->Decide(spec);
+std::vector<PlanNode> PartitionedEngine::ExplainChildren(
+    const QuerySpec& spec, const PlanDecision& d) const {
   if (d.algorithm != Algorithm::kRsa && d.algorithm != Algorithm::kJaa)
-    return base_->Explain(spec);
+    return QueryEngine::ExplainChildren(spec, d);
 
   const int S = num_shards();
   const int T =
       static_cast<int>(TileRegion(spec.region, EffectiveTiles(spec)).size());
-  const int64_t band = EstimateBandSize(base_->size(), spec.k, pref_dim());
+  const int64_t band = EstimateBandSize(size(), spec.k, pref_dim());
 
-  PlanNode root;
-  root.op = "dist.run";
-  root.detail = PlanDetail(d, spec.k, size()) + " shards=" +
-                std::to_string(S) + " tiles=" + std::to_string(T);
-  root.est_ms = d.est_ms;
+  std::vector<PlanNode> kids;
   if (S > 1) {
     PlanNode seed;
     seed.op = "dist.seed";
     seed.detail = "pivot/corner top-k pruners";
     seed.est_rows = spec.k;
-    root.children.push_back(std::move(seed));
+    kids.push_back(std::move(seed));
   }
   PlanNode filter;
   filter.op = "dist.shard_filter";
   filter.detail = std::to_string(S) + " shard(s) x " + std::to_string(T) +
                   " tile(s), seeded r-skyband";
   filter.est_rows = band;
-  root.children.push_back(std::move(filter));
+  kids.push_back(std::move(filter));
   for (int t = 0; t < T; ++t) {
     PlanNode tile;
     tile.op = "dist.tile_refine";
@@ -364,9 +298,9 @@ PlanNode PartitionedEngine::Explain(const QuerySpec& spec) const {
         d.algorithm == Algorithm::kRsa ? "rsa.refine" : "jaa.refine";
     refine.est_rows = band;
     tile.children.push_back(std::move(refine));
-    root.children.push_back(std::move(tile));
+    kids.push_back(std::move(tile));
   }
-  return root;
+  return kids;
 }
 
 }  // namespace utk

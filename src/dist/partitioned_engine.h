@@ -41,9 +41,11 @@
 //   partition R, so cells never overlap across tiles and the concatenation
 //   is again a partition of R carrying exact top-k sets.
 //
+// Queries run the QueryEngine pipeline (api/query_engine.h), root span
+// dist.run on every path, planning with the embedded engine's cost model.
 // Sharding and tiling apply to the r-skyband pipeline (planned RSA or JAA);
-// specs the planner resolves to the naive oracle or the SK/ON baselines run
-// unchanged on the embedded single engine, as does TopK. Results equal
+// plans for the naive oracle or the SK/ON baselines execute unchanged on
+// the embedded single engine, as does TopK. Results equal
 // Engine::Run's: UTK1 ids byte-identical, UTK2 the same partition of R
 // (cell geometry may differ along tile cuts). Thread-safety matches
 // Engine: immutable after construction, all query entry points const.
@@ -52,7 +54,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -105,30 +106,21 @@ class PartitionedEngine final : public QueryEngine {
   PartitionedEngine(std::shared_ptr<const Engine> base, DistConfig config);
 
   const Dataset& data() const override { return base_->data(); }
-  Algorithm Plan(const QuerySpec& spec) const override {
-    return base_->Plan(spec);
-  }
-  std::optional<std::string> Validate(const QuerySpec& spec) const override {
-    return base_->Validate(spec);
-  }
-  QueryResult Run(const QuerySpec& spec) const override;
+  int64_t size() const override { return base_->size(); }
+  int dim() const override { return base_->dim(); }
+  const CostModel* cost_model() const override { return base_->cost_model(); }
   std::vector<int32_t> TopK(const Vec& w, int k) const override {
     return base_->TopK(w, k);
   }
-
-  /// EXPLAIN: dist.run over seed / shard-filter / per-tile refine for specs
-  /// the decomposed pipeline answers; delegates to the embedded engine's
-  /// tree for fallback algorithms and invalid specs (matching what Run
-  /// actually executes).
-  PlanNode Explain(const QuerySpec& spec) const override;
 
   /// The tile count Run will use for `spec`: config().tiles when >= 1,
   /// otherwise (auto) the cost model's argmin of est/T + overhead*(T-1),
   /// capped at the thread count — 1 when no model decision applies.
   int EffectiveTiles(const QuerySpec& spec) const;
 
+  using QueryEngine::Run;
   /// Full-control entry point: Run plus optional decomposition
-  /// introspection.
+  /// introspection (left untouched when the plan falls back).
   QueryResult Run(const QuerySpec& spec, DistDetail* detail) const;
 
   /// The sharded filtering stage alone for region `r`: the sorted union of
@@ -159,6 +151,21 @@ class PartitionedEngine final : public QueryEngine {
     }
   };
 
+  /// The decomposed pipeline for RSA/JAA plans; other plans execute on
+  /// the embedded engine.
+  QueryResult Execute(const QuerySpec& spec,
+                      const PlanDecision& decision) const override {
+    return Execute(spec, decision, nullptr);
+  }
+  QueryResult Execute(const QuerySpec& spec, const PlanDecision& decision,
+                      DistDetail* detail) const;
+  /// dist.seed / dist.shard_filter / per-tile dist.tile_refine for RSA/JAA
+  /// plans; the default subtree otherwise.
+  std::vector<PlanNode> ExplainChildren(
+      const QuerySpec& spec, const PlanDecision& decision) const override;
+
+  /// config().threads, or DefaultThreads() when unset.
+  int Threads() const;
   void BuildShards();
   /// Globally strong seed record ids for region `r`: the engine top-k at
   /// the pivot plus, for low-dimensional boxes, at every corner.
@@ -167,7 +174,7 @@ class PartitionedEngine final : public QueryEngine {
   /// ids[t][s] = global record ids of shard s's seeded r-skyband over
   /// tiles[t]; stats/ms get one entry per (t, s) task in t-major order and
   /// seed_ms one entry per tile.
-  void FilterAll(const std::vector<ConvexRegion>& tiles, int k, int threads,
+  void FilterAll(const std::vector<ConvexRegion>& tiles, int k,
                  std::vector<std::vector<std::vector<int32_t>>>* ids,
                  std::vector<QueryStats>* stats, std::vector<double>* ms,
                  std::vector<double>* seed_ms) const;

@@ -4,24 +4,12 @@
 #include <cassert>
 #include <utility>
 
-#include "core/jaa.h"
-#include "core/rsa.h"
 #include "core/topk.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "skyline/rskyband.h"
 
 namespace utk {
 namespace {
-
-QueryResult Fail(const QuerySpec& spec, std::string why) {
-  QueryResult r;
-  r.ok = false;
-  r.error = std::move(why);
-  r.mode = spec.mode;
-  r.algorithm = spec.algorithm;
-  return r;
-}
 
 /// Reduced coefficients of f(w) = S(q)(w) - S(t)(w) (see rdominance.cc).
 void DiffScore(const Vec& q, const Vec& t, Vec* coef, Scalar* offset) {
@@ -32,25 +20,22 @@ void DiffScore(const Vec& q, const Vec& t, Vec* coef, Scalar* offset) {
     (*coef)[i] = (q[i] - q[d - 1]) - (t[i] - t[d - 1]);
 }
 
-/// Remaps sorted ascending ids through the monotonic compact -> live map;
-/// monotonicity keeps the output sorted.
-void MapIds(const std::vector<int32_t>& live_ids, std::vector<int32_t>* ids) {
-  for (int32_t& id : *ids) id = live_ids[id];
-}
-
 }  // namespace
 
 LiveEngine::LiveEngine(Dataset data)
-    : data_(std::move(data)),
+    : QueryEngine("live.run"),
+      data_(std::move(data)),
       alive_(data_.size(), 1),
       tree_(RTree::BulkLoad(data_)),
       cols_(data_) {
   live_.store(static_cast<int64_t>(data_.size()), std::memory_order_relaxed);
+  dim_.store(DataDim(data_), std::memory_order_relaxed);
 }
 
 LiveEngine::LiveEngine(Dataset data, std::vector<char> alive, RTree tree,
                        uint64_t epoch)
-    : data_(std::move(data)),
+    : QueryEngine("live.run"),
+      data_(std::move(data)),
       alive_(std::move(alive)),
       tree_(std::move(tree)),
       cols_(data_) {
@@ -59,157 +44,31 @@ LiveEngine::LiveEngine(Dataset data, std::vector<char> alive, RTree tree,
   for (char a : alive_) live += a ? 1 : 0;
   assert(tree_.num_records() == live);
   live_.store(live, std::memory_order_relaxed);
+  dim_.store(DataDim(data_), std::memory_order_relaxed);
   epoch_.store(epoch, std::memory_order_relaxed);
 }
 
 LiveEngine::~LiveEngine() = default;
 
-// --------------------------------------------------------------- planning
-
-PlanDecision LiveEngine::DecideLocked(const QuerySpec& spec) const {
-  // Plan against the number of LIVE records, so a live engine and a
-  // from-scratch Engine over the compacted catalog choose identically.
-  return DecidePlan(model_.get(), spec, live_size(), pref_dim());
-}
-
-Algorithm LiveEngine::PlanLocked(const QuerySpec& spec) const {
-  return DecideLocked(spec).algorithm;
-}
-
-Algorithm LiveEngine::Plan(const QuerySpec& spec) const {
-  ReaderLock lock(mu_);
-  return PlanLocked(spec);
-}
-
-std::optional<std::string> LiveEngine::ValidateLocked(
-    const QuerySpec& spec) const {
-  // Mirrors Engine::Validate verbatim so the serving layer surfaces
-  // identical diagnostics whichever engine backs it.
-  if (live_size() == 0) return "engine holds an empty dataset";
-  if (spec.k < 1) return "k must be >= 1";
-  if (spec.region.dim() != pref_dim())
-    return "region has " + std::to_string(spec.region.dim()) +
-           " preference dims, dataset needs " + std::to_string(pref_dim());
-  if (!spec.region.HasInteriorPoint())
-    return "query region has empty interior";
-  const Algorithm algo = PlanLocked(spec);
-  if (spec.mode == QueryMode::kUtk2 &&
-      (algo == Algorithm::kRsa || algo == Algorithm::kNaive))
-    return std::string(AlgorithmName(algo)) +
-           " answers UTK1 only; use JAA or a baseline for UTK2";
-  return std::nullopt;
-}
-
-std::optional<std::string> LiveEngine::Validate(const QuerySpec& spec) const {
-  ReaderLock lock(mu_);
-  return ValidateLocked(spec);
-}
-
 // ---------------------------------------------------------------- queries
 
-QueryResult LiveEngine::RunBandPipeline(const QuerySpec& spec,
-                                        Algorithm algo) const {
-  Timer timer;
-  QueryResult r;
-  r.mode = spec.mode;
-  r.algorithm = algo;
-
-  // The live tree indexes exactly the alive records, so this is the filter
-  // a from-scratch Engine over the compacted catalog would run.
-  QueryStats filter_stats;
-  RSkybandResult band = ComputeRSkyband(data_, tree_, spec.region, spec.k,
-                                        &filter_stats, &cols_);
-  direct_queries_.fetch_add(1, std::memory_order_relaxed);
-
-  if (algo == Algorithm::kRsa) {
-    Rsa::Options opt;
-    opt.use_drill = spec.use_drill;
-    opt.use_lemma1 = spec.use_lemma1;
-    opt.wave_cap = spec.wave_cap;
-    opt.refine_threads = spec.refine_threads;
-    Utk1Result res = Rsa(opt).RunFiltered(data_, band, spec.region, spec.k);
-    r.ids = std::move(res.ids);
-    r.stats = res.stats;
-  } else {
-    Jaa::Options opt;
-    opt.use_lemma1 = spec.use_lemma1;
-    opt.wave_cap = spec.wave_cap;
-    opt.refine_threads = spec.refine_threads;
-    r.utk2 = Jaa(opt).RunFiltered(data_, band, spec.region, spec.k);
-    r.ids = r.utk2.AllRecords();
-    r.stats = r.utk2.stats;
-  }
-  const int64_t candidates = r.stats.candidates;
-  r.stats += filter_stats;
-  r.stats.candidates = candidates;  // refinement input, as Engine reports
-  r.stats.elapsed_ms = timer.ElapsedMs();
-  r.ok = true;
-  return r;
-}
-
-QueryResult LiveEngine::RunViaCompact(const QuerySpec& spec) const {
-  fallback_queries_.fetch_add(1, std::memory_order_relaxed);
-  std::shared_ptr<const Engine> compact = EnsureCompact();
-  std::vector<int32_t> live_ids;
-  {
-    MutexLock lock(compact_mu_);
-    live_ids = compact_ids_;
-  }
-  QueryResult r = compact->Run(spec);
-  if (!r.ok) return r;
-  // Map every compact id back to its live id. The map is strictly
-  // increasing, so sorted id lists, per-cell top-k sets, and the canonical
-  // cell order (lexicographic in topk) all survive the translation.
-  MapIds(live_ids, &r.ids);
-  for (Utk2Cell& cell : r.utk2.cells) MapIds(live_ids, &cell.topk);
-  for (auto& rec : r.per_record.records) rec.id = live_ids[rec.id];
-  return r;
-}
-
-QueryResult LiveEngine::Run(const QuerySpec& spec) const {
-  UTK_SPAN("live.run");
-  QueryHistoryScope history;
+void LiveEngine::ReadPinned(const std::function<void()>& body) const {
   ReaderLock lock(mu_);
-  if (std::optional<std::string> error = ValidateLocked(spec))
-    return Fail(spec, std::move(*error));
-  const PlanDecision decision = DecideLocked(spec);
+  body();
+}
+
+QueryResult LiveEngine::Execute(const QuerySpec& spec,
+                                const PlanDecision& decision) const {
+  mu_.AssertReaderHeld();  // Run calls Execute inside ReadPinned only
   const Algorithm algo = decision.algorithm;
-  QueryResult r = (algo == Algorithm::kRsa || algo == Algorithm::kJaa)
-                      ? RunBandPipeline(spec, algo)
-                      : RunViaCompact(spec);
-  r.stats.epoch = static_cast<int64_t>(epoch());
-  r.stats.planned_algorithm = static_cast<int64_t>(algo);
-  r.stats.plan_reason = static_cast<int64_t>(decision.reason);
-  NotePlanOutcome(decision, r.stats.elapsed_ms);
-  history.Record(spec, r, live_size(), pref_dim());
-  return r;
-}
-
-PlanNode LiveEngine::Explain(const QuerySpec& spec) const {
-  ReaderLock lock(mu_);
-  PlanNode root;
-  root.op = "live.run";
-  if (std::optional<std::string> error = ValidateLocked(spec)) {
-    root.detail = "invalid: " + *error;
-    return root;
+  if (algo == Algorithm::kRsa || algo == Algorithm::kJaa) {
+    // The live tree indexes exactly the alive records, so this is the
+    // filter a from-scratch Engine over the compacted catalog would run.
+    direct_queries_.fetch_add(1, std::memory_order_relaxed);
+    return RunRSkyband(data_, tree_, &cols_, spec, algo);
   }
-  const PlanDecision d = DecideLocked(spec);
-  root.detail = PlanDetail(d, spec.k, live_size());
-  root.est_ms = d.est_ms;
-  if (d.algorithm == Algorithm::kRsa || d.algorithm == Algorithm::kJaa) {
-    root.children = AlgorithmPlanChildren(d.algorithm, spec.mode, live_size(),
-                                          spec.k, pref_dim());
-  } else {
-    // Baselines and the naive oracle run on the compact fallback engine:
-    // the executed tree roots at engine.run under live.run.
-    PlanNode compact;
-    compact.op = "engine.run";
-    compact.detail = "compact fallback snapshot";
-    compact.children = AlgorithmPlanChildren(d.algorithm, spec.mode,
-                                             live_size(), spec.k, pref_dim());
-    root.children.push_back(std::move(compact));
-  }
-  return root;
+  fallback_queries_.fetch_add(1, std::memory_order_relaxed);
+  return compact_.Execute(epoch(), data_, alive_, spec, decision);
 }
 
 std::vector<int32_t> LiveEngine::TopK(const Vec& w, int k) const {
@@ -223,38 +82,9 @@ bool LiveEngine::IsLive(int32_t id) const {
          alive_[id] != 0;
 }
 
-Dataset LiveEngine::CompactSnapshotLocked(
-    std::vector<int32_t>* live_ids) const {
-  Dataset compact;
-  compact.reserve(static_cast<size_t>(live_.load(std::memory_order_relaxed)));
-  if (live_ids != nullptr) live_ids->clear();
-  for (size_t i = 0; i < data_.size(); ++i) {
-    if (!alive_[i]) continue;
-    Record r = data_[i];
-    r.id = static_cast<int32_t>(compact.size());
-    compact.push_back(std::move(r));
-    if (live_ids != nullptr)
-      live_ids->push_back(static_cast<int32_t>(i));
-  }
-  return compact;
-}
-
 Dataset LiveEngine::CompactSnapshot(std::vector<int32_t>* live_ids) const {
   ReaderLock lock(mu_);
-  return CompactSnapshotLocked(live_ids);
-}
-
-std::shared_ptr<const Engine> LiveEngine::EnsureCompact() const {
-  MutexLock lock(compact_mu_);
-  const uint64_t now = epoch();
-  if (compact_ == nullptr || compact_epoch_ != now) {
-    std::vector<int32_t> live_ids;
-    Dataset compact = CompactSnapshotLocked(&live_ids);
-    compact_ = std::make_shared<const Engine>(std::move(compact));
-    compact_ids_ = std::move(live_ids);
-    compact_epoch_ = now;
-  }
-  return compact_;
+  return CompactRecords(data_, alive_, live_ids);
 }
 
 // ---------------------------------------------------------------- updates
@@ -279,6 +109,7 @@ int32_t LiveEngine::InsertLocked(Record rec, UpdateEvent* event) {
   // row) before any index reads the new record.
   cols_.SetRow(id, data_[id].attrs);
   tree_.Insert(data_, id);
+  if (dim() == 0) dim_.store(data_[id].Dim(), std::memory_order_release);
   live_.fetch_add(1, std::memory_order_release);
   inserts_.fetch_add(1, std::memory_order_relaxed);
   event->inserted.push_back(data_[id]);

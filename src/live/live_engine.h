@@ -8,15 +8,11 @@
 // R-tree (index/rtree.h Insert/Erase — no bulk rebuild) and the SoA column
 // mirror (exec/column_store.h SetRow).
 //
-// Queries answer over those live structures. RSA/JAA specs run the paper's
-// BBS r-skyband filter (ComputeRSkyband, Section 4.1) over the live R-tree
-// and refine its output with Rsa/Jaa::RunFiltered — the same filter and
-// refinement Engine runs over its bulk-loaded tree. Algorithms outside the
-// r-skyband pipeline (naive oracle, SK/ON baselines) run on a lazily
-// rebuilt compact engine with answers mapped back to live ids — every path
-// returns exactly what a from-scratch Engine over the current live records
-// would (modulo the id compaction, which the compact path maps through
-// monotonically).
+// Queries run the QueryEngine pipeline (api/query_engine.h), root span
+// live.run, under one shared lock from validation through the epoch stamp:
+// RSA/JAA plans through RunRSkyband over the live R-tree, every other plan
+// on the shared CompactFallback with ids mapped back. Every path returns
+// exactly what a from-scratch Engine over the current live records would.
 //
 // Serving contract: every committed epoch emits an invalidation sweep to
 // each attached serve::ResultCache (ApplyInvalidation) with a conservative
@@ -28,20 +24,18 @@
 // affected ones are dropped, so a warm Server over a LiveEngine always
 // equals a cold one.
 //
-// Thread-safety: queries (Run/TopK/Plan/Validate) take a shared lock and
-// may run concurrently; updates take the exclusive lock and commit their
-// cache sweeps before releasing it. data() references are only stable
-// while no update runs.
+// Thread-safety: queries (Run/TopK) take a shared lock and may run
+// concurrently; size()/dim() are atomics, so Validate/Plan/Explain need no
+// lock; updates take the exclusive lock and commit their cache sweeps
+// before releasing it. data() references are only stable while no update
+// runs.
 #ifndef UTK_LIVE_LIVE_ENGINE_H_
 #define UTK_LIVE_LIVE_ENGINE_H_
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <optional>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "api/engine.h"
@@ -130,13 +124,8 @@ class LiveEngine final : public QueryEngine {
   const ColumnStore& cols() const UTK_NO_THREAD_SAFETY_ANALYSIS {
     return cols_;
   }
-  Algorithm Plan(const QuerySpec& spec) const override;
-  std::optional<std::string> Validate(const QuerySpec& spec) const override;
-  QueryResult Run(const QuerySpec& spec) const override;
-  /// EXPLAIN: live.run over the live-tree filter/refine subtree for RSA/JAA
-  /// plans; for baseline/naive plans the compact-fallback engine.run
-  /// subtree the query would actually execute.
-  PlanNode Explain(const QuerySpec& spec) const override;
+  int64_t size() const override { return live_size(); }
+  int dim() const override { return dim_.load(std::memory_order_acquire); }
   std::vector<int32_t> TopK(const Vec& w, int k) const override;
   uint64_t epoch() const override {
     return epoch_.load(std::memory_order_acquire);
@@ -200,12 +189,12 @@ class LiveEngine final : public QueryEngine {
     std::vector<UpdateOp> ops;
   };
 
-  /// Lock-free cores of Plan/Validate for callers already under mu_.
-  PlanDecision DecideLocked(const QuerySpec& spec) const
-      UTK_REQUIRES_SHARED(mu_);
-  Algorithm PlanLocked(const QuerySpec& spec) const UTK_REQUIRES_SHARED(mu_);
-  std::optional<std::string> ValidateLocked(const QuerySpec& spec) const
-      UTK_REQUIRES_SHARED(mu_);
+  /// RSA/JAA over the live tree's r-skyband, everything else on the
+  /// compact fallback. Runs only inside ReadPinned (the shared lock held).
+  QueryResult Execute(const QuerySpec& spec,
+                      const PlanDecision& decision) const override;
+  void ReadPinned(const std::function<void()>& body) const override;
+
   /// Un-synchronized cores of Insert/Erase; the caller holds the exclusive
   /// lock and owns the commit.
   int32_t InsertLocked(Record rec, UpdateEvent* event) UTK_REQUIRES(mu_);
@@ -221,32 +210,19 @@ class LiveEngine final : public QueryEngine {
   bool CouldAffect(const UpdateEvent& event, const CacheEntryView& view) const
       UTK_NO_THREAD_SAFETY_ANALYSIS;
 
-  Dataset CompactSnapshotLocked(std::vector<int32_t>* live_ids) const
-      UTK_REQUIRES_SHARED(mu_);
-  /// The compact fallback engine for the current epoch (rebuilt at most
-  /// once per epoch, under compact_mu_). Shared lock on mu_ held.
-  std::shared_ptr<const Engine> EnsureCompact() const
-      UTK_REQUIRES_SHARED(mu_);
-  QueryResult RunViaCompact(const QuerySpec& spec) const
-      UTK_REQUIRES_SHARED(mu_);
-  /// RSA/JAA over the live tree's r-skyband. Shared lock on mu_ held.
-  QueryResult RunBandPipeline(const QuerySpec& spec, Algorithm algo) const
-      UTK_REQUIRES_SHARED(mu_);
-
-  /// Cost model captured at construction (DefaultCostModel()); immutable
-  /// afterwards, so DecideLocked needs no extra synchronization.
-  std::shared_ptr<const CostModel> model_ = DefaultCostModel();
-  /// Catalog lock. Lock order: mu_ strictly before logs_mu_, caches_mu_,
-  /// and compact_mu_ (Commit and the compact-fallback path) — and, through
+  /// Catalog lock. Lock order: mu_ strictly before logs_mu_ and caches_mu_
+  /// (Commit), before the compact fallback's lock — and, through
   /// UpdateLog::OnCommit, before the storage Catalog's cat_mu_.
-  mutable SharedMutex mu_ UTK_ACQUIRED_BEFORE(logs_mu_, caches_mu_,
-                                              compact_mu_);
+  mutable SharedMutex mu_ UTK_ACQUIRED_BEFORE(logs_mu_, caches_mu_);
   Dataset data_ UTK_GUARDED_BY(mu_);
   std::vector<char> alive_ UTK_GUARDED_BY(mu_);
   RTree tree_ UTK_GUARDED_BY(mu_);
   ColumnStore cols_ UTK_GUARDED_BY(mu_);
   std::atomic<uint64_t> epoch_{0};
   std::atomic<int64_t> live_{0};
+  /// Attribute dimensionality: fixed by the first record ever stored (0
+  /// while the catalog has none); tombstones keep theirs.
+  std::atomic<int> dim_{0};
   std::atomic<int64_t> inserts_{0};
   std::atomic<int64_t> erases_{0};
   mutable std::atomic<int64_t> direct_queries_{0};
@@ -258,10 +234,7 @@ class LiveEngine final : public QueryEngine {
   Mutex logs_mu_;
   std::vector<UpdateLog*> logs_ UTK_GUARDED_BY(logs_mu_);
 
-  mutable Mutex compact_mu_;
-  mutable std::shared_ptr<const Engine> compact_ UTK_GUARDED_BY(compact_mu_);
-  mutable std::vector<int32_t> compact_ids_ UTK_GUARDED_BY(compact_mu_);
-  mutable uint64_t compact_epoch_ UTK_GUARDED_BY(compact_mu_) = ~0ull;
+  CompactFallback compact_;
 };
 
 /// RAII pairing of a Server's cache with a LiveEngine's epoch sweeps:

@@ -41,7 +41,7 @@ class Server {
   explicit Server(Engine engine, CacheConfig config = {});
 
   /// Answers one query cache-first. Invalid specs bypass the cache and come
-  /// back with Engine::Run's diagnostic; failures are never cached.
+  /// back with the engine's diagnostic; failures are never cached.
   QueryResult Query(const QuerySpec& spec);
 
   /// EXPLAIN through the serving layer: serve.query over the cache probe
@@ -68,12 +68,6 @@ class Server {
   CacheCounters cache_counters() const { return cache_.Counters(); }
 
  private:
-  /// The miss path: runs the engine and admits the result (tagged with the
-  /// epoch observed before running); returns it with cache_evictions
-  /// charged.
-  QueryResult RunAndAdmit(const QuerySpec& spec, Algorithm planned,
-                          uint64_t epoch);
-
   std::shared_ptr<const QueryEngine> engine_;
   ResultCache cache_;
 };

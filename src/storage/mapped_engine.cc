@@ -1,34 +1,14 @@
 #include "storage/mapped_engine.h"
 
+#include <numeric>
 #include <utility>
 
-#include "core/jaa.h"
-#include "core/rsa.h"
 #include "core/topk.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "skyline/rskyband.h"
 
 namespace utk {
-namespace {
-
-QueryResult Fail(const QuerySpec& spec, std::string why) {
-  QueryResult r;
-  r.ok = false;
-  r.error = std::move(why);
-  r.mode = spec.mode;
-  r.algorithm = spec.algorithm;
-  return r;
-}
-
-/// Remaps sorted ascending ids through the monotonic compact -> stable map
-/// (monotonicity keeps the output sorted; same trick as LiveEngine).
-void MapIds(const std::vector<int32_t>& stable_ids,
-            std::vector<int32_t>* ids) {
-  for (int32_t& id : *ids) id = stable_ids[id];
-}
-
-}  // namespace
 
 std::unique_ptr<MappedEngine> MappedEngine::Open(const std::string& path,
                                                  std::string* error) {
@@ -76,23 +56,9 @@ void MappedEngine::EnsureRows(std::span<const int32_t> ids) const {
 
 void MappedEngine::EnsureAll() const {
   if (all_done_.load(std::memory_order_acquire)) return;
-  UTK_SPAN_VAL("mapped.materialize", seg_->rows());
-  MutexLock lock(mat_mu_);
-  if (all_done_.load(std::memory_order_relaxed)) return;
-  int64_t gathered = 0;
-  const int d = seg_->dim();
-  for (int32_t id = 0; id < seg_->rows(); ++id) {
-    if (row_done_[id]) continue;
-    Vec& attrs = data_[id].attrs;
-    attrs.resize(d);
-    for (int c = 0; c < d; ++c) attrs[c] = seg_->col(c)[id];
-    row_done_[id] = 1;
-    ++gathered;
-  }
-  rows_materialized_.fetch_add(gathered, std::memory_order_relaxed);
-  static obs::Counter& rows = obs::MetricRegistry::Global().GetCounter(
-      "utk_mapped_rows_materialized_total");
-  rows.Add(gathered);
+  std::vector<int32_t> all(seg_->rows());
+  std::iota(all.begin(), all.end(), 0);
+  EnsureRows(all);
   all_done_.store(true, std::memory_order_release);
 }
 
@@ -101,171 +67,46 @@ const Dataset& MappedEngine::data() const {
   return data_;
 }
 
-PlanDecision MappedEngine::Decide(const QuerySpec& spec) const {
-  // Plan against the LIVE count, exactly like the engine this segment was
-  // saved from would.
-  return DecidePlan(model_.get(), spec, seg_->live(), pref_dim());
-}
-
-Algorithm MappedEngine::Plan(const QuerySpec& spec) const {
-  return Decide(spec).algorithm;
-}
-
-std::optional<std::string> MappedEngine::Validate(
-    const QuerySpec& spec) const {
-  // Mirrors Engine::Validate verbatim (same diagnostics either way).
-  if (seg_->live() == 0) return "engine holds an empty dataset";
-  if (spec.k < 1) return "k must be >= 1";
-  if (spec.region.dim() != pref_dim())
-    return "region has " + std::to_string(spec.region.dim()) +
-           " preference dims, dataset needs " + std::to_string(pref_dim());
-  if (!spec.region.HasInteriorPoint())
-    return "query region has empty interior";
-  const Algorithm algo = Plan(spec);
-  if (spec.mode == QueryMode::kUtk2 &&
-      (algo == Algorithm::kRsa || algo == Algorithm::kNaive))
-    return std::string(AlgorithmName(algo)) +
-           " answers UTK1 only; use JAA or a baseline for UTK2";
-  return std::nullopt;
-}
-
-QueryResult MappedEngine::RunBandPipeline(const QuerySpec& spec,
-                                          Algorithm algo) const {
-  Timer timer;
-  QueryResult r;
-  r.mode = spec.mode;
-  r.algorithm = algo;
-
-  // The box-region filter runs purely on the borrowed columns; a general
-  // convex region evaluates raw records in its LP tests, so gather first.
-  if (!spec.region.is_box()) EnsureAll();
-
-  QueryStats filter_stats;
-  RSkybandResult band = ComputeRSkyband(data_, tree_, spec.region, spec.k,
-                                        &filter_stats, &cols_);
-  // Refinement (and its drill probes) touch exactly the band rows.
-  EnsureRows(band.ids);
-
-  if (algo == Algorithm::kRsa) {
-    Rsa::Options opt;
-    opt.use_drill = spec.use_drill;
-    opt.use_lemma1 = spec.use_lemma1;
-    opt.wave_cap = spec.wave_cap;
-    opt.refine_threads = spec.refine_threads;
-    Utk1Result res = Rsa(opt).RunFiltered(data_, band, spec.region, spec.k);
-    r.ids = std::move(res.ids);
-    r.stats = res.stats;
-  } else {
-    Jaa::Options opt;
-    opt.use_lemma1 = spec.use_lemma1;
-    opt.wave_cap = spec.wave_cap;
-    opt.refine_threads = spec.refine_threads;
-    r.utk2 = Jaa(opt).RunFiltered(data_, band, spec.region, spec.k);
-    r.ids = r.utk2.AllRecords();
-    r.stats = r.utk2.stats;
-  }
-  const int64_t candidates = r.stats.candidates;
-  r.stats += filter_stats;
-  r.stats.candidates = candidates;  // refinement input, as Engine reports
-  r.stats.elapsed_ms = timer.ElapsedMs();
-  r.ok = true;
-  return r;
-}
-
-std::shared_ptr<const Engine> MappedEngine::EnsureCompact() const {
-  MutexLock lock(compact_mu_);
-  if (compact_ == nullptr) {
-    EnsureAll();
-    Dataset compact;
-    std::vector<int32_t> stable_ids;
-    compact.reserve(static_cast<size_t>(seg_->live()));
-    for (int32_t i = 0; i < seg_->rows(); ++i) {
-      if (!seg_->alive_bytes()[i]) continue;
-      Record rec = data_[i];
-      rec.id = static_cast<int32_t>(compact.size());
-      compact.push_back(std::move(rec));
-      stable_ids.push_back(i);
-    }
-    compact_ = std::make_shared<const Engine>(std::move(compact));
-    compact_ids_ = std::move(stable_ids);
-  }
-  return compact_;
-}
-
-QueryResult MappedEngine::RunViaCompact(const QuerySpec& spec) const {
-  std::shared_ptr<const Engine> compact = EnsureCompact();
-  std::vector<int32_t> stable_ids;
-  {
-    MutexLock lock(compact_mu_);
-    stable_ids = compact_ids_;
-  }
-  QueryResult r = compact->Run(spec);
-  if (!r.ok) return r;
-  MapIds(stable_ids, &r.ids);
-  for (Utk2Cell& cell : r.utk2.cells) MapIds(stable_ids, &cell.topk);
-  for (auto& rec : r.per_record.records) rec.id = stable_ids[rec.id];
-  return r;
-}
-
-QueryResult MappedEngine::Run(const QuerySpec& spec) const {
-  UTK_SPAN("mapped.run");
-  QueryHistoryScope history;
-  if (std::optional<std::string> error = Validate(spec))
-    return Fail(spec, std::move(*error));
-  const PlanDecision decision = Decide(spec);
+QueryResult MappedEngine::Execute(const QuerySpec& spec,
+                                  const PlanDecision& decision) const {
   const Algorithm algo = decision.algorithm;
   const int64_t before = rows_materialized();
-  QueryResult r = (algo == Algorithm::kRsa || algo == Algorithm::kJaa)
-                      ? RunBandPipeline(spec, algo)
-                      : RunViaCompact(spec);
-  r.stats.epoch = static_cast<int64_t>(epoch());
+  QueryResult r;
+  if (algo == Algorithm::kRsa || algo == Algorithm::kJaa) {
+    // The box-region filter runs purely on the borrowed columns; a general
+    // convex region evaluates raw records in its LP tests, so gather first.
+    if (!spec.region.is_box()) EnsureAll();
+    // Refinement (and its drill probes) touch exactly the band rows.
+    r = RunRSkyband(
+        data_, tree_, &cols_, spec, algo,
+        [this](const RSkybandResult& band) { EnsureRows(band.ids); });
+  } else {
+    EnsureAll();
+    r = compact_.Execute(epoch(), data_, {seg_->alive_bytes(),
+                                          static_cast<size_t>(seg_->rows())},
+                         spec, decision);
+  }
   r.stats.rows_materialized = rows_materialized() - before;
   r.stats.mapped_bytes = static_cast<int64_t>(seg_->file_bytes());
-  r.stats.planned_algorithm = static_cast<int64_t>(algo);
-  r.stats.plan_reason = static_cast<int64_t>(decision.reason);
-  NotePlanOutcome(decision, r.stats.elapsed_ms);
-  history.Record(spec, r, seg_->live(), pref_dim());
   return r;
 }
 
-PlanNode MappedEngine::Explain(const QuerySpec& spec) const {
-  PlanNode root;
-  root.op = "mapped.run";
-  if (std::optional<std::string> error = Validate(spec)) {
-    root.detail = "invalid: " + *error;
-    return root;
-  }
-  const PlanDecision d = Decide(spec);
-  root.detail = PlanDetail(d, spec.k, seg_->live());
-  root.est_ms = d.est_ms;
-
-  const int64_t band = EstimateBandSize(seg_->live(), spec.k, pref_dim());
+std::vector<PlanNode> MappedEngine::ExplainChildren(
+    const QuerySpec& spec, const PlanDecision& decision) const {
+  const bool band_path = decision.algorithm == Algorithm::kRsa ||
+                         decision.algorithm == Algorithm::kJaa;
   PlanNode mat;
   mat.op = "mapped.materialize";
-  const bool band_path =
-      d.algorithm == Algorithm::kRsa || d.algorithm == Algorithm::kJaa;
   if (band_path && spec.region.is_box()) {
     mat.detail = "band rows on demand";
-    mat.est_rows = band;
+    mat.est_rows = EstimateBandSize(size(), spec.k, pref_dim());
   } else {
     mat.detail = "full catalog gather";
     mat.est_rows = seg_->rows();
   }
-  root.children.push_back(std::move(mat));
-
-  if (band_path) {
-    std::vector<PlanNode> kids = AlgorithmPlanChildren(
-        d.algorithm, spec.mode, seg_->live(), spec.k, pref_dim());
-    for (PlanNode& kid : kids) root.children.push_back(std::move(kid));
-  } else {
-    PlanNode compact;
-    compact.op = "engine.run";
-    compact.detail = "compacted snapshot of live rows";
-    compact.children = AlgorithmPlanChildren(d.algorithm, spec.mode,
-                                             seg_->live(), spec.k, pref_dim());
-    root.children.push_back(std::move(compact));
-  }
-  return root;
+  std::vector<PlanNode> kids = QueryEngine::ExplainChildren(spec, decision);
+  kids.insert(kids.begin(), std::move(mat));
+  return kids;
 }
 
 std::vector<int32_t> MappedEngine::TopK(const Vec& w, int k) const {

@@ -21,17 +21,19 @@
 // QueryStats reports the work: rows_materialized counts the gathers a
 // query caused, mapped_bytes gauges the zero-copy file size.
 //
-// Semantics match a LiveEngine recovered from the same segment with an
-// empty WAL: tombstones keep their ids, Plan chooses against the live
-// count, and baseline/naive specs answer via a compacted engine with ids
-// mapped back — so the differential tests can compare the two directly.
+// Queries run the QueryEngine pipeline (api/query_engine.h), root span
+// mapped.run; Execute wraps RunRSkyband with that materialization and
+// stamps rows_materialized / mapped_bytes. Semantics match a LiveEngine
+// recovered from the same segment with an empty WAL: tombstones keep their
+// ids, size() is the live count the planner sees, and baseline/naive specs
+// answer on the shared CompactFallback with ids mapped back — so the
+// differential tests can compare the two directly.
 #ifndef UTK_STORAGE_MAPPED_ENGINE_H_
 #define UTK_STORAGE_MAPPED_ENGINE_H_
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -59,18 +61,12 @@ class MappedEngine final : public QueryEngine {
   /// catalog; queries don't.
   const Dataset& data() const override;
 
-  Algorithm Plan(const QuerySpec& spec) const override;
-  std::optional<std::string> Validate(const QuerySpec& spec) const override;
-  QueryResult Run(const QuerySpec& spec) const override;
-  /// EXPLAIN: mapped.run with the materialization step (mapped.materialize)
-  /// ahead of the planned algorithm's filter/refine subtree.
-  PlanNode Explain(const QuerySpec& spec) const override;
   std::vector<int32_t> TopK(const Vec& w, int k) const override;
 
   /// The epoch the segment was saved at.
   uint64_t epoch() const override { return seg_->epoch(); }
-  /// From segment metadata — Validate/Plan never touch the lazy dataset.
-  int64_t size() const override { return seg_->rows(); }
+  /// From segment metadata — planning never touches the lazy dataset.
+  int64_t size() const override { return seg_->live(); }
   int dim() const override { return seg_->dim(); }
 
   int64_t live_size() const { return seg_->live(); }
@@ -82,20 +78,22 @@ class MappedEngine final : public QueryEngine {
   }
 
  private:
-  MappedEngine() = default;
+  MappedEngine() : QueryEngine("mapped.run") {}
 
-  PlanDecision Decide(const QuerySpec& spec) const;
-  QueryResult RunBandPipeline(const QuerySpec& spec, Algorithm algo) const;
-  QueryResult RunViaCompact(const QuerySpec& spec) const;
-  std::shared_ptr<const Engine> EnsureCompact() const;
+  /// RSA/JAA through RunRSkyband with the band rows gathered between
+  /// filter and refinement; everything else on the compact fallback.
+  QueryResult Execute(const QuerySpec& spec,
+                      const PlanDecision& decision) const override;
+  /// mapped.materialize ahead of the planned algorithm's filter/refine
+  /// subtree.
+  std::vector<PlanNode> ExplainChildren(
+      const QuerySpec& spec, const PlanDecision& decision) const override;
   void EnsureRows(std::span<const int32_t> ids) const;
   void EnsureAll() const;
 
   std::unique_ptr<SegmentReader> seg_;
   RTree tree_;
   ColumnStore cols_;  ///< borrowed view over the mapped column blocks
-  /// Cost model captured at Open (DefaultCostModel()); immutable after.
-  std::shared_ptr<const CostModel> model_ = DefaultCostModel();
 
   mutable Mutex mat_mu_;
   /// Rows gathered on demand. Deliberately NOT guarded_by(mat_mu_): a row
@@ -108,9 +106,7 @@ class MappedEngine final : public QueryEngine {
   mutable std::atomic<bool> all_done_{false};
   mutable std::atomic<int64_t> rows_materialized_{0};
 
-  mutable Mutex compact_mu_;
-  mutable std::shared_ptr<const Engine> compact_ UTK_GUARDED_BY(compact_mu_);
-  mutable std::vector<int32_t> compact_ids_ UTK_GUARDED_BY(compact_mu_);
+  CompactFallback compact_;
 };
 
 }  // namespace utk

@@ -1,12 +1,15 @@
 // EXPLAIN / EXPLAIN ANALYZE (src/api/plan.h): byte-pinned golden render,
 // static-tree shape across engines, ANALYZE trees rebuilt from real span
-// recordings (structure + child-time coverage), and CoalescePlan's rollup.
+// recordings (structure + child-time coverage, over every engine and the
+// RSA / JAA / fallback paths), and CoalescePlan's rollup.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/engine.h"
@@ -14,7 +17,10 @@
 #include "data/generator.h"
 #include "data/workload.h"
 #include "dist/partitioned_engine.h"
+#include "live/live_engine.h"
 #include "obs/trace.h"
+#include "storage/mapped_engine.h"
+#include "storage/segment.h"
 
 namespace utk {
 namespace {
@@ -137,46 +143,93 @@ TEST(Explain, BaselinePlanNestsKsprUnderRefine) {
 
 TEST(Explain, AnalyzeTreeMatchesSpanTreeStructurally) {
   TraceSandbox sandbox;
-  Engine engine(Generate(Distribution::kIndependent, 2000, 3, 11));
-  const QuerySpec spec = BoxSpec(2, 8, QueryMode::kUtk1, Algorithm::kRsa);
+  const Dataset data = Generate(Distribution::kIndependent, 2000, 3, 11);
 
-  // Reference: record the span tree of a plain run by hand.
-  obs::SetTracingEnabled(true);
-  obs::ClearTrace();
-  const int64_t t0 = obs::NowMicros();
-  QueryResult direct = engine.Run(spec);
-  ASSERT_TRUE(direct.ok);
-  const PlanNode span_tree = PlanFromTrace(obs::TraceSnapshot(), t0);
-  obs::SetTracingEnabled(false);
+  // The engine x path matrix. The partitioned engine runs its shards and
+  // tiles on one thread so every span nests by scope, deterministically.
+  auto engine = std::make_shared<const Engine>(data);
+  DistConfig config;
+  config.shards = 2;
+  config.tiles = 2;
+  config.threads = 1;
+  auto dist = std::make_shared<const PartitionedEngine>(engine, config);
+  auto live = std::make_shared<LiveEngine>(data);
+  for (int32_t id = 0; id < 2000; id += 7) ASSERT_TRUE(live->Erase(id));
+  const std::string seg_path =
+      ::testing::TempDir() + "utk_explain_mapped.seg";
+  live->WithSnapshot([&](const CatalogView& view) {
+    ASSERT_EQ(WriteSegment(seg_path, view.data, view.alive, view.tree,
+                           view.epoch),
+              std::nullopt);
+  });
+  std::shared_ptr<const QueryEngine> mapped = MappedEngine::Open(seg_path);
+  ASSERT_NE(mapped, nullptr);
 
-  // ExplainAnalyze of the same deterministic query must rebuild the same
-  // operator structure (and return the same answer).
-  QueryResult analyzed_result;
-  const PlanNode analyzed = engine.ExplainAnalyze(spec, &analyzed_result);
-  ASSERT_TRUE(analyzed_result.ok);
-  EXPECT_EQ(analyzed_result.ids, direct.ids);
+  const std::vector<std::pair<std::string, std::shared_ptr<const QueryEngine>>>
+      engines = {{"engine.run", engine},
+                 {"dist.run", dist},
+                 {"live.run", live},
+                 {"mapped.run", mapped}};
+  const std::vector<QuerySpec> paths = {
+      BoxSpec(2, 8, QueryMode::kUtk1, Algorithm::kRsa),
+      BoxSpec(2, 4, QueryMode::kUtk2, Algorithm::kJaa),
+      BoxSpec(2, 4, QueryMode::kUtk1, Algorithm::kBaselineSk)};
 
-  std::map<std::pair<int, std::string>, int> want, got;
-  OpShape(span_tree, 0, &want);
-  OpShape(analyzed, 0, &got);
-  EXPECT_EQ(got, want);
+  for (const auto& [root_op, e] : engines) {
+    for (const QuerySpec& spec : paths) {
+      SCOPED_TRACE(root_op + " " + AlgorithmName(spec.algorithm));
+      // Warm-up: one-time work (mapped row gathers, the compact fallback
+      // engine) stays out of both trees compared below.
+      ASSERT_TRUE(e->Run(spec).ok);
 
-  // The root is the engine span, measured, and its direct children cover a
-  // sane share of it: more than nothing, never more than the whole.
-  EXPECT_EQ(analyzed.op, "engine.run");
-  ASSERT_GT(analyzed.actual_ms, 0.0);
-  const double coverage = analyzed.ChildActualMs() / analyzed.actual_ms;
-  EXPECT_GT(coverage, 0.0);
-  EXPECT_LE(coverage, 1.0 + 1e-9);
+      // Reference: record the span tree of a plain run by hand.
+      obs::SetTracingEnabled(true);
+      obs::ClearTrace();
+      const int64_t t0 = obs::NowMicros();
+      QueryResult direct = e->Run(spec);
+      ASSERT_TRUE(direct.ok) << direct.error;
+      const PlanNode span_tree = PlanFromTrace(obs::TraceSnapshot(), t0);
+      obs::SetTracingEnabled(false);
 
-  // Estimates were grafted from the static plan onto executed operators.
-  const PlanNode static_plan = engine.Explain(spec);
-  ASSERT_FALSE(static_plan.children.empty());
-  bool found_estimate = false;
-  for (const PlanNode& kid : analyzed.children)
-    if (kid.op == "filter.rskyband" && kid.est_rows >= 0)
-      found_estimate = true;
-  EXPECT_TRUE(found_estimate);
+      // The static plan is rooted where execution is.
+      const PlanNode static_plan = e->Explain(spec);
+      EXPECT_EQ(span_tree.op, root_op);
+      EXPECT_EQ(static_plan.op, span_tree.op);
+      ASSERT_FALSE(static_plan.children.empty());
+
+      // ExplainAnalyze of the same deterministic query must rebuild the
+      // same operator structure (and return the same answer).
+      QueryResult analyzed_result;
+      const PlanNode analyzed = e->ExplainAnalyze(spec, &analyzed_result);
+      ASSERT_TRUE(analyzed_result.ok);
+      EXPECT_EQ(analyzed_result.ids, direct.ids);
+
+      std::map<std::pair<int, std::string>, int> want, got;
+      OpShape(span_tree, 0, &want);
+      OpShape(analyzed, 0, &got);
+      EXPECT_EQ(got, want);
+
+      // The root is the engine span, measured, and its direct children
+      // cover a sane share of it: more than nothing, never more than the
+      // whole.
+      EXPECT_EQ(analyzed.op, root_op);
+      ASSERT_GT(analyzed.actual_ms, 0.0);
+      const double coverage = analyzed.ChildActualMs() / analyzed.actual_ms;
+      EXPECT_GT(coverage, 0.0);
+      EXPECT_LE(coverage, 1.0 + 1e-9);
+
+      // Estimates were grafted from the static plan onto executed
+      // operators.
+      if (e == engine && spec.algorithm == Algorithm::kRsa) {
+        bool found_estimate = false;
+        for (const PlanNode& kid : analyzed.children)
+          if (kid.op == "filter.rskyband" && kid.est_rows >= 0)
+            found_estimate = true;
+        EXPECT_TRUE(found_estimate);
+      }
+    }
+  }
+  std::remove(seg_path.c_str());
 }
 
 TEST(Explain, AnalyzeWorksThroughThePartitionedEngine) {

@@ -64,7 +64,9 @@ TEST(ImmutableRegion, TopkChangesJustOutside) {
     // challenger tie not in the top-k (rare with random data).
     // Accept both but require the walk stayed sane.
     SUCCEED();
-    if (got != base) EXPECT_NE(got, base);
+    if (got != base) {
+      EXPECT_NE(got, base);
+    }
   }
 }
 
@@ -158,7 +160,9 @@ TEST(Robustness, FractionsInRangeAndSorted) {
   for (size_t i = 0; i < scores.size(); ++i) {
     EXPECT_GE(scores[i].fraction, 0.0);
     EXPECT_LE(scores[i].fraction, 1.0);
-    if (i > 0) EXPECT_LE(scores[i].fraction, scores[i - 1].fraction);
+    if (i > 0) {
+      EXPECT_LE(scores[i].fraction, scores[i - 1].fraction);
+    }
   }
   // Total coverage: the k slots are always filled by UTK1 members, so the
   // fractions sum to exactly k.

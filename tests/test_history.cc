@@ -1,6 +1,7 @@
 // Query-stats history (src/obs/history.h): CRC-framed round-trip, torn-tail
 // truncation, mid-file corruption, size-capped rotation, the process-global
-// sink, and the one-row-per-top-level-query engine integration.
+// sink, and the one-row-per-top-level-query engine integration (the live
+// record count as `n`, whichever engine or Server records the row).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -13,7 +14,11 @@
 #include "api/engine.h"
 #include "api/planner.h"
 #include "data/generator.h"
+#include "live/live_engine.h"
 #include "obs/history.h"
+#include "serve/server.h"
+#include "storage/mapped_engine.h"
+#include "storage/segment.h"
 
 namespace utk {
 namespace {
@@ -238,6 +243,53 @@ TEST(History, EngineAppendsOneRowPerTopLevelQuery) {
   ASSERT_TRUE(stats.has_value());
   EXPECT_EQ(stats->planned_algorithm,
             static_cast<int64_t>(Algorithm::kRsa));
+}
+
+TEST(History, ServedRowsCountLiveRecordsNotTombstones) {
+  // A Server in front of a catalog with tombstones must record the n the
+  // planner saw — the live count — exactly as an Engine built on the
+  // compacted catalog records it.
+  HistorySandbox sandbox;
+  const std::string path = Path("served_n");
+  std::shared_ptr<obs::HistoryWriter> w = obs::HistoryWriter::Open(path);
+  ASSERT_NE(w, nullptr);
+
+  auto live = std::make_shared<LiveEngine>(
+      Generate(Distribution::kIndependent, 300, 3, 29));
+  for (int32_t id = 0; id < 300; id += 3) ASSERT_TRUE(live->Erase(id));
+  ASSERT_EQ(live->live_size(), 200);
+  Engine compacted(live->CompactSnapshot());
+  const std::string seg_path = Path("served_n_seg");
+  live->WithSnapshot([&](const CatalogView& view) {
+    ASSERT_EQ(WriteSegment(seg_path, view.data, view.alive, view.tree,
+                           view.epoch),
+              std::nullopt);
+  });
+  std::shared_ptr<const QueryEngine> mapped = MappedEngine::Open(seg_path);
+  ASSERT_NE(mapped, nullptr);
+
+  QuerySpec spec;
+  spec.mode = QueryMode::kUtk1;
+  spec.algorithm = Algorithm::kRsa;
+  spec.k = 5;
+  spec.region = ConvexRegion::FromBox(Vec{0.2, 0.2}, Vec{0.4, 0.4});
+  obs::SetQueryHistory(w);
+  ASSERT_TRUE(compacted.Run(spec).ok);
+  for (std::shared_ptr<const QueryEngine> engine :
+       {std::shared_ptr<const QueryEngine>(live), mapped}) {
+    Server server(engine);
+    ASSERT_TRUE(server.Query(spec).ok);
+  }
+  obs::SetQueryHistory(nullptr);
+  std::remove(seg_path.c_str());
+
+  auto replay = obs::ReadHistory(path);
+  ASSERT_TRUE(replay.has_value());
+  ASSERT_EQ(replay->records.size(), 3u);
+  for (const obs::HistoryRecord& rec : replay->records) {
+    EXPECT_EQ(rec.n, live->live_size());
+    EXPECT_EQ(rec.pref_dim, 2);
+  }
 }
 
 TEST(History, OnlyTheOutermostScopeRecords) {

@@ -9,8 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
+#include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -419,9 +422,10 @@ TEST(LiveServe, WarmServerEqualsColdAfterEveryEpoch) {
       if (!warmed.ok) continue;
       EXPECT_EQ(warmed.ids, fresh.ids) << "stale cache entry served at op "
                                        << i;
-      if (spec.mode == QueryMode::kUtk2)
+      if (spec.mode == QueryMode::kUtk2) {
         EXPECT_EQ(warmed.utk2.NumDistinctTopkSets(),
                   fresh.utk2.NumDistinctTopkSets());
+      }
     }
   }
   CacheCounters c = warm.cache_counters();
@@ -501,6 +505,45 @@ TEST(LiveServe, ErasureInvalidatesExactlyTheAnswersContainingIt) {
   EXPECT_EQ(redo.stats.cache_misses, 1);
   EXPECT_FALSE(std::binary_search(redo.ids.begin(), redo.ids.end(),
                                   first.ids.front()));
+}
+
+TEST(LiveServe, ConcurrentReadsDuringUpdatesAreRaceFree) {
+  // Readers go through Server::Query — which reads the engine's size and
+  // dimensionality for its history row — while a writer grows and shrinks
+  // the catalog (fresh inserts reallocate the record vector). Under TSan
+  // this is the race check; in every build each answer must be ok.
+  auto live = std::make_shared<LiveEngine>(
+      Generate(Distribution::kIndependent, 150, 3, 61));
+  Server server(live);
+  CacheAttachment link(*live, server.cache());
+  UpdateTraceOptions opt;
+  opt.insert_fraction = 0.7;
+  opt.seed = 67;
+  const std::vector<UpdateOp> trace = MakeUpdateTrace(
+      Generate(Distribution::kIndependent, 150, 3, 61), 160, opt);
+
+  std::atomic<bool> done{false};
+  std::atomic<int> answered{0}, failed{0};
+  std::vector<std::thread> readers;
+  for (QueryMode mode : {QueryMode::kUtk1, QueryMode::kUtk2}) {
+    readers.emplace_back([&, mode] {
+      const QuerySpec spec = MakeSpec(mode, Algorithm::kAuto, 3, Region3d());
+      while (!done.load()) {
+        if (!server.Query(spec).ok) failed.fetch_add(1);
+        answered.fetch_add(1);
+      }
+    });
+  }
+  while (answered.load() < 2) std::this_thread::yield();
+  const std::span<const UpdateOp> ops(trace);
+  for (size_t i = 0; i < ops.size(); i += 4) {
+    live->ApplyBatch(ops.subspan(i, std::min<size_t>(4, ops.size() - i)));
+    std::this_thread::yield();
+  }
+  done.store(true);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_GE(answered.load(), 2);
 }
 
 }  // namespace

@@ -6,15 +6,22 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/engine.h"
 #include "data/generator.h"
+#include "dist/partitioned_engine.h"
+#include "live/live_engine.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "storage/mapped_engine.h"
+#include "storage/segment.h"
 
 namespace utk {
 namespace {
@@ -156,6 +163,71 @@ TEST(Metrics, ExportsCarryCountersAndQuantiles) {
   EXPECT_NE(json.find("\"test_obs_export_total\":7"), std::string::npos);
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
+}
+
+TEST(Metrics, EveryRunCountsOneQueryOnEveryEngineAndPath) {
+  // One pipeline, one bookkeeping step: every top-level Run adds exactly
+  // one query, one latency sample and (threshold 0) one slow-log line
+  // labelled with the engine's root span — whichever engine and path ran.
+  ObsSandbox sandbox;
+  const Dataset data = Generate(Distribution::kIndependent, 150, 3, 71);
+  auto engine = std::make_shared<const Engine>(data);
+  DistConfig config;
+  config.shards = 2;
+  config.tiles = 2;
+  auto dist = std::make_shared<const PartitionedEngine>(engine, config);
+  auto live = std::make_shared<LiveEngine>(data);
+  for (int32_t id = 0; id < 150; id += 5) ASSERT_TRUE(live->Erase(id));
+  const std::string seg_path = ::testing::TempDir() + "utk_obs_mapped.seg";
+  live->WithSnapshot([&](const CatalogView& view) {
+    ASSERT_EQ(WriteSegment(seg_path, view.data, view.alive, view.tree,
+                           view.epoch),
+              std::nullopt);
+  });
+  std::shared_ptr<const QueryEngine> mapped = MappedEngine::Open(seg_path);
+  ASSERT_NE(mapped, nullptr);
+
+  std::vector<std::string> lines;
+  obs::SetSlowQuerySink([&lines](const std::string& s) {
+    lines.push_back(s);
+  });
+  obs::SetSlowQueryThresholdMs(0.0);
+  obs::Counter& queries = obs::MetricRegistry::Global().GetCounter(
+      "utk_engine_queries_total");
+  obs::Histogram& latency = obs::MetricRegistry::Global().GetHistogram(
+      "utk_engine_query_latency_us");
+
+  const std::vector<std::pair<std::string, std::shared_ptr<const QueryEngine>>>
+      engines = {{"engine.run", engine},
+                 {"dist.run", dist},
+                 {"live.run", live},
+                 {"mapped.run", mapped}};
+  QuerySpec spec;
+  spec.k = 3;
+  spec.region = ConvexRegion::FromBox(Vec{0.25, 0.25}, Vec{0.4, 0.4});
+  for (const auto& [root_op, e] : engines) {
+    for (Algorithm algo : {Algorithm::kRsa, Algorithm::kJaa,
+                           Algorithm::kBaselineSk, Algorithm::kNaive}) {
+      SCOPED_TRACE(root_op + " " + AlgorithmName(algo));
+      spec.algorithm = algo;
+      const int64_t before = queries.Value();
+      const int64_t samples = latency.Count();
+      lines.clear();
+      ASSERT_TRUE(e->Run(spec).ok);
+      EXPECT_EQ(queries.Value(), before + 1);
+      EXPECT_EQ(latency.Count(), samples + 1);
+      ASSERT_EQ(lines.size(), 1u);
+      EXPECT_NE(lines[0].find("slow-query label=" + root_op + " "),
+                std::string::npos)
+          << lines[0];
+    }
+  }
+  // A rejected spec runs nothing and counts nothing.
+  spec.k = 0;
+  const int64_t before = queries.Value();
+  EXPECT_FALSE(live->Run(spec).ok);
+  EXPECT_EQ(queries.Value(), before);
+  std::remove(seg_path.c_str());
 }
 
 // ---------------------------------------------------------------------------

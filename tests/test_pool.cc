@@ -59,8 +59,8 @@ TEST(Pool, ParallelismCapsConcurrency) {
     int p = peak.load();
     while (now > p && !peak.compare_exchange_weak(p, now)) {
     }
-    for (volatile int spin = 0; spin < 5000; ++spin) {
-    }
+    volatile int spin = 0;
+    while (spin < 5000) spin = spin + 1;
     running.fetch_sub(1);
   });
   EXPECT_LE(peak.load(), 2);  // lanes = min(parallelism, count) = 2
@@ -88,8 +88,8 @@ TEST(Pool, WorkerExceptionPropagatesToCaller) {
   try {
     pool.ParallelFor(1000, 2, [&](int i) {
       if (i == 0) throw std::runtime_error("lane 0 failed");
-      for (volatile int spin = 0; spin < 5000; ++spin) {
-      }
+      volatile int spin = 0;
+      while (spin < 5000) spin = spin + 1;
       completed.fetch_add(1);
     });
     FAIL() << "expected the lane exception to rethrow on the caller";

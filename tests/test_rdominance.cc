@@ -24,8 +24,9 @@ TEST(RDominance, ClassicDominanceImpliesRDominance) {
   ConvexRegion r = ConvexRegion::FromBox({0.2, 0.3}, {0.4, 0.5});
   for (const Record& a : data)
     for (const Record& b : data) {
-      if (Dominates(a.attrs, b.attrs))
+      if (Dominates(a.attrs, b.attrs)) {
         EXPECT_EQ(RDominance(a, b, r), RDom::kDominates);
+      }
     }
 }
 

@@ -415,7 +415,9 @@ TEST(MappedEngine, ColdOpenAnswersWithoutMaterializing) {
     QueryResult want = reference.Run(spec);
     QueryResult got = mapped->Run(spec);
     ASSERT_EQ(got.ok, want.ok) << got.error;
-    if (want.ok) EXPECT_EQ(got.ids, want.ids);
+    if (want.ok) {
+      EXPECT_EQ(got.ids, want.ids);
+    }
   }
   // data() serves the full catalog on demand.
   EXPECT_EQ(mapped->data().size(), 400u);

@@ -72,7 +72,9 @@ TEST(TopK, OrderedByScore) {
   const Scalar s10 = Score(data[top.back()], w);
   std::set<int32_t> top_set(top.begin(), top.end());
   for (const Record& p : data) {
-    if (!top_set.count(p.id)) EXPECT_LE(Score(p, w), s10 + kEps);
+    if (!top_set.count(p.id)) {
+      EXPECT_LE(Score(p, w), s10 + kEps);
+    }
   }
 }
 
