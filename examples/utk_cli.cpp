@@ -4,15 +4,13 @@
 //   generate  --dist IND|COR|ANTI|HOTEL|HOUSE|NBA --n N --dim D --seed S
 //             --out FILE.csv
 //   utk1      --data FILE.csv --k K --box lo1,hi1,lo2,hi2,...   (pref domain)
-//             [--algo auto|rsa|jaa|sk|on|naive] [--shards S] [--tiles T]
-//             [--partitioner rr|spatial] [--threads N]
+//             [--algo auto|rsa|jaa|sk|on|naive]
 //   utk2      --data FILE.csv --k K --box ...  [--algo auto|jaa|sk|on]
-//             [--shards S] [--tiles T] [--partitioner rr|spatial]
 //   topk      --data FILE.csv --k K --weights w1,w2,...         (full domain)
 //   immutable --data FILE.csv --k K --weights w1,w2,...
 //   serve     --data FILE.csv [--trace FILE|-] [--gen N --mode utk1|utk2
 //             --k K --sigma S --seed SEED] [--cache-entries N] [--cache-mb M]
-//             [--threads T] [--shards S] [--tiles T] [--partitioner rr|spatial]
+//             [--threads T]
 //   updates   --data FILE.csv [--ops N] [--batch B] [--insert-frac F]
 //             [--dist IND|COR|ANTI] [--mode utk1|utk2] [--k K] [--sigma S]
 //             [--queries Q] [--seed SEED] [--verify 0|1] [--serve 0|1]
@@ -23,10 +21,10 @@
 //   compact   --dir DIR                fold the WAL into a fresh segment
 //   run       --data FILE.csv [--k K] [--mode utk1|utk2] [--queries N]
 //             [--sigma S] [--seed SEED] [--box lo1,hi1,...] [--algo ...]
-//             [--threads T] [--shards S] [--tiles T] [--partitioner ...]
+//             [--threads T]
 //             answer a batch of queries (random boxes unless --box is given)
 //   explain   --data FILE.csv --k K --box ...  [--mode utk1|utk2]
-//             [--algo ...] [--shards S] [--tiles T] [--analyze]
+//             [--algo ...] [--analyze]
 //             render the plan tree (EXPLAIN); --analyze runs the query under
 //             tracing and annotates the tree with actual rows/times
 //   history   --file FILE | --stats-dir DIR  [--csv] [--limit N]
@@ -52,10 +50,7 @@
 //
 // All UTK dispatch goes through the QueryEngine interface: the CLI builds
 // one engine per dataset (R-tree included) and submits a declarative
-// QuerySpec; --algo defaults to auto, letting the engine plan. With
-// --shards S and/or --tiles T (> 1) the query runs on the partitioned
-// engine (src/dist/), which decomposes it across data shards and region
-// tiles and prints the per-shard candidate-pool sizes per tile.
+// QuerySpec; --algo defaults to auto, letting the engine plan.
 //
 // `serve` answers a stream of queries through the src/serve result cache and
 // reports the hit-rate. The stream comes from --trace (one query per line:
@@ -98,7 +93,6 @@
 #include "data/io.h"
 #include "data/realistic.h"
 #include "data/workload.h"
-#include "dist/partitioned_engine.h"
 #include "live/live_engine.h"
 #include "obs/history.h"
 #include "obs/metrics.h"
@@ -188,48 +182,6 @@ ConvexRegion BoxOrDie(const std::map<std::string, std::string>& flags,
   return ConvexRegion::FromBox(lo, hi);
 }
 
-/// --shards/--tiles/--partitioner/--threads -> a DistConfig; exits on an
-/// unknown partitioner name. Decomposition is requested when S or T > 1.
-DistConfig DistConfigFromFlags(
-    const std::map<std::string, std::string>& flags) {
-  DistConfig config;
-  if (flags.count("shards"))
-    config.shards = std::atoi(flags.at("shards").c_str());
-  if (flags.count("tiles"))
-    config.tiles = std::atoi(flags.at("tiles").c_str());
-  if (flags.count("threads"))
-    config.threads = std::atoi(flags.at("threads").c_str());
-  if (flags.count("partitioner")) {
-    auto p = ParsePartitioner(flags.at("partitioner"));
-    if (!p.has_value()) {
-      std::fprintf(stderr, "error: unknown --partitioner %s (rr|spatial)\n",
-                   flags.at("partitioner").c_str());
-      std::exit(2);
-    }
-    config.partitioner = *p;
-  }
-  return config;
-}
-
-bool WantsDist(const DistConfig& config) {
-  return config.shards > 1 || config.tiles > 1;
-}
-
-/// Per-tile sharded-filter breakdown: shard candidate pools, their union,
-/// and the refinement band the pool refiltered into.
-void PrintDistDetail(const DistDetail& detail) {
-  for (size_t t = 0; t < detail.filter.size(); ++t) {
-    const ShardFilterReport& f = detail.filter[t];
-    std::fprintf(stderr, "[dist] tile %zu: shard pools", t);
-    for (int64_t c : f.shard_candidates)
-      std::fprintf(stderr, " %lld", static_cast<long long>(c));
-    std::fprintf(stderr, " -> pool %lld -> band %lld (filter critical %.3f ms)\n",
-                 static_cast<long long>(f.pool),
-                 static_cast<long long>(detail.band_sizes[t]),
-                 f.critical_ms);
-  }
-}
-
 int CmdGenerate(const std::map<std::string, std::string>& flags) {
   const std::string dist =
       flags.count("dist") ? flags.at("dist") : std::string("IND");
@@ -276,17 +228,7 @@ int CmdUtk(const std::map<std::string, std::string>& flags, bool second) {
     }
     spec.algorithm = *algo;
   }
-  const DistConfig dist = DistConfigFromFlags(flags);
-  QueryResult r;
-  if (WantsDist(dist)) {
-    PartitionedEngine partitioned(
-        std::make_shared<const Engine>(std::move(engine)), dist);
-    DistDetail detail;
-    r = partitioned.Run(spec, &detail);
-    if (r.ok) PrintDistDetail(detail);
-  } else {
-    r = engine.Run(spec);
-  }
+  const QueryResult r = engine.Run(spec);
   if (!r.ok) {
     std::fprintf(stderr, "error: %s\n", r.error.c_str());
     return 1;
@@ -368,18 +310,7 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
     config.max_bytes =
         static_cast<std::size_t>(std::atoll(flags.at("cache-mb").c_str()))
         << 20;
-  // --shards/--tiles back the server with the partitioned engine.
-  const DistConfig dist = DistConfigFromFlags(flags);
-  std::shared_ptr<const QueryEngine> backend;
-  if (WantsDist(dist)) {
-    backend = std::make_shared<const PartitionedEngine>(
-        std::make_shared<const Engine>(std::move(loaded)), dist);
-    std::fprintf(stderr, "[dist] serving with %d shards (%s), %d tiles\n",
-                 dist.shards, PartitionerName(dist.partitioner), dist.tiles);
-  } else {
-    backend = std::make_shared<const Engine>(std::move(loaded));
-  }
-  Server server(std::move(backend), config);
+  Server server(std::make_shared<const Engine>(std::move(loaded)), config);
 
   std::vector<QuerySpec> specs;
   if (flags.count("trace")) {
@@ -822,8 +753,8 @@ int CmdImmutable(const std::map<std::string, std::string>& flags) {
 }
 
 /// Batch query driver for observability captures: answers --queries random
-/// boxes (or one --box) through Engine::RunBatch / the partitioned engine,
-/// exercising the full filter -> refine span tree per query.
+/// boxes (or one --box) through Engine::RunBatch, exercising the full
+/// filter -> refine span tree per query.
 int CmdRun(const std::map<std::string, std::string>& flags) {
   Engine loaded = [&flags] {
     UTK_SPAN("cli.load");
@@ -870,22 +801,8 @@ int CmdRun(const std::map<std::string, std::string>& flags) {
 
   const int threads =
       flags.count("threads") ? std::atoi(flags.at("threads").c_str()) : 1;
-  const DistConfig dist = DistConfigFromFlags(flags);
   Timer timer;
-  BatchQueryResult batch;
-  if (WantsDist(dist)) {
-    PartitionedEngine partitioned(
-        std::make_shared<const Engine>(std::move(loaded)), dist);
-    batch.results.reserve(specs.size());
-    for (const QuerySpec& spec : specs) {
-      QueryResult r = partitioned.Run(spec);
-      if (!r.ok) ++batch.failed;
-      batch.total += r.stats;
-      batch.results.push_back(std::move(r));
-    }
-  } else {
-    batch = loaded.RunBatch(specs, threads);
-  }
+  const BatchQueryResult batch = loaded.RunBatch(specs, threads);
   const double total_ms = timer.ElapsedMs();
 
   for (size_t i = 0; i < batch.results.size(); ++i) {
@@ -927,22 +844,13 @@ int CmdExplain(const std::map<std::string, std::string>& flags) {
     spec.algorithm = *algo;
   }
 
-  const DistConfig dist = DistConfigFromFlags(flags);
-  std::shared_ptr<const QueryEngine> engine;
-  if (WantsDist(dist)) {
-    engine = std::make_shared<const PartitionedEngine>(
-        std::make_shared<const Engine>(std::move(loaded)), dist);
-  } else {
-    engine = std::make_shared<const Engine>(std::move(loaded));
-  }
-
   const bool analyze = flags.count("analyze") && flags.at("analyze") != "0";
   if (!analyze) {
-    std::printf("%s", RenderPlan(engine->Explain(spec)).c_str());
+    std::printf("%s", RenderPlan(loaded.Explain(spec)).c_str());
     return 0;
   }
   QueryResult r;
-  const PlanNode tree = engine->ExplainAnalyze(spec, &r);
+  const PlanNode tree = loaded.ExplainAnalyze(spec, &r);
   // One node per recorded span is too much terminal for a human: roll
   // same-op siblings (per-candidate refinement spans) into aggregates.
   std::printf("%s", RenderPlan(CoalescePlan(tree)).c_str());

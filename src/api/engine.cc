@@ -59,9 +59,15 @@ std::vector<int32_t> Engine::TopK(const Vec& w, int k) const {
   return TopKRTree(data_, tree_, w, k, nullptr, &cols_);
 }
 
-QueryResult RefineBand(const Dataset& data, const RSkybandResult& band,
-                       const ConvexRegion& region, const QuerySpec& spec,
-                       Algorithm algo) {
+QueryResult RunRSkyband(
+    const Dataset& data, const RTree& tree, const ColumnStore* cols,
+    const QuerySpec& spec, Algorithm algo,
+    const std::function<void(const RSkybandResult&)>& on_band) {
+  Timer timer;
+  QueryStats filter_stats;
+  RSkybandResult band =
+      ComputeRSkyband(data, tree, spec.region, spec.k, &filter_stats, cols);
+  if (on_band) on_band(band);
   QueryResult r;
   r.ok = true;
   r.mode = spec.mode;
@@ -72,7 +78,7 @@ QueryResult RefineBand(const Dataset& data, const RSkybandResult& band,
     opt.use_lemma1 = spec.use_lemma1;
     opt.wave_cap = spec.wave_cap;
     opt.refine_threads = spec.refine_threads;
-    Utk1Result res = Rsa(opt).RunFiltered(data, band, region, spec.k);
+    Utk1Result res = Rsa(opt).RunFiltered(data, band, spec.region, spec.k);
     r.ids = std::move(res.ids);
     r.stats = res.stats;
   } else {
@@ -80,23 +86,10 @@ QueryResult RefineBand(const Dataset& data, const RSkybandResult& band,
     opt.use_lemma1 = spec.use_lemma1;
     opt.wave_cap = spec.wave_cap;
     opt.refine_threads = spec.refine_threads;
-    r.utk2 = Jaa(opt).RunFiltered(data, band, region, spec.k);
+    r.utk2 = Jaa(opt).RunFiltered(data, band, spec.region, spec.k);
     r.ids = r.utk2.AllRecords();
     r.stats = r.utk2.stats;
   }
-  return r;
-}
-
-QueryResult RunRSkyband(
-    const Dataset& data, const RTree& tree, const ColumnStore* cols,
-    const QuerySpec& spec, Algorithm algo,
-    const std::function<void(const RSkybandResult&)>& on_band) {
-  Timer timer;
-  QueryStats filter_stats;
-  RSkybandResult band =
-      ComputeRSkyband(data, tree, spec.region, spec.k, &filter_stats, cols);
-  if (on_band) on_band(band);
-  QueryResult r = RefineBand(data, band, spec.region, spec, algo);
   const int64_t candidates = r.stats.candidates;
   r.stats += filter_stats;
   r.stats.candidates = candidates;

@@ -57,8 +57,8 @@ class Engine final : public QueryEngine {
   int64_t size() const override { return static_cast<int64_t>(data_.size()); }
   int dim() const override { return DataDim(data_); }
   const RTree& tree() const { return tree_; }
-  /// The SoA mirror of data() the hot paths consume, exposed so co-located
-  /// components (shard aliases, benchmarks, tests) share it.
+  /// The SoA mirror of data() the hot paths consume, exposed so benchmarks
+  /// and tests share it.
   const ColumnStore& cols() const { return cols_; }
 
   /// Replaces the cost model captured at construction. Call before sharing
@@ -71,9 +71,8 @@ class Engine final : public QueryEngine {
   std::vector<int32_t> TopK(const Vec& w, int k) const override;
 
  private:
-  // Both run decisions their outer engine's Run already made.
+  // Runs decisions its outer engine's Run already made.
   friend class CompactFallback;
-  friend class PartitionedEngine;
 
   /// RSA/JAA through RunRSkyband over the bulk-loaded tree; the SK/ON
   /// baselines and the naive oracle directly.
@@ -85,16 +84,11 @@ class Engine final : public QueryEngine {
   ColumnStore cols_;
 };
 
-/// Refinement half of the r-skyband pipeline: RSA (Section 4) for kRsa,
-/// JAA (Section 5) otherwise, over a filtered `band` with `spec`'s knobs.
-/// PartitionedEngine refines its pooled per-tile bands through this.
-QueryResult RefineBand(const Dataset& data, const RSkybandResult& band,
-                       const ConvexRegion& region, const QuerySpec& spec,
-                       Algorithm algo);
-
 /// The r-skyband pipeline every RSA/JAA plan runs: the BBS filter over
 /// `tree` (Section 4.1), `on_band` (MappedEngine gathers the band rows
-/// there), then RefineBand. Stats sum both halves; candidates = band size.
+/// there), then refinement with `spec`'s knobs — RSA (Section 4) for kRsa,
+/// JAA (Section 5) otherwise. Stats sum both halves; candidates = band
+/// size.
 QueryResult RunRSkyband(
     const Dataset& data, const RTree& tree, const ColumnStore* cols,
     const QuerySpec& spec, Algorithm algo,

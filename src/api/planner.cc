@@ -251,11 +251,6 @@ std::optional<CostModel> CostModel::FromJson(const std::string& text,
     return fail("missing or unsupported \"version\" (want 1)");
 
   CostModel m;
-  if (const JsonValue* overhead = root->Get("tile_overhead_ms")) {
-    if (overhead->kind != JsonValue::kNumber || overhead->number < 0)
-      return fail("\"tile_overhead_ms\" must be a non-negative number");
-    m.tile_overhead_ms_ = overhead->number;
-  }
 
   const JsonValue* envelope = root->Get("envelope");
   if (envelope == nullptr || envelope->kind != JsonValue::kObject)
@@ -335,24 +330,9 @@ double CostModel::EstimateMs(Algorithm algo, int64_t n, int k, int pref_dim,
   return std::max(est, 0.0);
 }
 
-int CostModel::ChooseTiles(double est_ms, int max_tiles) const {
-  if (max_tiles <= 1 || est_ms < 0) return 1;
-  int best_t = 1;
-  double best_cost = est_ms;
-  for (int t = 2; t <= max_tiles; t *= 2) {
-    const double cost = est_ms / t + tile_overhead_ms_ * (t - 1);
-    if (cost < best_cost) {
-      best_cost = cost;
-      best_t = t;
-    }
-  }
-  return best_t;
-}
-
 std::optional<PlanDecision> CostModel::Choose(QueryMode mode, int64_t n,
                                               int k, int pref_dim,
-                                              double region_width,
-                                              int max_tiles) const {
+                                              double region_width) const {
   if (!InEnvelope(n, k, pref_dim)) return std::nullopt;
   Algorithm best = Algorithm::kAuto, second = Algorithm::kAuto;
   double best_ms = -1.0, second_ms = -1.0;
@@ -378,27 +358,23 @@ std::optional<PlanDecision> CostModel::Choose(QueryMode mode, int64_t n,
   d.est_ms = best_ms;
   d.runner_up = second;
   d.runner_up_ms = second_ms;
-  d.tiles = ChooseTiles(best_ms, max_tiles);
   return d;
 }
 
 PlanDecision DecidePlan(const CostModel* model, const QuerySpec& spec,
-                        int64_t n, int pref_dim, int max_tiles) {
+                        int64_t n, int pref_dim) {
   if (spec.algorithm != Algorithm::kAuto) {
     PlanDecision d;
     d.algorithm = spec.algorithm;
     d.reason = PlanReason::kExplicit;
-    if (model != nullptr) {
+    if (model != nullptr)
       d.est_ms = model->EstimateMs(spec.algorithm, n, spec.k, pref_dim,
                                    RegionWidth(spec.region));
-      // An explicit algorithm still benefits from a model-sized tiling.
-      if (d.est_ms >= 0) d.tiles = model->ChooseTiles(d.est_ms, max_tiles);
-    }
     return d;
   }
   if (model != nullptr) {
     if (auto d = model->Choose(spec.mode, n, spec.k, pref_dim,
-                               RegionWidth(spec.region), max_tiles))
+                               RegionWidth(spec.region)))
       return *d;
   }
   // Heuristic fallback — the pre-calibration planner, verbatim.

@@ -9,7 +9,7 @@
 // the model scores every eligible algorithm, picks the argmin, remembers
 // the runner-up (so a `utk_planner_mispredict_total` counter can compare
 // the chosen plan's ACTUAL time against the runner-up's estimate after the
-// fact), and suggests a region tile count for the partitioned engine.
+// fact).
 //
 // The heuristic stays as the safe fallback: no model installed, a query
 // outside the envelope the model was fit on, or an algorithm set the model
@@ -51,7 +51,6 @@ struct PlanDecision {
   double est_ms = -1.0;       ///< model's estimate for `algorithm`; -1 none
   Algorithm runner_up = Algorithm::kAuto;  ///< kAuto = no runner-up
   double runner_up_ms = -1.0; ///< model's estimate for the runner-up
-  int tiles = 1;              ///< suggested region tiles (>= 1)
 };
 
 /// Planner feature vector, shared verbatim with calibrate_planner.py (the
@@ -102,24 +101,17 @@ class CostModel {
                     double region_width) const;
 
   /// Scores every eligible algorithm with coefficients and returns the
-  /// argmin + runner-up + suggested tile count. Returns nullopt when out
-  /// of envelope or fewer than one candidate scores (callers fall back).
+  /// argmin + runner-up. Returns nullopt when out of envelope or fewer
+  /// than one candidate scores (callers fall back).
   std::optional<PlanDecision> Choose(QueryMode mode, int64_t n, int k,
-                                     int pref_dim, double region_width,
-                                     int max_tiles) const;
+                                     int pref_dim, double region_width) const;
 
-  /// Tile count minimizing est_ms/T + tile_overhead_ms*(T-1) over powers
-  /// of two in [1, max_tiles].
-  int ChooseTiles(double est_ms, int max_tiles) const;
-
-  double tile_overhead_ms() const { return tile_overhead_ms_; }
   bool has(Algorithm algo) const {
     return coeffs_.count(static_cast<int>(algo)) != 0;
   }
 
  private:
   std::map<int, std::array<double, kPlannerFeatures>> coeffs_;
-  double tile_overhead_ms_ = 2.0;
   int64_t n_min_ = 0, n_max_ = 0;
   int k_min_ = 0, k_max_ = 0;
   int d_min_ = 0, d_max_ = 0;
@@ -128,16 +120,15 @@ class CostModel {
 /// The one planning entry point every engine uses: explicit algorithms
 /// pass through (kExplicit), a usable model decides (kCostModel), anything
 /// else falls back to ChooseAlgorithm (kHeuristic* / kCostModelFallback).
-/// `model` may be null. `max_tiles` caps the tile suggestion (pass 1 for
-/// engines that cannot tile).
+/// `model` may be null.
 PlanDecision DecidePlan(const CostModel* model, const QuerySpec& spec,
-                        int64_t n, int pref_dim, int max_tiles = 1);
+                        int64_t n, int pref_dim);
 
 /// The algorithm-core subtree every engine's EXPLAIN shares: the filter
 /// operator feeding the refine operator for `algo`, in span vocabulary
 /// (filter.rskyband -> rsa.refine, filter.onion -> baseline.refine, ...),
 /// with cardinality estimates from the k-skyband expectation. Engines hang
-/// these under their own root (engine.run, dist.tile_refine, ...).
+/// these under their own root (engine.run, live.run, ...).
 std::vector<PlanNode> AlgorithmPlanChildren(Algorithm algo, QueryMode mode,
                                             int64_t n, int k, int pref_dim);
 

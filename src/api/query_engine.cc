@@ -36,14 +36,6 @@ std::optional<std::string> QueryEngine::Validate(const QuerySpec& spec) const {
 }
 
 QueryResult QueryEngine::Run(const QuerySpec& spec) const {
-  return RunWith(spec, [&](const PlanDecision& decision) {
-    return Execute(spec, decision);
-  });
-}
-
-QueryResult QueryEngine::RunWith(
-    const QuerySpec& spec,
-    const std::function<QueryResult(const PlanDecision&)>& execute) const {
   UTK_SPAN(root_op_);
   obs::QueryLogScope slow_log(root_op_);
   QueryHistoryScope history;
@@ -58,7 +50,7 @@ QueryResult QueryEngine::RunWith(
       r.error = std::move(*error);
       return;
     }
-    r = execute(decision);
+    r = Execute(spec, decision);
     r.stats.epoch = static_cast<int64_t>(epoch());
   });
   if (!r.ok) return r;

@@ -1,15 +1,14 @@
 // QueryEngine — the one query pipeline behind every engine: utk::Engine
-// (api/engine.h), utk::PartitionedEngine (dist/), utk::LiveEngine (live/)
-// and utk::MappedEngine (storage/). Callers that only *submit* queries
-// (serve/server.h, utk_cli) depend on this interface, so any engine can
-// back them.
+// (api/engine.h), utk::LiveEngine (live/) and utk::MappedEngine
+// (storage/). Callers that only *submit* queries (serve/server.h, utk_cli)
+// depend on this interface, so any engine can back them.
 //
 // Run is a template method, the same for every engine:
 //
 //   Run = Validate -> Decide -> Execute -> stamp/record
 //
-//   1. open the engine's root span (engine.run / live.run / mapped.run /
-//      dist.run), the slow-query scope and the history scope;
+//   1. open the engine's root span (engine.run / live.run / mapped.run),
+//      the slow-query scope and the history scope;
 //   2. apply the rejection rules against size(), the LIVE record count;
 //   3. plan once (DecidePlan with the engine's cost model);
 //   4. Execute(spec, decision) — the only step an engine supplies;
@@ -124,12 +123,6 @@ class QueryEngine {
   virtual void ReadPinned(const std::function<void()>& body) const {
     body();
   }
-
-  /// Run with `execute` in place of Execute (PartitionedEngine's
-  /// Run(spec, detail) reports extra detail through it).
-  QueryResult RunWith(
-      const QuerySpec& spec,
-      const std::function<QueryResult(const PlanDecision&)>& execute) const;
 
   /// DefaultCostModel() at construction; only Engine::set_cost_model
   /// replaces it.

@@ -2,9 +2,9 @@
 //
 // PR 1..8 parallelized with a spawn-per-call ParallelFor: fine for a
 // handful of batch queries, wrong for a runtime where Engine::RunBatch,
-// PartitionedEngine shard filters, and JAA/RSA cell refinement all want
-// cores at once — nested fan-outs would multiply threads instead of
-// sharing them. This pool is the one place OS threads are created:
+// Server::QueryBatch, and JAA/RSA cell refinement all want cores at
+// once — nested fan-outs would multiply threads instead of sharing
+// them. This pool is the one place OS threads are created:
 //
 //   * one process-wide Global() instance, sized once from UTK_THREADS
 //     (else DefaultThreads()); workers = size - 1 because the caller of
@@ -46,7 +46,7 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   /// The process-wide pool, sized from UTK_THREADS / DefaultThreads() on
-  /// first use. Engine::RunBatch, the partitioned engine, and JAA/RSA
+  /// first use. Engine::RunBatch, Server::QueryBatch, and JAA/RSA
   /// refinement all draw from this instance.
   static ThreadPool& Global();
 

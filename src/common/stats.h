@@ -68,9 +68,9 @@ struct QueryStats {
 
   /// Merges per-part stats into one: counters (and elapsed_ms) sum, peak
   /// gauges take the max. This is the one aggregation rule for everything
-  /// that fans work out — Engine::RunBatch over queries, Server::QueryBatch
-  /// over a trace, and the partitioned engine (src/dist/) over shards and
-  /// region tiles. An empty span merges to default-constructed stats.
+  /// that fans work out — Engine::RunBatch over queries and
+  /// Server::QueryBatch over a trace. An empty span merges to
+  /// default-constructed stats.
   static QueryStats Merge(std::span<const QueryStats> parts);
 
   std::string ToString() const;

@@ -49,8 +49,7 @@ class Jaa {
 
   /// Refinement only: builds the common global arrangement from an
   /// already-computed filter output (see Rsa::RunFiltered for the band
-  /// contract). Used by the partitioned engine (src/dist/) to refine a
-  /// pooled band produced by per-shard filtering.
+  /// contract).
   Utk2Result RunFiltered(const Dataset& data, const RSkybandResult& band,
                          const ConvexRegion& r, int k) const;
 

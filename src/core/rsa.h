@@ -53,10 +53,9 @@ class Rsa {
 
   /// Refinement only: answers UTK1 from an already-computed filter output.
   /// `band` must cover every top-k set over `r` and carry the r-dominance
-  /// arcs within itself — either ComputeRSkyband's output or a pooled band
-  /// from ComputeRSkybandFromPool (the partitioned engine's sharded filter,
-  /// src/dist/). `stats.candidates` reports the band size; the filter's own
-  /// cost is whoever produced the band's to account.
+  /// arcs within itself — ComputeRSkyband's output. `stats.candidates`
+  /// reports the band size; the filter's own cost is whoever produced the
+  /// band's to account.
   Utk1Result RunFiltered(const Dataset& data, const RSkybandResult& band,
                          const ConvexRegion& r, int k) const;
 

@@ -44,9 +44,9 @@ struct Utk2Result {
   /// set, then witness, then constraint count (all lexicographic). Cells of
   /// one result partition R, so witnesses are distinct interior points and
   /// the order is a deterministic function of the partition — recursion
-  /// order and tile concatenation seams (src/dist/) both wash out. Every
-  /// Utk2Result handed to a caller must be canonical; the differential
-  /// harness asserts it instead of re-sorting.
+  /// order and parallel refinement both wash out. Every Utk2Result handed
+  /// to a caller must be canonical; the differential harness asserts it
+  /// instead of re-sorting.
   void Canonicalize();
   /// True iff the cells are already in canonical order.
   bool IsCanonical() const;

@@ -10,7 +10,7 @@
 // contiguous loops the compiler auto-vectorizes.
 //
 // Build patterns:
-//   * once per catalog/shard (Engine, PartitionedEngine shards),
+//   * once per catalog (Engine),
 //   * gathered over a candidate band (RSA/JAA refinement), where row j
 //     mirrors data[ids[j]], and
 //   * incrementally (LiveEngine): SetRow extends or overwrites a row in

@@ -240,7 +240,7 @@ int CountDominatorsOfPoint(const ColumnStore& cols,
 
 namespace {
 
-// The single range accumulation all three Range() forms share — the
+// The single range accumulation both Range() forms share — the
 // bit-for-bit twin of DiffScore + ConvexRegion::RangeOf's box path. The
 // attribute accessors abstract only where p/q live (a store row or a free
 // Vec); the expression tree and accumulation order are fixed here, once.
@@ -269,13 +269,6 @@ inline std::pair<Scalar, Scalar> GapRange(int d, const GetP& p, const GetQ& q,
 std::pair<Scalar, Scalar> BoxGapEvaluator::Range(int32_t p, int32_t q) const {
   return GapRange(
       cols_->dim(), [&](int i) { return cols_->at(p, i); },
-      [&](int i) { return cols_->at(q, i); }, *lo_, *hi_);
-}
-
-std::pair<Scalar, Scalar> BoxGapEvaluator::Range(const Vec& p_attrs,
-                                                 int32_t q) const {
-  return GapRange(
-      cols_->dim(), [&](int i) { return p_attrs[i]; },
       [&](int i) { return cols_->at(q, i); }, *lo_, *hi_);
 }
 

@@ -13,13 +13,12 @@
 //   BoxGapEvaluator::Range              ==  rdominance.cc DiffScore +
 //                                           ConvexRegion::RangeOf (box path)
 //
-// Consumers: the r-skyband filters (skyline/rskyband.cc), top-k probes
+// Consumers: the r-skyband filter (skyline/rskyband.cc), top-k probes
 // (core/topk.cc), RSA/JAA refinement scoring (core/rsa.cc, core/jaa.cc),
-// R-tree leaf scans inside those traversals, the per-shard filters of the
-// partitioned engine (src/dist/), and the live engine's incrementally
-// maintained store (src/live/). CountDominatorsOfPoint backs the SK
-// k-skyband membership probes; DominatedCounts is the many-vs-many form
-// behind the k-skyband brute-force oracle (skyline/skyband.cc).
+// R-tree leaf scans inside those traversals, and the live engine's
+// incrementally maintained store (src/live/). CountDominatorsOfPoint backs
+// the SK k-skyband membership probes; DominatedCounts is the many-vs-many
+// form behind the k-skyband brute-force oracle (skyline/skyband.cc).
 //
 // Every kernel dispatches on exec/simd.h ActiveSimdTier(): the scalar
 // loops below are the reference; the AVX2/NEON twins (simd_avx2.cc,
@@ -97,16 +96,12 @@ class BoxGapEvaluator {
   /// Range of S(row p) - S(row q) over the box.
   std::pair<Scalar, Scalar> Range(int32_t p, int32_t q) const;
 
-  /// Range of S(p_attrs) - S(row q): the external-pruner form (the pruner
-  /// record lives in another shard's store or none at all).
-  std::pair<Scalar, Scalar> Range(const Vec& p_attrs, int32_t q) const;
-
   /// Range of S(row p) - S(corner): the MBB top-corner form used by subtree
   /// pruning.
   std::pair<Scalar, Scalar> Range(int32_t p, const Vec& corner) const;
 
   /// Range(ps[j], q) for every lane j into (out_lo[j], out_hi[j]) — the
-  /// batched row-vs-row form the r-skyband member scans consume. Lanes are
+  /// batched row-vs-row form the r-skyband member scan consumes. Lanes are
   /// independent p rows; each reproduces Range(p, q) bit for bit on every
   /// tier. Callers chunk `ps` by SimdWidth() when they intend to consume
   /// lanes speculatively (dominator scans that break at a cap).

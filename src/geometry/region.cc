@@ -176,41 +176,6 @@ bool ConvexRegion::HasInteriorPoint(Scalar min_radius) const {
   return HasInterior(constraints_, min_radius);
 }
 
-std::optional<std::pair<ConvexRegion, ConvexRegion>>
-ConvexRegion::SplitAlongAxis(int axis, Scalar t) const {
-  if (axis < 0 || axis >= dim_) return std::nullopt;
-  Vec unit(dim_, 0.0);
-  unit[axis] = 1.0;
-  // RangeOf is nullopt when the region is empty or unbounded along the axis;
-  // either way there is no finite extent to cut.
-  if (!RangeOf(unit, 0.0).has_value()) return std::nullopt;
-
-  ConvexRegion below, above;
-  if (is_box_) {
-    Vec lo_hi = box_hi_, hi_lo = box_lo_;
-    lo_hi[axis] = t;
-    hi_lo[axis] = t;
-    below = FromBox(box_lo_, lo_hi);
-    above = FromBox(hi_lo, box_hi_);
-  } else {
-    below = *this;
-    above = *this;
-    Halfspace cut_below;  // w_axis <= t
-    cut_below.a = unit;
-    cut_below.b = t;
-    Halfspace cut_above;  // w_axis >= t
-    cut_above.a.assign(dim_, 0.0);
-    cut_above.a[axis] = -1.0;
-    cut_above.b = -t;
-    below.AddConstraint(cut_below);
-    above.AddConstraint(cut_above);
-  }
-  // A cut on or outside a face leaves one side degenerate: not a split.
-  if (!below.HasInteriorPoint() || !above.HasInteriorPoint())
-    return std::nullopt;
-  return std::make_pair(std::move(below), std::move(above));
-}
-
 ConvexRegion ConvexRegion::Reduced() const {
   // Deduplicate (up to scaling would be nicer; exact match suffices for the
   // pair-generated constraint sets this is used on).

@@ -73,16 +73,6 @@ class ConvexRegion {
   /// True iff the region has interior (Chebyshev radius > min_radius).
   bool HasInteriorPoint(Scalar min_radius = kInteriorEps) const;
 
-  /// Splits the region along coordinate axis `axis` at value `t` into the
-  /// {w_axis <= t} and {w_axis >= t} halves (both closed; they share the cut
-  /// hyperplane, so together they partition the region up to measure zero).
-  /// Box regions stay boxes. Returns nullopt for degenerate cuts — `t` on or
-  /// outside a face, leaving a half without interior — and for regions
-  /// unbounded along `axis` (no finite extent to cut). This is the primitive
-  /// behind the region tiler of the partitioned engine (src/dist/tiler.h).
-  std::optional<std::pair<ConvexRegion, ConvexRegion>> SplitAlongAxis(
-      int axis, Scalar t) const;
-
   /// Returns an equivalent region with redundant constraints removed: a
   /// constraint is dropped when maximizing its left-hand side subject to the
   /// remaining constraints cannot exceed its bound. One LP per constraint;

@@ -1,9 +1,8 @@
 // Server — a serving session that answers UTK queries cache-first.
 //
-// A Server wraps a shared QueryEngine (api/query_engine.h) — the
-// single-machine utk::Engine, the sharded/tiled utk::PartitionedEngine, or a
-// live/catalog-backed engine, all const-thread-safe, so one engine can back
-// many concurrent sessions — and a ResultCache. Query resolution has two
+// A Server wraps a shared QueryEngine (api/query_engine.h) — utk::Engine
+// or a live/catalog-backed engine, all const-thread-safe, so one engine can
+// back many concurrent sessions — and a ResultCache. Query resolution has two
 // paths:
 //   1. exact fingerprint hit -> return the cached result verbatim;
 //   2. miss                  -> QueryEngine::Run, then Admit the fresh
@@ -33,7 +32,7 @@ class Server {
  public:
   /// Shares `engine` (it must outlive the server if the caller keeps using
   /// it; the shared_ptr keeps it alive otherwise). Accepts any QueryEngine
-  /// implementation — Engine and PartitionedEngine both qualify.
+  /// implementation — Engine, LiveEngine and MappedEngine all qualify.
   explicit Server(std::shared_ptr<const QueryEngine> engine,
                   CacheConfig config = {});
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <numeric>
 #include <optional>
 #include <queue>
 
@@ -63,18 +62,7 @@ class RDomDispatch {
     return RDominance(data_[p], data_[q], r_, stats_) == RDom::kDominates;
   }
 
-  /// RDominance(pruner, data[q], r) == kDominates (pruners live outside
-  /// `data` — other shards' records — so they address the store by attrs).
-  bool PrunerDominates(const Record& pruner, int32_t q) const {
-    if (gap_.has_value()) {
-      if (stats_ != nullptr) ++stats_->rdom_tests;
-      const auto [lo, hi] = gap_->Range(pruner.attrs, q);
-      return ClassifyScoreRange(lo, hi) == RDom::kDominates;
-    }
-    return RDominance(pruner, data_[q], r_, stats_) == RDom::kDominates;
-  }
-
-  /// The member-vs-candidate scan both ComputeRSkyband call sites share:
+  /// The member-vs-candidate scan of ComputeRSkyband's record pops:
   /// walks `members` in order, appends the index of every member that
   /// r-dominates `q` to `doms`, and stops — returning true — as soon as
   /// `doms` reaches `cap`. On a SIMD tier with the box fast path active
@@ -132,14 +120,6 @@ class RDomDispatch {
 RSkybandResult ComputeRSkyband(const Dataset& data, const RTree& tree,
                                const ConvexRegion& r, int k,
                                QueryStats* stats, const ColumnStore* cols) {
-  static const std::vector<Record> kNoPruners;
-  return ComputeRSkyband(data, tree, r, k, kNoPruners, stats, cols);
-}
-
-RSkybandResult ComputeRSkyband(const Dataset& data, const RTree& tree,
-                               const ConvexRegion& r, int k,
-                               const std::vector<Record>& pruners,
-                               QueryStats* stats, const ColumnStore* cols) {
   UTK_SPAN("filter.rskyband");
   RSkybandResult result;
   auto pivot = r.Pivot();
@@ -150,21 +130,13 @@ RSkybandResult ComputeRSkyband(const Dataset& data, const RTree& tree,
   const bool soa = cols != nullptr && !cols->empty();
   RDomDispatch rdom(data, r, cols, stats);
 
-  // Pruners ordered strongest-first at the pivot. Together with the heap
-  // key (an entry's pivot score) this admits an exact early break in every
-  // scan below: r-dominating a record or an optimistic corner requires a
-  // region-wide gap >= -kEps (rdominance.h), and the pivot lies in R, so a
-  // record whose pivot score falls kEps below the entry's key — and, in a
-  // descending list, everything after it — can be skipped wholesale.
-  std::vector<int> pruner_order(pruners.size());
-  std::iota(pruner_order.begin(), pruner_order.end(), 0);
-  std::vector<Scalar> pruner_score(pruners.size());
-  for (size_t i = 0; i < pruners.size(); ++i)
-    pruner_score[i] = Score(pruners[i], result.pivot);
-  std::sort(pruner_order.begin(), pruner_order.end(),
-            [&](int a, int b) { return pruner_score[a] > pruner_score[b]; });
   // Confirmed members pop (and append) in decreasing pivot-score order, so
-  // their score list is born sorted and the same break applies.
+  // their score list is born sorted. Together with the heap key (an entry's
+  // pivot score) this admits an exact early break in the corner scan below:
+  // r-dominating an optimistic corner requires a region-wide gap >= -kEps
+  // (rdominance.h), and the pivot lies in R, so a member whose pivot score
+  // falls kEps below the entry's key — and everything after it — can be
+  // skipped wholesale.
   std::vector<Scalar> member_score;
 
   // Leaf-scan scratch: one batched ScoreBatch per popped leaf instead of a
@@ -180,22 +152,10 @@ RSkybandResult ComputeRSkyband(const Dataset& data, const RTree& tree,
     heap.pop();
     if (stats != nullptr) ++stats->heap_pops;
     if (e.is_record) {
-      // Count external pruners first (they are chosen to be strong, so the
-      // k threshold trips early), then collect the confirmed members that
-      // r-dominate this record; keep it if the total stays below k.
-      int pruner_doms = 0;
-      bool pruned = false;
-      for (int i : pruner_order) {
-        if (pruner_score[i] < e.key - kEps) break;
-        if (rdom.PrunerDominates(pruners[i], e.id) && ++pruner_doms >= k) {
-          pruned = true;
-          break;
-        }
-      }
+      // Collect the confirmed members that r-dominate this record; keep it
+      // if fewer than k do.
       std::vector<int> doms;
-      if (!pruned)
-        pruned = rdom.CollectDominators(result.ids, e.id, k - pruner_doms,
-                                        &doms);
+      const bool pruned = rdom.CollectDominators(result.ids, e.id, k, &doms);
       if (!pruned) {
         result.ids.push_back(e.id);
         result.dominators.push_back(std::move(doms));
@@ -203,19 +163,10 @@ RSkybandResult ComputeRSkyband(const Dataset& data, const RTree& tree,
       }
     } else {
       const RTreeNode& node = tree.node(e.id);
-      // Prune the subtree if k records (pruners or members) r-dominate its
-      // optimistic top corner.
+      // Prune the subtree if k members r-dominate its optimistic top corner.
       int count = 0;
       bool pruned = false;
-      for (int i : pruner_order) {
-        if (pruner_score[i] < e.key - kEps) break;
-        if (RDominatesCorner(pruners[i], node.mbb.TopCorner(), r, stats) &&
-            ++count >= k) {
-          pruned = true;
-          break;
-        }
-      }
-      for (size_t i = 0; !pruned && i < result.ids.size(); ++i) {
+      for (size_t i = 0; i < result.ids.size(); ++i) {
         if (member_score[i] < e.key - kEps) break;
         if (rdom.DominatesCorner(result.ids[i], node.mbb.TopCorner()) &&
             ++count >= k) {
@@ -241,55 +192,6 @@ RSkybandResult ComputeRSkyband(const Dataset& data, const RTree& tree,
                                  result.pivot),
                      false, child});
       }
-    }
-  }
-  if (stats != nullptr)
-    stats->candidates = static_cast<int64_t>(result.ids.size());
-  return result;
-}
-
-RSkybandResult ComputeRSkybandFromPool(const Dataset& data,
-                                       std::vector<int32_t> pool,
-                                       const ConvexRegion& r, int k,
-                                       QueryStats* stats,
-                                       const ColumnStore* cols) {
-  UTK_SPAN_VAL("filter.pool", static_cast<int64_t>(pool.size()));
-  RSkybandResult result;
-  auto pivot = r.Pivot();
-  assert(pivot.has_value() && "query region has empty interior");
-  result.pivot = *pivot;
-
-  const bool soa = cols != nullptr && !cols->empty();
-  RDomDispatch rdom(data, r, cols, stats);
-
-  if (soa) {
-    // One batched pass over the pool; the sort then runs on a flat score
-    // array instead of recomputing Score() per comparison.
-    std::vector<Scalar> pool_score(pool.size());
-    ScoreBatch(*cols, result.pivot, pool, pool_score.data());
-    std::vector<int32_t> order(pool.size());
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(), [&](int32_t a, int32_t b) {
-      const Scalar sa = pool_score[a], sb = pool_score[b];
-      return sa != sb ? sa > sb : pool[a] < pool[b];
-    });
-    std::vector<int32_t> sorted(pool.size());
-    for (size_t i = 0; i < order.size(); ++i) sorted[i] = pool[order[i]];
-    pool = std::move(sorted);
-  } else {
-    std::sort(pool.begin(), pool.end(), [&](int32_t a, int32_t b) {
-      const Scalar sa = Score(data[a], result.pivot);
-      const Scalar sb = Score(data[b], result.pivot);
-      return sa != sb ? sa > sb : a < b;
-    });
-  }
-
-  for (int32_t id : pool) {
-    std::vector<int> doms;
-    const bool pruned = rdom.CollectDominators(result.ids, id, k, &doms);
-    if (!pruned) {
-      result.ids.push_back(id);
-      result.dominators.push_back(std::move(doms));
     }
   }
   if (stats != nullptr)

@@ -14,11 +14,11 @@
 #ifndef UTK_SKYLINE_RSKYBAND_H_
 #define UTK_SKYLINE_RSKYBAND_H_
 
-// Columnar execution: every entry point takes an optional ColumnStore
+// Columnar execution: ComputeRSkyband takes an optional ColumnStore
 // (exec/column_store.h) mirroring `data`. When present — and it is for
-// every engine-owned catalog and shard — leaf scans score through the
-// batched ScoreBatch kernel and box-region r-dominance tests run through
-// the allocation-free BoxGapEvaluator, both bit-for-bit equal to the AoS
+// every engine-owned catalog — leaf scans score through the batched
+// ScoreBatch kernel and box-region r-dominance tests run through the
+// allocation-free BoxGapEvaluator, both bit-for-bit equal to the AoS
 // scalar path (tests/test_exec.cc). cols == nullptr keeps the original
 // AoS loops, which the SoA-vs-AoS ablation benchmark compares against.
 
@@ -52,36 +52,6 @@ RSkybandResult ComputeRSkyband(const Dataset& data, const RTree& tree,
                                const ConvexRegion& r, int k,
                                QueryStats* stats = nullptr,
                                const ColumnStore* cols = nullptr);
-
-/// As above, with external `pruners`: records pre-confirmed for pruning
-/// only — r-dominators found among them count toward the k threshold (for
-/// both subtree and record pruning) but pruners are never emitted. The
-/// output is {p in data : #r-dominators of p within data ∪ pruners < k}.
-/// Pruners must not duplicate records of `data` (a duplicate would count
-/// itself as its own dominator and over-prune). The partitioned engine
-/// (src/dist/) seeds each shard's filter with globally strong records this
-/// way, restoring global-strength pruning inside every shard.
-RSkybandResult ComputeRSkyband(const Dataset& data, const RTree& tree,
-                               const ConvexRegion& r, int k,
-                               const std::vector<Record>& pruners,
-                               QueryStats* stats = nullptr,
-                               const ColumnStore* cols = nullptr);
-
-/// The filtering step over an explicit candidate pool: `pool` record ids act
-/// as both the candidates and the only competitors — no R-tree involved.
-/// When the pool is a superset of every top-k set over `r` (e.g. the union
-/// of per-shard r-skybands, see src/dist/), the output supports exactly the
-/// same refinement as the global filter: members outside the global
-/// r-skyband have >= k r-dominators inside the pool too and are pruned, and
-/// every global r-skyband member survives. Candidates are processed in
-/// decreasing pivot-score order (ties by id), which preserves the
-/// dominators-confirmed-first invariant documented above, so the r-dominance
-/// graph again falls out for free.
-RSkybandResult ComputeRSkybandFromPool(const Dataset& data,
-                                       std::vector<int32_t> pool,
-                                       const ConvexRegion& r, int k,
-                                       QueryStats* stats = nullptr,
-                                       const ColumnStore* cols = nullptr);
 
 /// Brute-force oracle (O(n^2) r-dominance tests), for tests.
 std::vector<int32_t> RSkybandBruteForce(const Dataset& data,

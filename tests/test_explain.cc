@@ -16,7 +16,6 @@
 #include "api/planner.h"
 #include "data/generator.h"
 #include "data/workload.h"
-#include "dist/partitioned_engine.h"
 #include "live/live_engine.h"
 #include "obs/trace.h"
 #include "storage/mapped_engine.h"
@@ -145,14 +144,8 @@ TEST(Explain, AnalyzeTreeMatchesSpanTreeStructurally) {
   TraceSandbox sandbox;
   const Dataset data = Generate(Distribution::kIndependent, 2000, 3, 11);
 
-  // The engine x path matrix. The partitioned engine runs its shards and
-  // tiles on one thread so every span nests by scope, deterministically.
+  // The engine x path matrix.
   auto engine = std::make_shared<const Engine>(data);
-  DistConfig config;
-  config.shards = 2;
-  config.tiles = 2;
-  config.threads = 1;
-  auto dist = std::make_shared<const PartitionedEngine>(engine, config);
   auto live = std::make_shared<LiveEngine>(data);
   for (int32_t id = 0; id < 2000; id += 7) ASSERT_TRUE(live->Erase(id));
   const std::string seg_path =
@@ -167,7 +160,6 @@ TEST(Explain, AnalyzeTreeMatchesSpanTreeStructurally) {
 
   const std::vector<std::pair<std::string, std::shared_ptr<const QueryEngine>>>
       engines = {{"engine.run", engine},
-                 {"dist.run", dist},
                  {"live.run", live},
                  {"mapped.run", mapped}};
   const std::vector<QuerySpec> paths = {
@@ -230,22 +222,6 @@ TEST(Explain, AnalyzeTreeMatchesSpanTreeStructurally) {
     }
   }
   std::remove(seg_path.c_str());
-}
-
-TEST(Explain, AnalyzeWorksThroughThePartitionedEngine) {
-  TraceSandbox sandbox;
-  auto inner = std::make_shared<const Engine>(
-      Generate(Distribution::kIndependent, 1000, 3, 13));
-  DistConfig config;
-  config.shards = 2;
-  config.tiles = 2;
-  PartitionedEngine engine(inner, config);
-
-  QueryResult result;
-  const PlanNode analyzed = engine.ExplainAnalyze(BoxSpec(2, 5), &result);
-  ASSERT_TRUE(result.ok);
-  EXPECT_GT(analyzed.actual_ms, 0.0);
-  EXPECT_GT(analyzed.TreeSize(), 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@
 
 #include "api/engine.h"
 #include "data/generator.h"
-#include "dist/partitioned_engine.h"
 #include "live/live_engine.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -172,10 +171,6 @@ TEST(Metrics, EveryRunCountsOneQueryOnEveryEngineAndPath) {
   ObsSandbox sandbox;
   const Dataset data = Generate(Distribution::kIndependent, 150, 3, 71);
   auto engine = std::make_shared<const Engine>(data);
-  DistConfig config;
-  config.shards = 2;
-  config.tiles = 2;
-  auto dist = std::make_shared<const PartitionedEngine>(engine, config);
   auto live = std::make_shared<LiveEngine>(data);
   for (int32_t id = 0; id < 150; id += 5) ASSERT_TRUE(live->Erase(id));
   const std::string seg_path = ::testing::TempDir() + "utk_obs_mapped.seg";
@@ -199,7 +194,6 @@ TEST(Metrics, EveryRunCountsOneQueryOnEveryEngineAndPath) {
 
   const std::vector<std::pair<std::string, std::shared_ptr<const QueryEngine>>>
       engines = {{"engine.run", engine},
-                 {"dist.run", dist},
                  {"live.run", live},
                  {"mapped.run", mapped}};
   QuerySpec spec;

@@ -1,5 +1,5 @@
 // Cost-model planner (src/api/planner.h): feature math pinned against the
-// Python calibrator, model JSON parsing, argmin/runner-up/tile choice,
+// Python calibrator, model JSON parsing, argmin/runner-up choice,
 // envelope fallback, explicit passthrough, the forced-choice matrix, and
 // the mispredict counter.
 #include <gtest/gtest.h>
@@ -20,16 +20,15 @@ namespace {
 
 /// A model whose envelope covers everything and whose per-algorithm cost is
 /// the constant handed in — the planner must pick the smallest constant.
-std::string ConstModelJson(double rsa_ms, double jaa_ms,
-                           double tile_overhead_ms = 2.0) {
+std::string ConstModelJson(double rsa_ms, double jaa_ms) {
   char buf[512];
   std::snprintf(buf, sizeof(buf),
-                "{\"version\":1,\"tile_overhead_ms\":%g,"
+                "{\"version\":1,"
                 "\"envelope\":{\"n\":[1,1000000],\"k\":[1,100],"
                 "\"d\":[1,8]},"
                 "\"algorithms\":{\"rsa\":[%g,0,0,0,0],"
                 "\"jaa\":[%g,0,0,0,0]}}",
-                tile_overhead_ms, rsa_ms, jaa_ms);
+                rsa_ms, jaa_ms);
   return buf;
 }
 
@@ -116,6 +115,13 @@ TEST(Planner, ModelJsonRejectsMalformedInput) {
                    .has_value());
   // The happy path parses.
   EXPECT_TRUE(CostModel::FromJson(ConstModelJson(1, 2)).has_value());
+  // Unknown keys are ignored, so a model file that still carries the
+  // retired tile_overhead_ms key loads.
+  EXPECT_TRUE(CostModel::FromJson(
+                  "{\"version\":1,\"tile_overhead_ms\":2.0,"
+                  "\"envelope\":{\"n\":[1,2],\"k\":[1,2],\"d\":[1,2]},"
+                  "\"algorithms\":{\"rsa\":[0,0,0,0,0]}}")
+                  .has_value());
 }
 
 TEST(Planner, EstimateMsIsLinearAndClamped) {
@@ -134,13 +140,13 @@ TEST(Planner, EstimateMsIsLinearAndClamped) {
 }
 
 // ---------------------------------------------------------------------------
-// Choice: argmin, runner-up, tiles, envelope.
+// Choice: argmin, runner-up, envelope.
 // ---------------------------------------------------------------------------
 
 TEST(Planner, ChoosePicksArgminWithRunnerUp) {
   auto m = CostModel::FromJson(ConstModelJson(5.0, 3.0));
   ASSERT_TRUE(m.has_value());
-  auto d = m->Choose(QueryMode::kUtk1, 10000, 10, 3, 0.2, /*max_tiles=*/1);
+  auto d = m->Choose(QueryMode::kUtk1, 10000, 10, 3, 0.2);
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(d->algorithm, Algorithm::kJaa);
   EXPECT_EQ(d->reason, PlanReason::kCostModel);
@@ -150,25 +156,14 @@ TEST(Planner, ChoosePicksArgminWithRunnerUp) {
 
   // Flip the constants, the argmin flips.
   auto m2 = CostModel::FromJson(ConstModelJson(3.0, 5.0));
-  auto d2 = m2->Choose(QueryMode::kUtk1, 10000, 10, 3, 0.2, 1);
+  auto d2 = m2->Choose(QueryMode::kUtk1, 10000, 10, 3, 0.2);
   ASSERT_TRUE(d2.has_value());
   EXPECT_EQ(d2->algorithm, Algorithm::kRsa);
 
   // UTK2 excludes RSA even when it is cheaper on paper.
-  auto d3 = m2->Choose(QueryMode::kUtk2, 10000, 10, 3, 0.2, 1);
+  auto d3 = m2->Choose(QueryMode::kUtk2, 10000, 10, 3, 0.2);
   ASSERT_TRUE(d3.has_value());
   EXPECT_EQ(d3->algorithm, Algorithm::kJaa);
-}
-
-TEST(Planner, ChooseTilesBalancesSpeedupAgainstOverhead) {
-  auto m = CostModel::FromJson(ConstModelJson(1, 2, /*tile_overhead_ms=*/2));
-  ASSERT_TRUE(m.has_value());
-  // 100ms work: 4 tiles -> 100/4 + 2*3 = 31; 8 -> 12.5 + 14 = 26.5;
-  // 16 -> 6.25 + 30 = 36.25. Argmin over powers of two is 8.
-  EXPECT_EQ(m->ChooseTiles(100.0, 16), 8);
-  // Tiny work is not worth one tile of overhead.
-  EXPECT_EQ(m->ChooseTiles(1.0, 16), 1);
-  EXPECT_EQ(m->ChooseTiles(100.0, 1), 1);
 }
 
 TEST(Planner, OutsideEnvelopeFallsBackToHeuristic) {
@@ -177,9 +172,9 @@ TEST(Planner, OutsideEnvelopeFallsBackToHeuristic) {
       "\"d\":[2,3]},\"algorithms\":{\"rsa\":[1,0,0,0,0],"
       "\"jaa\":[2,0,0,0,0]}}");
   ASSERT_TRUE(m.has_value());
-  EXPECT_FALSE(m->Choose(QueryMode::kUtk1, 50000, 10, 3, 0.2, 1).has_value());
-  EXPECT_FALSE(m->Choose(QueryMode::kUtk1, 500, 50, 3, 0.2, 1).has_value());
-  EXPECT_TRUE(m->Choose(QueryMode::kUtk1, 500, 10, 3, 0.2, 1).has_value());
+  EXPECT_FALSE(m->Choose(QueryMode::kUtk1, 50000, 10, 3, 0.2).has_value());
+  EXPECT_FALSE(m->Choose(QueryMode::kUtk1, 500, 50, 3, 0.2).has_value());
+  EXPECT_TRUE(m->Choose(QueryMode::kUtk1, 500, 10, 3, 0.2).has_value());
 
   // Through DecidePlan the fallback is visible as kCostModelFallback and
   // agrees with the bare heuristic's pick.

@@ -159,74 +159,5 @@ TEST(Region, ReducedKeepsBindingConstraints) {
   EXPECT_EQ(reduced.constraints().size(), 5u);
 }
 
-TEST(RegionSplit, BoxSplitsIntoTwoBoxes) {
-  ConvexRegion r = ConvexRegion::FromBox({0.1, 0.2}, {0.4, 0.4});
-  auto halves = r.SplitAlongAxis(0, 0.2);
-  ASSERT_TRUE(halves.has_value());
-  const auto& [below, above] = *halves;
-  EXPECT_TRUE(below.is_box());
-  EXPECT_TRUE(above.is_box());
-  EXPECT_DOUBLE_EQ(below.box_hi()[0], 0.2);
-  EXPECT_DOUBLE_EQ(above.box_lo()[0], 0.2);
-  EXPECT_DOUBLE_EQ(below.box_lo()[0], 0.1);
-  EXPECT_DOUBLE_EQ(above.box_hi()[0], 0.4);
-  // The untouched axis is preserved, and both halves keep interior.
-  EXPECT_DOUBLE_EQ(below.box_lo()[1], 0.2);
-  EXPECT_DOUBLE_EQ(above.box_hi()[1], 0.4);
-  EXPECT_TRUE(below.HasInteriorPoint());
-  EXPECT_TRUE(above.HasInteriorPoint());
-  EXPECT_TRUE(r.ContainsRegion(below));
-  EXPECT_TRUE(r.ContainsRegion(above));
-}
-
-TEST(RegionSplit, GeneralRegionGainsTheCutConstraints) {
-  ConvexRegion simplex = ConvexRegion::FullDomain(2);
-  auto halves = simplex.SplitAlongAxis(1, 0.3);
-  ASSERT_TRUE(halves.has_value());
-  EXPECT_TRUE(halves->first.Contains({0.1, 0.1}));
-  EXPECT_FALSE(halves->first.Contains({0.1, 0.5}));
-  EXPECT_TRUE(halves->second.Contains({0.1, 0.5}));
-  EXPECT_FALSE(halves->second.Contains({0.1, 0.1}));
-  // Points on the cut hyperplane belong to both closed halves.
-  EXPECT_TRUE(halves->first.Contains({0.2, 0.3}));
-  EXPECT_TRUE(halves->second.Contains({0.2, 0.3}));
-}
-
-TEST(RegionSplit, DegenerateCutsAreRejected) {
-  ConvexRegion r = ConvexRegion::FromBox({0.1, 0.2}, {0.4, 0.4});
-  // t on a face: one half has no interior.
-  EXPECT_FALSE(r.SplitAlongAxis(0, 0.1).has_value());
-  EXPECT_FALSE(r.SplitAlongAxis(0, 0.4).has_value());
-  // t outside the extent entirely.
-  EXPECT_FALSE(r.SplitAlongAxis(0, 0.05).has_value());
-  EXPECT_FALSE(r.SplitAlongAxis(1, 0.9).has_value());
-  // Bad axis index.
-  EXPECT_FALSE(r.SplitAlongAxis(-1, 0.2).has_value());
-  EXPECT_FALSE(r.SplitAlongAxis(2, 0.2).has_value());
-}
-
-TEST(RegionSplit, UnboundedRegionsAreRejected) {
-  // x >= 0.1 with y boxed: unbounded above along axis 0.
-  std::vector<Halfspace> cons;
-  Halfspace lo_x;
-  lo_x.a = {-1.0, 0.0};
-  lo_x.b = -0.1;
-  Halfspace lo_y;
-  lo_y.a = {0.0, -1.0};
-  lo_y.b = 0.0;
-  Halfspace hi_y;
-  hi_y.a = {0.0, 1.0};
-  hi_y.b = 0.4;
-  cons = {lo_x, lo_y, hi_y};
-  ConvexRegion r{cons};
-  EXPECT_FALSE(r.SplitAlongAxis(0, 0.5).has_value());
-  // The bounded axis still splits fine even though the halves themselves
-  // are unbounded regions.
-  auto halves = r.SplitAlongAxis(1, 0.2);
-  ASSERT_TRUE(halves.has_value());
-  EXPECT_TRUE(halves->first.Contains({5.0, 0.1}));
-  EXPECT_TRUE(halves->second.Contains({5.0, 0.3}));
-}
-
 }  // namespace
 }  // namespace utk

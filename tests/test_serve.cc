@@ -6,14 +6,11 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "data/generator.h"
 #include "data/workload.h"
-#include "dist/partitioned_engine.h"
 
 namespace utk {
 namespace {
@@ -26,18 +23,6 @@ QuerySpec MakeSpec(QueryMode mode, int k, ConvexRegion region,
   spec.k = k;
   spec.region = std::move(region);
   return spec;
-}
-
-std::vector<int32_t> Sorted(std::vector<int32_t> v) {
-  std::sort(v.begin(), v.end());
-  return v;
-}
-
-/// The distinct top-k sets of a UTK2 decomposition, each sorted.
-std::set<std::vector<int32_t>> TopkSets(const Utk2Result& r) {
-  std::set<std::vector<int32_t>> sets;
-  for (const Utk2Cell& cell : r.cells) sets.insert(Sorted(cell.topk));
-  return sets;
 }
 
 void ExpectSameBounds(const std::vector<Halfspace>& want,
@@ -328,46 +313,6 @@ TEST_F(ServeTestBase, ConcurrentMixedLoadIsDeterministic) {
       EXPECT_GT(counters.exact_hits, 0);
     }
   }
-}
-
-// A Server backed by the partitioned engine (src/dist/) through the
-// QueryEngine interface: answers equal the single-engine answers, a miss
-// admits exactly one entry (the full result), and a sub-region of one tile
-// is a miss answered by the partitioned engine's own Run.
-TEST_F(ServeTestBase, PartitionedEngineServesThroughTheCache) {
-  DistConfig config;
-  config.shards = 3;
-  config.tiles = 3;
-  config.threads = 2;
-  auto dist = std::make_shared<const PartitionedEngine>(engine_, config);
-  Server server(dist);
-
-  ConvexRegion region = ConvexRegion::FromBox({0.15, 0.2}, {0.39, 0.38});
-  QuerySpec spec = MakeSpec(QueryMode::kUtk2, 4, region);
-  QueryResult miss = server.Query(spec);
-  ASSERT_TRUE(miss.ok) << miss.error;
-  EXPECT_EQ(miss.stats.cache_misses, 1);
-  EXPECT_EQ(miss.ids, engine_->Run(spec).ids);
-  EXPECT_EQ(server.cache_counters().inserts, 1);
-
-  // An exact repeat is a verbatim hit.
-  QueryResult hit = server.Query(spec);
-  ASSERT_TRUE(hit.ok);
-  EXPECT_EQ(hit.stats.cache_hits, 1);
-  ExpectSameAnswer(miss, hit);
-
-  // A strict sub-region of one tile (the region's left third along axis 0)
-  // misses. The answer is the partitioned engine's, byte for byte, and the
-  // same partition as the single engine's.
-  ConvexRegion sub = ConvexRegion::FromBox({0.16, 0.22}, {0.2, 0.3});
-  QuerySpec sub_spec = MakeSpec(QueryMode::kUtk2, 4, sub);
-  QueryResult sub_miss = server.Query(sub_spec);
-  ASSERT_TRUE(sub_miss.ok) << sub_miss.error;
-  EXPECT_EQ(sub_miss.stats.cache_misses, 1);
-  ExpectSameAnswer(dist->Run(sub_spec), sub_miss);
-  QueryResult single = engine_->Run(sub_spec);
-  EXPECT_EQ(sub_miss.ids, single.ids);
-  EXPECT_EQ(TopkSets(sub_miss.utk2), TopkSets(single.utk2));
 }
 
 // The speedup the cache exists for: serving a warm exact-hit query must be

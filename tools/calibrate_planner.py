@@ -39,7 +39,7 @@ Two modes:
 Output (--out, default bench/baselines/planner_model.json) is the schema
 src/api/planner.cc CostModel::FromJson parses:
 
-  {"version": 1, "tile_overhead_ms": 2.0,
+  {"version": 1,
    "envelope": {"n": [lo, hi], "k": [lo, hi], "d": [lo, hi]},
    "algorithms": {"rsa": [c0..c4], "jaa": [...], ...}}
 
@@ -235,7 +235,6 @@ def main():
                         "needs their magnitude, not their scaling curve)")
     p.add_argument("--naive-max-n", type=int, default=400,
                    help="largest n the naive oracle sweeps")
-    p.add_argument("--tile-overhead-ms", type=float, default=2.0)
     p.add_argument("--keep-dir", help="keep sweep artifacts here (debug)")
     args = p.parse_args()
 
@@ -282,7 +281,6 @@ def main():
 
     model = {
         "version": 1,
-        "tile_overhead_ms": args.tile_overhead_ms,
         "envelope": {
             "n": [min(r[1] for r in rows), max(r[1] for r in rows)],
             "k": [min(r[2] for r in rows), max(r[2] for r in rows)],
