@@ -13,7 +13,6 @@
 
 #include "bench_common.h"
 #include "common/rng.h"
-#include "core/topk.h"
 #include "exec/kernels.h"
 #include "exec/simd.h"
 #include "skyline/onion.h"
@@ -140,44 +139,8 @@ void Ablation_Layout_Filter_SoA(benchmark::State& state) {
   }
 }
 
-// Top-k probe, AoS path: full scan with per-record Score().
-void Ablation_Layout_TopKProbe_AoS(benchmark::State& state) {
-  const Engine& engine = LayoutData();
-  auto queries = Queries(kDim - 1, kLayoutSigma);
-  constexpr int kProbeK = 32;
-  for (auto _ : state) {
-    double out = 0;
-    for (const ConvexRegion& region : queries)
-      out += static_cast<double>(
-          TopK(engine.data(), *region.Pivot(), kProbeK).size());
-    state.counters["topk"] = out / queries.size();
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(queries.size()) *
-                          engine.data().size());
-}
-
-// Top-k probe, SoA path: the fused score + bounded-heap TopKScan kernel.
-void Ablation_Layout_TopKProbe_SoA(benchmark::State& state) {
-  const Engine& engine = LayoutData();
-  auto queries = Queries(kDim - 1, kLayoutSigma);
-  constexpr int kProbeK = 32;
-  for (auto _ : state) {
-    double out = 0;
-    for (const ConvexRegion& region : queries)
-      out += static_cast<double>(
-          TopKScan(engine.cols(), *region.Pivot(), kProbeK).size());
-    state.counters["topk"] = out / queries.size();
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(queries.size()) *
-                          engine.data().size());
-}
-
 BENCHMARK(Ablation_Layout_Filter_AoS)->Unit(benchmark::kMillisecond);
 BENCHMARK(Ablation_Layout_Filter_SoA)->Unit(benchmark::kMillisecond);
-BENCHMARK(Ablation_Layout_TopKProbe_AoS)->Unit(benchmark::kMillisecond);
-BENCHMARK(Ablation_Layout_TopKProbe_SoA)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // Explicit-SIMD ablation: the same SoA kernels with dispatch pinned to the
@@ -237,29 +200,11 @@ void SimdScoreBatchVariant(benchmark::State& state, SimdTier tier) {
                           static_cast<int64_t>(pool.size()));
 }
 
-void SimdTopKScanVariant(benchmark::State& state, SimdTier tier) {
-  const Engine& engine = LayoutData();
-  const Vec w = *Queries(kDim - 1, kLayoutSigma)[0].Pivot();
-  TierScope scope(tier);
-  constexpr int kProbeK = 32;
-  for (auto _ : state) {
-    std::vector<int32_t> topk = TopKScan(engine.cols(), w, kProbeK);
-    benchmark::DoNotOptimize(topk.data());
-  }
-  state.SetItemsProcessed(state.iterations() * engine.cols().size());
-}
-
 void Ablation_Simd_ScoreAll_Scalar(benchmark::State& s) {
   SimdScoreAllVariant(s, SimdTier::kScalar);
 }
 void Ablation_Simd_ScoreAll_Simd(benchmark::State& s) {
   SimdScoreAllVariant(s, BestSupportedSimdTier());
-}
-void Ablation_Simd_TopKScan_Scalar(benchmark::State& s) {
-  SimdTopKScanVariant(s, SimdTier::kScalar);
-}
-void Ablation_Simd_TopKScan_Simd(benchmark::State& s) {
-  SimdTopKScanVariant(s, BestSupportedSimdTier());
 }
 void Ablation_Simd_ScoreBatch_Scalar(benchmark::State& s) {
   SimdScoreBatchVariant(s, SimdTier::kScalar);
@@ -272,60 +217,6 @@ BENCHMARK(Ablation_Simd_ScoreAll_Scalar)->Unit(benchmark::kMillisecond);
 BENCHMARK(Ablation_Simd_ScoreAll_Simd)->Unit(benchmark::kMillisecond);
 BENCHMARK(Ablation_Simd_ScoreBatch_Scalar)->Unit(benchmark::kMillisecond);
 BENCHMARK(Ablation_Simd_ScoreBatch_Simd)->Unit(benchmark::kMillisecond);
-BENCHMARK(Ablation_Simd_TopKScan_Scalar)->Unit(benchmark::kMillisecond);
-BENCHMARK(Ablation_Simd_TopKScan_Simd)->Unit(benchmark::kMillisecond);
-
-// ---------------------------------------------------------------------------
-// Zonemap ablation: TopKScan over an attribute-clustered 100k store with
-// per-block zonemaps versus a zonemap-free borrowed view of the SAME
-// columns. Clustered rows (every attribute near one per-row level, levels
-// descending) are the layout an ingest sort key produces and the one where
-// per-column block bounds are tight enough to skip; on random row order
-// the zonemaps are sound but never skip, which is why the pair pins the
-// clustered case.
-// ---------------------------------------------------------------------------
-
-const ColumnStore& ClusteredStore() {
-  static const ColumnStore* store = [] {
-    const int n = ScaledN(100000);
-    Dataset data = Generate(Distribution::kIndependent, n, kDim, 777);
-    Rng rng(778);
-    for (int32_t i = 0; i < n; ++i) {
-      const Scalar t = 1.0 - static_cast<Scalar>(i) / n;
-      for (int d = 0; d < kDim; ++d)
-        data[i].attrs[d] =
-            std::clamp(t + rng.Uniform(-0.002, 0.002), 0.0, 1.0);
-    }
-    return new ColumnStore(data);
-  }();
-  return *store;
-}
-
-void ZonemapVariant(benchmark::State& state, bool with_zonemaps) {
-  const ColumnStore& owned = ClusteredStore();
-  std::vector<const Scalar*> ptrs;
-  for (int d = 0; d < owned.dim(); ++d) ptrs.push_back(owned.col(d));
-  const ColumnStore view =
-      ColumnStore::Borrow(ptrs, owned.dim(), owned.size());
-  const ColumnStore& cols = with_zonemaps ? owned : view;
-  const Vec w = *Queries(kDim - 1, kLayoutSigma)[0].Pivot();
-  constexpr int kProbeK = 32;
-  for (auto _ : state) {
-    std::vector<int32_t> topk = TopKScan(cols, w, kProbeK);
-    benchmark::DoNotOptimize(topk.data());
-  }
-  state.SetItemsProcessed(state.iterations() * owned.size());
-}
-
-void Ablation_Zonemap_TopKScan_Scan(benchmark::State& s) {
-  ZonemapVariant(s, false);
-}
-void Ablation_Zonemap_TopKScan_Skip(benchmark::State& s) {
-  ZonemapVariant(s, true);
-}
-
-BENCHMARK(Ablation_Zonemap_TopKScan_Scan)->Unit(benchmark::kMillisecond);
-BENCHMARK(Ablation_Zonemap_TopKScan_Skip)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // Pool-refinement ablation: one UTK query with parallel cell refinement

@@ -1,115 +1,27 @@
-// Persistence-tier benchmark (src/storage/): the cold-start headline pair —
-// mmap'd segment open-to-first-query vs a full in-memory rebuild of the
-// same catalog — plus WAL append throughput per fsync policy and WAL replay
-// rate.
-//
-// The headline pair is what the segment format exists for: ColdMappedOpen
-// verifies checksums and answers the first query off borrowed columns,
-// materializing only the band rows; FullRebuildOpen pays materialization +
-// R-tree bulk load before it can answer anything. tools/check_bench.py
-// gates their ratio against bench/baselines/bench_storage.json.
+// Persistence-tier benchmark (src/storage/): WAL append throughput per
+// fsync policy and WAL replay rate. Informational — no CI gate reads it.
 //
 // Env knobs (bench_common.h): UTK_BENCH_SCALE (dataset size multiplier),
-// UTK_BENCH_JSON_DIR (JSON report emission for the CI gate).
+// UTK_BENCH_JSON_DIR (JSON report emission).
 #include "bench_common.h"
 
 #include <cstdio>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "data/workload.h"
-#include "storage/catalog.h"
-#include "storage/mapped_engine.h"
-#include "storage/segment.h"
+#include "live/live_engine.h"
 #include "storage/wal.h"
 
 namespace utk {
 namespace bench {
 namespace {
 
-QuerySpec Utk1Spec(int k) {
-  QuerySpec spec;
-  spec.mode = QueryMode::kUtk1;
-  spec.algorithm = Algorithm::kRsa;
-  spec.k = k;
-  spec.region = ConvexRegion::FromBox({0.2, 0.25}, {0.35, 0.4});
-  return spec;
-}
-
 std::string TmpDir() {
   const char* t = std::getenv("TMPDIR");
   return t != nullptr ? std::string(t) : std::string("/tmp");
 }
-
-/// One segment file per cardinality, written once and reused across
-/// registrations (writing 100k rows per iteration would swamp the timings).
-const std::string& SegmentFor(int n) {
-  static std::map<int, std::string> cache;
-  auto it = cache.find(n);
-  if (it == cache.end()) {
-    Dataset data = Generate(Distribution::kIndependent, n, 3, 4242);
-    std::vector<char> alive(data.size(), 1);
-    RTree tree = RTree::BulkLoad(data);
-    std::string path =
-        TmpDir() + "/utk_bench_seg_" + std::to_string(n) + ".seg";
-    if (auto err = WriteSegment(path, data, alive, tree, 0)) {
-      std::fprintf(stderr, "bench: WriteSegment: %s\n", err->c_str());
-      std::exit(1);
-    }
-    it = cache.emplace(n, std::move(path)).first;
-  }
-  return it->second;
-}
-
-/// Cold start, persistence path: open the segment (mmap + full checksum
-/// verification), answer one UTK1 query off the borrowed columns.
-void ColdMappedOpenToFirstQuery(benchmark::State& state) {
-  const int n = ScaledN(static_cast<int>(state.range(0)));
-  const std::string& path = SegmentFor(n);
-  const QuerySpec spec = Utk1Spec(3);
-  double rows_materialized = 0;
-  for (auto _ : state) {
-    std::string error;
-    auto mapped = MappedEngine::Open(path, &error);
-    if (mapped == nullptr) {
-      std::fprintf(stderr, "bench: %s\n", error.c_str());
-      std::exit(1);
-    }
-    QueryResult r = mapped->Run(spec);
-    benchmark::DoNotOptimize(r);
-    rows_materialized = static_cast<double>(mapped->rows_materialized());
-  }
-  state.counters["rows_materialized"] = rows_materialized;
-  state.counters["of_rows"] = static_cast<double>(n);
-}
-BENCHMARK(ColdMappedOpenToFirstQuery)
-    ->Arg(100000)
-    ->Unit(benchmark::kMillisecond);
-
-/// Cold start, rebuild path: same segment, but materialize every record
-/// and build a fresh in-memory Engine (R-tree bulk load included) before
-/// the first query — what cold start costs without the mapped engine.
-void FullRebuildOpenToFirstQuery(benchmark::State& state) {
-  const int n = ScaledN(static_cast<int>(state.range(0)));
-  const std::string& path = SegmentFor(n);
-  const QuerySpec spec = Utk1Spec(3);
-  for (auto _ : state) {
-    std::string error;
-    auto seg = SegmentReader::Open(path, &error);
-    if (seg == nullptr) {
-      std::fprintf(stderr, "bench: %s\n", error.c_str());
-      std::exit(1);
-    }
-    Engine engine(seg->MaterializeAll());
-    QueryResult r = engine.Run(spec);
-    benchmark::DoNotOptimize(r);
-  }
-}
-BENCHMARK(FullRebuildOpenToFirstQuery)
-    ->Arg(100000)
-    ->Unit(benchmark::kMillisecond);
 
 /// WAL append throughput: single-op committed batches (the worst case for
 /// framing + fsync overhead). Arg selects the fsync policy.

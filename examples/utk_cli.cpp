@@ -75,12 +75,14 @@
 //   utk_cli utk2 --data anti.csv --k 5 --box 0.1,0.2,0.1,0.2,0.1,0.2 --algo jaa
 //   utk_cli topk --data anti.csv --k 5 --weights 0.3,0.3,0.2,0.2
 //   utk_cli serve --data anti.csv --gen 50 --mode utk1 --k 10
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -112,23 +114,40 @@ std::map<std::string, std::string> ParseFlags(int argc, char** argv) {
       flags[argv[i] + 2] = argv[i + 1];
       i += 2;
     } else {
-      flags[argv[i] + 2] = "1";  // valueless boolean flag (e.g. --analyze)
+      // Valueless boolean flag (e.g. --analyze). Assigning a std::string
+      // rather than "1" keeps gcc 12's false -Wrestrict on the inlined
+      // const char* assignment quiet.
+      flags[argv[i] + 2] = std::string("1");
       i += 1;
     }
   }
   return flags;
 }
 
-std::vector<Scalar> ParseList(const std::string& s) {
+/// Parses a comma-separated list of numbers. When strtod does not consume
+/// some token in full ("abc", "0.3x"), prints an error naming `what` and
+/// returns nullopt.
+std::optional<std::vector<Scalar>> ParseList(const std::string& s,
+                                             const char* what) {
   std::vector<Scalar> out;
   std::string cur;
   for (char c : s + ",") {
-    if (c == ',') {
-      if (!cur.empty()) out.push_back(std::atof(cur.c_str()));
-      cur.clear();
-    } else {
+    if (c != ',') {
       cur.push_back(c);
+      continue;
     }
+    if (!cur.empty()) {
+      char* end = nullptr;
+      const Scalar v = std::strtod(cur.c_str(), &end);
+      if (end != cur.c_str() + cur.size()) {
+        std::fprintf(stderr,
+                     "error: %s must be comma-separated numbers, got %s\n",
+                     what, s.c_str());
+        return std::nullopt;
+      }
+      out.push_back(v);
+    }
+    cur.clear();
   }
   return out;
 }
@@ -166,7 +185,10 @@ ConvexRegion BoxOrDie(const std::map<std::string, std::string>& flags,
     std::fprintf(stderr, "error: --box lo1,hi1,... is required\n");
     std::exit(2);
   }
-  std::vector<Scalar> v = ParseList(it->second);
+  const std::optional<std::vector<Scalar>> parsed =
+      ParseList(it->second, "--box");
+  if (!parsed.has_value()) std::exit(2);
+  const std::vector<Scalar>& v = *parsed;
   if (static_cast<int>(v.size()) != 2 * pref_dim) {
     std::fprintf(stderr,
                  "error: --box needs %d numbers (lo,hi per preference dim; "
@@ -283,7 +305,9 @@ bool ParseTraceLine(const std::string& line, int pref_dim, QuerySpec* spec) {
     return false;
   }
   spec->k = k;
-  std::vector<Scalar> v = ParseList(box);
+  const std::optional<std::vector<Scalar>> parsed = ParseList(box, "trace box");
+  if (!parsed.has_value()) return false;
+  const std::vector<Scalar>& v = *parsed;
   if (static_cast<int>(v.size()) != 2 * pref_dim) {
     std::fprintf(stderr, "error: trace box needs %d numbers, got %zu\n",
                  2 * pref_dim, v.size());
@@ -715,15 +739,27 @@ Vec WeightsOrDie(const std::map<std::string, std::string>& flags, int dim) {
     std::fprintf(stderr, "error: --weights w1,...,w%d is required\n", dim);
     std::exit(2);
   }
-  std::vector<Scalar> w = ParseList(flags.at("weights"));
-  if (static_cast<int>(w.size()) != dim) {
+  const std::optional<std::vector<Scalar>> w =
+      ParseList(flags.at("weights"), "--weights");
+  if (!w.has_value()) std::exit(2);
+  if (static_cast<int>(w->size()) != dim) {
     std::fprintf(stderr, "error: expected %d weights\n", dim);
     std::exit(2);
   }
   Scalar sum = 0;
-  for (Scalar v : w) sum += v;
+  for (Scalar v : *w) {
+    if (!std::isfinite(v) || v < 0) {
+      std::fprintf(stderr, "error: --weights must be finite and >= 0\n");
+      std::exit(2);
+    }
+    sum += v;
+  }
+  if (!(sum > 0) || !std::isfinite(sum)) {
+    std::fprintf(stderr, "error: --weights must have a finite, positive sum\n");
+    std::exit(2);
+  }
   Vec reduced(dim - 1);
-  for (int i = 0; i < dim - 1; ++i) reduced[i] = w[i] / sum;
+  for (int i = 0; i < dim - 1; ++i) reduced[i] = (*w)[i] / sum;
   return reduced;
 }
 

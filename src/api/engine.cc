@@ -59,15 +59,13 @@ std::vector<int32_t> Engine::TopK(const Vec& w, int k) const {
   return TopKRTree(data_, tree_, w, k, nullptr, &cols_);
 }
 
-QueryResult RunRSkyband(
-    const Dataset& data, const RTree& tree, const ColumnStore* cols,
-    const QuerySpec& spec, Algorithm algo,
-    const std::function<void(const RSkybandResult&)>& on_band) {
+QueryResult RunRSkyband(const Dataset& data, const RTree& tree,
+                        const ColumnStore* cols, const QuerySpec& spec,
+                        Algorithm algo) {
   Timer timer;
   QueryStats filter_stats;
   RSkybandResult band =
       ComputeRSkyband(data, tree, spec.region, spec.k, &filter_stats, cols);
-  if (on_band) on_band(band);
   QueryResult r;
   r.ok = true;
   r.mode = spec.mode;

@@ -10,7 +10,6 @@
 #ifndef UTK_API_ENGINE_H_
 #define UTK_API_ENGINE_H_
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -26,8 +25,6 @@
 #include "index/rtree.h"
 
 namespace utk {
-
-struct RSkybandResult;
 
 // Engine supplies Execute to the QueryEngine pipeline (api/query_engine.h),
 // root span engine.run. Thread-safety: immutable after construction; every
@@ -84,15 +81,13 @@ class Engine final : public QueryEngine {
   ColumnStore cols_;
 };
 
-/// The r-skyband pipeline every RSA/JAA plan runs: the BBS filter over
-/// `tree` (Section 4.1), `on_band` (MappedEngine gathers the band rows
-/// there), then refinement with `spec`'s knobs — RSA (Section 4) for kRsa,
-/// JAA (Section 5) otherwise. Stats sum both halves; candidates = band
-/// size.
-QueryResult RunRSkyband(
-    const Dataset& data, const RTree& tree, const ColumnStore* cols,
-    const QuerySpec& spec, Algorithm algo,
-    const std::function<void(const RSkybandResult&)>& on_band = nullptr);
+/// The r-skyband pipeline every RSA/JAA plan runs, on Engine and
+/// LiveEngine alike: the BBS filter over `tree` (Section 4.1), then
+/// refinement with `spec`'s knobs — RSA (Section 4) for kRsa, JAA
+/// (Section 5) otherwise. Stats sum both halves; candidates = band size.
+QueryResult RunRSkyband(const Dataset& data, const RTree& tree,
+                        const ColumnStore* cols, const QuerySpec& spec,
+                        Algorithm algo);
 
 /// The records with alive[i] != 0 re-indexed 0..m-1 in id order — what a
 /// from-scratch Engine would be built on; `stable_ids` (optional) receives
@@ -100,8 +95,8 @@ QueryResult RunRSkyband(
 Dataset CompactRecords(const Dataset& data, std::span<const char> alive,
                        std::vector<int32_t>* stable_ids = nullptr);
 
-/// The stable-id compact fallback LiveEngine and MappedEngine share for
-/// plans outside the r-skyband pipeline (SK/ON baselines, naive oracle):
+/// The stable-id compact fallback LiveEngine runs for plans outside the
+/// r-skyband pipeline (SK/ON baselines, naive oracle):
 /// an Engine over CompactRecords, rebuilt at most once per epoch, whose
 /// answer ids map back monotonically (sorted lists and the canonical cell
 /// order survive). Thread-safe.

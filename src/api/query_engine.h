@@ -1,14 +1,14 @@
-// QueryEngine — the one query pipeline behind every engine: utk::Engine
-// (api/engine.h), utk::LiveEngine (live/) and utk::MappedEngine
-// (storage/). Callers that only *submit* queries (serve/server.h, utk_cli)
-// depend on this interface, so any engine can back them.
+// QueryEngine — the one query pipeline behind both engines: utk::Engine
+// (api/engine.h) and utk::LiveEngine (live/). Callers that only *submit*
+// queries (serve/server.h, utk_cli) depend on this interface, so either
+// engine can back them.
 //
 // Run is a template method, the same for every engine:
 //
 //   Run = Validate -> Decide -> Execute -> stamp/record
 //
-//   1. open the engine's root span (engine.run / live.run / mapped.run),
-//      the slow-query scope and the history scope;
+//   1. open the engine's root span (engine.run / live.run), the slow-query
+//      scope and the history scope;
 //   2. apply the rejection rules against size(), the LIVE record count;
 //   3. plan once (DecidePlan with the engine's cost model);
 //   4. Execute(spec, decision) — the only step an engine supplies;

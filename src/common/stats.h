@@ -39,11 +39,10 @@ struct QueryStats {
   /// immutable engines, the number of committed update batches for a live
   /// engine (src/live/). A gauge, not a counter — Merge takes the max.
   int64_t epoch = 0;
-  // Persistence counters (src/storage): zero everywhere except queries
-  // served by a MappedEngine over an mmap'd segment.
-  int64_t rows_materialized = 0;  ///< AoS rows gathered from mapped columns
-  /// Bytes of segment file the engine serves zero-copy (mmap'd columns +
-  /// liveness bitmap). A gauge like peak_bytes — Merge takes the max.
+  /// Always 0, like mapped_bytes: no engine answers off a mapped segment
+  /// (recovery materializes into a LiveEngine). Both are kept so the CSV
+  /// layout (history files, planner calibration data) stays stable.
+  int64_t rows_materialized = 0;
   int64_t mapped_bytes = 0;
   // Planner provenance (src/api/planner.h): the Algorithm enum value the
   // planner resolved kAuto to (0 = unset / explicit kAuto never runs) and

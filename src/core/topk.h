@@ -23,8 +23,8 @@ std::vector<int32_t> TopK(const Dataset& data, const Vec& w, int k);
 /// way to answer top-k without scanning the dataset. Same output contract
 /// as TopK (best first, id tie-break). `cols`, when non-null, must mirror
 /// `data`; popped leaves are then scored through the batched ScoreBatch
-/// kernel (bit-identical, see exec/kernels.h). The full-scan alternative is
-/// exec/kernels.h TopKScan (the fused score + bounded-heap kernel).
+/// kernel (bit-identical, see exec/kernels.h). Every engine's TopK runs
+/// here.
 std::vector<int32_t> TopKRTree(const Dataset& data, const RTree& tree,
                                const Vec& w, int k,
                                QueryStats* stats = nullptr,

@@ -1,7 +1,6 @@
 #include "exec/kernels.h"
 
 #include <cassert>
-#include <queue>
 
 #include "exec/simd.h"
 #include "exec/simd_kernels.h"
@@ -67,94 +66,6 @@ void ScoreBatch(const ColumnStore& cols, const Vec& w,
     for (size_t j = 0; j < n; ++j)
       out[j] += wi * (ci[rows[j]] - last[rows[j]]);
   }
-}
-
-std::vector<int32_t> TopKScan(const ColumnStore& cols, const Vec& w, int k) {
-  std::vector<int32_t> out;
-  const int32_t n = cols.size();
-  if (n == 0 || k <= 0) return out;
-  static obs::Counter& scans = obs::MetricRegistry::Global().GetCounter(
-      "utk_exec_topk_scans_total");
-  static obs::Counter& scan_rows = obs::MetricRegistry::Global().GetCounter(
-      "utk_exec_topk_scan_rows_total");
-  static obs::Counter& zone_skips = obs::MetricRegistry::Global().GetCounter(
-      "utk_exec_topk_blocks_skipped_total");
-  scans.Add();
-  scan_rows.Add(n);
-
-  struct Entry {
-    Scalar score;
-    int32_t row;
-    // priority_queue keeps the *worst* entry on top under this "better
-    // than" order, so the heap is a running top-k set.
-    bool operator<(const Entry& o) const {
-      if (score != o.score) return score > o.score;
-      return row < o.row;
-    }
-  };
-  std::priority_queue<Entry> heap;
-
-  const SimdTier tier = ActiveSimdTier();
-  (void)tier;
-  constexpr int32_t kBlock = 1024;
-  static_assert(kBlock == ColumnStore::kZoneRows,
-                "zone blocks must align with scan blocks for exact skips");
-  Scalar buf[kBlock];
-  for (int32_t begin = 0; begin < n; begin += kBlock) {
-    const int32_t end = std::min<int32_t>(begin + kBlock, n);
-    if (static_cast<int>(heap.size()) == k) {
-      // Zonemap block skip. Rows scan in ascending order, so every heap
-      // entry has a smaller row than anything in this block and a tied
-      // score loses; a block row displaces the heap only with a score
-      // strictly above the worst kept one. ZoneUpperBound() bounds every
-      // score in the block from above, so ub <= top.score skips exactly
-      // the blocks the scalar loop would reject row by row.
-      const std::optional<Scalar> ub = cols.ZoneUpperBound(w, begin, end);
-      if (ub.has_value() && !(*ub > heap.top().score)) {
-        zone_skips.Add();
-        continue;
-      }
-    }
-    ScoreRange(cols, w, begin, end, buf);
-    const int32_t bn = end - begin;
-    int32_t j = 0;
-    while (j < bn) {
-      if (static_cast<int>(heap.size()) == k) {
-        // Vectorized threshold probe: hop over lane groups in which no
-        // score strictly beats the current worst kept score — the same
-        // strictly-above argument as the block skip, at lane granularity.
-#if UTK_SIMD_X86
-        if (tier == SimdTier::kAvx2) {
-          while (j + 4 <= bn && !simd::Avx2AnyAbove4(buf + j, heap.top().score))
-            j += 4;
-          if (j >= bn) break;
-        }
-#endif
-#if UTK_SIMD_ARM
-        if (tier == SimdTier::kNeon) {
-          while (j + 2 <= bn && !simd::NeonAnyAbove2(buf + j, heap.top().score))
-            j += 2;
-          if (j >= bn) break;
-        }
-#endif
-      }
-      const Entry cand{buf[j], begin + j};
-      if (static_cast<int>(heap.size()) < k) {
-        heap.push(cand);
-      } else if (cand < heap.top()) {  // "better than" orders as less-than
-        heap.pop();
-        heap.push(cand);
-      }
-      ++j;
-    }
-  }
-
-  out.resize(heap.size());
-  for (size_t i = heap.size(); i-- > 0;) {
-    out[i] = heap.top().row;
-    heap.pop();
-  }
-  return out;
 }
 
 namespace {

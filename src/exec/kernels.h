@@ -8,12 +8,11 @@
 // the 200-draw engine fuzz (tests/test_differential.cc) pin that down:
 //
 //   ScoreAll / ScoreBatch / ScoreRange  ==  geometry/linear.h Score()
-//   TopKScan                            ==  core/topk.h TopK()
 //   DominatedCounts / CountDominatorsOfPoint == skyline/dominance.h loops
 //   BoxGapEvaluator::Range              ==  rdominance.cc DiffScore +
 //                                           ConvexRegion::RangeOf (box path)
 //
-// Consumers: the r-skyband filter (skyline/rskyband.cc), top-k probes
+// Consumers: the r-skyband filter (skyline/rskyband.cc), the R-tree top-k
 // (core/topk.cc), RSA/JAA refinement scoring (core/rsa.cc, core/jaa.cc),
 // R-tree leaf scans inside those traversals, and the live engine's
 // incrementally maintained store (src/live/). CountDominatorsOfPoint backs
@@ -23,16 +22,13 @@
 // Every kernel dispatches on exec/simd.h ActiveSimdTier(): the scalar
 // loops below are the reference; the AVX2/NEON twins (simd_avx2.cc,
 // simd_neon.cc) vectorize across rows with the identical per-row
-// expression tree and are bit-identical by construction. TopKScan
-// additionally consults the store's zonemaps (column_store.h) to skip
-// whole blocks that cannot beat the running top-k threshold.
+// expression tree and are bit-identical by construction.
 #ifndef UTK_EXEC_KERNELS_H_
 #define UTK_EXEC_KERNELS_H_
 
 #include <cstdint>
 #include <span>
 #include <utility>
-#include <vector>
 
 #include "exec/column_store.h"
 #include "geometry/region.h"
@@ -52,12 +48,6 @@ void ScoreBatch(const ColumnStore& cols, const Vec& w,
 /// out[j - begin] = S(row j)(w) for rows [begin, end).
 void ScoreRange(const ColumnStore& cols, const Vec& w, int32_t begin,
                 int32_t end, Scalar* out);
-
-/// The k highest-scoring rows under w, best first, ties by smaller row —
-/// the same contract as core/topk.h TopK(). Fused loop: scores stream
-/// through a block buffer straight into a bounded heap, so the full score
-/// vector is never materialized.
-std::vector<int32_t> TopKScan(const ColumnStore& cols, const Vec& w, int k);
 
 /// out[j] = number of rows r in `refs` with r != rows[j] whose attributes
 /// dominate rows[j]'s (skyline/dominance.h Dominates with `eps`), counted

@@ -52,9 +52,8 @@ SimdTier ActiveSimdTier();
 void SetSimdTier(SimdTier tier);
 
 /// Row-lanes the active tier processes per step (1 / 4 / 2). Batch
-/// consumers (the top-k scan's threshold probe, the gap-range batcher) use
-/// this to size their speculative chunks so scalar dispatch never computes
-/// a single wasted element.
+/// consumers (the gap-range batcher) use this to size their speculative
+/// chunks so scalar dispatch never computes a single wasted element.
 int SimdWidth();
 
 }  // namespace utk

@@ -30,6 +30,15 @@ inline __m128i LoadIdx(const int32_t* p) {
   return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
 }
 
+// col[idx[l]] for the 4 lanes. The masked form with a zero source and an
+// all-ones mask is the same vgatherdpd as _mm256_i32gather_pd, but its
+// source operand is defined, which keeps gcc's -Wmaybe-uninitialized quiet.
+inline __m256d Gather4(const Scalar* col, __m128i idx) {
+  return _mm256_mask_i32gather_pd(_mm256_setzero_pd(), col, idx,
+                                  _mm256_castsi256_pd(_mm256_set1_epi64x(-1)),
+                                  8);
+}
+
 // Scalar twin of kernels.cc DominatesWith for tails: a is a store row, b an
 // accessor (store row or free vector).
 template <typename GetB>
@@ -54,7 +63,7 @@ inline int DominateMask4(const ColumnStore& cols, __m128i idx, const GetB& b,
   __m256d strict = _mm256_setzero_pd();
   for (int i = 0; i < cols.dim(); ++i) {
     const Scalar bv = b(i);
-    const __m256d av = _mm256_i32gather_pd(cols.col(i), idx, 8);
+    const __m256d av = Gather4(cols.col(i), idx);
     fail = _mm256_or_pd(
         fail, _mm256_cmp_pd(av, _mm256_set1_pd(bv - eps), _CMP_LT_OQ));
     strict = _mm256_or_pd(
@@ -98,10 +107,10 @@ void Avx2ScoreBatch(const ColumnStore& cols, const Vec& w,
   size_t j = 0;
   for (; j + 4 <= n; j += 4) {
     const __m128i idx = LoadIdx(rows.data() + j);
-    const __m256d lastv = _mm256_i32gather_pd(last, idx, 8);
+    const __m256d lastv = Gather4(last, idx);
     __m256d acc = lastv;
     for (int i = 0; i < d - 1; ++i) {
-      const __m256d civ = _mm256_i32gather_pd(cols.col(i), idx, 8);
+      const __m256d civ = Gather4(cols.col(i), idx);
       acc = _mm256_add_pd(
           acc, _mm256_mul_pd(_mm256_set1_pd(w[i]), _mm256_sub_pd(civ, lastv)));
     }
@@ -114,12 +123,6 @@ void Avx2ScoreBatch(const ColumnStore& cols, const Vec& w,
       acc += w[i] * (cols.col(i)[row] - last[row]);
     out[j] = acc;
   }
-}
-
-bool Avx2AnyAbove4(const Scalar* vals, Scalar threshold) {
-  const __m256d cmp = _mm256_cmp_pd(_mm256_loadu_pd(vals),
-                                    _mm256_set1_pd(threshold), _CMP_GT_OQ);
-  return _mm256_movemask_pd(cmp) != 0;
 }
 
 void Avx2DominatedCounts(const ColumnStore& cols,
@@ -185,11 +188,11 @@ void Avx2GapRangeBatch(const ColumnStore& cols, const Vec& box_lo,
   size_t j = 0;
   for (; j + 4 <= n; j += 4) {
     const __m128i idx = LoadIdx(ps.data() + j);
-    const __m256d pl = _mm256_i32gather_pd(cols.col(d - 1), idx, 8);
+    const __m256d pl = Gather4(cols.col(d - 1), idx);
     const __m256d offset = _mm256_sub_pd(pl, _mm256_set1_pd(ql));
     __m256d lo = offset, hi = offset;
     for (int i = 0; i < d - 1; ++i) {
-      const __m256d pv = _mm256_i32gather_pd(cols.col(i), idx, 8);
+      const __m256d pv = Gather4(cols.col(i), idx);
       // (p(i) - pl) - (q(i) - ql): the inner q-side difference is one
       // scalar op, broadcast — identical to the scalar GapRange's value.
       const __m256d c = _mm256_sub_pd(_mm256_sub_pd(pv, pl),

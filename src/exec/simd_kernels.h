@@ -24,8 +24,6 @@ void Avx2ScoreRange(const ColumnStore& cols, const Vec& w, int32_t begin,
                     int32_t end, Scalar* out);
 void Avx2ScoreBatch(const ColumnStore& cols, const Vec& w,
                     std::span<const int32_t> rows, Scalar* out);
-/// True when any of vals[0..3] > threshold (the top-k scan's block probe).
-bool Avx2AnyAbove4(const Scalar* vals, Scalar threshold);
 void Avx2DominatedCounts(const ColumnStore& cols,
                          std::span<const int32_t> rows,
                          std::span<const int32_t> refs, int cap, Scalar eps,
@@ -44,8 +42,6 @@ void NeonScoreRange(const ColumnStore& cols, const Vec& w, int32_t begin,
                     int32_t end, Scalar* out);
 void NeonScoreBatch(const ColumnStore& cols, const Vec& w,
                     std::span<const int32_t> rows, Scalar* out);
-/// True when any of vals[0..1] > threshold.
-bool NeonAnyAbove2(const Scalar* vals, Scalar threshold);
 void NeonDominatedCounts(const ColumnStore& cols,
                          std::span<const int32_t> rows,
                          std::span<const int32_t> refs, int cap, Scalar eps,

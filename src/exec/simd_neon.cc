@@ -101,11 +101,6 @@ void NeonScoreBatch(const ColumnStore& cols, const Vec& w,
   }
 }
 
-bool NeonAnyAbove2(const Scalar* vals, Scalar threshold) {
-  const uint64x2_t cmp = vcgtq_f64(vld1q_f64(vals), vdupq_n_f64(threshold));
-  return (vgetq_lane_u64(cmp, 0) | vgetq_lane_u64(cmp, 1)) != 0;
-}
-
 void NeonDominatedCounts(const ColumnStore& cols,
                          std::span<const int32_t> rows,
                          std::span<const int32_t> refs, int cap, Scalar eps,

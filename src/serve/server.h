@@ -32,7 +32,7 @@ class Server {
  public:
   /// Shares `engine` (it must outlive the server if the caller keeps using
   /// it; the shared_ptr keeps it alive otherwise). Accepts any QueryEngine
-  /// implementation — Engine, LiveEngine and MappedEngine all qualify.
+  /// implementation — Engine and LiveEngine both qualify.
   explicit Server(std::shared_ptr<const QueryEngine> engine,
                   CacheConfig config = {});
 

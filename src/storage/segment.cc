@@ -308,17 +308,6 @@ SegmentReader::~SegmentReader() {
   if (map_ != nullptr) ::munmap(map_, size_);
 }
 
-ColumnStore SegmentReader::Columns() const {
-  // Hand the footer zonemaps over as one coarse zone block per column, so
-  // threshold scans over the mapped store can skip it wholesale when it
-  // cannot beat the running top-k.
-  std::vector<ColumnStore::ZoneEntry> zones;
-  zones.reserve(dim_);
-  for (int d = 0; d < dim_; ++d)
-    zones.push_back({zonemaps_[d].min, zonemaps_[d].max});
-  return ColumnStore::Borrow(cols_, dim_, rows_, std::move(zones));
-}
-
 std::vector<char> SegmentReader::AliveVector() const {
   return std::vector<char>(alive_, alive_ + rows_);
 }
@@ -328,18 +317,16 @@ RTree SegmentReader::Tree() const {
   return std::move(*tree);  // verified on Open
 }
 
-Record SegmentReader::MaterializeRecord(int32_t id) const {
-  Record rec;
-  rec.id = id;
-  rec.attrs.resize(dim_);
-  for (int d = 0; d < dim_; ++d) rec.attrs[d] = cols_[d][id];
-  return rec;
-}
-
 Dataset SegmentReader::MaterializeAll() const {
   Dataset data;
   data.reserve(rows_);
-  for (int32_t i = 0; i < rows_; ++i) data.push_back(MaterializeRecord(i));
+  for (int32_t i = 0; i < rows_; ++i) {
+    Record rec;
+    rec.id = i;
+    rec.attrs.resize(dim_);
+    for (int d = 0; d < dim_; ++d) rec.attrs[d] = cols_[d][i];
+    data.push_back(std::move(rec));
+  }
   return data;
 }
 

@@ -1,13 +1,13 @@
 // Columnar segment files — the immutable half of the persistence tier.
 //
 // A segment is one self-contained, checksummed snapshot of a live catalog
-// (src/live/live_engine.h) laid out for mmap: per-dimension Scalar columns
-// mirroring the in-memory ColumnStore byte-for-byte, the liveness bitmap,
-// and the serialized R-tree pages (index/rtree.h AppendPages), followed by
-// a footer carrying per-block {offset, length, CRC32, min/max zonemap}
-// metadata. Columns start 8-byte aligned, so an mmap'd segment hands the
-// execution layer *borrowed* ColumnStore views (exec/column_store.h) that
-// serve batched kernels with zero copies — see storage/mapped_engine.h.
+// (src/live/live_engine.h): per-dimension Scalar columns mirroring the
+// in-memory ColumnStore byte-for-byte, the liveness bitmap, and the
+// serialized R-tree pages (index/rtree.h AppendPages), followed by a footer
+// carrying per-block {offset, length, CRC32, min/max zonemap} metadata.
+// Columns start 8-byte aligned. Recovery (storage/catalog.h) maps the file,
+// verifies it, and materializes it into a LiveEngine via MaterializeAll,
+// AliveVector and Tree.
 //
 // Layout (every integer little-endian via common/serial.h):
 //
@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "common/types.h"
-#include "exec/column_store.h"
 #include "index/rtree.h"
 
 namespace utk {
@@ -67,8 +66,8 @@ std::optional<std::string> WriteSegment(const std::string& path,
                                         const RTree& tree, uint64_t epoch);
 
 /// Read side: maps the file and exposes the verified blocks zero-copy.
-/// Move-only; the mapping lives until destruction, and every pointer or
-/// borrowed ColumnStore handed out is valid exactly that long.
+/// Move-only; the mapping lives until destruction, and every pointer handed
+/// out is valid exactly that long.
 class SegmentReader {
  public:
   /// Per-column min/max over all rows (tombstones included), from the
@@ -90,19 +89,11 @@ class SegmentReader {
   int32_t rows() const { return rows_; }
   int64_t live() const { return live_; }
   uint64_t epoch() const { return epoch_; }
-  /// Total bytes of the mapped file.
-  uint64_t file_bytes() const { return static_cast<uint64_t>(size_); }
   const std::string& path() const { return path_; }
 
   /// Column d as a pointer into the mapping (rows() Scalars, 8-aligned).
   const Scalar* col(int d) const { return cols_[d]; }
-  /// Liveness bitmap as a pointer into the mapping (rows() bytes).
-  const char* alive_bytes() const { return alive_; }
   Zonemap zonemap(int d) const { return zonemaps_[d]; }
-
-  /// Borrowed SoA view over the mapped columns — the zero-copy handoff to
-  /// the execution layer. Valid while this reader lives.
-  ColumnStore Columns() const;
 
   /// The liveness bitmap as the vector form LiveEngine recovery takes.
   std::vector<char> AliveVector() const;
@@ -111,9 +102,7 @@ class SegmentReader {
   /// cannot fail afterwards).
   RTree Tree() const;
 
-  /// Gathers row `id` from the mapped columns into an AoS record.
-  Record MaterializeRecord(int32_t id) const;
-  /// Gathers the whole catalog — the full-rebuild path recovery uses.
+  /// Gathers the whole catalog into AoS records — the path recovery uses.
   Dataset MaterializeAll() const;
 
  private:

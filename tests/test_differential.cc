@@ -6,8 +6,10 @@
 //   Engine == Server cold (miss) == Server warm (exact hit, byte-equal)
 //   Engine == Server on a contained sub-region (a miss, byte-equal)
 //   Engine == LiveEngine after replaying the same records as inserts
-//   Engine == MappedEngine over a written segment (mmap, lazy rows)
-//   SoA columnar filter/top-k == AoS scalar path (bit-for-bit, per draw)
+//   Engine == LiveEngine recovered from a written segment (the call
+//             Catalog::Open makes)
+//   SoA columnar filter == AoS scalar path (bit-for-bit, per draw)
+//   Engine::TopK (R-tree branch-and-bound) == full-scan TopK (per tier)
 //
 // UTK1 answers must be byte-identical. UTK2 answers of a second engine are
 // compared as the partition they describe — same record union, same
@@ -32,16 +34,15 @@
 
 #include "api/engine.h"
 #include "common/rng.h"
+#include "core/topk.h"
 #include "data/generator.h"
 #include "data/workload.h"
-#include "exec/kernels.h"
 #include "exec/simd.h"
 #include "live/live_engine.h"
 #include "obs/history.h"
 #include "obs/trace.h"
 #include "serve/server.h"
 #include "skyline/rskyband.h"
-#include "storage/mapped_engine.h"
 #include "storage/segment.h"
 
 namespace utk {
@@ -148,7 +149,7 @@ TEST(Differential, AllExecutionPathsAgree) {
     // The engines above all executed through the SoA ColumnStore path;
     // pin it against the AoS path explicitly: the r-skyband filter with
     // and without the store must agree on members AND dominator arcs, and
-    // the fused top-k scan kernel must reproduce the R-tree top-k.
+    // the R-tree top-k every engine serves must reproduce a full scan.
     {
       RSkybandResult aos = ComputeRSkyband(engine->data(), engine->tree(),
                                            d.region, d.k);
@@ -158,8 +159,7 @@ TEST(Differential, AllExecutionPathsAgree) {
       EXPECT_EQ(soa.ids, aos.ids);
       EXPECT_EQ(soa.dominators, aos.dominators);
       const Vec pivot = *d.region.Pivot();
-      EXPECT_EQ(TopKScan(engine->cols(), pivot, d.k),
-                engine->TopK(pivot, d.k));
+      EXPECT_EQ(engine->TopK(pivot, d.k), TopK(data, pivot, d.k));
     }
 
     // --- Engine(rsa) vs Engine(jaa union) -----------------------------
@@ -225,11 +225,10 @@ TEST(Differential, AllExecutionPathsAgree) {
       ExpectSameUtk2(*engine, d.k, want, via_live);
     }
 
-    // --- MappedEngine: the same catalog served off an mmap'd segment ---
-    // Catches any read of an unmaterialized AoS row (the rows are EMPTY
-    // until gathered, so a stray dereference is an ASan-visible OOB, not a
-    // silent zero) and pins the zero-copy borrowed-column pipeline against
-    // the owning one.
+    // --- LiveEngine recovered from a written segment ------------------
+    // Exactly the materialization Catalog::Open performs: the segment's
+    // columns, liveness bitmap and serialized R-tree go back into a
+    // LiveEngine, which must answer like the engine that wrote them.
     {
       const std::string seg_path =
           ::testing::TempDir() + "utk_diff_" + std::to_string(i) + ".seg";
@@ -237,19 +236,19 @@ TEST(Differential, AllExecutionPathsAgree) {
       ASSERT_EQ(WriteSegment(seg_path, data, alive, engine->tree(), 0),
                 std::nullopt);
       std::string seg_error;
-      auto mapped = MappedEngine::Open(seg_path, &seg_error);
-      ASSERT_NE(mapped, nullptr) << seg_error;
-      QueryResult via_mapped = mapped->Run(spec);
-      ASSERT_TRUE(via_mapped.ok) << via_mapped.error;
+      auto seg = SegmentReader::Open(seg_path, &seg_error);
+      ASSERT_NE(seg, nullptr) << seg_error;
+      LiveEngine recovered(seg->MaterializeAll(), seg->AliveVector(),
+                           seg->Tree(), seg->epoch());
+      QueryResult via_recovered = recovered.Run(spec);
+      ASSERT_TRUE(via_recovered.ok) << via_recovered.error;
       if (d.mode == QueryMode::kUtk1) {
-        EXPECT_EQ(via_mapped.ids, want.ids);
+        EXPECT_EQ(via_recovered.ids, want.ids);
       } else {
-        ExpectSameUtk2(*engine, d.k, want, via_mapped);
+        ExpectSameUtk2(*engine, d.k, want, via_recovered);
       }
-      EXPECT_EQ(mapped->TopK(*d.region.Pivot(), d.k),
+      EXPECT_EQ(recovered.TopK(*d.region.Pivot(), d.k),
                 engine->TopK(*d.region.Pivot(), d.k));
-      EXPECT_LE(mapped->rows_materialized(),
-                static_cast<int64_t>(data.size()));
       std::remove(seg_path.c_str());
     }
 
@@ -390,8 +389,8 @@ TEST(Differential, SimdTiersBitIdenticalAcrossEngineDraws) {
     SetSimdTier(SimdTier::kScalar);
     QueryResult scalar = engine.Run(spec);
     const Vec pivot = *d.region.Pivot();
-    const std::vector<int32_t> scalar_topk =
-        TopKScan(engine.cols(), pivot, d.k);
+    const std::vector<int32_t> full_scan_topk = TopK(data, pivot, d.k);
+    EXPECT_EQ(engine.TopK(pivot, d.k), full_scan_topk);
     RSkybandResult scalar_band = ComputeRSkyband(
         engine.data(), engine.tree(), d.region, d.k, nullptr, &engine.cols());
 
@@ -412,9 +411,10 @@ TEST(Differential, SimdTiersBitIdenticalAcrossEngineDraws) {
     EXPECT_EQ(simd.stats.cells_created, scalar.stats.cells_created);
     EXPECT_EQ(simd.stats.heap_pops, scalar.stats.heap_pops);
 
-    // Kernel-level spot checks on the same engine: the fused top-k scan
-    // and the r-skyband filter (dominator arcs included) per tier.
-    EXPECT_EQ(TopKScan(engine.cols(), pivot, d.k), scalar_topk);
+    // Kernel-level spot checks on the same engine: the R-tree top-k (its
+    // leaves score through ScoreBatch) and the r-skyband filter (dominator
+    // arcs included) per tier.
+    EXPECT_EQ(engine.TopK(pivot, d.k), full_scan_topk);
     RSkybandResult simd_band = ComputeRSkyband(
         engine.data(), engine.tree(), d.region, d.k, nullptr, &engine.cols());
     EXPECT_EQ(simd_band.ids, scalar_band.ids);

@@ -11,13 +11,11 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "core/topk.h"
 #include "data/generator.h"
 #include "exec/column_store.h"
 #include "exec/kernels.h"
 #include "exec/simd.h"
 #include "geometry/linear.h"
-#include "obs/metrics.h"
 #include "skyline/dominance.h"
 #include "skyline/rdominance.h"
 
@@ -114,21 +112,6 @@ TEST(ExecKernels, GatheredStoreMirrorsSubset) {
     for (int d = 0; d < 4; ++d)
       EXPECT_EQ(gathered.at(static_cast<int32_t>(j), d),
                 data[ids[j]].attrs[d]);
-}
-
-TEST(ExecKernels, TopKScanMatchesScalarTopK) {
-  Rng rng(103);
-  for (int dim = 2; dim <= 7; ++dim) {
-    // Duplicates force tie-breaks; TopKScan must reproduce TopK's ordering
-    // (score desc, id asc) exactly.
-    Dataset data = MakeStressData(211, dim, 3100 + dim);
-    ColumnStore cols(data);
-    for (int k : {1, 3, 10, 211, 500}) {
-      const Vec w = RandomWeights(dim - 1, rng);
-      EXPECT_EQ(TopKScan(cols, w, k), TopK(data, w, k))
-          << "dim " << dim << " k " << k;
-    }
-  }
 }
 
 TEST(ExecKernels, DominatedCountsMatchScalarDominates) {
@@ -310,7 +293,7 @@ TEST(ExecSimd, TiersBitEqualOnDominanceKernelsWithCaps) {
   }
 }
 
-TEST(ExecSimd, TiersBitEqualOnTopKScanAndRangeBatch) {
+TEST(ExecSimd, TiersBitEqualOnRangeBatch) {
   TierGuard guard;
   Rng rng(503);
   for (int dim = 2; dim <= 7; ++dim) {
@@ -328,16 +311,12 @@ TEST(ExecSimd, TiersBitEqualOnTopKScanAndRangeBatch) {
     std::vector<int32_t> ps;  // odd length: exercises the batch tail
     for (int32_t i = 0; i < 41; ++i) ps.push_back(rng.UniformInt(0, 210));
 
-    const Vec w = RandomWeights(dim - 1, rng);
     SetSimdTier(SimdTier::kScalar);
-    const std::vector<int32_t> want_topk = TopKScan(cols, w, 10);
     std::vector<Scalar> want_lo(ps.size()), want_hi(ps.size());
     gap.RangeBatch(ps, 7, want_lo.data(), want_hi.data());
 
     for (SimdTier tier : HostTiers()) {
       SetSimdTier(tier);
-      EXPECT_EQ(TopKScan(cols, w, 10), want_topk)
-          << SimdTierName(tier) << " dim " << dim;
       std::vector<Scalar> got_lo(ps.size(), -9.0), got_hi(ps.size(), -9.0);
       gap.RangeBatch(ps, 7, got_lo.data(), got_hi.data());
       for (size_t j = 0; j < ps.size(); ++j) {
@@ -355,21 +334,21 @@ TEST(ExecSimd, TiersBitEqualOnTopKScanAndRangeBatch) {
 }
 
 TEST(ExecSimd, GatheredKernelsHandleAllDeadBlocks) {
-  // A liveness filter that tombstones entire kZoneRows blocks hands the
-  // gathered kernels row lists with kilorow-sized holes — exactly what
-  // MappedEngine produces when it walks the segment's alive bitmap. Every
-  // tier must agree bit-for-bit with the scalar tier on such lists, and a
-  // fully-dead list must be a clean no-op.
+  // A liveness filter that tombstones entire 1024-row blocks hands the
+  // gathered kernels row lists with kilorow-sized holes. Every tier must
+  // agree bit-for-bit with the scalar tier on such lists, and a fully-dead
+  // list must be a clean no-op.
   TierGuard guard;
   Rng rng(117);
-  const int32_t n = 4 * ColumnStore::kZoneRows + 37;  // 4 full blocks + tail
+  constexpr int32_t kBlockRows = 1024;
+  const int32_t n = 4 * kBlockRows + 37;  // 4 full blocks + tail
   for (int dim : {2, 4, 7}) {
     Dataset data = MakeStressData(n, dim, 5200 + dim);
     ColumnStore cols(data);
     // Blocks 1 and 3 are all dead; elsewhere every 9th row is dead too.
     std::vector<int32_t> alive;
     for (int32_t i = 0; i < n; ++i) {
-      const int32_t block = i / ColumnStore::kZoneRows;
+      const int32_t block = i / kBlockRows;
       if (block == 1 || block == 3) continue;
       if (i % 9 == 0) continue;
       alive.push_back(i);
@@ -419,155 +398,6 @@ TEST(ExecSimd, GatheredKernelsHandleAllDeadBlocks) {
       EXPECT_EQ(CountDominatorsOfPoint(cols, none, probe, 5, kEps), 0)
           << "dim " << dim;
     }
-  }
-}
-
-// Attribute-clustered rows: every attribute of row i sits near one
-// descending level t_i, so a zone block's per-column bounds are genuinely
-// tight — the shape block skipping exists for (a catalog laid out by an
-// ingest sort key behaves like this). Merely sorting random rows by total
-// score would NOT do: each column still spans its full range per block and
-// the conservative per-column bound stays unbeatable-looking.
-Dataset MakeClustered(int n, int dim, uint64_t seed) {
-  Dataset data = Generate(Distribution::kIndependent, n, dim, seed);
-  Rng rng(seed ^ 0x5eedULL);
-  for (int32_t i = 0; i < n; ++i) {
-    const Scalar t = 1.0 - static_cast<Scalar>(i) / n;
-    for (int d = 0; d < dim; ++d)
-      data[i].attrs[d] =
-          std::clamp(t + rng.Uniform(-0.002, 0.002), 0.0, 1.0);
-  }
-  return data;
-}
-
-TEST(ExecZonemap, SkipEquivalentToScanOnEveryTier) {
-  // The skip decision must be invisible: TopKScan over a zonemapped owned
-  // store and over a zonemap-free borrowed view of the SAME columns must
-  // return identical rows, on every tier, across dimensions. Sorted data
-  // actually triggers skips (verified via the metric counter).
-  TierGuard guard;
-  Rng rng(504);
-  static obs::Counter& skips = obs::MetricRegistry::Global().GetCounter(
-      "utk_exec_topk_blocks_skipped_total");
-  for (int dim = 2; dim <= 7; ++dim) {
-    const Vec w = RandomWeights(dim - 1, rng);
-    Dataset data = MakeClustered(8192, dim, 7700 + dim);
-    ColumnStore owned(data);
-    ASSERT_TRUE(owned.has_zonemaps());
-    std::vector<const Scalar*> ptrs;
-    for (int d = 0; d < dim; ++d) ptrs.push_back(owned.col(d));
-    ColumnStore plain = ColumnStore::Borrow(ptrs, dim, owned.size());
-    ASSERT_FALSE(plain.has_zonemaps());
-
-    for (int k : {1, 10, 64}) {
-      for (SimdTier tier : HostTiers()) {
-        SetSimdTier(tier);
-        const int64_t before = skips.Value();
-        const std::vector<int32_t> with_zones = TopKScan(owned, w, k);
-        EXPECT_GT(skips.Value(), before)
-            << "clustered data must skip blocks, dim " << dim << " k " << k;
-        EXPECT_EQ(with_zones, TopKScan(plain, w, k))
-            << SimdTierName(tier) << " dim " << dim << " k " << k;
-      }
-    }
-    // Unsorted data from the same columns also stays equivalent (skips or
-    // not — the result cannot differ).
-    Dataset shuffled = Generate(Distribution::kCorrelated, 3000, dim,
-                                7800 + dim);
-    ColumnStore owned2(shuffled);
-    std::vector<const Scalar*> ptrs2;
-    for (int d = 0; d < dim; ++d) ptrs2.push_back(owned2.col(d));
-    ColumnStore plain2 = ColumnStore::Borrow(ptrs2, dim, owned2.size());
-    for (SimdTier tier : HostTiers()) {
-      SetSimdTier(tier);
-      EXPECT_EQ(TopKScan(owned2, w, 25), TopKScan(plain2, w, 25))
-          << SimdTierName(tier) << " dim " << dim;
-    }
-  }
-}
-
-TEST(ExecZonemap, UpperBoundSoundAndNegativeWeightBails) {
-  Rng rng(505);
-  for (int dim = 2; dim <= 7; ++dim) {
-    Dataset data = MakeStressData(2500, dim, 7900 + dim);
-    ColumnStore cols(data);
-    const Vec w = RandomWeights(dim - 1, rng);
-    std::vector<Scalar> scores(cols.size());
-    ScoreAll(cols, w, scores.data());
-    const std::pair<int32_t, int32_t> ranges[] = {
-        {0, 1024}, {1024, 2048}, {2048, 2500}, {0, 2500}, {1500, 1501}};
-    for (auto [begin, end] : ranges) {
-      const std::optional<Scalar> ub = cols.ZoneUpperBound(w, begin, end);
-      ASSERT_TRUE(ub.has_value());
-      for (int32_t i = begin; i < end; ++i)
-        ASSERT_LE(scores[i], *ub) << "dim " << dim << " row " << i;
-    }
-    Vec neg = w;
-    neg[0] = -0.1;  // soundness argument needs w >= 0: must refuse
-    EXPECT_FALSE(cols.ZoneUpperBound(neg, 0, 2500).has_value());
-  }
-  ColumnStore empty;
-  EXPECT_FALSE(empty.ZoneUpperBound(Vec{}, 0, 0).has_value());
-}
-
-TEST(ExecZonemap, SetRowWidensAndRebuildRetightens) {
-  ColumnStore cols;
-  for (int32_t i = 0; i < 10; ++i)
-    cols.SetRow(i, {0.5, 0.5, 0.5});
-  ASSERT_TRUE(cols.has_zonemaps());
-  EXPECT_EQ(cols.zone(0, 0).min, 0.5);
-  EXPECT_EQ(cols.zone(0, 0).max, 0.5);
-
-  cols.SetRow(3, {0.1, 0.9, 0.5});  // widens both affected columns
-  EXPECT_EQ(cols.zone(0, 0).min, 0.1);
-  EXPECT_EQ(cols.zone(1, 0).max, 0.9);
-
-  cols.SetRow(3, {0.5, 0.5, 0.5});  // shrink: widen-only bounds stay loose
-  EXPECT_EQ(cols.zone(0, 0).min, 0.1);
-  EXPECT_EQ(cols.zone(1, 0).max, 0.9);
-  // Loose bounds are still sound for the scan...
-  const Vec w{0.3, 0.3};
-  std::vector<Scalar> scores(cols.size());
-  ScoreAll(cols, w, scores.data());
-  const std::optional<Scalar> loose = cols.ZoneUpperBound(w, 0, 10);
-  ASSERT_TRUE(loose.has_value());
-  for (Scalar s : scores) EXPECT_LE(s, *loose);
-  // ...and an explicit rebuild retightens them.
-  cols.RebuildZonemaps();
-  EXPECT_EQ(cols.zone(0, 0).min, 0.5);
-  EXPECT_EQ(cols.zone(1, 0).max, 0.5);
-}
-
-TEST(ExecZonemap, FooterBackedBorrowSkipsAsOneCoarseBlock) {
-  // The storage tier's mapped path: a borrowed store carrying the segment
-  // footer's whole-column min/max as one block. A scan whose threshold
-  // already beats the footer bound must skip the entire store and still
-  // agree with the plain scan.
-  TierGuard guard;
-  Rng rng(506);
-  Dataset data = Generate(Distribution::kIndependent, 3000, 4, 61);
-  ColumnStore owned(data);
-  std::vector<const Scalar*> ptrs;
-  std::vector<ColumnStore::ZoneEntry> zones;
-  for (int d = 0; d < 4; ++d) {
-    ptrs.push_back(owned.col(d));
-    Scalar mn = owned.at(0, d), mx = mn;
-    for (int32_t i = 1; i < owned.size(); ++i) {
-      mn = std::min(mn, owned.at(i, d));
-      mx = std::max(mx, owned.at(i, d));
-    }
-    zones.push_back({mn, mx});
-  }
-  ColumnStore footer = ColumnStore::Borrow(ptrs, 4, owned.size(), zones);
-  ASSERT_TRUE(footer.has_zonemaps());
-  EXPECT_EQ(footer.zone_rows(), owned.size());  // one coarse block
-  ColumnStore plain = ColumnStore::Borrow(ptrs, 4, owned.size());
-  const Vec w = RandomWeights(3, rng);
-  for (SimdTier tier : HostTiers()) {
-    SetSimdTier(tier);
-    for (int k : {1, 7, 50})
-      EXPECT_EQ(TopKScan(footer, w, k), TopKScan(plain, w, k))
-          << SimdTierName(tier) << " k " << k;
   }
 }
 

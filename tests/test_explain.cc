@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <memory>
 #include <string>
@@ -18,8 +17,6 @@
 #include "data/workload.h"
 #include "live/live_engine.h"
 #include "obs/trace.h"
-#include "storage/mapped_engine.h"
-#include "storage/segment.h"
 
 namespace utk {
 namespace {
@@ -148,20 +145,9 @@ TEST(Explain, AnalyzeTreeMatchesSpanTreeStructurally) {
   auto engine = std::make_shared<const Engine>(data);
   auto live = std::make_shared<LiveEngine>(data);
   for (int32_t id = 0; id < 2000; id += 7) ASSERT_TRUE(live->Erase(id));
-  const std::string seg_path =
-      ::testing::TempDir() + "utk_explain_mapped.seg";
-  live->WithSnapshot([&](const CatalogView& view) {
-    ASSERT_EQ(WriteSegment(seg_path, view.data, view.alive, view.tree,
-                           view.epoch),
-              std::nullopt);
-  });
-  std::shared_ptr<const QueryEngine> mapped = MappedEngine::Open(seg_path);
-  ASSERT_NE(mapped, nullptr);
 
   const std::vector<std::pair<std::string, std::shared_ptr<const QueryEngine>>>
-      engines = {{"engine.run", engine},
-                 {"live.run", live},
-                 {"mapped.run", mapped}};
+      engines = {{"engine.run", engine}, {"live.run", live}};
   const std::vector<QuerySpec> paths = {
       BoxSpec(2, 8, QueryMode::kUtk1, Algorithm::kRsa),
       BoxSpec(2, 4, QueryMode::kUtk2, Algorithm::kJaa),
@@ -170,8 +156,8 @@ TEST(Explain, AnalyzeTreeMatchesSpanTreeStructurally) {
   for (const auto& [root_op, e] : engines) {
     for (const QuerySpec& spec : paths) {
       SCOPED_TRACE(root_op + " " + AlgorithmName(spec.algorithm));
-      // Warm-up: one-time work (mapped row gathers, the compact fallback
-      // engine) stays out of both trees compared below.
+      // Warm-up: one-time work (the compact fallback engine) stays out of
+      // both trees compared below.
       ASSERT_TRUE(e->Run(spec).ok);
 
       // Reference: record the span tree of a plain run by hand.
@@ -221,7 +207,6 @@ TEST(Explain, AnalyzeTreeMatchesSpanTreeStructurally) {
       }
     }
   }
-  std::remove(seg_path.c_str());
 }
 
 // ---------------------------------------------------------------------------

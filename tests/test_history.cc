@@ -17,8 +17,6 @@
 #include "live/live_engine.h"
 #include "obs/history.h"
 #include "serve/server.h"
-#include "storage/mapped_engine.h"
-#include "storage/segment.h"
 
 namespace utk {
 namespace {
@@ -259,14 +257,6 @@ TEST(History, ServedRowsCountLiveRecordsNotTombstones) {
   for (int32_t id = 0; id < 300; id += 3) ASSERT_TRUE(live->Erase(id));
   ASSERT_EQ(live->live_size(), 200);
   Engine compacted(live->CompactSnapshot());
-  const std::string seg_path = Path("served_n_seg");
-  live->WithSnapshot([&](const CatalogView& view) {
-    ASSERT_EQ(WriteSegment(seg_path, view.data, view.alive, view.tree,
-                           view.epoch),
-              std::nullopt);
-  });
-  std::shared_ptr<const QueryEngine> mapped = MappedEngine::Open(seg_path);
-  ASSERT_NE(mapped, nullptr);
 
   QuerySpec spec;
   spec.mode = QueryMode::kUtk1;
@@ -275,17 +265,13 @@ TEST(History, ServedRowsCountLiveRecordsNotTombstones) {
   spec.region = ConvexRegion::FromBox(Vec{0.2, 0.2}, Vec{0.4, 0.4});
   obs::SetQueryHistory(w);
   ASSERT_TRUE(compacted.Run(spec).ok);
-  for (std::shared_ptr<const QueryEngine> engine :
-       {std::shared_ptr<const QueryEngine>(live), mapped}) {
-    Server server(engine);
-    ASSERT_TRUE(server.Query(spec).ok);
-  }
+  Server server(live);
+  ASSERT_TRUE(server.Query(spec).ok);
   obs::SetQueryHistory(nullptr);
-  std::remove(seg_path.c_str());
 
   auto replay = obs::ReadHistory(path);
   ASSERT_TRUE(replay.has_value());
-  ASSERT_EQ(replay->records.size(), 3u);
+  ASSERT_EQ(replay->records.size(), 2u);
   for (const obs::HistoryRecord& rec : replay->records) {
     EXPECT_EQ(rec.n, live->live_size());
     EXPECT_EQ(rec.pref_dim, 2);

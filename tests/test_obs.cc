@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <cstdio>
 #include <map>
 #include <memory>
 #include <string>
@@ -19,8 +18,6 @@
 #include "live/live_engine.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "storage/mapped_engine.h"
-#include "storage/segment.h"
 
 namespace utk {
 namespace {
@@ -173,14 +170,6 @@ TEST(Metrics, EveryRunCountsOneQueryOnEveryEngineAndPath) {
   auto engine = std::make_shared<const Engine>(data);
   auto live = std::make_shared<LiveEngine>(data);
   for (int32_t id = 0; id < 150; id += 5) ASSERT_TRUE(live->Erase(id));
-  const std::string seg_path = ::testing::TempDir() + "utk_obs_mapped.seg";
-  live->WithSnapshot([&](const CatalogView& view) {
-    ASSERT_EQ(WriteSegment(seg_path, view.data, view.alive, view.tree,
-                           view.epoch),
-              std::nullopt);
-  });
-  std::shared_ptr<const QueryEngine> mapped = MappedEngine::Open(seg_path);
-  ASSERT_NE(mapped, nullptr);
 
   std::vector<std::string> lines;
   obs::SetSlowQuerySink([&lines](const std::string& s) {
@@ -193,9 +182,7 @@ TEST(Metrics, EveryRunCountsOneQueryOnEveryEngineAndPath) {
       "utk_engine_query_latency_us");
 
   const std::vector<std::pair<std::string, std::shared_ptr<const QueryEngine>>>
-      engines = {{"engine.run", engine},
-                 {"live.run", live},
-                 {"mapped.run", mapped}};
+      engines = {{"engine.run", engine}, {"live.run", live}};
   QuerySpec spec;
   spec.k = 3;
   spec.region = ConvexRegion::FromBox(Vec{0.25, 0.25}, Vec{0.4, 0.4});
@@ -221,7 +208,6 @@ TEST(Metrics, EveryRunCountsOneQueryOnEveryEngineAndPath) {
   const int64_t before = queries.Value();
   EXPECT_FALSE(live->Run(spec).ok);
   EXPECT_EQ(queries.Value(), before);
-  std::remove(seg_path.c_str());
 }
 
 // ---------------------------------------------------------------------------

@@ -195,10 +195,12 @@ TEST(Stats, SerializationCoversEveryMember) {
 
   // ToString names every member: each distinct value must appear.
   const std::string str = s.ToString();
-  for (size_t w = 0; w < kWords; ++w)
-    EXPECT_NE(str.find("=" + std::to_string(1000 + 7 * (int64_t)w)),
-              std::string::npos)
+  for (size_t w = 0; w < kWords; ++w) {
+    std::string needle = "=";
+    needle += std::to_string(1000 + 7 * (int64_t)w);
+    EXPECT_NE(str.find(needle), std::string::npos)
         << "word " << w << " missing from ToString";
+  }
 
   // operator+= touches every member: summing s into a zero stats can leave
   // no word at zero (counters sum, gauges max — either way the distinct

@@ -22,8 +22,8 @@
 #include "common/serial.h"
 #include "data/generator.h"
 #include "data/workload.h"
+#include "exec/column_store.h"
 #include "storage/catalog.h"
-#include "storage/mapped_engine.h"
 #include "storage/segment.h"
 #include "storage/wal.h"
 
@@ -107,15 +107,12 @@ TEST(Segment, RoundTripsBitwiseEqualColumns) {
   EXPECT_EQ(seg->epoch(), 42u);
   EXPECT_EQ(seg->live(), s.tree.num_records());
 
-  // The mapped columns equal the in-memory SoA mirror bit for bit, and the
-  // borrowed view serves them zero-copy.
+  // The mapped columns equal the in-memory SoA mirror bit for bit.
   ColumnStore owned(s.data);
-  ColumnStore borrowed = seg->Columns();
-  EXPECT_TRUE(borrowed.borrowed());
-  ASSERT_EQ(borrowed.size(), owned.size());
-  ASSERT_EQ(borrowed.dim(), owned.dim());
+  ASSERT_EQ(seg->rows(), owned.size());
+  ASSERT_EQ(seg->dim(), owned.dim());
   for (int d = 0; d < owned.dim(); ++d) {
-    EXPECT_EQ(std::memcmp(borrowed.col(d), owned.col(d),
+    EXPECT_EQ(std::memcmp(seg->col(d), owned.col(d),
                           sizeof(Scalar) * owned.size()),
               0)
         << "column " << d;
@@ -367,71 +364,19 @@ TEST(Wal, RejectsNonWalFiles) {
   std::remove(path.c_str());
 }
 
-// ---------------------------------------------------------- mapped engine
+// ------------------------------------------------------ segment recovery
 
-TEST(MappedEngine, ColdOpenAnswersWithoutMaterializing) {
-  Dataset data = Generate(Distribution::kIndependent, 400, 3, 17);
-  Engine reference(Generate(Distribution::kIndependent, 400, 3, 17));
-  std::vector<char> alive(data.size(), 1);
-  RTree tree = RTree::BulkLoad(data);
-  const std::string path = TempPath("mapped.seg");
-  ASSERT_EQ(WriteSegment(path, data, alive, tree, 9), std::nullopt);
-
-  std::string error;
-  auto mapped = MappedEngine::Open(path, &error);
-  ASSERT_NE(mapped, nullptr) << error;
-  EXPECT_EQ(mapped->size(), 400);
-  EXPECT_EQ(mapped->dim(), 3);
-  EXPECT_EQ(mapped->epoch(), 9u);
-  // Open touches one anchor row, nothing else.
-  EXPECT_LE(mapped->rows_materialized(), 1);
-
-  for (QueryMode mode : {QueryMode::kUtk1, QueryMode::kUtk2}) {
-    const Algorithm algo =
-        mode == QueryMode::kUtk1 ? Algorithm::kRsa : Algorithm::kJaa;
-    QuerySpec spec = MakeSpec(mode, algo, 3);
-    QueryResult want = reference.Run(spec);
-    QueryResult got = mapped->Run(spec);
-    ASSERT_TRUE(got.ok) << got.error;
-    EXPECT_EQ(got.ids, want.ids);
-    EXPECT_EQ(got.stats.epoch, 9);
-    EXPECT_EQ(got.stats.mapped_bytes,
-              static_cast<int64_t>(mapped->segment().file_bytes()));
-  }
-  // The band pipeline materialized only candidate rows.
-  EXPECT_LT(mapped->rows_materialized(), 400);
-  EXPECT_GT(mapped->rows_materialized(), 0);
-
-  // TopK runs off MBBs + borrowed columns alone.
-  const int64_t before_topk = mapped->rows_materialized();
-  EXPECT_EQ(mapped->TopK({0.3, 0.3}, 5), reference.TopK({0.3, 0.3}, 5));
-  EXPECT_EQ(mapped->rows_materialized(), before_topk);
-
-  // Baselines and the naive oracle fall back to a compacted engine and
-  // still agree.
-  for (Algorithm algo :
-       {Algorithm::kBaselineSk, Algorithm::kBaselineOn, Algorithm::kNaive}) {
-    QuerySpec spec = MakeSpec(QueryMode::kUtk1, algo, 3);
-    QueryResult want = reference.Run(spec);
-    QueryResult got = mapped->Run(spec);
-    ASSERT_EQ(got.ok, want.ok) << got.error;
-    if (want.ok) {
-      EXPECT_EQ(got.ids, want.ids);
-    }
-  }
-  // data() serves the full catalog on demand.
-  EXPECT_EQ(mapped->data().size(), 400u);
-  EXPECT_EQ(mapped->rows_materialized(), 400);
-  std::remove(path.c_str());
-}
-
-TEST(MappedEngine, TombstonesStayDead) {
+// A segment with tombstones recovered the way Catalog::Open does it: dead
+// ids stay dead on both the r-skyband path and the compact fallback.
+TEST(Recovery, TombstonesStayDead) {
   SavedState s = MakeState(200, 3, 29);
-  const std::string path = TempPath("mapped_tomb.seg");
+  const std::string path = TempPath("recovered_tomb.seg");
   ASSERT_EQ(WriteSegment(path, s.data, s.alive, s.tree, 1), std::nullopt);
-  auto mapped = MappedEngine::Open(path);
-  ASSERT_NE(mapped, nullptr);
-  EXPECT_EQ(mapped->live_size(), s.tree.num_records());
+  auto seg = SegmentReader::Open(path);
+  ASSERT_NE(seg, nullptr);
+  LiveEngine recovered(seg->MaterializeAll(), seg->AliveVector(), seg->Tree(),
+                       seg->epoch());
+  EXPECT_EQ(recovered.live_size(), s.tree.num_records());
 
   // Reference: an engine over the compacted live records, with answers
   // mapped back to stable ids.
@@ -448,7 +393,7 @@ TEST(MappedEngine, TombstonesStayDead) {
   for (Algorithm algo : {Algorithm::kRsa, Algorithm::kBaselineSk}) {
     QuerySpec spec = MakeSpec(QueryMode::kUtk1, algo, 3);
     QueryResult want = reference.Run(spec);
-    QueryResult got = mapped->Run(spec);
+    QueryResult got = recovered.Run(spec);
     ASSERT_TRUE(got.ok) << got.error;
     std::vector<int32_t> mapped_want = want.ids;
     for (int32_t& id : mapped_want) id = stable[id];
