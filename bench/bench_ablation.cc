@@ -145,7 +145,7 @@ BENCHMARK(Ablation_Layout_Filter_SoA)->Unit(benchmark::kMillisecond);
 // ---------------------------------------------------------------------------
 // Explicit-SIMD ablation: the same SoA kernels with dispatch pinned to the
 // scalar reference tier versus the best tier the host supports (exec/simd.h
-// — AVX2 on x86-64, NEON on aarch64). Both sides run back to back in this
+// — AVX2 on x86-64). Both sides run back to back in this
 // process on the 100k IND corpus, so their ratio is the vectorization
 // speedup and nothing else; check_bench.py gates it. On a host with no
 // SIMD tier both sides run the scalar kernels and the pair reads 1.0x —

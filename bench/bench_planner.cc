@@ -1,31 +1,23 @@
 // Planner-quality gate (DESIGN.md §13), enforced in CI by
-// tools/check_bench.py against bench/baselines/bench_planner.json:
+// tools/check_bench.py against bench/baselines/bench_planner.json. It checks
+// kAuto's fixed rule (RSA for UTK1, JAA for UTK2) against measurement:
 //
 //   * chosen_over_best_median <= 1.10: across a (mode, k, sigma) cell matrix
-//     on the 100k IND corpus, the plan the planner picks (algorithm under
-//     kAuto) must run within 10% of the best measured plan for that cell.
+//     on the 100k IND corpus, the plan kAuto picks must run within 10% of
+//     the best measured plan for that cell.
 //   * mispredict_rate: fraction of cells where the chosen algorithm is not
 //     the measured argmin. Some mispredicts are tolerable as long as the
 //     chosen plan stays near-best (a 2ms-vs-2.1ms coin flip is not a planning
 //     failure); the ceiling catches systematic inversion.
-//   * fallback_cells <= 0 when a model is loaded: bench-smoke runs with
-//     UTK_PLANNER_MODEL pointing at the checked-in calibration, and every
-//     cell of the matrix sits inside its envelope, so any heuristic fallback
-//     means the model file or envelope regressed. Without the env var the
-//     bench still runs (heuristic planning) but exports model_loaded=0 so
-//     the gate is skipped by inspection, not silently green.
 //
-// The candidate plan set per cell is the set of algorithms the planner could
-// realistically pick at this scale (rsa/jaa for UTK1, jaa for UTK2 — the
-// sk/on/naive baselines are minutes-per-query at 100k and exist in the model
-// only so their huge extrapolated estimates keep the planner away). If the
-// planner nevertheless picks something outside the set, that plan is
-// measured too: a pathological choice then blows the ratio gate instead of
-// being invisible.
+// The candidate plan set per cell is the set of algorithms worth running at
+// this scale (rsa/jaa for UTK1, jaa for UTK2 — the sk/on/naive baselines are
+// minutes-per-query at 100k). If the planner nevertheless picks something
+// outside the set, that plan is measured too: a pathological choice then
+// blows the ratio gate instead of being invisible.
 #include <algorithm>
 #include <vector>
 
-#include "api/planner.h"
 #include "bench_common.h"
 
 namespace utk {
@@ -84,16 +76,15 @@ double BatchMs(const Engine& engine, const Cell& cell, Algorithm algo,
 
 void Planner_ChosenVsBest100k(benchmark::State& state) {
   const Engine& engine = Data();
-  const auto model = DefaultCostModel();
   std::vector<double> ratios;
-  int64_t cells = 0, mispredicts = 0, fallbacks = 0;
+  int64_t cells = 0, mispredicts = 0;
   for (auto _ : state) {
     ratios.clear();
-    cells = mispredicts = fallbacks = 0;
+    cells = mispredicts = 0;
     for (const Cell& cell : kCells) {
       const auto queries = Queries(kDim - 1, cell.sigma);
 
-      // One auto-planned run tells us what the planner picked and why.
+      // One auto-planned run tells us what the planner picked.
       QuerySpec probe = Spec(cell.mode, Algorithm::kAuto, cell.k);
       probe.region = queries.front();
       const QueryResult planned = engine.Run(probe);
@@ -102,9 +93,6 @@ void Planner_ChosenVsBest100k(benchmark::State& state) {
         return;
       }
       const Algorithm chosen = planned.algorithm;
-      if (planned.stats.plan_reason !=
-          static_cast<int64_t>(PlanReason::kCostModel))
-        ++fallbacks;
 
       std::vector<Algorithm> plans = CandidatePlans(cell.mode);
       if (std::find(plans.begin(), plans.end(), chosen) == plans.end())
@@ -129,9 +117,7 @@ void Planner_ChosenVsBest100k(benchmark::State& state) {
   state.counters["chosen_over_best_median"] = MedianOf(ratios);
   state.counters["mispredict_rate"] =
       cells > 0 ? static_cast<double>(mispredicts) / cells : 0.0;
-  state.counters["fallback_cells"] = static_cast<double>(fallbacks);
   state.counters["cells"] = static_cast<double>(cells);
-  state.counters["model_loaded"] = model != nullptr ? 1.0 : 0.0;
 }
 
 // Repetition medians are what the CI gate reads; three repetitions keep one

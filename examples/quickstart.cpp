@@ -7,8 +7,8 @@
 // exactly which preferences yield which top-2 set.
 //
 // Both queries go through the utk::Engine facade with Algorithm::kAuto: the
-// engine owns the R-tree and picks the algorithm (here the naive oracle for
-// UTK1 — seven records — and JAA for UTK2).
+// engine owns the R-tree and picks the algorithm (RSA for UTK1, JAA for
+// UTK2).
 //
 // Run:  ./example_quickstart
 #include <cstdio>

@@ -45,8 +45,10 @@
 //                        fingerprint + stats + top spans)
 //   --stats-dir DIR      append one history row per query to
 //                        DIR/history.utkh (read back with `history`)
-//   --planner-model FILE load calibrated cost-model coefficients (see
-//                        tools/calibrate_planner.py) before building engines
+//
+// Numeric flags must parse in full and respect their minimum (--n >= 1,
+// --dim >= 2, --k >= 1, counts, --sigma, --insert-frac and --slow-ms >= 0);
+// anything else is an "error:" line and exit 2.
 //
 // All UTK dispatch goes through the QueryEngine interface: the CLI builds
 // one engine per dataset (R-tree included) and submits a declarative
@@ -75,6 +77,8 @@
 //   utk_cli utk2 --data anti.csv --k 5 --box 0.1,0.2,0.1,0.2,0.1,0.2 --algo jaa
 //   utk_cli topk --data anti.csv --k 5 --weights 0.3,0.3,0.2,0.2
 //   utk_cli serve --data anti.csv --gen 50 --mode utk1 --k 10
+#include <cerrno>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -85,6 +89,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <sys/stat.h>
@@ -152,14 +157,52 @@ std::optional<std::vector<Scalar>> ParseList(const std::string& s,
   return out;
 }
 
+/// Parses `text`, the value of `--name`, as an int (T = int) or a finite
+/// number (T = double) no smaller than `min`. When strtol / strtod does not
+/// consume `text` in full ("abc", "5x"), or the value is out of range,
+/// prints an error naming the flag and exits 2.
+template <typename T>
+T NumberOrDie(const char* name, const std::string& text, T min) {
+  static_assert(std::is_same_v<T, int> || std::is_same_v<T, double>);
+  char* end = nullptr;
+  errno = 0;
+  T value{};
+  bool ok = false;
+  if constexpr (std::is_same_v<T, int>) {
+    const long parsed = std::strtol(text.c_str(), &end, 10);
+    ok = errno == 0 && parsed >= min && parsed <= INT_MAX;
+    value = static_cast<int>(parsed);
+  } else {
+    value = std::strtod(text.c_str(), &end);
+    ok = std::isfinite(value) && value >= min;
+  }
+  if (text.empty() || end != text.c_str() + text.size() || !ok) {
+    if constexpr (std::is_same_v<T, int>)
+      std::fprintf(stderr, "error: --%s must be an integer >= %d, got %s\n",
+                   name, min, text.c_str());
+    else
+      std::fprintf(stderr, "error: --%s must be a number >= %g, got %s\n",
+                   name, min, text.c_str());
+    std::exit(2);
+  }
+  return value;
+}
+
+/// NumberOrDie over flag `name`, or `fallback` when the flag is absent.
+template <typename T>
+T FlagOr(const std::map<std::string, std::string>& flags, const char* name,
+         T fallback, T min) {
+  auto it = flags.find(name);
+  return it == flags.end() ? fallback : NumberOrDie(name, it->second, min);
+}
+
 int Usage() {
   std::fprintf(stderr,
                "usage: utk_cli <generate|utk1|utk2|topk|immutable|serve|"
                "updates|save|open|compact|run|explain|history|stats> "
                "[--flags]\n"
                "observability: --trace-out FILE --metrics-out FILE "
-               "--slow-ms T --stats-dir DIR --planner-model FILE "
-               "(any subcommand)\n"
+               "--slow-ms T --stats-dir DIR (any subcommand)\n"
                "see the header of examples/utk_cli.cpp for details\n");
   return 2;
 }
@@ -207,8 +250,8 @@ ConvexRegion BoxOrDie(const std::map<std::string, std::string>& flags,
 int CmdGenerate(const std::map<std::string, std::string>& flags) {
   const std::string dist =
       flags.count("dist") ? flags.at("dist") : std::string("IND");
-  const int n = flags.count("n") ? std::atoi(flags.at("n").c_str()) : 1000;
-  const int dim = flags.count("dim") ? std::atoi(flags.at("dim").c_str()) : 4;
+  const int n = FlagOr(flags, "n", 1000, 1);
+  const int dim = FlagOr(flags, "dim", 4, 2);
   const uint64_t seed =
       flags.count("seed") ? std::strtoull(flags.at("seed").c_str(), nullptr, 10)
                           : 42;
@@ -239,7 +282,7 @@ int CmdUtk(const std::map<std::string, std::string>& flags, bool second) {
   Engine engine = EngineOrDie(flags);
   QuerySpec spec;
   spec.mode = second ? QueryMode::kUtk2 : QueryMode::kUtk1;
-  spec.k = flags.count("k") ? std::atoi(flags.at("k").c_str()) : 10;
+  spec.k = FlagOr(flags, "k", 10, 1);
   spec.region = BoxOrDie(flags, engine.pref_dim());
   if (flags.count("algo")) {
     auto algo = ParseAlgorithm(flags.at("algo"));
@@ -358,16 +401,15 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
   } else {
     ServeTraceOptions opt;
     opt.pref_dim = pref_dim;
-    if (flags.count("sigma")) opt.sigma = std::atof(flags.at("sigma").c_str());
+    opt.sigma = FlagOr(flags, "sigma", opt.sigma, 0.0);
     if (flags.count("seed"))
       opt.seed = std::strtoull(flags.at("seed").c_str(), nullptr, 10);
-    const int count =
-        flags.count("gen") ? std::atoi(flags.at("gen").c_str()) : 40;
+    const int count = FlagOr(flags, "gen", 40, 0);
     QuerySpec base;
     base.mode = flags.count("mode") && flags.at("mode") == "utk2"
                     ? QueryMode::kUtk2
                     : QueryMode::kUtk1;
-    base.k = flags.count("k") ? std::atoi(flags.at("k").c_str()) : 10;
+    base.k = FlagOr(flags, "k", 10, 1);
     ServeTrace trace = MakeServeTrace(count, opt);
     for (ConvexRegion& region : trace.queries) {
       QuerySpec spec = base;
@@ -380,8 +422,7 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
     return 2;
   }
 
-  const int threads =
-      flags.count("threads") ? std::atoi(flags.at("threads").c_str()) : 1;
+  const int threads = FlagOr(flags, "threads", 1, 0);
   Timer timer;
   BatchQueryResult batch = server.QueryBatch(specs, threads);
   const double total_ms = timer.ElapsedMs();
@@ -411,26 +452,22 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
 }
 
 int CmdUpdates(const std::map<std::string, std::string>& flags) {
-  auto intf = [&](const char* name, int fallback) {
-    return flags.count(name) ? std::atoi(flags.at(name).c_str()) : fallback;
-  };
   Engine loaded = EngineOrDie(flags);
   const int pref_dim = loaded.pref_dim();
-  const int ops = intf("ops", 500);
-  const int batch = std::max(1, intf("batch", 25));
-  const int queries = intf("queries", 3);
-  const int k = intf("k", 5);
-  const bool verify = intf("verify", 1) != 0;
-  const bool use_serve = intf("serve", 1) != 0;
+  const int ops = FlagOr(flags, "ops", 500, 0);
+  const int batch = std::max(1, FlagOr(flags, "batch", 25, 0));
+  const int queries = FlagOr(flags, "queries", 3, 0);
+  const int k = FlagOr(flags, "k", 5, 1);
+  const bool verify = FlagOr(flags, "verify", 1, 0) != 0;
+  const bool use_serve = FlagOr(flags, "serve", 1, 0) != 0;
   const uint64_t seed =
       flags.count("seed") ? std::strtoull(flags.at("seed").c_str(), nullptr, 10)
                           : 42;
-  const Scalar sigma =
-      flags.count("sigma") ? std::atof(flags.at("sigma").c_str()) : 0.1;
+  const Scalar sigma = FlagOr(flags, "sigma", 0.1, 0.0);
 
   UpdateTraceOptions trace_opt;
-  if (flags.count("insert-frac"))
-    trace_opt.insert_fraction = std::atof(flags.at("insert-frac").c_str());
+  trace_opt.insert_fraction =
+      FlagOr(flags, "insert-frac", trace_opt.insert_fraction, 0.0);
   // Fresh inserts follow --dist so an ANTI/COR catalog keeps its joint
   // shape under updates (MakeUpdateTrace defaults to IND otherwise).
   if (flags.count("dist"))
@@ -623,8 +660,7 @@ int CmdOpen(const std::map<std::string, std::string>& flags) {
   PrintCatalogStats(cat->stats());
   LiveEngine& live = cat->live();
 
-  const int ops =
-      flags.count("ops") ? std::atoi(flags.at("ops").c_str()) : 0;
+  const int ops = FlagOr(flags, "ops", 0, 0);
   if (ops > 0) {
     // A logged random insert/erase mix against the recovered catalog: the
     // next `open` replays these from the WAL.
@@ -666,7 +702,7 @@ int CmdOpen(const std::map<std::string, std::string>& flags) {
   if (flags.count("box")) {
     QuerySpec spec;
     spec.mode = QueryMode::kUtk1;
-    spec.k = flags.count("k") ? std::atoi(flags.at("k").c_str()) : 10;
+    spec.k = FlagOr(flags, "k", 10, 1);
     spec.region = BoxOrDie(flags, live.pref_dim());
     QueryResult r = live.Run(spec);
     if (!r.ok) {
@@ -679,7 +715,7 @@ int CmdOpen(const std::map<std::string, std::string>& flags) {
     std::fprintf(stderr, "[stats] %s\n", r.stats.ToString().c_str());
   }
 
-  if (flags.count("verify") && std::atoi(flags.at("verify").c_str()) != 0) {
+  if (FlagOr(flags, "verify", 0, 0) != 0) {
     // The recovered engine must equal a from-scratch Engine on its own
     // compacted catalog — the same check the updates command runs.
     std::vector<int32_t> live_ids;
@@ -765,7 +801,7 @@ Vec WeightsOrDie(const std::map<std::string, std::string>& flags, int dim) {
 
 int CmdTopk(const std::map<std::string, std::string>& flags) {
   Engine engine = EngineOrDie(flags);
-  const int k = flags.count("k") ? std::atoi(flags.at("k").c_str()) : 10;
+  const int k = FlagOr(flags, "k", 10, 1);
   Vec w = WeightsOrDie(flags, engine.dim());
   for (int32_t id : engine.TopK(w, k)) std::printf("%d\n", id);
   return 0;
@@ -773,7 +809,7 @@ int CmdTopk(const std::map<std::string, std::string>& flags) {
 
 int CmdImmutable(const std::map<std::string, std::string>& flags) {
   Engine engine = EngineOrDie(flags);
-  const int k = flags.count("k") ? std::atoi(flags.at("k").c_str()) : 10;
+  const int k = FlagOr(flags, "k", 10, 1);
   Vec w = WeightsOrDie(flags, engine.dim());
   auto res = ImmutableRegion(engine.data(), w, k);
   std::printf("top-%d:", k);
@@ -802,7 +838,7 @@ int CmdRun(const std::map<std::string, std::string>& flags) {
   base.mode = flags.count("mode") && flags.at("mode") == "utk2"
                   ? QueryMode::kUtk2
                   : QueryMode::kUtk1;
-  base.k = flags.count("k") ? std::atoi(flags.at("k").c_str()) : 10;
+  base.k = FlagOr(flags, "k", 10, 1);
   if (flags.count("algo")) {
     auto algo = ParseAlgorithm(flags.at("algo"));
     if (!algo.has_value()) {
@@ -819,10 +855,8 @@ int CmdRun(const std::map<std::string, std::string>& flags) {
     spec.region = BoxOrDie(flags, pref_dim);
     specs.push_back(std::move(spec));
   } else {
-    const int count =
-        flags.count("queries") ? std::atoi(flags.at("queries").c_str()) : 8;
-    const Scalar sigma =
-        flags.count("sigma") ? std::atof(flags.at("sigma").c_str()) : 0.1;
+    const int count = FlagOr(flags, "queries", 8, 0);
+    const Scalar sigma = FlagOr(flags, "sigma", 0.1, 0.0);
     const uint64_t seed =
         flags.count("seed")
             ? std::strtoull(flags.at("seed").c_str(), nullptr, 10)
@@ -835,8 +869,7 @@ int CmdRun(const std::map<std::string, std::string>& flags) {
     }
   }
 
-  const int threads =
-      flags.count("threads") ? std::atoi(flags.at("threads").c_str()) : 1;
+  const int threads = FlagOr(flags, "threads", 1, 0);
   Timer timer;
   const BatchQueryResult batch = loaded.RunBatch(specs, threads);
   const double total_ms = timer.ElapsedMs();
@@ -868,7 +901,7 @@ int CmdExplain(const std::map<std::string, std::string>& flags) {
   spec.mode = flags.count("mode") && flags.at("mode") == "utk2"
                   ? QueryMode::kUtk2
                   : QueryMode::kUtk1;
-  spec.k = flags.count("k") ? std::atoi(flags.at("k").c_str()) : 10;
+  spec.k = FlagOr(flags, "k", 10, 1);
   spec.region = BoxOrDie(flags, pref_dim);
   if (flags.count("algo")) {
     auto algo = ParseAlgorithm(flags.at("algo"));
@@ -967,8 +1000,7 @@ int CmdHistory(const std::map<std::string, std::string>& flags) {
                 a.count > 0 ? a.total_ms / static_cast<double>(a.count) : 0.0,
                 a.max_ms);
   }
-  const int limit =
-      flags.count("limit") ? std::atoi(flags.at("limit").c_str()) : 10;
+  const int limit = FlagOr(flags, "limit", 10, 0);
   const size_t first = recs.size() > static_cast<size_t>(std::max(limit, 0))
                            ? recs.size() - static_cast<size_t>(limit)
                            : 0;
@@ -1025,31 +1057,18 @@ int main(int argc, char** argv) {
 
   // Observability flags may ride on any subcommand, at any position (the
   // per-command ParseFlags also sees them; commands ignore what they don't
-  // know). Tracing / slow-query logging / the history sink / the planner
-  // model must all be up before dispatch (engines capture the cost model at
-  // construction).
-  std::string trace_out, metrics_out, stats_dir, planner_model;
+  // know). Tracing / slow-query logging / the history sink must all be up
+  // before dispatch.
+  std::string trace_out, metrics_out, stats_dir;
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::strcmp(argv[i], "--trace-out") == 0) trace_out = argv[i + 1];
     if (std::strcmp(argv[i], "--metrics-out") == 0) metrics_out = argv[i + 1];
     if (std::strcmp(argv[i], "--stats-dir") == 0) stats_dir = argv[i + 1];
-    if (std::strcmp(argv[i], "--planner-model") == 0)
-      planner_model = argv[i + 1];
     if (std::strcmp(argv[i], "--slow-ms") == 0)
-      utk::obs::SetSlowQueryThresholdMs(std::atof(argv[i + 1]));
+      utk::obs::SetSlowQueryThresholdMs(
+          NumberOrDie("slow-ms", argv[i + 1], 0.0));
   }
   if (!trace_out.empty()) utk::obs::SetTracingEnabled(true);
-  if (!planner_model.empty()) {
-    std::string error;
-    auto model = utk::CostModel::LoadFile(planner_model, &error);
-    if (!model.has_value()) {
-      std::fprintf(stderr, "error: --planner-model %s: %s\n",
-                   planner_model.c_str(), error.c_str());
-      return 2;
-    }
-    utk::SetDefaultCostModel(
-        std::make_shared<const utk::CostModel>(std::move(*model)));
-  }
   std::shared_ptr<utk::obs::HistoryWriter> history;
   if (!stats_dir.empty() && std::string(argv[1]) != "history") {
     ::mkdir(stats_dir.c_str(), 0755);  // EEXIST is fine; Open reports others

@@ -58,12 +58,6 @@ class Engine final : public QueryEngine {
   /// and tests share it.
   const ColumnStore& cols() const { return cols_; }
 
-  /// Replaces the cost model captured at construction. Call before sharing
-  /// the engine across threads — it is not synchronized.
-  void set_cost_model(std::shared_ptr<const CostModel> model) {
-    model_ = std::move(model);
-  }
-
   /// Branch-and-bound top-k over the R-tree (no dataset scan).
   std::vector<int32_t> TopK(const Vec& w, int k) const override;
 

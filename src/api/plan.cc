@@ -89,10 +89,6 @@ void RenderInto(const PlanNode& node, const std::string& prefix, bool last,
   std::string fields;
   if (node.est_rows >= 0)
     fields += "est_rows=" + std::to_string(node.est_rows);
-  if (node.est_ms >= 0) {
-    if (!fields.empty()) fields += " ";
-    AppendMs(&fields, "est_ms", node.est_ms);
-  }
   if (node.actual_rows >= 0) {
     if (!fields.empty()) fields += " ";
     fields += "rows=" + std::to_string(node.actual_rows);
@@ -130,7 +126,6 @@ void AnnotateInto(PlanNode* node, const PlanNode& reference,
   if (const PlanNode* ref = FindByOp(reference, node->op, claimed)) {
     claimed->push_back(ref);
     node->est_rows = ref->est_rows;
-    node->est_ms = ref->est_ms;
     if (node->detail.empty()) node->detail = ref->detail;
   }
   for (PlanNode& kid : node->children)
@@ -234,7 +229,6 @@ PlanNode CoalescePlan(const PlanNode& root) {
         *acc += v;
       };
       add(&merged.est_rows, m->est_rows);
-      add(&merged.est_ms, m->est_ms);
       add(&merged.actual_rows, m->actual_rows);
       add(&merged.actual_ms, m->actual_ms);
       merged.children.insert(merged.children.end(), m->children.begin(),

@@ -33,7 +33,6 @@ struct PlanNode {
   std::string op;      ///< operator name, span vocabulary ("engine.run")
   std::string detail;  ///< free-form annotation ("algo=RSA reason=...")
   int64_t est_rows = -1;    ///< estimated cardinality; -1 = not estimated
-  double est_ms = -1.0;     ///< estimated cost; -1 = not estimated
   int64_t actual_rows = -1; ///< measured cardinality (span arg); -1 = none
   double actual_ms = -1.0;  ///< measured duration; -1 = not measured
   std::vector<PlanNode> children;
@@ -47,7 +46,7 @@ struct PlanNode {
 };
 
 /// Deterministic text rendering: one line per node, box-drawing indents,
-/// `op  (detail)  [est_rows=… est_ms=… rows=… ms=…]` with unset fields
+/// `op  (detail)  [est_rows=… rows=… ms=…]` with unset fields
 /// omitted and an empty bracket section dropped entirely.
 std::string RenderPlan(const PlanNode& root);
 
@@ -60,7 +59,7 @@ std::string RenderPlan(const PlanNode& root);
 PlanNode PlanFromTrace(const std::vector<obs::TraceEvent>& events,
                        int64_t t0_us);
 
-/// Copies est_rows / est_ms / detail from `reference` onto `tree` by
+/// Copies est_rows / detail from `reference` onto `tree` by
 /// operator name (first unclaimed reference node with the same op wins, in
 /// DFS order), so an ANALYZE tree carries the EXPLAIN estimates of the
 /// operators that actually ran.

@@ -7,20 +7,6 @@
 #include "common/crc32.h"
 
 namespace utk {
-namespace {
-
-/// Largest dataset the kAuto planner hands to the naive oracle. Naive UTK1
-/// solves one LP-enumeration per record with every other record as a
-/// competitor, so it only wins while n is tiny; beyond this the r-skyband
-/// filtering amortizes immediately.
-constexpr int64_t kAutoNaiveMaxN = 48;
-
-/// The naive oracle enumerates subsets of competitor half-spaces, which is
-/// exponential in the preference dimensionality; kAuto never picks it above
-/// this many preference dimensions.
-constexpr int kAutoNaiveMaxPrefDim = 4;
-
-}  // namespace
 
 const char* QueryModeName(QueryMode mode) {
   switch (mode) {
@@ -53,13 +39,6 @@ std::optional<Algorithm> ParseAlgorithm(const std::string& name) {
   if (s == "on") return Algorithm::kBaselineOn;
   if (s == "naive") return Algorithm::kNaive;
   return std::nullopt;
-}
-
-Algorithm ChooseAlgorithm(QueryMode mode, int64_t n, int pref_dim) {
-  if (mode == QueryMode::kUtk2) return Algorithm::kJaa;
-  if (n <= kAutoNaiveMaxN && pref_dim <= kAutoNaiveMaxPrefDim)
-    return Algorithm::kNaive;
-  return Algorithm::kRsa;
 }
 
 std::string SpecFingerprint(const QuerySpec& spec) {

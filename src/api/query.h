@@ -26,10 +26,10 @@ enum class QueryMode {
   kUtk2,  ///< the exact top-k set for every weight vector in the region
 };
 
-/// Which algorithm answers it. kAuto lets the engine plan (see
-/// ChooseAlgorithm); the rest force a specific implementation.
+/// Which algorithm answers it. kAuto lets the engine plan (see DecidePlan
+/// in api/planner.h); the rest force a specific implementation.
 enum class Algorithm {
-  kAuto,        ///< engine picks: RSA / JAA, naive for tiny inputs
+  kAuto,        ///< engine picks: RSA for UTK1, JAA for UTK2
   kRsa,         ///< r-Skyband Algorithm (Section 4), UTK1 only
   kJaa,         ///< Joint Arrangement Algorithm (Section 5); UTK1 via union
   kBaselineSk,  ///< k-skyband filter + kSPR per candidate (Section 3.3)
@@ -42,11 +42,6 @@ const char* AlgorithmName(Algorithm algo);
 
 /// Parses "auto" / "rsa" / "jaa" / "sk" / "on" / "naive" (case-insensitive).
 std::optional<Algorithm> ParseAlgorithm(const std::string& name);
-
-/// The planner behind Algorithm::kAuto: RSA (UTK1) / JAA (UTK2) by default,
-/// falling back to the naive oracle for datasets small enough that LP
-/// enumeration beats building the r-dominance machinery.
-Algorithm ChooseAlgorithm(QueryMode mode, int64_t n, int pref_dim);
 
 struct QuerySpec;
 

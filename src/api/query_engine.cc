@@ -8,10 +8,6 @@
 
 namespace utk {
 
-PlanDecision QueryEngine::Decide(const QuerySpec& spec) const {
-  return DecidePlan(cost_model(), spec, size(), pref_dim());
-}
-
 std::optional<std::string> QueryEngine::Prepare(const QuerySpec& spec,
                                                 PlanDecision* decision) const {
   if (size() == 0) return "engine holds an empty dataset";
@@ -57,10 +53,6 @@ QueryResult QueryEngine::Run(const QuerySpec& spec) const {
   r.stats.planned_algorithm = static_cast<int64_t>(decision.algorithm);
   r.stats.plan_reason = static_cast<int64_t>(decision.reason);
 
-  // The mispredict rate over a workload is the planner's live quality
-  // signal (gated in tools/check_bench.py).
-  NotePlanOutcome(decision, r.stats.elapsed_ms);
-
   static obs::Counter& queries =
       obs::MetricRegistry::Global().GetCounter("utk_engine_queries_total");
   static obs::Histogram& latency = obs::MetricRegistry::Global().GetHistogram(
@@ -81,7 +73,6 @@ PlanNode QueryEngine::Explain(const QuerySpec& spec) const {
     return root;
   }
   root.detail = PlanDetail(d, spec.k, size());
-  root.est_ms = d.est_ms;
   root.children = ExplainChildren(spec, d);
   return root;
 }

@@ -10,11 +10,11 @@
 //   1. open the engine's root span (engine.run / live.run), the slow-query
 //      scope and the history scope;
 //   2. apply the rejection rules against size(), the LIVE record count;
-//   3. plan once (DecidePlan with the engine's cost model);
+//   3. plan once (DecidePlan);
 //   4. Execute(spec, decision) — the only step an engine supplies;
-//   5. stamp epoch / planned_algorithm / plan_reason, NotePlanOutcome,
-//      count utk_engine_queries_total + utk_engine_query_latency_us, emit
-//      the slow-log line and the history row.
+//   5. stamp epoch / planned_algorithm / plan_reason, count
+//      utk_engine_queries_total + utk_engine_query_latency_us, emit the
+//      slow-log line and the history row.
 //
 // Steps 2-4 and the epoch stamp run inside ReadPinned, so a mutating
 // engine (LiveEngine) answers a whole query at one epoch. Explain has the
@@ -25,7 +25,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -73,11 +72,8 @@ class QueryEngine {
   virtual int dim() const = 0;
   int pref_dim() const { return PrefDim(dim()); }
 
-  /// The cost model Decide plans with (nullptr: the heuristic).
-  virtual const CostModel* cost_model() const { return model_.get(); }
-
   /// The planning verdict for `spec` (api/planner.h) and its algorithm.
-  PlanDecision Decide(const QuerySpec& spec) const;
+  PlanDecision Decide(const QuerySpec& spec) const { return DecidePlan(spec); }
   Algorithm Plan(const QuerySpec& spec) const {
     return Decide(spec).algorithm;
   }
@@ -123,10 +119,6 @@ class QueryEngine {
   virtual void ReadPinned(const std::function<void()>& body) const {
     body();
   }
-
-  /// DefaultCostModel() at construction; only Engine::set_cost_model
-  /// replaces it.
-  std::shared_ptr<const CostModel> model_ = DefaultCostModel();
 
  private:
   /// Validate's rules; on success fills `decision` (the rules need it).

@@ -31,7 +31,7 @@ struct QueryStats {
   // whose admission caused them.
   int64_t cache_hits = 0;           ///< exact fingerprint cache hits
   /// Always 0: the serving cache reuses exact matches only. Kept so the
-  /// CSV layout (history files, planner calibration data) stays stable.
+  /// CSV layout (history files) stays stable.
   int64_t cache_semantic_hits = 0;
   int64_t cache_misses = 0;         ///< full engine executions
   int64_t cache_evictions = 0;      ///< LRU evictions during admission
@@ -41,12 +41,12 @@ struct QueryStats {
   int64_t epoch = 0;
   /// Always 0, like mapped_bytes: no engine answers off a mapped segment
   /// (recovery materializes into a LiveEngine). Both are kept so the CSV
-  /// layout (history files, planner calibration data) stays stable.
+  /// layout (history files) stays stable.
   int64_t rows_materialized = 0;
   int64_t mapped_bytes = 0;
   // Planner provenance (src/api/planner.h): the Algorithm enum value the
   // planner resolved kAuto to (0 = unset / explicit kAuto never runs) and
-  // the PlanReason enum value saying WHY (heuristic, cost model, fallback).
+  // the PlanReason enum value saying WHY (explicit or the kAuto rule).
   // Both are gauges — Merge takes the max, so a batch total reports the
   // "most informed" decision seen rather than a meaningless sum.
   int64_t planned_algorithm = 0;  ///< Algorithm the planner chose (enum value)

@@ -23,12 +23,6 @@ void ScoreRange(const ColumnStore& cols, const Vec& w, int32_t begin,
     return;
   }
 #endif
-#if UTK_SIMD_ARM
-  if (ActiveSimdTier() == SimdTier::kNeon) {
-    simd::NeonScoreRange(cols, w, begin, end, out);
-    return;
-  }
-#endif
   const Scalar* last = cols.col(d - 1);
   const int32_t n = end - begin;
   for (int32_t j = 0; j < n; ++j) out[j] = last[begin + j];
@@ -48,12 +42,6 @@ void ScoreBatch(const ColumnStore& cols, const Vec& w,
 #if UTK_SIMD_X86
   if (ActiveSimdTier() == SimdTier::kAvx2) {
     simd::Avx2ScoreBatch(cols, w, rows, out);
-    return;
-  }
-#endif
-#if UTK_SIMD_ARM
-  if (ActiveSimdTier() == SimdTier::kNeon) {
-    simd::NeonScoreBatch(cols, w, rows, out);
     return;
   }
 #endif
@@ -110,12 +98,6 @@ void DominatedCounts(const ColumnStore& cols, std::span<const int32_t> rows,
     return;
   }
 #endif
-#if UTK_SIMD_ARM
-  if (ActiveSimdTier() == SimdTier::kNeon) {
-    simd::NeonDominatedCounts(cols, rows, refs, cap, eps, out);
-    return;
-  }
-#endif
   for (size_t j = 0; j < rows.size(); ++j) {
     int32_t count = 0;
     for (int32_t r : refs) {
@@ -134,10 +116,6 @@ int CountDominatorsOfPoint(const ColumnStore& cols,
 #if UTK_SIMD_X86
   if (ActiveSimdTier() == SimdTier::kAvx2)
     return simd::Avx2CountDominatorsOfPoint(cols, rows, v, cap, eps);
-#endif
-#if UTK_SIMD_ARM
-  if (ActiveSimdTier() == SimdTier::kNeon)
-    return simd::NeonCountDominatorsOfPoint(cols, rows, v, cap, eps);
 #endif
   int count = 0;
   for (int32_t r : rows) {
@@ -196,12 +174,6 @@ void BoxGapEvaluator::RangeBatch(std::span<const int32_t> ps, int32_t q,
 #if UTK_SIMD_X86
   if (ActiveSimdTier() == SimdTier::kAvx2) {
     simd::Avx2GapRangeBatch(*cols_, *lo_, *hi_, ps, q, out_lo, out_hi);
-    return;
-  }
-#endif
-#if UTK_SIMD_ARM
-  if (ActiveSimdTier() == SimdTier::kNeon) {
-    simd::NeonGapRangeBatch(*cols_, *lo_, *hi_, ps, q, out_lo, out_hi);
     return;
   }
 #endif

@@ -20,9 +20,9 @@
 // form behind the k-skyband brute-force oracle (skyline/skyband.cc).
 //
 // Every kernel dispatches on exec/simd.h ActiveSimdTier(): the scalar
-// loops below are the reference; the AVX2/NEON twins (simd_avx2.cc,
-// simd_neon.cc) vectorize across rows with the identical per-row
-// expression tree and are bit-identical by construction.
+// loops below are the reference; the AVX2 twins (simd_avx2.cc) vectorize
+// across rows with the identical per-row expression tree and are
+// bit-identical by construction.
 #ifndef UTK_EXEC_KERNELS_H_
 #define UTK_EXEC_KERNELS_H_
 

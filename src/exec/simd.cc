@@ -27,9 +27,6 @@ SimdTier Clamp(SimdTier tier) {
     case SimdTier::kAvx2:
       return BestSupportedSimdTier() == SimdTier::kAvx2 ? SimdTier::kAvx2
                                                         : SimdTier::kScalar;
-    case SimdTier::kNeon:
-      return BestSupportedSimdTier() == SimdTier::kNeon ? SimdTier::kNeon
-                                                        : SimdTier::kScalar;
   }
   return SimdTier::kScalar;
 }
@@ -41,7 +38,6 @@ SimdTier ResolveFromEnv() {
       EqualsIgnoreCase(env, "scalar"))
     return SimdTier::kScalar;
   if (EqualsIgnoreCase(env, "avx2")) return Clamp(SimdTier::kAvx2);
-  if (EqualsIgnoreCase(env, "neon")) return Clamp(SimdTier::kNeon);
   // "1" / "on" / "auto" / anything unrecognized: best supported.
   return BestSupportedSimdTier();
 }
@@ -54,8 +50,6 @@ const char* SimdTierName(SimdTier tier) {
       return "scalar";
     case SimdTier::kAvx2:
       return "avx2";
-    case SimdTier::kNeon:
-      return "neon";
   }
   return "scalar";
 }
@@ -63,8 +57,6 @@ const char* SimdTierName(SimdTier tier) {
 SimdTier BestSupportedSimdTier() {
 #if UTK_SIMD_X86
   return __builtin_cpu_supports("avx2") ? SimdTier::kAvx2 : SimdTier::kScalar;
-#elif UTK_SIMD_ARM
-  return SimdTier::kNeon;  // NEON is baseline on aarch64
 #else
   return SimdTier::kScalar;
 #endif
@@ -87,8 +79,6 @@ int SimdWidth() {
   switch (ActiveSimdTier()) {
     case SimdTier::kAvx2:
       return 4;
-    case SimdTier::kNeon:
-      return 2;
     case SimdTier::kScalar:
       break;
   }

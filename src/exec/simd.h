@@ -1,12 +1,12 @@
 // Runtime SIMD dispatch for the batched kernels in exec/kernels.h.
 //
-// Three tiers: the scalar reference loops (the bitwise ground truth every
-// other path is tested against), AVX2 (4-wide double, x86-64), and NEON
-// (2-wide double, aarch64). The tier is resolved once, on first use:
+// Two tiers: the scalar reference loops (the bitwise ground truth the
+// vector path is tested against) and AVX2 (4-wide double, x86-64). Other
+// CPUs run scalar. The tier is resolved once, on first use:
 //
 //   UTK_SIMD=0|scalar|off   force the scalar reference kernels
-//   UTK_SIMD=avx2 / neon    request a tier (falls back to scalar when the
-//                           CPU or build does not support it)
+//   UTK_SIMD=avx2           request AVX2 (falls back to scalar when the CPU
+//                           or build does not support it)
 //   unset / auto            best tier the running CPU supports
 //
 // The vectorized kernels are *bit-identical* to their scalar twins, not
@@ -15,7 +15,7 @@
 // (no FMA contraction — the AVX2 translation unit is compiled with -mavx2
 // only), and replay the exact per-element expression trees of kernels.cc.
 // The differential harness (tests/test_differential.cc) and the forced-
-// scalar CI job hold all tiers to EXPECT_EQ on doubles.
+// scalar CI job hold both tiers to EXPECT_EQ on doubles.
 #ifndef UTK_EXEC_SIMD_H_
 #define UTK_EXEC_SIMD_H_
 
@@ -24,18 +24,12 @@
 #else
 #define UTK_SIMD_X86 0
 #endif
-#if defined(__aarch64__)
-#define UTK_SIMD_ARM 1
-#else
-#define UTK_SIMD_ARM 0
-#endif
 
 namespace utk {
 
 enum class SimdTier {
   kScalar = 0,  ///< reference loops in kernels.cc
   kAvx2 = 1,    ///< 4-wide double, x86-64 with AVX2
-  kNeon = 2,    ///< 2-wide double, aarch64
 };
 
 const char* SimdTierName(SimdTier tier);
@@ -51,7 +45,7 @@ SimdTier ActiveSimdTier();
 /// tiers within one process. Unsupported requests clamp to kScalar.
 void SetSimdTier(SimdTier tier);
 
-/// Row-lanes the active tier processes per step (1 / 4 / 2). Batch
+/// Row-lanes the active tier processes per step (1 / 4). Batch
 /// consumers (the gap-range batcher) use this to size their speculative
 /// chunks so scalar dispatch never computes a single wasted element.
 int SimdWidth();

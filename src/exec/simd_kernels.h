@@ -4,8 +4,8 @@
 // same shape in kernels.cc: lanes are rows, the per-row expression tree and
 // accumulation order are the scalar ones, multiply and add stay separate
 // (no FMA). The AVX2 set lives in simd_avx2.cc (compiled with -mavx2 on
-// x86-64 only); the NEON set in simd_neon.cc (aarch64 only). Nothing here
-// is public API — consumers go through kernels.h.
+// x86-64 only). Nothing here is public API — consumers go through
+// kernels.h.
 #ifndef UTK_EXEC_SIMD_KERNELS_H_
 #define UTK_EXEC_SIMD_KERNELS_H_
 
@@ -36,23 +36,6 @@ void Avx2GapRangeBatch(const ColumnStore& cols, const Vec& box_lo,
                        const Vec& box_hi, std::span<const int32_t> ps,
                        int32_t q, Scalar* out_lo, Scalar* out_hi);
 #endif  // UTK_SIMD_X86
-
-#if UTK_SIMD_ARM
-void NeonScoreRange(const ColumnStore& cols, const Vec& w, int32_t begin,
-                    int32_t end, Scalar* out);
-void NeonScoreBatch(const ColumnStore& cols, const Vec& w,
-                    std::span<const int32_t> rows, Scalar* out);
-void NeonDominatedCounts(const ColumnStore& cols,
-                         std::span<const int32_t> rows,
-                         std::span<const int32_t> refs, int cap, Scalar eps,
-                         int32_t* out);
-int NeonCountDominatorsOfPoint(const ColumnStore& cols,
-                               std::span<const int32_t> rows, const Vec& v,
-                               int cap, Scalar eps);
-void NeonGapRangeBatch(const ColumnStore& cols, const Vec& box_lo,
-                       const Vec& box_hi, std::span<const int32_t> ps,
-                       int32_t q, Scalar* out_lo, Scalar* out_hi);
-#endif  // UTK_SIMD_ARM
 
 }  // namespace simd
 }  // namespace utk

@@ -1,12 +1,11 @@
 // Persistent query-stats history: an append-only, CRC-framed file with one
-// fingerprinted row per query, closing the observe→plan loop.
+// fingerprinted row per query.
 //
 // Every row records the query's *features* (mode, k, catalog size,
 // preference dimensionality, region width), the planner's decision (the
 // algorithm that ran, the one planned, and the reason), the full QueryStats
-// CSV row, and a top-span rollup — everything tools/calibrate_planner.py
-// needs to fit per-algorithm cost coefficients offline, and everything
-// `utk_cli history` needs to answer "what ran here and how fast".
+// CSV row, and a top-span rollup — everything `utk_cli history` needs to
+// answer "what ran here and how fast".
 //
 // Framing reuses the WAL conventions (storage/wal.h, common/serial.h):
 //

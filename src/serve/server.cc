@@ -19,8 +19,8 @@ QueryResult Server::Query(const QuerySpec& spec) {
   obs::QueryLogScope slow_log("serve.query");
   // One history row per served query, whichever path answers it; the
   // engine's own scope on the miss path nests inside this one and stays
-  // silent. Cache-hit rows carry cache_hits=1 in their stats CSV, so the
-  // calibration fit (tools/calibrate_planner.py) can filter them out.
+  // silent. Cache-hit rows carry cache_hits=1 in their stats CSV, so a
+  // reader of the history can tell them from engine runs.
   QueryHistoryScope history;
   auto& reg = obs::MetricRegistry::Global();
   static obs::Counter& queries = reg.GetCounter("utk_serve_queries_total");
@@ -81,7 +81,6 @@ PlanNode Server::Explain(const QuerySpec& spec) const {
     return root;
   }
   root.detail = "cache-first; miss cost below";
-  root.est_ms = engine_plan.est_ms;
   PlanNode probe;
   probe.op = "serve.cache_probe";
   probe.detail = "exact fingerprint";

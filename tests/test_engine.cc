@@ -94,7 +94,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(0, 1, 2),  // IND / COR / ANTI
                        ::testing::Values(1, 3, 5)));
 
-TEST(EngineAuto, PlansRsaAndJaaAtScaleNaiveWhenTiny) {
+TEST(EngineAuto, PlansRsaAndJaaAtEverySize) {
   Engine big(Generate(Distribution::kIndependent, 500, 4, 7));
   QuerySpec spec;
   spec.region = ConvexRegion::FromBox({0.2, 0.2, 0.2}, {0.3, 0.3, 0.3});
@@ -106,17 +106,18 @@ TEST(EngineAuto, PlansRsaAndJaaAtScaleNaiveWhenTiny) {
   spec.algorithm = Algorithm::kBaselineOn;
   EXPECT_EQ(big.Plan(spec), Algorithm::kBaselineOn);
 
+  // Tiny inputs plan the same way: no size threshold.
   Engine tiny(Generate(Distribution::kIndependent, 30, 3, 7));
   QuerySpec tiny_spec;
   tiny_spec.mode = QueryMode::kUtk1;
   tiny_spec.region = ConvexRegion::FromBox({0.2, 0.2}, {0.3, 0.3});
-  EXPECT_EQ(tiny.Plan(tiny_spec), Algorithm::kNaive);
+  EXPECT_EQ(tiny.Plan(tiny_spec), Algorithm::kRsa);
   tiny_spec.k = 3;
   QueryResult r = tiny.Run(tiny_spec);
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(r.algorithm, Algorithm::kNaive);
-  // The oracle's answer must match the paper algorithm's.
-  tiny_spec.algorithm = Algorithm::kRsa;
+  EXPECT_EQ(r.algorithm, Algorithm::kRsa);
+  // The paper algorithm's answer must match the oracle's.
+  tiny_spec.algorithm = Algorithm::kNaive;
   EXPECT_EQ(tiny.Run(tiny_spec).ids, r.ids);
 }
 

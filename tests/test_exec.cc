@@ -32,9 +32,8 @@ class TierGuard {
   SimdTier saved_;
 };
 
-// The tiers this host can actually run: always scalar, plus the best
-// vector tier when there is one. On the x86 CI runner this covers AVX2;
-// on an aarch64 host the same loop covers NEON.
+// The tiers this host can actually run: always scalar, plus AVX2 when the
+// CPU has it.
 std::vector<SimdTier> HostTiers() {
   std::vector<SimdTier> tiers{SimdTier::kScalar};
   if (BestSupportedSimdTier() != SimdTier::kScalar)

@@ -9,6 +9,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/engine.h"
@@ -84,6 +85,33 @@ TEST(History, RoundTripsEveryField) {
     EXPECT_EQ(got.plan_reason, want.plan_reason);
     EXPECT_EQ(got.stats_csv, want.stats_csv);
     EXPECT_EQ(got.top_spans, want.top_spans);
+  }
+}
+
+// Reasons the planner no longer produces (the small-n naive rule and the
+// cost model) keep their numbers, so rows that carry them still decode and
+// print by name.
+TEST(History, RetiredPlanReasonsStillDecodeAndPrint) {
+  const std::string path = Path("retired");
+  const std::pair<uint8_t, const char*> reasons[] = {
+      {2, "heuristic-small-n"}, {4, "cost-model"}, {5, "cost-model-fallback"}};
+  {
+    auto w = obs::HistoryWriter::Open(path);
+    ASSERT_NE(w, nullptr);
+    for (int i = 0; i < 3; ++i) {
+      obs::HistoryRecord rec = SampleRecord(i);
+      rec.plan_reason = reasons[i].first;
+      ASSERT_TRUE(w->Append(rec));
+    }
+  }
+  auto replay = obs::ReadHistory(path);
+  ASSERT_TRUE(replay.has_value());
+  ASSERT_EQ(replay->records.size(), 3u);
+  for (int i = 0; i < 3; ++i) {
+    const uint8_t got = replay->records[i].plan_reason;
+    EXPECT_EQ(got, reasons[i].first);
+    EXPECT_STREQ(PlanReasonName(static_cast<PlanReason>(got)),
+                 reasons[i].second);
   }
 }
 
@@ -203,7 +231,6 @@ TEST(History, EngineAppendsOneRowPerTopLevelQuery) {
     obs::SetQueryHistory(w);
 
     Engine engine(Generate(Distribution::kIndependent, 300, 3, 23));
-    engine.set_cost_model(nullptr);
     QuerySpec spec;
     spec.mode = QueryMode::kUtk1;
     spec.algorithm = Algorithm::kAuto;

@@ -47,9 +47,11 @@ TEST_F(FigureOneTest, NaiveOracleMatchesPaper) {
   EXPECT_EQ(r.ids, (std::vector<int32_t>{0, 1, 3, 5}));
 }
 
-TEST_F(FigureOneTest, AutoPlansNaiveForSevenHotels) {
+TEST_F(FigureOneTest, AutoPlansRsaForSevenHotels) {
   QueryResult r = RunWith(QueryMode::kUtk1, Algorithm::kAuto);
-  EXPECT_EQ(r.algorithm, Algorithm::kNaive);
+  EXPECT_EQ(r.algorithm, Algorithm::kRsa);
+  EXPECT_EQ(r.stats.plan_reason,
+            static_cast<int64_t>(PlanReason::kHeuristicDefault));
   EXPECT_EQ(r.ids, (std::vector<int32_t>{0, 1, 3, 5}));
 }
 
