@@ -3,7 +3,30 @@
 #include <algorithm>
 #include <cassert>
 
+#include "obs/metrics.h"
+
 namespace utk {
+
+namespace {
+
+// A side whose screened radius is at most this has no interior. The margin
+// below kInteriorEps is >= 500x the screen's measured disagreement with
+// valid reference solves, so a screened side would also fail the
+// reference's radius > kInteriorEps test (DESIGN.md §4).
+constexpr Scalar kScreenRadius = kInteriorEps - 1e-9;
+
+int64_t BoundBytes(const Halfspace& h) {
+  return static_cast<int64_t>(sizeof(Halfspace) + h.a.size() * sizeof(Scalar));
+}
+
+int64_t CellBytes(const Cell& c) {
+  int64_t bytes = static_cast<int64_t>(sizeof(Cell));
+  for (const Halfspace& h : c.bounds) bytes += BoundBytes(h);
+  return bytes + static_cast<int64_t>(c.covering.size() * sizeof(int) +
+                                      c.interior.size() * sizeof(Scalar));
+}
+
+}  // namespace
 
 CellArrangement::CellArrangement(const ConvexRegion& base, QueryStats* stats)
     : stats_(stats) {
@@ -13,6 +36,7 @@ CellArrangement::CellArrangement(const ConvexRegion& base, QueryStats* stats)
   c.bounds = base.constraints();
   c.interior = ip->x;
   c.radius = ip->radius;
+  bytes_ = CellBytes(c);
   cells_.push_back(std::move(c));
   if (stats_ != nullptr) {
     ++stats_->cells_created;
@@ -28,8 +52,23 @@ CellArrangement::CellArrangement(std::vector<Halfspace> base_bounds,
   c.bounds = std::move(base_bounds);
   c.interior = std::move(interior);
   c.radius = radius;
+  bytes_ = CellBytes(c);
   cells_.push_back(std::move(c));
   if (stats_ != nullptr) ++stats_->cells_created;
+}
+
+void CellArrangement::Cover(Cell& c, int hs_id) {
+  c.covering.push_back(hs_id);
+  bytes_ += static_cast<int64_t>(sizeof(int));
+  c.frozen = c.Count() >= freeze_threshold_;
+}
+
+void CellArrangement::Recentre(Cell& c, InteriorPoint ip) {
+  bytes_ += (static_cast<int64_t>(ip.x.size()) -
+             static_cast<int64_t>(c.interior.size())) *
+            static_cast<int64_t>(sizeof(Scalar));
+  c.interior = std::move(ip.x);
+  c.radius = ip.radius;
 }
 
 void CellArrangement::Insert(int hs_id, const Halfspace& hs) {
@@ -39,20 +78,33 @@ void CellArrangement::Insert(int hs_id, const Halfspace& hs) {
     // Degenerate half-space: covers everything or nothing.
     if (EpsGe(hs.b, 0.0)) {
       for (Cell& c : cells_)
-        if (!c.frozen) {
-          c.covering.push_back(hs_id);
-          c.frozen = c.Count() >= freeze_threshold_;
-        }
+        if (!c.frozen) Cover(c, hs_id);
     }
     return;
   }
 
+  int64_t screened = 0;
   const size_t n = cells_.size();
   for (size_t i = 0; i < n; ++i) {
     // Note: Insert may push new cells; only pre-existing cells are visited.
     if (cells_[i].frozen) continue;
 
-    auto side_interior = [&](const Halfspace& h) {
+    // The cached ball B(x0, r) sits at signed distance `depth` inside the
+    // hyperplane, so each side contains a cap of the ball of height
+    // r +- depth, and with it a ball of half that radius. A side whose cap
+    // cannot certify interior goes through the radius-only screen first,
+    // which settles "no interior" without the reference solver; every
+    // other outcome, and every centre, comes from FindInteriorPoint.
+    const Scalar slack = hs.Slack(cells_[i].interior);
+    const Scalar radius = cells_[i].radius;
+    const Scalar depth = slack / norm;
+    auto side_interior = [&](const Halfspace& h, Scalar cap_radius) {
+      if (cap_radius <= kScreenRadius &&
+          ChebyshevRadius(cells_[i].bounds, h, cells_[i].interior) <=
+              kScreenRadius) {
+        ++screened;
+        return std::optional<InteriorPoint>{};
+      }
       std::vector<Halfspace> cons = cells_[i].bounds;
       cons.push_back(h);
       if (stats_ != nullptr) ++stats_->lp_calls;
@@ -61,20 +113,19 @@ void CellArrangement::Insert(int hs_id, const Halfspace& hs) {
       return std::optional<InteriorPoint>{};
     };
 
-    // Fast path: if the cached Chebyshev ball lies strictly on one side of
-    // the hyperplane, that side is feasible with the current interior point
-    // and only the other side needs an LP.
-    const Scalar slack = hs.Slack(cells_[i].interior);
+    // Fast path: if the cached ball lies entirely on one side of the
+    // hyperplane, that side is feasible with the current interior point and
+    // only the other side needs an LP.
     std::optional<InteriorPoint> in_ip, out_ip;
-    if (slack >= norm * cells_[i].radius) {
-      in_ip = InteriorPoint{cells_[i].interior, cells_[i].radius};
-      out_ip = side_interior(hs.Complement());
-    } else if (slack <= -norm * cells_[i].radius) {
-      out_ip = InteriorPoint{cells_[i].interior, cells_[i].radius};
-      in_ip = side_interior(hs);
+    if (slack >= norm * radius) {
+      in_ip = InteriorPoint{cells_[i].interior, radius};
+      out_ip = side_interior(hs.Complement(), (radius - depth) / 2);
+    } else if (slack <= -norm * radius) {
+      out_ip = InteriorPoint{cells_[i].interior, radius};
+      in_ip = side_interior(hs, (radius + depth) / 2);
     } else {
-      in_ip = side_interior(hs);
-      out_ip = side_interior(hs.Complement());
+      in_ip = side_interior(hs, (radius + depth) / 2);
+      out_ip = side_interior(hs.Complement(), (radius - depth) / 2);
     }
     const bool inside_feasible = in_ip.has_value();
     const bool outside_feasible = out_ip.has_value();
@@ -86,31 +137,35 @@ void CellArrangement::Insert(int hs_id, const Halfspace& hs) {
       outside.bounds = cells_[i].bounds;
       outside.bounds.push_back(hs.Complement());
       outside.covering = cells_[i].covering;
-      outside.interior = out_ip->x;
+      outside.interior = std::move(out_ip->x);
       outside.radius = out_ip->radius;
+      bytes_ += CellBytes(outside);
 
       cells_[i].bounds.push_back(hs);
-      cells_[i].covering.push_back(hs_id);
-      cells_[i].interior = in_ip->x;
-      cells_[i].radius = in_ip->radius;
-      cells_[i].frozen = cells_[i].Count() >= freeze_threshold_;
+      bytes_ += BoundBytes(hs);
+      Cover(cells_[i], hs_id);
+      Recentre(cells_[i], std::move(*in_ip));
 
       cells_.push_back(std::move(outside));
       if (stats_ != nullptr) {
         ++stats_->cells_created;
-        stats_->peak_bytes = std::max(stats_->peak_bytes, MemoryBytes());
+        stats_->peak_bytes = std::max(stats_->peak_bytes, bytes_);
       }
     } else if (inside_feasible) {
-      cells_[i].covering.push_back(hs_id);
-      cells_[i].interior = in_ip->x;
-      cells_[i].radius = in_ip->radius;
-      cells_[i].frozen = cells_[i].Count() >= freeze_threshold_;
+      Cover(cells_[i], hs_id);
+      Recentre(cells_[i], std::move(*in_ip));
     } else if (outside_feasible) {
-      cells_[i].interior = out_ip->x;
-      cells_[i].radius = out_ip->radius;
+      Recentre(cells_[i], std::move(*out_ip));
     }
-    // Neither side having interior cannot happen for a cell that had one;
-    // if tolerances ever conspire to produce it, the cell is left as-is.
+    // Neither side reaching kInteriorEps leaves the cell as it is. That is
+    // not impossible: a near-tie hyperplane through a cell barely thicker
+    // than kInteriorEps can leave both sides below it (ROADMAP item 10).
+  }
+  if (screened > 0) {
+    static obs::Counter& sides_screened =
+        obs::MetricRegistry::Global().GetCounter(
+            "utk_arrangement_sides_screened_total");
+    sides_screened.Add(screened);
   }
 }
 
@@ -138,19 +193,6 @@ int CellArrangement::Locate(const Vec& w, Scalar eps) const {
     if (ok) return static_cast<int>(i);
   }
   return -1;
-}
-
-int64_t CellArrangement::MemoryBytes() const {
-  int64_t bytes = 0;
-  for (const Cell& c : cells_) {
-    bytes += static_cast<int64_t>(sizeof(Cell));
-    for (const Halfspace& h : c.bounds)
-      bytes += static_cast<int64_t>(sizeof(Halfspace) +
-                                    h.a.size() * sizeof(Scalar));
-    bytes += static_cast<int64_t>(c.covering.size() * sizeof(int) +
-                                  c.interior.size() * sizeof(Scalar));
-  }
-  return bytes;
 }
 
 }  // namespace utk

@@ -70,13 +70,21 @@ class CellArrangement {
   /// first of several adjacent cells.
   int Locate(const Vec& w, Scalar eps = kEps) const;
 
-  /// Estimated memory footprint of the cell store, for stats.
-  int64_t MemoryBytes() const;
+  /// Estimated memory footprint of the cell store, for stats: per cell
+  /// sizeof(Cell) plus its bounds, covering ids and interior point. Kept as
+  /// a running total, so reading it is O(1).
+  int64_t MemoryBytes() const { return bytes_; }
 
  private:
+  // Appends hs_id to c's covering list and updates c.frozen.
+  void Cover(Cell& c, int hs_id);
+  // Replaces c's cached centre and radius.
+  void Recentre(Cell& c, InteriorPoint ip);
+
   std::vector<Cell> cells_;
   int freeze_threshold_ = std::numeric_limits<int>::max();
   QueryStats* stats_;
+  int64_t bytes_ = 0;  // MemoryBytes()
 };
 
 }  // namespace utk

@@ -17,7 +17,10 @@ namespace utk {
 /// Counters describing one UTK query execution.
 struct QueryStats {
   int64_t candidates = 0;        ///< records surviving the filtering step
-  int64_t lp_calls = 0;          ///< linear programs solved
+  /// Reference LP solves (SolveLp / FindInteriorPoint). Arrangement sides
+  /// settled by the radius screen are not counted here; they go to the
+  /// utk_arrangement_sides_screened_total registry counter.
+  int64_t lp_calls = 0;
   int64_t rdom_tests = 0;        ///< r-dominance tests performed
   int64_t cells_created = 0;     ///< arrangement leaves materialized
   int64_t halfspaces_inserted = 0;  ///< half-space insertions (all indices)

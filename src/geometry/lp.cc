@@ -19,9 +19,16 @@ thread_local int64_t g_lp_solves = 0;
 // variables. Uses Bland's rule, so it terminates on degenerate problems.
 class Tableau {
  public:
-  Tableau(int rows, int cols)
-      : rows_(rows), cols_(cols), a_(rows * (cols + 1), 0.0), basis_(rows, -1),
-        obj_(cols + 1, 0.0) {}
+  Tableau(int rows, int cols) { Reset(rows, cols); }
+
+  // Re-dimensions to a zeroed rows x cols tableau, keeping the storage.
+  void Reset(int rows, int cols) {
+    rows_ = rows;
+    cols_ = cols;
+    a_.assign(static_cast<size_t>(rows) * (cols + 1), 0.0);
+    basis_.assign(rows, -1);
+    obj_.assign(cols + 1, 0.0);
+  }
 
   Scalar& At(int r, int c) { return a_[r * (cols_ + 1) + c]; }
   Scalar& Rhs(int r) { return a_[r * (cols_ + 1) + cols_]; }
@@ -115,7 +122,7 @@ class Tableau {
   int cols() const { return cols_; }
 
  private:
-  int rows_, cols_;
+  int rows_ = 0, cols_ = 0;
   std::vector<Scalar> a_;  // row-major, last column is rhs
   std::vector<int> basis_;
   std::vector<Scalar> obj_;
@@ -196,9 +203,9 @@ LpResult SolveCore(const Vec& c, const std::vector<Halfspace>& raw_cons) {
         }
       }
     }
-    // Reset objective to phase 2. Artificials must never re-enter: give them
-    // a strongly negative reduced profit by excluding them (set obj 0 and rely
-    // on entering rule? not sufficient) -- instead zero their columns.
+    // Switch to phase 2. Artificials must never re-enter the basis, and a
+    // zero objective coefficient alone would not stop Bland's rule from
+    // picking one after price-out, so their columns are zeroed instead.
     for (int r = 0; r < m; ++r)
       for (int a2 = 2 * nv + m; a2 < cols; ++a2) t.At(r, a2) = 0.0;
     for (int cidx = 0; cidx <= cols; ++cidx) t.Obj(cidx) = 0.0;
@@ -260,6 +267,70 @@ std::optional<InteriorPoint> FindInteriorPoint(
   ip.radius = r.x[nv];
   ip.x.assign(r.x.begin(), r.x.begin() + nv);
   return ip;
+}
+
+Scalar ChebyshevRadius(const std::vector<Halfspace>& bounds,
+                       const Halfspace& extra, const Vec& feasible_x) {
+  constexpr Scalar kInf = std::numeric_limits<Scalar>::infinity();
+  const int nv = static_cast<int>(extra.a.size());
+  assert(static_cast<int>(feasible_x.size()) == nv);
+  if (nv == 0) return -kInf;
+
+  // Kept rows (normal, ||normal||, slack at x0). SolveCore tests the whole
+  // augmented row (a, ||a||) against kEps; since ||a|| >= max |a_j|, that is
+  // the same as testing ||a|| alone.
+  thread_local std::vector<const Halfspace*> rows;
+  thread_local std::vector<Scalar> norms, slacks;
+  rows.clear();
+  norms.clear();
+  slacks.clear();
+  Scalar t0 = kRadiusCap;
+  auto keep = [&](const Halfspace& h) {
+    assert(static_cast<int>(h.a.size()) == nv);
+    const Scalar norm = Norm(h.a);
+    if (EpsEq(norm, 0.0)) return !EpsLt(h.b, 0.0);
+    const Scalar slack = h.Slack(feasible_x);
+    t0 = std::min(t0, slack / norm);
+    rows.push_back(&h);
+    norms.push_back(norm);
+    slacks.push_back(slack);
+    return true;
+  };
+  for (const Halfspace& h : bounds)
+    if (!keep(h)) return -kInf;
+  if (!keep(extra)) return -kInf;
+
+  // maximize s  s.t.  a_i.(u - v) + ||a_i|| s <= slack_i - ||a_i|| t0,
+  //                   s <= cap - t0,   u, v, s >= 0,
+  // i.e. the Chebyshev LP in x = x0 + u - v, t = t0 + s. Every right-hand
+  // side is >= 0 by the choice of t0 (clamped against rounding), so the
+  // slack basis is feasible and no phase 1 is needed. The optimum has
+  // t >= t0 because (x0, t0) is feasible, so s >= 0 loses nothing.
+  const int m = static_cast<int>(rows.size());
+  const int s_col = 2 * nv;
+  const int cols = 2 * nv + 1 + m + 1;
+  thread_local Tableau t(0, 0);
+  t.Reset(m + 1, cols);
+  for (int r = 0; r < m; ++r) {
+    const Vec& a = rows[r]->a;
+    for (int j = 0; j < nv; ++j) {
+      t.At(r, j) = a[j];
+      t.At(r, nv + j) = -a[j];
+    }
+    t.At(r, s_col) = norms[r];
+    t.At(r, s_col + 1 + r) = 1.0;
+    t.Rhs(r) = std::max(0.0, slacks[r] - norms[r] * t0);
+    t.SetBasis(r, s_col + 1 + r);
+  }
+  t.At(m, s_col) = 1.0;
+  t.At(m, s_col + 1 + m) = 1.0;
+  t.Rhs(m) = std::max(0.0, kRadiusCap - t0);
+  t.SetBasis(m, s_col + 1 + m);
+  t.Obj(s_col) = 1.0;
+  // Unbounded cannot happen with the cap row; if rounding says otherwise,
+  // report +inf so callers fall through to the reference solver.
+  if (!t.Optimize()) return kInf;
+  return t0 + t.Value(s_col);
 }
 
 bool HasInterior(const std::vector<Halfspace>& cons, Scalar min_radius) {

@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <optional>
+#include <string>
 
 #include "common/rng.h"
+#include "diff_env.h"
+#include "geometry/linear.h"
 
 namespace utk {
 namespace {
@@ -215,6 +220,223 @@ INSTANTIATE_TEST_SUITE_P(Sweep, Arrangement3dParamTest,
                                             ::testing::Values(uint64_t{1},
                                                               uint64_t{2},
                                                               uint64_t{3})));
+
+
+// Recomputes MemoryBytes() from scratch.
+int64_t RecountBytes(const CellArrangement& arr) {
+  int64_t bytes = 0;
+  for (const Cell& c : arr.cells()) {
+    bytes += static_cast<int64_t>(sizeof(Cell));
+    for (const Halfspace& h : c.bounds)
+      bytes += static_cast<int64_t>(sizeof(Halfspace) +
+                                    h.a.size() * sizeof(Scalar));
+    bytes += static_cast<int64_t>(c.covering.size() * sizeof(int) +
+                                  c.interior.size() * sizeof(Scalar));
+  }
+  return bytes;
+}
+
+TEST(Arrangement, MemoryBytesMatchesFullRecount) {
+  Rng rng(15);
+  for (int freeze : {std::numeric_limits<int>::max(), 2}) {
+    QueryStats stats;
+    CellArrangement arr(
+        ConvexRegion::FromBox({0.05, 0.05, 0.05}, {0.3, 0.3, 0.3}), &stats);
+    arr.set_freeze_threshold(freeze);
+    EXPECT_EQ(arr.MemoryBytes(), RecountBytes(arr));
+    int64_t peak = 0;
+    for (int i = 0; i < 12; ++i) {
+      Halfspace h = Hs({rng.Uniform(-1, 1), rng.Uniform(-1, 1),
+                        rng.Uniform(-1, 1)},
+                       rng.Uniform(-0.1, 0.3));
+      if (i % 5 == 4) h.a.assign(3, 0.0);  // degenerate: covers or misses all
+      const size_t before = arr.cells().size();
+      arr.Insert(i, h);
+      ASSERT_EQ(arr.MemoryBytes(), RecountBytes(arr)) << "insert " << i;
+      if (arr.cells().size() > before) peak = std::max(peak, arr.MemoryBytes());
+    }
+    // peak_bytes is sampled after every split; the last split of an insert
+    // sees the largest store.
+    EXPECT_EQ(stats.peak_bytes, peak);
+  }
+}
+
+// --- The radius screen against the unscreened reference ------------------
+
+// CellArrangement::Insert as it was before the radius screen: every side
+// decision and every centre comes from FindInteriorPoint.
+class UnscreenedArrangement {
+ public:
+  explicit UnscreenedArrangement(const ConvexRegion& base) {
+    const std::optional<InteriorPoint> ip =
+        FindInteriorPoint(base.constraints());
+    Cell c;
+    c.bounds = base.constraints();
+    c.interior = ip->x;
+    c.radius = ip->radius;
+    cells_.push_back(std::move(c));
+  }
+
+  void set_freeze_threshold(int t) { freeze_threshold_ = t; }
+  const std::vector<Cell>& cells() const { return cells_; }
+
+  void Insert(int hs_id, const Halfspace& hs) {
+    const Scalar norm = Norm(hs.a);
+    if (EpsLe(norm, 0.0)) {
+      if (EpsGe(hs.b, 0.0)) {
+        for (Cell& c : cells_)
+          if (!c.frozen) {
+            c.covering.push_back(hs_id);
+            c.frozen = c.Count() >= freeze_threshold_;
+          }
+      }
+      return;
+    }
+    const size_t n = cells_.size();
+    for (size_t i = 0; i < n; ++i) {
+      if (cells_[i].frozen) continue;
+      auto side_interior = [&](const Halfspace& h) {
+        std::vector<Halfspace> cons = cells_[i].bounds;
+        cons.push_back(h);
+        auto ip = FindInteriorPoint(cons);
+        if (ip.has_value() && ip->radius > kInteriorEps) return ip;
+        return std::optional<InteriorPoint>{};
+      };
+      const Scalar slack = hs.Slack(cells_[i].interior);
+      std::optional<InteriorPoint> in_ip, out_ip;
+      if (slack >= norm * cells_[i].radius) {
+        in_ip = InteriorPoint{cells_[i].interior, cells_[i].radius};
+        out_ip = side_interior(hs.Complement());
+      } else if (slack <= -norm * cells_[i].radius) {
+        out_ip = InteriorPoint{cells_[i].interior, cells_[i].radius};
+        in_ip = side_interior(hs);
+      } else {
+        in_ip = side_interior(hs);
+        out_ip = side_interior(hs.Complement());
+      }
+      if (in_ip.has_value() && out_ip.has_value()) {
+        Cell outside;
+        outside.bounds = cells_[i].bounds;
+        outside.bounds.push_back(hs.Complement());
+        outside.covering = cells_[i].covering;
+        outside.interior = out_ip->x;
+        outside.radius = out_ip->radius;
+        cells_[i].bounds.push_back(hs);
+        cells_[i].covering.push_back(hs_id);
+        cells_[i].interior = in_ip->x;
+        cells_[i].radius = in_ip->radius;
+        cells_[i].frozen = cells_[i].Count() >= freeze_threshold_;
+        cells_.push_back(std::move(outside));
+      } else if (in_ip.has_value()) {
+        cells_[i].covering.push_back(hs_id);
+        cells_[i].interior = in_ip->x;
+        cells_[i].radius = in_ip->radius;
+        cells_[i].frozen = cells_[i].Count() >= freeze_threshold_;
+      } else if (out_ip.has_value()) {
+        cells_[i].interior = out_ip->x;
+        cells_[i].radius = out_ip->radius;
+      }
+    }
+  }
+
+ private:
+  std::vector<Cell> cells_;
+  int freeze_threshold_ = std::numeric_limits<int>::max();
+};
+
+void ExpectSameCells(const std::vector<Cell>& want,
+                     const std::vector<Cell>& got, const std::string& label) {
+  ASSERT_EQ(got.size(), want.size()) << label;
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got[i].bounds.size(), want[i].bounds.size()) << label;
+    for (size_t j = 0; j < want[i].bounds.size(); ++j) {
+      EXPECT_EQ(got[i].bounds[j].a, want[i].bounds[j].a) << label;
+      EXPECT_EQ(got[i].bounds[j].b, want[i].bounds[j].b) << label;
+    }
+    EXPECT_EQ(got[i].covering, want[i].covering) << label << " cell " << i;
+    EXPECT_EQ(got[i].interior, want[i].interior) << label << " cell " << i;
+    EXPECT_EQ(got[i].radius, want[i].radius) << label << " cell " << i;
+    EXPECT_EQ(got[i].frozen, want[i].frozen) << label << " cell " << i;
+  }
+}
+
+// One draw: a box region (clipped by the weight simplex when it pokes out)
+// and a stream of half-spaces like RSA/JAA insert: record-pair score
+// hyperplanes, cuts through the region, exact repeats and complements of
+// earlier ones, near-parallel cuts a few kInteriorEps away (slivers at the
+// threshold), and zero-normal rows.
+TEST(ArrangementScreen, MatchesUnscreenedInsert) {
+  const uint64_t seed = EnvSeed();
+  constexpr int kPrefDims[] = {2, 3, 5, 6};
+  for (int draw = 0; draw < EnvDraws(); ++draw) {
+    Rng rng(seed + static_cast<uint64_t>(draw));
+    const int dim = kPrefDims[draw % 4];
+    const bool clipped = (draw / 4) % 2 == 1;
+    // sum(lo) <= 0.6 keeps an interior; a clipped box has sum(hi) > 1.
+    const Scalar side = rng.Uniform(0.05, 0.2);
+    Vec lo(dim), hi(dim);
+    for (int j = 0; j < dim; ++j) {
+      lo[j] = rng.Uniform(0.0, 0.6 / dim);
+      hi[j] = lo[j] +
+              (clipped ? 1.0 / dim + rng.Uniform(0.05, 0.3) : side / dim);
+    }
+    const ConvexRegion base = ConvexRegion::FromBox(lo, hi);
+    const int freeze = (draw / 8) % 2 == 0 ? std::numeric_limits<int>::max()
+                                           : rng.UniformInt(1, 4);
+    const std::string label = "UTK_DIFF_SEED=" + std::to_string(seed + draw) +
+                              " dim=" + std::to_string(dim);
+
+    CellArrangement screened(base);
+    UnscreenedArrangement reference(base);
+    screened.set_freeze_threshold(freeze);
+    reference.set_freeze_threshold(freeze);
+    std::vector<Halfspace> stream;
+    const int count = dim <= 3 ? 24 : 14;
+    for (int i = 0; i < count; ++i) {
+      Halfspace h;
+      switch (rng.UniformInt(0, 5)) {
+        case 0:
+        case 1: {  // score hyperplane of two random records
+          Record p, q;
+          p.attrs.resize(dim + 1);
+          q.attrs.resize(dim + 1);
+          for (Scalar& v : p.attrs) v = rng.Uniform();
+          for (Scalar& v : q.attrs) v = rng.Uniform();
+          h = BetterOrEqual(p, q);
+          break;
+        }
+        case 2: {  // a cut through a random point of the box
+          h.a.resize(dim);
+          for (Scalar& v : h.a) v = rng.Uniform(-1, 1);
+          Vec w(dim);
+          for (int j = 0; j < dim; ++j) w[j] = rng.Uniform(lo[j], hi[j]);
+          h.b = Dot(h.a, w);
+          break;
+        }
+        case 3:  // an exact repeat or complement of an earlier half-space
+          if (stream.empty()) continue;
+          h = stream[rng.UniformInt(0, static_cast<int>(stream.size()) - 1)];
+          if (rng.UniformInt(0, 1) == 1) h = h.Complement();
+          break;
+        case 4:  // an earlier hyperplane shifted by a few kInteriorEps
+          if (stream.empty()) continue;
+          h = stream[rng.UniformInt(0, static_cast<int>(stream.size()) - 1)];
+          h.b += Norm(h.a) * rng.Uniform(-3.0, 3.0) * kInteriorEps;
+          break;
+        default:  // zero normal: covers everything or nothing
+          h.a.assign(dim, 0.0);
+          h.b = rng.Uniform(-1, 1);
+          break;
+      }
+      stream.push_back(h);
+      screened.Insert(i, h);
+      reference.Insert(i, h);
+      ExpectSameCells(reference.cells(), screened.cells(),
+                      label + " insert " + std::to_string(i));
+      if (HasFailure()) return;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace utk

@@ -25,7 +25,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <optional>
 #include <set>
@@ -37,6 +36,7 @@
 #include "core/topk.h"
 #include "data/generator.h"
 #include "data/workload.h"
+#include "diff_env.h"
 #include "exec/simd.h"
 #include "live/live_engine.h"
 #include "obs/history.h"
@@ -47,16 +47,6 @@
 
 namespace utk {
 namespace {
-
-uint64_t EnvSeed() {
-  const char* v = std::getenv("UTK_DIFF_SEED");
-  return v != nullptr ? std::strtoull(v, nullptr, 10) : 20260729ull;
-}
-
-int EnvDraws() {
-  const char* v = std::getenv("UTK_DIFF_DRAWS");
-  return v != nullptr ? std::atoi(v) : 200;
-}
 
 std::set<std::vector<int32_t>> TopkSets(const Utk2Result& r) {
   std::set<std::vector<int32_t>> sets;

@@ -4,10 +4,14 @@
 // programs this is exact, so any disagreement is a solver bug.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <optional>
+#include <string>
 
 #include "common/rng.h"
+#include "diff_env.h"
 #include "geometry/lp.h"
 
 namespace utk {
@@ -226,6 +230,257 @@ TEST(LpFuzz, ChebyshevCenterDeepInside) {
           << "trial " << trial;
     }
   }
+}
+
+
+// --- ChebyshevRadius: the radius-only screen against the reference -------
+
+constexpr Scalar kInf = std::numeric_limits<Scalar>::infinity();
+
+Halfspace RandomHalfspace(Rng& rng, int nv, Scalar lo_b, Scalar hi_b) {
+  Halfspace h;
+  h.a.resize(nv);
+  for (Scalar& v : h.a) v = rng.Uniform(-1, 1);
+  h.b = rng.Uniform(lo_b, hi_b);
+  return h;
+}
+
+Halfspace Scaled(const Halfspace& h, Scalar s) {
+  Halfspace g = h;
+  for (Scalar& v : g.a) v *= s;
+  g.b *= s;
+  return g;
+}
+
+// The box [-r, r]^nv as 2 * nv half-spaces.
+void AddBox(std::vector<Halfspace>& cons, int nv, Scalar r) {
+  for (int i = 0; i < nv; ++i) {
+    Halfspace up, down;
+    up.a.assign(nv, 0.0);
+    up.a[i] = 1.0;
+    up.b = r;
+    down.a.assign(nv, 0.0);
+    down.a[i] = -1.0;
+    down.b = r;
+    cons.push_back(up);
+    cons.push_back(down);
+  }
+}
+
+// FindInteriorPoint's radius for bounds + {extra}, -inf when it reports no
+// optimum.
+Scalar ReferenceRadius(std::vector<Halfspace> cons, const Halfspace& extra) {
+  cons.push_back(extra);
+  const std::optional<InteriorPoint> ip = FindInteriorPoint(cons);
+  return ip.has_value() ? ip->radius : -kInf;
+}
+
+// The screen's contract: the reference radius within 1e-10 (both -inf on a
+// trivially infeasible zero-normal row), and a screened-out side is never
+// one the reference would keep.
+void ExpectScreenAgrees(const std::vector<Halfspace>& bounds,
+                        const Halfspace& extra, const Vec& x0,
+                        const std::string& label) {
+  const Scalar screen = ChebyshevRadius(bounds, extra, x0);
+  const Scalar ref = ReferenceRadius(bounds, extra);
+  if (std::isinf(ref) || std::isinf(screen)) {
+    EXPECT_EQ(screen, ref) << label;
+  } else {
+    EXPECT_NEAR(screen, ref, 1e-10) << label;
+  }
+  if (screen <= kInteriorEps - 1e-9) {
+    EXPECT_FALSE(ref > kInteriorEps) << label << " screen " << screen
+                                     << " reference " << ref;
+  }
+}
+
+TEST(LpFuzz, ChebyshevRadiusMatchesReferenceOnRandomRegions) {
+  const uint64_t seed = EnvSeed();
+  for (int draw = 0; draw < EnvDraws(); ++draw) {
+    Rng rng(seed + static_cast<uint64_t>(draw));
+    const int nv = rng.UniformInt(2, 6);
+    std::vector<Halfspace> bounds;
+    if (rng.UniformInt(0, 1) == 1) AddBox(bounds, nv, rng.Uniform(0.1, 1.0));
+    const int m = rng.UniformInt(1, 12);
+    for (int i = 0; i < m; ++i)
+      bounds.push_back(RandomHalfspace(rng, nv, -0.2, 0.6));
+    const Halfspace extra = RandomHalfspace(rng, nv, -0.5, 0.5);
+    const std::string label = "UTK_DIFF_SEED=" + std::to_string(seed + draw);
+    // From the bounds' own centre, as the arrangement calls it, and from an
+    // arbitrary point, which the contract also allows.
+    const std::optional<InteriorPoint> centre = FindInteriorPoint(bounds);
+    if (centre.has_value())
+      ExpectScreenAgrees(bounds, extra, centre->x, label + " centre");
+    Vec x(nv);
+    for (Scalar& v : x) v = rng.Uniform(-1.5, 1.5);
+    ExpectScreenAgrees(bounds, extra, x, label + " arbitrary x0");
+    ExpectScreenAgrees(bounds, extra.Complement(), x, label + " complement");
+  }
+}
+
+TEST(LpFuzz, ChebyshevRadiusMatchesReferenceOnDegenerateRegions) {
+  const uint64_t seed = EnvSeed();
+  for (int draw = 0; draw < EnvDraws(); ++draw) {
+    Rng rng(seed + static_cast<uint64_t>(draw));
+    const int nv = rng.UniformInt(2, 6);
+    const std::string label = "UTK_DIFF_SEED=" + std::to_string(seed + draw);
+    std::vector<Halfspace> bounds;
+    AddBox(bounds, nv, 0.5);
+    for (int i = 0; i < 3; ++i) {
+      const Halfspace h = RandomHalfspace(rng, nv, -0.1, 0.4);
+      bounds.push_back(h);
+      bounds.push_back(h);                                  // duplicate
+      bounds.push_back(Scaled(h, rng.Uniform(0.5, 3.0)));  // parallel copy
+    }
+    Vec x(nv);
+    for (Scalar& v : x) v = rng.Uniform(-0.5, 0.5);
+    const Halfspace extra = RandomHalfspace(rng, nv, -0.3, 0.3);
+    ExpectScreenAgrees(bounds, extra, x, label + " duplicates");
+    // Extra duplicating, scaling or complementing a bound: the complement
+    // closes a zero-width slab.
+    ExpectScreenAgrees(bounds, bounds.back(), x, label + " duplicate extra");
+    ExpectScreenAgrees(bounds, Scaled(bounds.back(), 2.5), x,
+                       label + " parallel extra");
+    ExpectScreenAgrees(bounds, bounds.back().Complement(), x,
+                       label + " zero-width slab");
+
+    // A zero-width slab inside the bounds, and an extra that crosses it.
+    std::vector<Halfspace> slab = bounds;
+    const Halfspace cut = RandomHalfspace(rng, nv, -0.1, 0.1);
+    slab.push_back(cut);
+    slab.push_back(cut.Complement());
+    ExpectScreenAgrees(slab, extra, x, label + " slab bounds");
+
+    // Zero-normal rows: dropped for b >= -kEps (including b in [-kEps, 0)),
+    // trivially infeasible for b < -kEps, in the bounds or as the extra.
+    Halfspace zero;
+    zero.a.assign(nv, 0.0);
+    for (Scalar b : {1.0, 0.0, -0.5 * kEps, -1.0}) {
+      zero.b = b;
+      std::vector<Halfspace> with_zero = bounds;
+      with_zero.push_back(zero);
+      const std::string z = " zero-normal b=" + std::to_string(b);
+      ExpectScreenAgrees(with_zero, extra, x, label + z + " in bounds");
+      ExpectScreenAgrees(bounds, zero, x, label + z + " as extra");
+    }
+
+    // Cap-bound: the ball of [-5, 5]^nv has radius 5 > cap, both from a
+    // centre whose own radius exceeds the cap and from an off-centre point.
+    std::vector<Halfspace> big;
+    AddBox(big, nv, 5.0);
+    const Halfspace far = RandomHalfspace(rng, nv, 3.0, 4.0);
+    ExpectScreenAgrees(big, far, Vec(nv, 0.0), label + " cap at centre");
+    ExpectScreenAgrees(big, far, x, label + " cap off centre");
+  }
+}
+
+TEST(LpFuzz, ChebyshevRadiusScreenKeepsEveryThresholdDecision) {
+  // Slabs whose half-width straddles kInteriorEps by a few 1e-10, rotated
+  // at random: the margin below kInteriorEps must cover the screen's error
+  // exactly where the decision is closest.
+  const uint64_t seed = EnvSeed();
+  for (int draw = 0; draw < EnvDraws(); ++draw) {
+    Rng rng(seed + static_cast<uint64_t>(draw));
+    const int nv = rng.UniformInt(2, 6);
+    const std::string label = "UTK_DIFF_SEED=" + std::to_string(seed + draw);
+    std::vector<Halfspace> bounds;
+    AddBox(bounds, nv, rng.Uniform(0.05, 0.5));
+    Halfspace dir = RandomHalfspace(rng, nv, 0.0, 0.0);
+    const Scalar norm = Norm(dir.a);
+    if (norm < 1e-3) continue;
+    for (Scalar& v : dir.a) v /= norm;
+    const Scalar mid = rng.Uniform(-0.02, 0.02);
+    const Scalar half = kInteriorEps + rng.Uniform(-3e-9, 3e-9);
+    Halfspace upper = dir;  // dir.x <= mid + half
+    upper.b = mid + half;
+    Halfspace lower = dir;  // dir.x >= mid - half
+    lower.b = mid - half;
+    bounds.push_back(upper);
+    const std::optional<InteriorPoint> centre = FindInteriorPoint(bounds);
+    ASSERT_TRUE(centre.has_value()) << label;
+    ExpectScreenAgrees(bounds, lower.Complement(), centre->x, label);
+  }
+}
+
+
+TEST(LpFuzz, ChebyshevRadiusOnRecordedArrangementSide) {
+  // One side LP recorded from an anti-refine UTK2 query (ANTI n=10k d=4,
+  // data seed 4242, query seed 407, request 499): a cell's 26 bounds, the
+  // cut side, and the cell's cached centre. The side misses the cell: its
+  // optimal Chebyshev radius is about -5.54e-4. Given the rows in this
+  // order, FindInteriorPoint returns radius 2.4e-4 with a centre whose ball
+  // crosses a bound by 9e-3; given them reversed, it returns the optimum
+  // with a valid centre. The screen must match the valid solve.
+  auto Hs = [](Vec a, Scalar b) {
+    Halfspace h;
+    h.a = std::move(a);
+    h.b = b;
+    return h;
+  };
+  const std::vector<Halfspace> bounds = {
+      Hs({1, 0, 0}, 0.18059352309585058),
+      Hs({-1, 0, 0}, -0.16059352309585059),
+      Hs({0, 1, 0}, 0.56815698779920876),
+      Hs({0, -1, 0}, -0.54815698779920874),
+      Hs({0, 0, 1}, 0.12429299954338438),
+      Hs({0, 0, -1}, -0.10429299954338438),
+      Hs({0.060531750243486893, -0.035245297234001383, -0.53605221239943202},
+         -0.066066235278922691),
+      Hs({0.24198643770350442, 0.010704678364905185, -0.64313221947288879},
+         -0.023454456201724538),
+      Hs({0.2181526324675428, -0.017972500442905326, -0.78465515393930474},
+         -0.060274694324443351),
+      Hs({1.3566579066441098, 0.79270139083762814, 0.36441821281804693},
+         0.71714326349345914),
+      Hs({1.258272769470439, 0.50322567078573877, -0.013641558594578329},
+         0.4932374228908678),
+      Hs({1.1385052741765669, 0.81067389128053347, 1.1490733667573516},
+         0.77741795781790246),
+      Hs({1.2696092834453587, 0.78144105118346963, 1.0115112249948193},
+         0.76501506816541398),
+      Hs({1.0401201370028961, 0.52119817122864409, 0.77101359534472647},
+         0.55351211721531113),
+      Hs({-0.070285434656240098, 0.15574720941722042, 0.72875571328247979},
+         0.16179493881491055),
+      Hs({-0.1576208822240559, -0.017272796791096057, 0.24860294153987278},
+         -0.0057915409544793406),
+      Hs({0.023833805235961625, 0.028677178807810511, 0.14152293446641601},
+         0.036820238122718812),
+      Hs({-0.32080457670861784, -0.0048614151443795439, 0.37939690805382614},
+         -0.010956319774774265),
+      Hs({1.2961261564006228, 0.82794668807162952, 0.90047042521747889},
+         0.78320949877238188),
+      Hs({-1.4272301656694146, -0.79871384797456568, -0.76290828345494655},
+         -0.77080660911989329),
+      Hs({-1.1977410192269522, -0.53847096801974015, -0.52241065380485363},
+         -0.55930365816979055),
+      Hs({0.087335447567815805, 0.17302000620831648, 0.48015277174260707},
+         0.1675864797693899),
+      Hs({-0.16318369448456194, 0.012411381646716513, 0.13079396651395336},
+         -0.0051647788202949241),
+      Hs({-1.245775478209397, -0.75276387237565912, -0.86998829052840332},
+         -0.72819483004269525),
+      Hs({-1.0162863317669346, -0.49252099242083358, -0.6294906608783104},
+         -0.51669187909259229),
+      Hs({-0.22948914644246254, -0.26024287995482553, -0.24049762965009291},
+         -0.21150295095010285),
+  };
+  const Halfspace extra =
+      Hs({-0.36688697053021246, -0.059842515056399814, 0.4823713097350989},
+         -0.042799703146225276);
+  const Vec x0 = {0.16680043889243637, 0.56284838925638303,
+                  0.11166396350436368};
+
+  std::vector<Halfspace> reversed = bounds;
+  reversed.push_back(extra);
+  std::reverse(reversed.begin(), reversed.end());
+  const std::optional<InteriorPoint> ref = FindInteriorPoint(reversed);
+  ASSERT_TRUE(ref.has_value());
+  for (const Halfspace& h : reversed)
+    ASSERT_GE(h.Slack(ref->x) - Norm(h.a) * ref->radius, -1e-9);
+  const Scalar screen = ChebyshevRadius(bounds, extra, x0);
+  EXPECT_NEAR(screen, ref->radius, 1e-10);
+  EXPECT_LE(screen, kInteriorEps - 1e-9);
 }
 
 }  // namespace
