@@ -3,17 +3,9 @@
 #include <algorithm>
 #include <cassert>
 
-#include "obs/metrics.h"
-
 namespace utk {
 
 namespace {
-
-// A side whose screened radius is at most this has no interior. The margin
-// below kInteriorEps is >= 500x the screen's measured disagreement with
-// valid reference solves, so a screened side would also fail the
-// reference's radius > kInteriorEps test (DESIGN.md §4).
-constexpr Scalar kScreenRadius = kInteriorEps - 1e-9;
 
 int64_t BoundBytes(const Halfspace& h) {
   return static_cast<int64_t>(sizeof(Halfspace) + h.a.size() * sizeof(Scalar));
@@ -30,7 +22,8 @@ int64_t CellBytes(const Cell& c) {
 
 CellArrangement::CellArrangement(const ConvexRegion& base, QueryStats* stats)
     : stats_(stats) {
-  auto ip = FindInteriorPoint(base.constraints());
+  auto ip = FindInteriorPoint(base.constraints(),
+                              base.Pivot().value_or(Vec(base.dim(), 0.0)));
   assert(ip.has_value() && ip->radius > 0 && "base region must have interior");
   Cell c;
   c.bounds = base.constraints();
@@ -83,32 +76,15 @@ void CellArrangement::Insert(int hs_id, const Halfspace& hs) {
     return;
   }
 
-  int64_t screened = 0;
   const size_t n = cells_.size();
   for (size_t i = 0; i < n; ++i) {
     // Note: Insert may push new cells; only pre-existing cells are visited.
     if (cells_[i].frozen) continue;
 
-    // The cached ball B(x0, r) sits at signed distance `depth` inside the
-    // hyperplane, so each side contains a cap of the ball of height
-    // r +- depth, and with it a ball of half that radius. A side whose cap
-    // cannot certify interior goes through the radius-only screen first,
-    // which settles "no interior" without the reference solver; every
-    // other outcome, and every centre, comes from FindInteriorPoint.
-    const Scalar slack = hs.Slack(cells_[i].interior);
-    const Scalar radius = cells_[i].radius;
-    const Scalar depth = slack / norm;
-    auto side_interior = [&](const Halfspace& h, Scalar cap_radius) {
-      if (cap_radius <= kScreenRadius &&
-          ChebyshevRadius(cells_[i].bounds, h, cells_[i].interior) <=
-              kScreenRadius) {
-        ++screened;
-        return std::optional<InteriorPoint>{};
-      }
-      std::vector<Halfspace> cons = cells_[i].bounds;
-      cons.push_back(h);
+    // One Chebyshev solve per side, started from the cell's cached centre.
+    auto side_interior = [&](const Halfspace& h) {
       if (stats_ != nullptr) ++stats_->lp_calls;
-      auto ip = FindInteriorPoint(cons);
+      auto ip = FindInteriorPoint(cells_[i].bounds, h, cells_[i].interior);
       if (ip.has_value() && ip->radius > kInteriorEps) return ip;
       return std::optional<InteriorPoint>{};
     };
@@ -116,16 +92,18 @@ void CellArrangement::Insert(int hs_id, const Halfspace& hs) {
     // Fast path: if the cached ball lies entirely on one side of the
     // hyperplane, that side is feasible with the current interior point and
     // only the other side needs an LP.
+    const Scalar slack = hs.Slack(cells_[i].interior);
+    const Scalar radius = cells_[i].radius;
     std::optional<InteriorPoint> in_ip, out_ip;
     if (slack >= norm * radius) {
       in_ip = InteriorPoint{cells_[i].interior, radius};
-      out_ip = side_interior(hs.Complement(), (radius - depth) / 2);
+      out_ip = side_interior(hs.Complement());
     } else if (slack <= -norm * radius) {
       out_ip = InteriorPoint{cells_[i].interior, radius};
-      in_ip = side_interior(hs, (radius + depth) / 2);
+      in_ip = side_interior(hs);
     } else {
-      in_ip = side_interior(hs, (radius + depth) / 2);
-      out_ip = side_interior(hs.Complement(), (radius - depth) / 2);
+      in_ip = side_interior(hs);
+      out_ip = side_interior(hs.Complement());
     }
     const bool inside_feasible = in_ip.has_value();
     const bool outside_feasible = out_ip.has_value();
@@ -160,12 +138,6 @@ void CellArrangement::Insert(int hs_id, const Halfspace& hs) {
     // Neither side reaching kInteriorEps leaves the cell as it is. That is
     // not impossible: a near-tie hyperplane through a cell barely thicker
     // than kInteriorEps can leave both sides below it (ROADMAP item 10).
-  }
-  if (screened > 0) {
-    static obs::Counter& sides_screened =
-        obs::MetricRegistry::Global().GetCounter(
-            "utk_arrangement_sides_screened_total");
-    sides_screened.Add(screened);
   }
 }
 

@@ -17,9 +17,9 @@ namespace utk {
 /// Counters describing one UTK query execution.
 struct QueryStats {
   int64_t candidates = 0;        ///< records surviving the filtering step
-  /// Reference LP solves (SolveLp / FindInteriorPoint). Arrangement sides
-  /// settled by the radius screen are not counted here; they go to the
-  /// utk_arrangement_sides_screened_total registry counter.
+  /// LP solves charged to the query: drill and onion-margin LPs, plus every
+  /// Chebyshev solve (FindInteriorPoint) of an arrangement's base cell and
+  /// of each cell side the cached ball does not settle.
   int64_t lp_calls = 0;
   int64_t rdom_tests = 0;        ///< r-dominance tests performed
   int64_t cells_created = 0;     ///< arrangement leaves materialized

@@ -291,7 +291,8 @@ void Refine(const Jaa::Options& options, const Dataset& data,
   UTK_SPAN_VAL("jaa.refine", static_cast<int64_t>(band.ids.size()));
   RDominanceGraph g = RDominanceGraph::Build(band);
 
-  auto interior = FindInteriorPoint(r.constraints());
+  auto interior = FindInteriorPoint(r.constraints(),
+                                    r.Pivot().value_or(Vec(r.dim(), 0.0)));
   assert(interior.has_value() && interior->radius > 0);
 
   // Gathered SoA mirror of the band (see rsa.cc Refine).

@@ -264,7 +264,8 @@ void Refine(const Rsa::Options& options, const Dataset& data,
     return init_count[a] > init_count[b];
   });
 
-  auto interior = FindInteriorPoint(r.constraints());
+  auto interior = FindInteriorPoint(r.constraints(),
+                                    r.Pivot().value_or(Vec(r.dim(), 0.0)));
   assert(interior.has_value() && interior->radius > 0);
 
   // Gathered SoA mirror of the band: row i = data[band.ids[i]]. Every

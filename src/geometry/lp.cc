@@ -63,26 +63,28 @@ class Tableau {
         }
       }
       if (enter < 0) return true;  // optimal
-      // Ratio test, Bland tie-break on basis variable index. A tie-break
-      // winner must never *raise* the incumbent ratio: within the tie band
-      // the minimum of the tied ratios is kept, so degenerate ties (many
-      // rows within kPivotEps of each other) cannot drift best_ratio
-      // upward and admit a row whose true ratio is larger.
-      int leave = -1;
-      Scalar best_ratio = std::numeric_limits<Scalar>::infinity();
+      // Ratio test, Bland tie-break on basis variable index. Rows whose
+      // ratio is within a tie band of the minimum may leave, the smallest
+      // basis index first. The band is kPivotEps in right-hand-side units:
+      // leaving at ratio `limit` drives row q's right-hand side to
+      // coef_q * (ratio_q - limit), so `limit` is capped at every row's
+      // ratio_q + kPivotEps / max(1, coef_q) and no row goes negative by
+      // more than kPivotEps, however large its coefficient.
+      Scalar limit = std::numeric_limits<Scalar>::infinity();
       for (int r = 0; r < rows_; ++r) {
         const Scalar coef = a_[r * (cols_ + 1) + enter];
         if (EpsGt(coef, 0.0, kPivotEps)) {
           const Scalar ratio = a_[r * (cols_ + 1) + cols_] / coef;
-          if (EpsLt(ratio, best_ratio, kPivotEps)) {
-            best_ratio = ratio;
-            leave = r;
-          } else if (EpsLe(ratio, best_ratio, kPivotEps) &&
-                     (leave < 0 || basis_[r] < basis_[leave])) {
-            leave = r;
-            best_ratio = std::min(best_ratio, ratio);
-          }
+          limit = std::min(limit, ratio + kPivotEps / std::max(1.0, coef));
         }
+      }
+      int leave = -1;
+      for (int r = 0; r < rows_; ++r) {
+        const Scalar coef = a_[r * (cols_ + 1) + enter];
+        if (EpsGt(coef, 0.0, kPivotEps) &&
+            a_[r * (cols_ + 1) + cols_] / coef <= limit &&
+            (leave < 0 || basis_[r] < basis_[leave]))
+          leave = r;
       }
       if (leave < 0) return false;  // unbounded
       Pivot(leave, enter);
@@ -227,58 +229,17 @@ LpResult SolveCore(const Vec& c, const std::vector<Halfspace>& raw_cons) {
   return res;
 }
 
-}  // namespace
-
-LpResult SolveLp(const Vec& c, const std::vector<Halfspace>& cons,
-                 bool maximize) {
-  if (maximize) return SolveCore(c, cons);
-  Vec neg(c.size());
-  for (size_t i = 0; i < c.size(); ++i) neg[i] = -c[i];
-  LpResult r = SolveCore(neg, cons);
-  r.objective = -r.objective;
-  return r;
-}
-
-std::optional<InteriorPoint> FindInteriorPoint(
-    const std::vector<Halfspace>& cons, Scalar radius_cap) {
-  const int nv = cons.empty() ? 0 : static_cast<int>(cons.front().a.size());
+// The Chebyshev LP of `bounds` plus `*extra` (if any), solved from `start`.
+std::optional<InteriorPoint> SolveChebyshev(
+    const std::vector<Halfspace>& bounds, const Halfspace* extra,
+    const Vec& start) {
+  ++g_lp_solves;
+  const int nv = static_cast<int>(start.size());
   if (nv == 0) return std::nullopt;
-  // Variables: (x, t). Constraints: a_i.x + ||a_i|| t <= b_i ; t <= cap.
-  std::vector<Halfspace> aug;
-  aug.reserve(cons.size() + 1);
-  for (const Halfspace& h : cons) {
-    Halfspace g;
-    g.a = h.a;
-    g.a.push_back(Norm(h.a));
-    g.b = h.b;
-    aug.push_back(std::move(g));
-  }
-  Halfspace cap;
-  cap.a.assign(nv + 1, 0.0);
-  cap.a[nv] = 1.0;
-  cap.b = radius_cap;
-  aug.push_back(std::move(cap));
 
-  Vec obj(nv + 1, 0.0);
-  obj[nv] = 1.0;
-  LpResult r = SolveLp(obj, aug, /*maximize=*/true);
-  if (r.status != LpStatus::kOptimal) return std::nullopt;
-  InteriorPoint ip;
-  ip.radius = r.x[nv];
-  ip.x.assign(r.x.begin(), r.x.begin() + nv);
-  return ip;
-}
-
-Scalar ChebyshevRadius(const std::vector<Halfspace>& bounds,
-                       const Halfspace& extra, const Vec& feasible_x) {
-  constexpr Scalar kInf = std::numeric_limits<Scalar>::infinity();
-  const int nv = static_cast<int>(extra.a.size());
-  assert(static_cast<int>(feasible_x.size()) == nv);
-  if (nv == 0) return -kInf;
-
-  // Kept rows (normal, ||normal||, slack at x0). SolveCore tests the whole
-  // augmented row (a, ||a||) against kEps; since ||a|| >= max |a_j|, that is
-  // the same as testing ||a|| alone.
+  // Kept rows (normal, ||normal||, slack at the start). Zero-normal rows
+  // follow SolveCore's rule for the augmented row (a, ||a||): it tests every
+  // entry against kEps, which is testing ||a|| alone, as ||a|| >= max |a_j|.
   thread_local std::vector<const Halfspace*> rows;
   thread_local std::vector<Scalar> norms, slacks;
   rows.clear();
@@ -289,7 +250,7 @@ Scalar ChebyshevRadius(const std::vector<Halfspace>& bounds,
     assert(static_cast<int>(h.a.size()) == nv);
     const Scalar norm = Norm(h.a);
     if (EpsEq(norm, 0.0)) return !EpsLt(h.b, 0.0);
-    const Scalar slack = h.Slack(feasible_x);
+    const Scalar slack = h.Slack(start);
     t0 = std::min(t0, slack / norm);
     rows.push_back(&h);
     norms.push_back(norm);
@@ -297,15 +258,15 @@ Scalar ChebyshevRadius(const std::vector<Halfspace>& bounds,
     return true;
   };
   for (const Halfspace& h : bounds)
-    if (!keep(h)) return -kInf;
-  if (!keep(extra)) return -kInf;
+    if (!keep(h)) return std::nullopt;
+  if (extra != nullptr && !keep(*extra)) return std::nullopt;
 
   // maximize s  s.t.  a_i.(u - v) + ||a_i|| s <= slack_i - ||a_i|| t0,
   //                   s <= cap - t0,   u, v, s >= 0,
-  // i.e. the Chebyshev LP in x = x0 + u - v, t = t0 + s. Every right-hand
-  // side is >= 0 by the choice of t0 (clamped against rounding), so the
-  // slack basis is feasible and no phase 1 is needed. The optimum has
-  // t >= t0 because (x0, t0) is feasible, so s >= 0 loses nothing.
+  // i.e. the Chebyshev LP in x = start + u - v, t = t0 + s. Every
+  // right-hand side is >= 0 by the choice of t0 (clamped against rounding),
+  // so the slack basis is feasible and no phase 1 is needed. The optimum
+  // has t >= t0 because (start, t0) is feasible, so s >= 0 loses nothing.
   const int m = static_cast<int>(rows.size());
   const int s_col = 2 * nv;
   const int cols = 2 * nv + 1 + m + 1;
@@ -327,15 +288,47 @@ Scalar ChebyshevRadius(const std::vector<Halfspace>& bounds,
   t.Rhs(m) = std::max(0.0, kRadiusCap - t0);
   t.SetBasis(m, s_col + 1 + m);
   t.Obj(s_col) = 1.0;
-  // Unbounded cannot happen with the cap row; if rounding says otherwise,
-  // report +inf so callers fall through to the reference solver.
-  if (!t.Optimize()) return kInf;
-  return t0 + t.Value(s_col);
+  // The cap row bounds s, so this cannot report unbounded; every basic
+  // solution simplex visits is feasible, so the one it stops at is read
+  // either way.
+  t.Optimize();
+
+  InteriorPoint ip;
+  ip.x = start;
+  for (int j = 0; j < nv; ++j) ip.x[j] += t.Value(j) - t.Value(nv + j);
+  ip.radius = t0 + t.Value(s_col);
+  return ip;
 }
 
-bool HasInterior(const std::vector<Halfspace>& cons, Scalar min_radius) {
-  auto ip = FindInteriorPoint(cons);
-  return ip.has_value() && ip->radius > min_radius;
+}  // namespace
+
+LpResult SolveLp(const Vec& c, const std::vector<Halfspace>& cons,
+                 bool maximize) {
+  if (maximize) return SolveCore(c, cons);
+  Vec neg(c.size());
+  for (size_t i = 0; i < c.size(); ++i) neg[i] = -c[i];
+  LpResult r = SolveCore(neg, cons);
+  r.objective = -r.objective;
+  return r;
+}
+
+std::optional<InteriorPoint> FindInteriorPoint(
+    const std::vector<Halfspace>& cons, const Vec& start) {
+  return SolveChebyshev(cons, nullptr, start);
+}
+
+std::optional<InteriorPoint> FindInteriorPoint(
+    const std::vector<Halfspace>& bounds, const Halfspace& extra,
+    const Vec& start) {
+  return SolveChebyshev(bounds, &extra, start);
+}
+
+bool HasInterior(const std::vector<Halfspace>& cons) {
+  const Vec origin(cons.empty() ? 0 : cons.front().a.size(), 0.0);
+  auto ip = FindInteriorPoint(cons, origin);
+  // utk-lint: allow(eps-compare) kInteriorEps is the threshold itself: a
+  // radius strictly above it is interior (DESIGN.md §4).
+  return ip.has_value() && ip->radius > kInteriorEps;
 }
 
 int64_t LpSolveCount() { return g_lp_solves; }

@@ -6,10 +6,9 @@
 // Problems have very few variables (d-1 <= 6 in all experiments) and at most
 // a few hundred half-space constraints, so a dense tableau with Bland's
 // anti-cycling rule is both simple and fast. Free variables are handled by
-// the standard x = u - v split. SolveLp / FindInteriorPoint are the
-// reference two-phase solver and the only source of optimizers and centres;
-// ChebyshevRadius is a phase-1-free screen on the same tableau that reports
-// an optimal radius only (DESIGN.md §4).
+// the standard x = u - v split. SolveLp is the two-phase solver for general
+// objectives; FindInteriorPoint solves the Chebyshev LP on the same tableau
+// from a caller-given start point, with no phase 1 (DESIGN.md §4).
 #ifndef UTK_GEOMETRY_LP_H_
 #define UTK_GEOMETRY_LP_H_
 
@@ -36,38 +35,37 @@ struct LpResult {
 LpResult SolveLp(const Vec& c, const std::vector<Halfspace>& cons,
                  bool maximize = true);
 
-/// Default cap on the Chebyshev radius.
+/// Cap on the Chebyshev radius, so unbounded regions still yield a finite
+/// centre.
 inline constexpr Scalar kRadiusCap = 1.0;
 
-/// Chebyshev-style interior point: maximizes t subject to
-/// a_i . x + ||a_i|| * t <= b_i. Returns the center and radius.
-/// A radius <= 0 means the region has empty interior (it may still contain
-/// boundary points). The radius is capped at `radius_cap` so unbounded
-/// regions still yield a finite center.
+/// Chebyshev centre: maximizes t subject to a_i . x + ||a_i|| * t <= b_i and
+/// t <= kRadiusCap. `start` is any point of the right dimension, normally
+/// a centre the caller already has. With t0 its own signed radius
+/// (negative outside the region), (start, t0) is feasible, so the LP is
+/// solved from there with no phase 1. The returned radius is optimal and
+/// its ball lies within every constraint, up to rounding. A radius
+/// <= 0 means the region has empty interior (it may still contain boundary
+/// points). Returns nullopt only for an empty `start` or a zero-normal
+/// constraint with b < -kEps; zero-normal rows with b >= -kEps are ignored.
 struct InteriorPoint {
   Vec x;
   Scalar radius = -1.0;
 };
 std::optional<InteriorPoint> FindInteriorPoint(
-    const std::vector<Halfspace>& cons, Scalar radius_cap = kRadiusCap);
+    const std::vector<Halfspace>& cons, const Vec& start);
 
-/// The optimal Chebyshev radius of `bounds` plus `extra`, i.e.
-/// FindInteriorPoint(bounds + {extra})->radius up to rounding (-inf where
-/// that reports trivially infeasible zero-normal rows), without a centre.
-/// `feasible_x` is any point, normally the cached centre of `bounds`: the
-/// LP is solved from (feasible_x, its own radius), which is always
-/// feasible, so there is no phase 1. Not counted by LpSolveCount().
-Scalar ChebyshevRadius(const std::vector<Halfspace>& bounds,
-                       const Halfspace& extra, const Vec& feasible_x);
+/// The same for `bounds` plus `extra`, without copying the bounds.
+std::optional<InteriorPoint> FindInteriorPoint(
+    const std::vector<Halfspace>& bounds, const Halfspace& extra,
+    const Vec& start);
 
 /// True iff the region has an interior point with Chebyshev radius
-/// > min_radius. This is the cell-feasibility predicate used by the
-/// arrangement index.
-bool HasInterior(const std::vector<Halfspace>& cons,
-                 Scalar min_radius = kInteriorEps);
+/// > kInteriorEps, solved from the origin.
+bool HasInterior(const std::vector<Halfspace>& cons);
 
-/// Thread-local count of reference simplex solves (SolveLp and everything
-/// built on it), for QueryStats plumbing.
+/// Thread-local count of simplex solves (SolveLp, FindInteriorPoint and
+/// everything built on them), for QueryStats plumbing.
 int64_t LpSolveCount();
 void ResetLpSolveCount();
 

@@ -117,7 +117,7 @@ std::optional<Vec> ConvexRegion::Pivot() const {
     for (int i = 0; i < dim_; ++i) c[i] = 0.5 * (box_lo_[i] + box_hi_[i]);
     return c;
   }
-  auto ip = FindInteriorPoint(constraints_);
+  auto ip = FindInteriorPoint(constraints_, Vec(dim_, 0.0));
   // utk-lint: allow(eps-compare) exact degeneracy test: a Chebyshev radius
   // of 0 means the LP found only a boundary point, not an interior one.
   if (!ip.has_value() || ip->radius <= 0.0) return std::nullopt;
@@ -163,7 +163,7 @@ std::optional<std::pair<Scalar, Scalar>> ConvexRegion::RangeOf(
   return std::make_pair(lo_r.objective + offset, hi_r.objective + offset);
 }
 
-bool ConvexRegion::HasInteriorPoint(Scalar min_radius) const {
+bool ConvexRegion::HasInteriorPoint() const {
   if (is_box_) {
     // Chebyshev radius of a box (unit facet normals): half the shortest
     // side. Matches the LP answer without solving it — this predicate sits
@@ -171,9 +171,11 @@ bool ConvexRegion::HasInteriorPoint(Scalar min_radius) const {
     Scalar radius = std::numeric_limits<Scalar>::max();
     for (int i = 0; i < dim_; ++i)
       radius = std::min(radius, 0.5 * (box_hi_[i] - box_lo_[i]));
-    return radius > min_radius;
+    // utk-lint: allow(eps-compare) kInteriorEps is the threshold itself, as
+    // in HasInterior.
+    return radius > kInteriorEps;
   }
-  return HasInterior(constraints_, min_radius);
+  return HasInterior(constraints_);
 }
 
 ConvexRegion ConvexRegion::Reduced() const {

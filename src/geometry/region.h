@@ -70,8 +70,8 @@ class ConvexRegion {
   std::optional<std::pair<Scalar, Scalar>> RangeOf(const Vec& coef,
                                                    Scalar offset) const;
 
-  /// True iff the region has interior (Chebyshev radius > min_radius).
-  bool HasInteriorPoint(Scalar min_radius = kInteriorEps) const;
+  /// True iff the region has interior (Chebyshev radius > kInteriorEps).
+  bool HasInteriorPoint() const;
 
   /// Returns an equivalent region with redundant constraints removed: a
   /// constraint is dropped when maximizing its left-hand side subject to the

@@ -1,7 +1,8 @@
 // Seed and draw-count knobs shared by the randomized equivalence suites
-// (differential, LP screen, arrangement screen): UTK_DIFF_SEED overrides the
-// fixed base seed and UTK_DIFF_DRAWS the number of draws, so CI can pin one
-// configuration and a failure can be replayed from its printed seed.
+// (differential, and FindInteriorPoint and the arrangement against the
+// two-phase Chebyshev oracle): UTK_DIFF_SEED overrides the fixed base seed
+// and UTK_DIFF_DRAWS the number of draws, so CI can pin one configuration
+// and a failure can be replayed from its printed seed.
 #ifndef UTK_TESTS_DIFF_ENV_H_
 #define UTK_TESTS_DIFF_ENV_H_
 

@@ -95,7 +95,7 @@ TEST(Lp, SimplexDiagonalObjective) {
 TEST(Lp, InteriorPointOfSquare) {
   std::vector<Halfspace> cons = {Hs({1, 0}, 1), Hs({-1, 0}, 0), Hs({0, 1}, 1),
                                  Hs({0, -1}, 0)};
-  auto ip = FindInteriorPoint(cons);
+  auto ip = FindInteriorPoint(cons, {2.0, -1.0});
   ASSERT_TRUE(ip.has_value());
   EXPECT_NEAR(ip->radius, 0.5, 1e-7);
   EXPECT_NEAR(ip->x[0], 0.5, 1e-6);
@@ -106,7 +106,7 @@ TEST(Lp, InteriorPointDegenerateSegment) {
   // x in [0,1], y == 0.3 exactly: zero-width region -> radius ~ 0.
   std::vector<Halfspace> cons = {Hs({1, 0}, 1), Hs({-1, 0}, 0),
                                  Hs({0, 1}, 0.3), Hs({0, -1}, -0.3)};
-  auto ip = FindInteriorPoint(cons);
+  auto ip = FindInteriorPoint(cons, {0.0, 0.0});
   ASSERT_TRUE(ip.has_value());
   EXPECT_NEAR(ip->radius, 0.0, 1e-7);
   EXPECT_FALSE(HasInterior(cons));
@@ -119,9 +119,12 @@ TEST(Lp, InteriorPointInfeasible) {
 
 TEST(Lp, RadiusCapOnUnboundedRegion) {
   std::vector<Halfspace> cons = {Hs({-1, 0}, 0), Hs({0, -1}, 0)};
-  auto ip = FindInteriorPoint(cons, /*radius_cap=*/2.0);
+  auto ip = FindInteriorPoint(cons, {-3.0, 0.5});
   ASSERT_TRUE(ip.has_value());
-  EXPECT_NEAR(ip->radius, 2.0, 1e-7);
+  EXPECT_NEAR(ip->radius, kRadiusCap, 1e-7);
+  // Solved from a start outside the region: the centre is kRadiusCap deep.
+  EXPECT_GE(ip->x[0], kRadiusCap - 1e-7);
+  EXPECT_GE(ip->x[1], kRadiusCap - 1e-7);
 }
 
 TEST(Lp, SolveCountAdvances) {

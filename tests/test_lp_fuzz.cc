@@ -6,10 +6,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <optional>
 #include <string>
 
+#include "chebyshev_oracle.h"
 #include "common/rng.h"
 #include "diff_env.h"
 #include "geometry/lp.h"
@@ -222,7 +222,7 @@ TEST(LpFuzz, ChebyshevCenterDeepInside) {
       h.b = rng.Uniform(0.2, 1.0);  // origin strictly feasible
       cons.push_back(h);
     }
-    auto ip = FindInteriorPoint(cons);
+    auto ip = FindInteriorPoint(cons, {rng.Uniform(-2, 2), rng.Uniform(-2, 2)});
     ASSERT_TRUE(ip.has_value()) << "trial " << trial;
     ASSERT_GT(ip->radius, 0.0);
     for (const Halfspace& h : cons) {
@@ -233,9 +233,7 @@ TEST(LpFuzz, ChebyshevCenterDeepInside) {
 }
 
 
-// --- ChebyshevRadius: the radius-only screen against the reference -------
-
-constexpr Scalar kInf = std::numeric_limits<Scalar>::infinity();
+// --- FindInteriorPoint against the two-phase oracle ----------------------
 
 Halfspace RandomHalfspace(Rng& rng, int nv, Scalar lo_b, Scalar hi_b) {
   Halfspace h;
@@ -267,31 +265,31 @@ void AddBox(std::vector<Halfspace>& cons, int nv, Scalar r) {
   }
 }
 
-// FindInteriorPoint's radius for bounds + {extra}, -inf when it reports no
-// optimum.
-Scalar ReferenceRadius(std::vector<Halfspace> cons, const Halfspace& extra) {
+// The solver's contract for bounds + {extra} solved from x0: no optimum
+// exactly where the oracle has none (a trivially infeasible zero-normal
+// row), otherwise the oracle's radius within 1e-10 and a centre whose ball
+// keeps every row. The one-list overload must give the same result.
+std::optional<InteriorPoint> ExpectMatchesOracle(
+    const std::vector<Halfspace>& bounds, const Halfspace& extra,
+    const Vec& x0, const std::string& label) {
+  std::vector<Halfspace> cons = bounds;
   cons.push_back(extra);
-  const std::optional<InteriorPoint> ip = FindInteriorPoint(cons);
-  return ip.has_value() ? ip->radius : -kInf;
-}
-
-// The screen's contract: the reference radius within 1e-10 (both -inf on a
-// trivially infeasible zero-normal row), and a screened-out side is never
-// one the reference would keep.
-void ExpectScreenAgrees(const std::vector<Halfspace>& bounds,
-                        const Halfspace& extra, const Vec& x0,
-                        const std::string& label) {
-  const Scalar screen = ChebyshevRadius(bounds, extra, x0);
-  const Scalar ref = ReferenceRadius(bounds, extra);
-  if (std::isinf(ref) || std::isinf(screen)) {
-    EXPECT_EQ(screen, ref) << label;
-  } else {
-    EXPECT_NEAR(screen, ref, 1e-10) << label;
+  const std::optional<InteriorPoint> ip =
+      FindInteriorPoint(bounds, extra, x0);
+  const std::optional<InteriorPoint> ref = TwoPhaseInteriorPoint(cons);
+  EXPECT_EQ(ip.has_value(), ref.has_value()) << label;
+  const std::optional<InteriorPoint> joined = FindInteriorPoint(cons, x0);
+  EXPECT_EQ(joined.has_value(), ip.has_value()) << label;
+  if (!ip.has_value()) return ip;
+  if (joined.has_value()) {
+    EXPECT_EQ(joined->x, ip->x) << label;
+    EXPECT_EQ(joined->radius, ip->radius) << label;
   }
-  if (screen <= kInteriorEps - 1e-9) {
-    EXPECT_FALSE(ref > kInteriorEps) << label << " screen " << screen
-                                     << " reference " << ref;
+  if (ref.has_value()) {
+    EXPECT_NEAR(ip->radius, ref->radius, 1e-10) << label;
   }
+  ExpectValidCentre(cons, *ip, label);
+  return ip;
 }
 
 TEST(LpFuzz, ChebyshevRadiusMatchesReferenceOnRandomRegions) {
@@ -308,13 +306,13 @@ TEST(LpFuzz, ChebyshevRadiusMatchesReferenceOnRandomRegions) {
     const std::string label = "UTK_DIFF_SEED=" + std::to_string(seed + draw);
     // From the bounds' own centre, as the arrangement calls it, and from an
     // arbitrary point, which the contract also allows.
-    const std::optional<InteriorPoint> centre = FindInteriorPoint(bounds);
-    if (centre.has_value())
-      ExpectScreenAgrees(bounds, extra, centre->x, label + " centre");
     Vec x(nv);
     for (Scalar& v : x) v = rng.Uniform(-1.5, 1.5);
-    ExpectScreenAgrees(bounds, extra, x, label + " arbitrary x0");
-    ExpectScreenAgrees(bounds, extra.Complement(), x, label + " complement");
+    const std::optional<InteriorPoint> centre = FindInteriorPoint(bounds, x);
+    ASSERT_TRUE(centre.has_value()) << label;
+    ExpectMatchesOracle(bounds, extra, centre->x, label + " centre");
+    ExpectMatchesOracle(bounds, extra, x, label + " arbitrary x0");
+    ExpectMatchesOracle(bounds, extra.Complement(), x, label + " complement");
   }
 }
 
@@ -335,21 +333,21 @@ TEST(LpFuzz, ChebyshevRadiusMatchesReferenceOnDegenerateRegions) {
     Vec x(nv);
     for (Scalar& v : x) v = rng.Uniform(-0.5, 0.5);
     const Halfspace extra = RandomHalfspace(rng, nv, -0.3, 0.3);
-    ExpectScreenAgrees(bounds, extra, x, label + " duplicates");
+    ExpectMatchesOracle(bounds, extra, x, label + " duplicates");
     // Extra duplicating, scaling or complementing a bound: the complement
     // closes a zero-width slab.
-    ExpectScreenAgrees(bounds, bounds.back(), x, label + " duplicate extra");
-    ExpectScreenAgrees(bounds, Scaled(bounds.back(), 2.5), x,
-                       label + " parallel extra");
-    ExpectScreenAgrees(bounds, bounds.back().Complement(), x,
-                       label + " zero-width slab");
+    ExpectMatchesOracle(bounds, bounds.back(), x, label + " duplicate extra");
+    ExpectMatchesOracle(bounds, Scaled(bounds.back(), 2.5), x,
+                        label + " parallel extra");
+    ExpectMatchesOracle(bounds, bounds.back().Complement(), x,
+                        label + " zero-width slab");
 
     // A zero-width slab inside the bounds, and an extra that crosses it.
     std::vector<Halfspace> slab = bounds;
     const Halfspace cut = RandomHalfspace(rng, nv, -0.1, 0.1);
     slab.push_back(cut);
     slab.push_back(cut.Complement());
-    ExpectScreenAgrees(slab, extra, x, label + " slab bounds");
+    ExpectMatchesOracle(slab, extra, x, label + " slab bounds");
 
     // Zero-normal rows: dropped for b >= -kEps (including b in [-kEps, 0)),
     // trivially infeasible for b < -kEps, in the bounds or as the extra.
@@ -360,8 +358,8 @@ TEST(LpFuzz, ChebyshevRadiusMatchesReferenceOnDegenerateRegions) {
       std::vector<Halfspace> with_zero = bounds;
       with_zero.push_back(zero);
       const std::string z = " zero-normal b=" + std::to_string(b);
-      ExpectScreenAgrees(with_zero, extra, x, label + z + " in bounds");
-      ExpectScreenAgrees(bounds, zero, x, label + z + " as extra");
+      ExpectMatchesOracle(with_zero, extra, x, label + z + " in bounds");
+      ExpectMatchesOracle(bounds, zero, x, label + z + " as extra");
     }
 
     // Cap-bound: the ball of [-5, 5]^nv has radius 5 > cap, both from a
@@ -369,15 +367,16 @@ TEST(LpFuzz, ChebyshevRadiusMatchesReferenceOnDegenerateRegions) {
     std::vector<Halfspace> big;
     AddBox(big, nv, 5.0);
     const Halfspace far = RandomHalfspace(rng, nv, 3.0, 4.0);
-    ExpectScreenAgrees(big, far, Vec(nv, 0.0), label + " cap at centre");
-    ExpectScreenAgrees(big, far, x, label + " cap off centre");
+    ExpectMatchesOracle(big, far, Vec(nv, 0.0), label + " cap at centre");
+    ExpectMatchesOracle(big, far, x, label + " cap off centre");
   }
 }
 
-TEST(LpFuzz, ChebyshevRadiusScreenKeepsEveryThresholdDecision) {
-  // Slabs whose half-width straddles kInteriorEps by a few 1e-10, rotated
-  // at random: the margin below kInteriorEps must cover the screen's error
-  // exactly where the decision is closest.
+TEST(LpFuzz, ChebyshevRadiusKeepsEveryThresholdDecision) {
+  // Slabs whose half-width straddles kInteriorEps by up to 3e-9, rotated at
+  // random: the radius > kInteriorEps decision must equal the oracle's
+  // exactly where it is closest, unless the two radii sit within rounding
+  // of the threshold.
   const uint64_t seed = EnvSeed();
   for (int draw = 0; draw < EnvDraws(); ++draw) {
     Rng rng(seed + static_cast<uint64_t>(draw));
@@ -396,9 +395,20 @@ TEST(LpFuzz, ChebyshevRadiusScreenKeepsEveryThresholdDecision) {
     Halfspace lower = dir;  // dir.x >= mid - half
     lower.b = mid - half;
     bounds.push_back(upper);
-    const std::optional<InteriorPoint> centre = FindInteriorPoint(bounds);
+    const std::optional<InteriorPoint> centre =
+        FindInteriorPoint(bounds, Vec(nv, 0.0));
     ASSERT_TRUE(centre.has_value()) << label;
-    ExpectScreenAgrees(bounds, lower.Complement(), centre->x, label);
+    std::vector<Halfspace> cons = bounds;
+    cons.push_back(lower.Complement());
+    const std::optional<InteriorPoint> ref = TwoPhaseInteriorPoint(cons);
+    ASSERT_TRUE(ref.has_value()) << label;
+    const std::optional<InteriorPoint> ip =
+        ExpectMatchesOracle(bounds, lower.Complement(), centre->x, label);
+    ASSERT_TRUE(ip.has_value()) << label;
+    if (std::fabs(ref->radius - kInteriorEps) > 1e-10) {
+      EXPECT_EQ(ip->radius > kInteriorEps, ref->radius > kInteriorEps)
+          << label << " radius " << ip->radius << " oracle " << ref->radius;
+    }
   }
 }
 
@@ -408,9 +418,10 @@ TEST(LpFuzz, ChebyshevRadiusOnRecordedArrangementSide) {
   // data seed 4242, query seed 407, request 499): a cell's 26 bounds, the
   // cut side, and the cell's cached centre. The side misses the cell: its
   // optimal Chebyshev radius is about -5.54e-4. Given the rows in this
-  // order, FindInteriorPoint returns radius 2.4e-4 with a centre whose ball
-  // crosses a bound by 9e-3; given them reversed, it returns the optimum
-  // with a valid centre. The screen must match the valid solve.
+  // order, the two-phase solve returns radius 2.4e-4 with a centre whose
+  // ball crosses a bound by 9e-3, which once kept the side as a cell; given
+  // them reversed, it returns the optimum with a valid centre. The solver
+  // must reach that optimum in the original order.
   auto Hs = [](Vec a, Scalar b) {
     Halfspace h;
     h.a = std::move(a);
@@ -474,13 +485,61 @@ TEST(LpFuzz, ChebyshevRadiusOnRecordedArrangementSide) {
   std::vector<Halfspace> reversed = bounds;
   reversed.push_back(extra);
   std::reverse(reversed.begin(), reversed.end());
-  const std::optional<InteriorPoint> ref = FindInteriorPoint(reversed);
+  const std::optional<InteriorPoint> ref = TwoPhaseInteriorPoint(reversed);
   ASSERT_TRUE(ref.has_value());
-  for (const Halfspace& h : reversed)
-    ASSERT_GE(h.Slack(ref->x) - Norm(h.a) * ref->radius, -1e-9);
-  const Scalar screen = ChebyshevRadius(bounds, extra, x0);
-  EXPECT_NEAR(screen, ref->radius, 1e-10);
-  EXPECT_LE(screen, kInteriorEps - 1e-9);
+  ExpectValidCentre(reversed, *ref, "oracle, reversed rows");
+  ASSERT_LT(ref->radius, 0.0);
+
+  std::vector<Halfspace> cons = bounds;
+  cons.push_back(extra);
+  for (const Vec& start : {x0, Vec(3, 0.0)}) {
+    const std::optional<InteriorPoint> ip =
+        FindInteriorPoint(bounds, extra, start);
+    ASSERT_TRUE(ip.has_value());
+    EXPECT_NEAR(ip->radius, ref->radius, 1e-10);
+    ExpectValidCentre(cons, *ip, "original rows");
+  }
+}
+
+TEST(LpFuzz, ChebyshevCentreOnNearParallelSlab) {
+  // A side recorded from an arrangement draw: two pairs of parallel rows
+  // 2e-8 apart close a slab of radius ~1.164e-7 through a clipped box. The
+  // third pivot's ratio test sees both rows of the lower pair at ratios
+  // 1.5e-8 apart, with coefficient ~242 after the earlier pivots. A tie
+  // band of kPivotEps in ratio units let the larger-index row stay basic
+  // and go infeasible by 2.1e-8, so the ball crossed it and the radius
+  // read 1.24e-7. The band is now kPivotEps in right-hand-side units.
+  auto Hs = [](Vec a, Scalar b) {
+    Halfspace h;
+    h.a = std::move(a);
+    h.b = b;
+    return h;
+  };
+  const Vec n = {0.95629206785483212, -0.98719662150521992};
+  const Vec neg = {-n[0], -n[1]};
+  const std::vector<Halfspace> bounds = {
+      Hs({1, 0}, 0.77485923988132221),  Hs({-1, 0}, -0.069534719384521632),
+      Hs({0, 1}, 1.0820894186935646),   Hs({0, -1}, -0.28848883088602501),
+      Hs({-1, 0}, 0),                   Hs({0, -1}, 0),
+      Hs({1, 1}, 1),                    Hs(n, -0.56477620217822788),
+      Hs(n, -0.56477656634651008),
+      Hs({-0.44343385356868614, -0.6367303090044254}, -0.58413189613174743),
+      Hs({-0.80421889789854806, -0.41059455299452152},
+         -0.42839953650379226),
+      Hs(neg, 0.56477690725639307),
+  };
+  const Halfspace extra = Hs(neg, 0.56477688629162481);
+  const Vec x0 = {0.21735126888205053, 0.78264856651463921};
+
+  std::vector<Halfspace> cons = bounds;
+  cons.push_back(extra);
+  const std::optional<InteriorPoint> ref = TwoPhaseInteriorPoint(cons);
+  ASSERT_TRUE(ref.has_value());
+  const std::optional<InteriorPoint> ip = FindInteriorPoint(bounds, extra, x0);
+  ASSERT_TRUE(ip.has_value());
+  EXPECT_NEAR(ip->radius, ref->radius, 1e-10);
+  EXPECT_NEAR(ip->radius, 1.1639e-7, 1e-11);
+  ExpectValidCentre(cons, *ip, "near-parallel slab");
 }
 
 }  // namespace

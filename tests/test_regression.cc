@@ -8,6 +8,7 @@
 // *supposed* to alter them, and review the diff like any other code change.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -145,6 +146,32 @@ TEST(Regression, FigureOneStatsEnvelope) {
   EXPECT_EQ(r.ids, (std::vector<int32_t>{0, 1, 3, 5}));
   EXPECT_LE(r.stats.lp_calls, 200);
   EXPECT_LE(r.stats.cells_created, 40);
+}
+
+// A UTK2 query whose arrangement once took a cell centre from a two-phase
+// Chebyshev solve that misjudged a side: the side was kept with a radius
+// whose ball crossed one of its bounds, so one cell (665 of 1,294) carried
+// a witness outside the cell and a top-k that differs at that witness.
+// Every centre now comes from a solve started at a feasible point, and
+// every cell's top-k must equal the top-k at its witness.
+TEST(Regression, Utk2WitnessTopKMatchesOnAntiBox) {
+  Engine engine(Generate(Distribution::kAnticorrelated, 10000, 4, 4242));
+  const ConvexRegion region = ConvexRegion::FromBox(
+      {0.0075421445413936718, 0.022355491942181178, 0.89068917798431302},
+      {0.027542144541393671, 0.042355491942181175, 0.91068917798431304});
+  constexpr int kK = 10;
+  QueryResult r =
+      engine.Run(MakeSpec(QueryMode::kUtk2, Algorithm::kAuto, kK, region));
+  ASSERT_TRUE(r.ok) << r.error;
+  ASSERT_FALSE(r.utk2.cells.empty());
+  for (size_t c = 0; c < r.utk2.cells.size(); ++c) {
+    const Utk2Cell& cell = r.utk2.cells[c];
+    std::vector<int32_t> got = cell.topk;
+    std::vector<int32_t> want = engine.TopK(cell.witness, kK);
+    std::sort(got.begin(), got.end());
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(got, want) << "cell " << c << " of " << r.utk2.cells.size();
+  }
 }
 
 }  // namespace
