@@ -9,7 +9,6 @@
 // All knobs ride on QuerySpec; the engine maps them onto the executing
 // algorithm's options.
 //   * data-plane layout       (SoA columnar kernels vs AoS record loops)
-#include <algorithm>
 
 #include "bench_common.h"
 #include "common/rng.h"
@@ -217,47 +216,6 @@ BENCHMARK(Ablation_Simd_ScoreAll_Scalar)->Unit(benchmark::kMillisecond);
 BENCHMARK(Ablation_Simd_ScoreAll_Simd)->Unit(benchmark::kMillisecond);
 BENCHMARK(Ablation_Simd_ScoreBatch_Scalar)->Unit(benchmark::kMillisecond);
 BENCHMARK(Ablation_Simd_ScoreBatch_Simd)->Unit(benchmark::kMillisecond);
-
-// ---------------------------------------------------------------------------
-// Pool-refinement ablation: one UTK query with parallel cell refinement
-// (QuerySpec::refine_threads = 4). Wall clock on a saturated CI runner says
-// nothing, so the gate rides on the engine's own accounting instead:
-// refine_task_us is the serial cost of the committed refinement tasks and
-// refine_critical_us is the critical-path bound at the lane width
-// (max(longest task, ceil(total/width))) — their ratio is the speedup an
-// idle 4-way machine realizes, measured without needing one.
-// ---------------------------------------------------------------------------
-
-void RefineVariant(benchmark::State& state, QuerySpec spec, double sigma) {
-  const Engine& engine = Data();
-  auto queries = Queries(kDim - 1, sigma);
-  spec.refine_threads = 4;
-  for (auto _ : state) {
-    double serial_us = 0, critical_us = 0, tasks = 0;
-    for (const ConvexRegion& region : queries) {
-      spec.region = region;
-      QueryResult r = engine.Run(spec);
-      serial_us += static_cast<double>(r.stats.refine_task_us);
-      critical_us += static_cast<double>(r.stats.refine_critical_us);
-      tasks += static_cast<double>(r.stats.refine_tasks);
-    }
-    state.counters["serial_us"] = serial_us;
-    state.counters["critical_us"] = std::max(critical_us, 1.0);
-    state.counters["refine_tasks"] = tasks;
-  }
-}
-
-void Ablation_Refine_Pool(benchmark::State& s) {
-  RefineVariant(s, Spec(QueryMode::kUtk2, Algorithm::kJaa, kK), 0.02);
-}
-void Ablation_Refine_Pool_Rsa(benchmark::State& s) {
-  RefineVariant(s, Spec(QueryMode::kUtk1, Algorithm::kRsa, kK), kSigma);
-}
-
-BENCHMARK(Ablation_Refine_Pool)->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-BENCHMARK(Ablation_Refine_Pool_Rsa)->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
 
 // Filtering-step tightness: candidates surviving each filter for the same
 // configuration (smaller = less refinement work downstream).

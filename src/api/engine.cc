@@ -75,7 +75,6 @@ QueryResult RunRSkyband(const Dataset& data, const RTree& tree,
     opt.use_drill = spec.use_drill;
     opt.use_lemma1 = spec.use_lemma1;
     opt.wave_cap = spec.wave_cap;
-    opt.refine_threads = spec.refine_threads;
     Utk1Result res = Rsa(opt).RunFiltered(data, band, spec.region, spec.k);
     r.ids = std::move(res.ids);
     r.stats = res.stats;
@@ -83,7 +82,6 @@ QueryResult RunRSkyband(const Dataset& data, const RTree& tree,
     Jaa::Options opt;
     opt.use_lemma1 = spec.use_lemma1;
     opt.wave_cap = spec.wave_cap;
-    opt.refine_threads = spec.refine_threads;
     r.utk2 = Jaa(opt).RunFiltered(data, band, spec.region, spec.k);
     r.ids = r.utk2.AllRecords();
     r.stats = r.utk2.stats;

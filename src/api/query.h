@@ -63,11 +63,9 @@ struct QuerySpec {
   bool use_drill = true;   ///< drill short-circuit (Section 4.3)
   bool use_lemma1 = true;  ///< Lemma-1 competitor pruning (Section 4.2)
   int wave_cap = 8;        ///< max half-spaces per local arrangement
-  /// Intra-query refinement parallelism for RSA/JAA (top-level cells run
-  /// as shared-pool tasks; see Rsa::Options::refine_threads). 0 or 1 =
-  /// serial. An execution knob like the three above: it cannot change the
-  /// answer (outputs are bitwise identical to serial), so it is excluded
-  /// from SpecFingerprint and the serving cache's CanonicalFingerprint.
+  /// Ignored; kept only because perfbench reads it (ROADMAP item 9). Every
+  /// query runs on one thread. Excluded from SpecFingerprint and the
+  /// serving cache's CanonicalFingerprint.
   int refine_threads = 0;
 };
 

@@ -1,5 +1,5 @@
-// Parallel-for over independent work items (queries in a batch, shard
-// filters, refinement cells), backed by the shared work-stealing pool in
+// Parallel-for over independent work items (the queries of a RunBatch or
+// QueryBatch), backed by the shared work-stealing pool in
 // common/pool.h. The old spawn-per-call std::thread fan-out is gone: every
 // call draws lanes from ThreadPool::Global(), so nested fan-outs share one
 // fixed set of OS threads, and a worker exception propagates to the caller
@@ -7,7 +7,9 @@
 #ifndef UTK_COMMON_PARALLEL_H_
 #define UTK_COMMON_PARALLEL_H_
 
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <thread>
 #include <utility>
@@ -33,14 +35,23 @@ void ParallelFor(int count, int threads, Fn&& fn) {
       count, threads, std::function<void(int)>(std::forward<Fn>(fn)));
 }
 
+/// Largest UTK_THREADS value honoured; the global pool spawns this many
+/// threads minus one, so a typo must not spawn thousands.
+inline constexpr int kMaxThreads = 1024;
+
 /// Default lane count wherever a thread count is unset: the UTK_THREADS
-/// env override when set to a positive integer, else hardware concurrency
-/// floored at 1 (NOT 4 — flooring unknown hardware at 4 oversubscribed
-/// single-core CI containers; an unknown topology now runs serial).
+/// env override when it is a whole integer in [1, kMaxThreads] ("4x",
+/// " 4", "0" and out-of-range values do not count), else hardware
+/// concurrency floored at 1 (NOT 4 — flooring unknown hardware at 4
+/// oversubscribed single-core CI containers; an unknown topology now runs
+/// serial).
 inline int DefaultThreads() {
   if (const char* env = std::getenv("UTK_THREADS")) {
-    const int v = std::atoi(env);
-    if (v >= 1) return v;
+    const char* end = env + std::strlen(env);
+    int v = 0;
+    const auto [ptr, ec] = std::from_chars(env, end, v);
+    if (ec == std::errc() && ptr == end && v >= 1 && v <= kMaxThreads)
+      return v;
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);

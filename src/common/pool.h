@@ -1,10 +1,10 @@
 // Shared work-stealing thread pool for every parallel surface in the repo.
 //
 // PR 1..8 parallelized with a spawn-per-call ParallelFor: fine for a
-// handful of batch queries, wrong for a runtime where Engine::RunBatch,
-// Server::QueryBatch, and JAA/RSA cell refinement all want cores at
-// once — nested fan-outs would multiply threads instead of sharing
-// them. This pool is the one place OS threads are created:
+// handful of batch queries, wrong for a runtime where
+// QueryEngine::RunBatch and Server::QueryBatch may nest and both want
+// cores at once — nested fan-outs would multiply threads instead of
+// sharing them. This pool is the one place OS threads are created:
 //
 //   * one process-wide Global() instance, sized once from UTK_THREADS
 //     (else DefaultThreads()); workers = size - 1 because the caller of
@@ -19,8 +19,9 @@
 //     old spawn-per-call ParallelFor violated by std::terminate'ing.
 //
 // Determinism: the pool itself guarantees only that fn(i) runs exactly
-// once per index. Callers that need bit-identical output (JAA/RSA
-// refinement) write to per-index slots and merge in index order.
+// once per index. Callers that need ordered output (RunBatch) write to
+// per-index slots. Each lane runs whole queries; no query splits its own
+// work across lanes.
 #ifndef UTK_COMMON_POOL_H_
 #define UTK_COMMON_POOL_H_
 
@@ -46,8 +47,8 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   /// The process-wide pool, sized from UTK_THREADS / DefaultThreads() on
-  /// first use. Engine::RunBatch, Server::QueryBatch, and JAA/RSA
-  /// refinement all draw from this instance.
+  /// first use. QueryEngine::RunBatch and Server::QueryBatch draw from
+  /// this instance.
   static ThreadPool& Global();
 
   /// Lanes available including the caller (worker count + 1).

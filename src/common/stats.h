@@ -54,16 +54,12 @@ struct QueryStats {
   // "most informed" decision seen rather than a meaningless sum.
   int64_t planned_algorithm = 0;  ///< Algorithm the planner chose (enum value)
   int64_t plan_reason = 0;        ///< PlanReason behind the choice (enum value)
-  // Intra-query parallel refinement (core/rsa.cc, core/jaa.cc with
-  // refine_threads > 1): per-cell tasks dispatched to the shared pool.
-  // refine_task_us sums every committed task's wall time (the serial-
-  // equivalent refinement work); refine_critical_us sums, per parallel
-  // section, the list-scheduling makespan bound max(longest task,
-  // total / lanes) — their ratio is the refinement speedup an
-  // unconstrained machine realizes, measurable even on a 1-core CI box.
-  int64_t refine_tasks = 0;        ///< parallel refinement tasks committed
-  int64_t refine_task_us = 0;      ///< sum of committed task wall time (µs)
-  int64_t refine_critical_us = 0;  ///< critical-path bound at the lane count
+  /// Always 0: refinement runs on one thread, so there are no refinement
+  /// tasks to count. Ignored / kept only because perfbench reads them
+  /// (ROADMAP item 9), and so the CSV layout (history files) stays stable.
+  int64_t refine_tasks = 0;
+  int64_t refine_task_us = 0;
+  int64_t refine_critical_us = 0;
   double elapsed_ms = 0.0;       ///< wall-clock time of the whole query
 
   QueryStats& operator+=(const QueryStats& o);

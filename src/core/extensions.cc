@@ -1,12 +1,9 @@
 #include "core/extensions.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <map>
 #include <set>
 
-#include "core/naive.h"
 #include "core/topk.h"
 #include "geometry/linear.h"
 #include "index/rtree.h"
@@ -52,42 +49,6 @@ ImmutableRegionResult ImmutableRegion(const Dataset& data, const Vec& w,
   out.region = std::move(region);
   assert(out.region.Contains(w, 1e-7));
   out.stats.elapsed_ms = timer.ElapsedMs();
-  return out;
-}
-
-KsprResult MonochromaticReverseTopK(const Dataset& data, int32_t p,
-                                    const ConvexRegion& r, int k,
-                                    QueryStats* stats) {
-  RTree tree = RTree::BulkLoad(data);
-  std::vector<int32_t> cands = KSkyband(data, tree, k, stats);
-  // p itself may be outside the k-skyband (then it can never qualify, and
-  // kSPR will correctly report no cells).
-  return Kspr(data, p, cands, r, k, /*early_exit=*/false, stats);
-}
-
-std::vector<RobustnessEntry> RobustnessScores(const Dataset& data,
-                                              const ConvexRegion& region,
-                                              int k,
-                                              const std::vector<int32_t>& utk1,
-                                              int samples, uint64_t seed) {
-  std::map<int32_t, int> hits;
-  for (int32_t id : utk1) hits[id] = 0;
-  auto probes = SampleTopkSets(data, region, k, samples, seed);
-  for (const auto& [w, topk] : probes) {
-    for (int32_t id : topk) {
-      auto it = hits.find(id);
-      if (it != hits.end()) ++it->second;
-    }
-  }
-  std::vector<RobustnessEntry> out;
-  out.reserve(hits.size());
-  const double denom = probes.empty() ? 1.0 : static_cast<double>(probes.size());
-  for (const auto& [id, count] : hits)
-    out.push_back({id, static_cast<double>(count) / denom});
-  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-    if (a.fraction != b.fraction) return a.fraction > b.fraction;
-    return a.id < b.id;
-  });
   return out;
 }
 

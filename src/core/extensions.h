@@ -5,9 +5,6 @@
 //   al. [52], discussed in Section 2). Dual to UTK2: it answers "how wrong
 //   can my weights be before the recommendation changes?", while UTK answers
 //   "what are all recommendations within my uncertainty?".
-// * MonochromaticReverseTopK — all sub-regions of R where a given record is
-//   in the top-k (Vlachou et al. [48] / Tang et al. [45], Section 2); a thin
-//   public wrapper over the constrained kSPR component.
 // * ApplyPowerTransform — the Section 6 generalization: scoring functions
 //   sum w_i * x_i^p (and, by extension, any per-attribute monotone f_i) are
 //   handled by transforming attributes up front.
@@ -16,7 +13,6 @@
 
 #include <vector>
 
-#include "core/kspr.h"
 #include "core/utk.h"
 
 namespace utk {
@@ -37,34 +33,10 @@ struct ImmutableRegionResult {
 ImmutableRegionResult ImmutableRegion(const Dataset& data, const Vec& w,
                                       int k, bool prune = true);
 
-/// All sub-regions of `r` where record `p` ranks among the top-k.
-/// Competitors default to the whole dataset filtered by the k-skyband.
-KsprResult MonochromaticReverseTopK(const Dataset& data, int32_t p,
-                                    const ConvexRegion& r, int k,
-                                    QueryStats* stats = nullptr);
-
 /// Returns a copy of the dataset with every attribute raised to the power
 /// `exponent` (> 0, monotone on non-negative attributes). Running UTK on the
 /// transformed data answers UTK under S(p) = sum w_i * x_i^exponent.
 Dataset ApplyPowerTransform(const Dataset& data, Scalar exponent);
-
-/// Robustness of each UTK1 member: the fraction of the region (by uniform
-/// weight sampling) where the record belongs to the top-k. Records of the
-/// given UTK1 result are scored and returned sorted by decreasing
-/// robustness; a natural presentation order for the "expanded preferences"
-/// use case of Section 1. Monte-Carlo with `samples` draws — an estimate,
-/// not exact geometry (the exact version is the volume of the record's
-/// UTK2 cells).
-struct RobustnessEntry {
-  int32_t id;
-  double fraction;  ///< share of sampled weight vectors with id in the top-k
-};
-std::vector<RobustnessEntry> RobustnessScores(const Dataset& data,
-                                              const ConvexRegion& region,
-                                              int k,
-                                              const std::vector<int32_t>& utk1,
-                                              int samples = 500,
-                                              uint64_t seed = 42);
 
 }  // namespace utk
 

@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "arrangement/arrangement.h"
-#include "common/parallel.h"
 #include "core/drill.h"
 #include "exec/kernels.h"
 #include "geometry/linear.h"
@@ -35,11 +34,8 @@ struct Zone {
   Scalar radius;
 };
 
-// `lanes` > 1 refines the cells of the NEXT PartitionRec level concurrently
-// (Refine passes options.refine_threads for the top-level call; every
-// recursive call passes 1).
 void Solve(const JaaContext& ctx, const Zone& zone, const Bitset& prefix,
-           int need, const Bitset& excluded, int lanes);
+           int need, const Bitset& excluded);
 
 // Emits a finalized equal-to cell: top-k = prefix  U  above  U  {anchor}.
 void Finalize(const JaaContext& ctx, const Zone& zone, const Bitset& prefix,
@@ -63,12 +59,10 @@ void Finalize(const JaaContext& ctx, const Zone& zone, const Bitset& prefix,
 //               `zone` (inserted-not-covering and Lemma-1 disregarded)
 void PartitionRec(const JaaContext& ctx, int p, const Zone& zone,
                   const Bitset& prefix, int need, const Bitset& excluded,
-                  const Bitset& above, const Bitset& irrelevant, int lanes);
+                  const Bitset& above, const Bitset& irrelevant);
 
 // One cell of a PartitionRec level: greater-than shortcut, Lemma-1
-// classification, then finalize / recurse. All sub-recursion stays serial
-// (lanes=1); the parallel path hands each task a private JaaContext (own
-// out/stats/scratch) so tasks share only read-only state.
+// classification, then finalize / recurse.
 void PartitionCell(const JaaContext& ctx, int p, const Cell& cell,
                    const Bitset& prefix, int need, const Bitset& excluded,
                    const Bitset& above, const Bitset& irrelevant,
@@ -88,7 +82,7 @@ void PartitionCell(const JaaContext& ctx, int p, const Cell& cell,
     Bitset next_excluded = excluded;
     next_excluded.Set(p);
     next_excluded.UnionWith(ctx.g.Descendants(p));
-    Solve(ctx, sub, prefix, need, next_excluded, /*lanes=*/1);
+    Solve(ctx, sub, prefix, need, next_excluded);
     return;
   }
 
@@ -115,7 +109,7 @@ void PartitionCell(const JaaContext& ctx, int p, const Cell& cell,
       Bitset next_prefix = prefix;
       next_prefix.UnionWith(cell_above);
       next_prefix.Set(p);
-      Solve(ctx, sub, next_prefix, need - rank, excluded, /*lanes=*/1);
+      Solve(ctx, sub, next_prefix, need - rank, excluded);
     }
   } else {
     // Unclassifiable: refine this cell with the next wave of competitors.
@@ -123,13 +117,13 @@ void PartitionCell(const JaaContext& ctx, int p, const Cell& cell,
     cell_irrelevant.UnionWith(not_covering);
     cell_irrelevant.UnionWith(disregarded);
     PartitionRec(ctx, p, sub, prefix, need, excluded, cell_above,
-                 cell_irrelevant, /*lanes=*/1);
+                 cell_irrelevant);
   }
 }
 
 void PartitionRec(const JaaContext& ctx, int p, const Zone& zone,
                   const Bitset& prefix, int need, const Bitset& excluded,
-                  const Bitset& above, const Bitset& irrelevant, int lanes) {
+                  const Bitset& above, const Bitset& irrelevant) {
   if (ctx.stats != nullptr) ++ctx.stats->verify_calls;
 
   // Competitors that can still affect p's rank in this zone.
@@ -151,12 +145,12 @@ void PartitionRec(const JaaContext& ctx, int p, const Zone& zone,
       Bitset next_prefix = prefix;
       next_prefix.UnionWith(above);
       next_prefix.Set(p);
-      Solve(ctx, zone, next_prefix, need - rank_known, excluded, /*lanes=*/1);
+      Solve(ctx, zone, next_prefix, need - rank_known, excluded);
     } else {
       Bitset next_excluded = excluded;
       next_excluded.Set(p);
       next_excluded.UnionWith(ctx.g.Descendants(p));
-      Solve(ctx, zone, prefix, need, next_excluded, /*lanes=*/1);
+      Solve(ctx, zone, prefix, need, next_excluded);
     }
     return;
   }
@@ -195,54 +189,9 @@ void PartitionRec(const JaaContext& ctx, int p, const Zone& zone,
   Bitset remaining = competitors;
   remaining.SubtractWith(inserted);
 
-  const int tasks = static_cast<int>(arr.cells().size());
-  if (lanes <= 1 || tasks <= 1) {
-    for (const Cell& cell : arr.cells()) {
-      PartitionCell(ctx, p, cell, prefix, need, excluded, above, irrelevant,
-                    rank_known, inserted, remaining);
-    }
-    return;
-  }
-
-  // Parallel cell walk. Unlike RSA there is no early exit — every cell's
-  // sub-recursion always runs — so each task gets a private output/stats/
-  // scratch sink and the merge below replays the serial emission order
-  // exactly: cells of task i land before cells of task i+1, counters sum
-  // to the serial totals, gauges max the same way.
-  struct CellTask {
-    Utk2Result out;
-    QueryStats stats;
-    int64_t us = 0;
-  };
-  std::vector<CellTask> results(tasks);
-  const int width = std::min(lanes, tasks);
-  ParallelFor(tasks, width, [&](int idx) {
-    Timer t;
-    CellTask& res = results[idx];
-    std::vector<Scalar> local_scratch(ctx.scratch->size());
-    JaaContext local = ctx;
-    local.scratch = &local_scratch;
-    local.out = &res.out;
-    local.stats = &res.stats;
-    PartitionCell(local, p, arr.cells()[idx], prefix, need, excluded, above,
-                  irrelevant, rank_known, inserted, remaining);
-    res.us = static_cast<int64_t>(t.ElapsedMs() * 1000.0);
-  });
-
-  int64_t sum_us = 0, max_us = 0;
-  for (CellTask& res : results) {
-    for (Utk2Cell& cell : res.out.cells)
-      ctx.out->cells.push_back(std::move(cell));
-    if (ctx.stats != nullptr) *ctx.stats += res.stats;
-    sum_us += res.us;
-    max_us = std::max(max_us, res.us);
-  }
-  if (ctx.stats != nullptr) {
-    ctx.stats->refine_tasks += tasks;
-    ctx.stats->refine_task_us += sum_us;
-    // List-scheduling makespan lower bound at this lane count (see rsa.cc).
-    ctx.stats->refine_critical_us +=
-        std::max(max_us, (sum_us + width - 1) / width);
+  for (const Cell& cell : arr.cells()) {
+    PartitionCell(ctx, p, cell, prefix, need, excluded, above, irrelevant,
+                  rank_known, inserted, remaining);
   }
 }
 
@@ -250,7 +199,7 @@ void PartitionRec(const JaaContext& ctx, int p, const Zone& zone,
 // verification-like process for it. `prefix` are the known top records,
 // `need` > 0 the slots left, `excluded` records that cannot fill them.
 void Solve(const JaaContext& ctx, const Zone& zone, const Bitset& prefix,
-           int need, const Bitset& excluded, int lanes) {
+           int need, const Bitset& excluded) {
   assert(need > 0);
   Bitset pool = ctx.g.Active();
   pool.SubtractWith(prefix);
@@ -280,7 +229,7 @@ void Solve(const JaaContext& ctx, const Zone& zone, const Bitset& prefix,
   above.IntersectWith(pool);
 
   PartitionRec(ctx, anchor, zone, prefix, need, excluded, above,
-               Bitset(ctx.g.size()), lanes);
+               Bitset(ctx.g.size()));
 }
 
 // The refinement step (Section 5): the anchor recursion over a computed
@@ -302,8 +251,7 @@ void Refine(const Jaa::Options& options, const Dataset& data,
   JaaContext ctx{data,    band, band_cols, &scratch, g,
                  options, k,    result,    &result->stats};
   Zone zone{r.constraints(), interior->x, interior->radius};
-  Solve(ctx, zone, Bitset(g.size()), k, Bitset(g.size()),
-        options.refine_threads);
+  Solve(ctx, zone, Bitset(g.size()), k, Bitset(g.size()));
 }
 
 }  // namespace

@@ -28,13 +28,8 @@ class Jaa {
     /// Maximum half-spaces inserted per local arrangement; leftover
     /// competitors are handled by deeper recursion (see Rsa::Options).
     int wave_cap = 8;
-    /// Cells of the TOP-level partition refined concurrently (recursive
-    /// levels stay serial). <= 1 keeps the serial walk. > 1 runs each
-    /// top-level cell's whole sub-recursion as a pool task with private
-    /// output/stats/scratch, then merges results in cell order — JAA has
-    /// no early exit, every cell always runs, so the emitted cells and
-    /// every logical QueryStats counter are bitwise identical to the
-    /// serial walk (only the refine_* timing fields and wall time differ).
+    /// Ignored; kept only because perfbench reads it (ROADMAP item 9).
+    /// Partitioning always runs on the calling thread.
     int refine_threads = 0;
   };
 

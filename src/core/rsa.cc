@@ -1,13 +1,10 @@
 #include "core/rsa.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
-#include <limits>
 #include <numeric>
 
 #include "arrangement/arrangement.h"
-#include "common/parallel.h"
 #include "core/drill.h"
 #include "exec/kernels.h"
 #include "geometry/linear.h"
@@ -51,19 +48,13 @@ int CountStrictlyBetter(const VerifyContext& ctx, const Bitset& ignored,
 // Recursive verification (Algorithm 2) of ctx.cand inside the cell described
 // by (bounds, interior, radius), with rank quota `quota` and ignore set
 // `ignored`. Returns true iff some sub-partition admits the candidate into
-// the top-k. `lanes` > 1 evaluates the promising partitions of THIS level
-// concurrently (Refine passes options.refine_threads at the top level only;
-// every recursive call passes 1 — the top level owns the fan-out, and
-// nesting would oversubscribe the pool for no extra win).
+// the top-k.
 bool Verify(const VerifyContext& ctx, const std::vector<Halfspace>& bounds,
             const Vec& interior, Scalar radius, int quota,
-            const Bitset& ignored, int lanes);
+            const Bitset& ignored);
 
 // One promising partition of a Verify level: Lemma-1 confirmation first,
-// else recursion with the reduced quota. Pure function of its arguments plus
-// ctx's scratch/stats sinks — the parallel path hands each task a private
-// VerifyContext (own scratch, own QueryStats) so tasks share only
-// read-only state.
+// else recursion with the reduced quota.
 bool VerifyCell(const VerifyContext& ctx, const CellArrangement& arr, int c,
                 int quota, const Bitset& ignored, const Bitset& inserted,
                 const Bitset& competitors) {
@@ -98,12 +89,12 @@ bool VerifyCell(const VerifyContext& ctx, const CellArrangement& arr, int c,
   const int next_quota = quota - cell.Count();
   assert(next_quota >= 1);
   return Verify(ctx, cell.bounds, cell.interior, cell.radius, next_quota,
-                next_ignored, /*lanes=*/1);
+                next_ignored);
 }
 
 bool Verify(const VerifyContext& ctx, const std::vector<Halfspace>& bounds,
             const Vec& interior, Scalar radius, int quota,
-            const Bitset& ignored, int lanes) {
+            const Bitset& ignored) {
   assert(quota >= 1);
   if (ctx.stats != nullptr) ++ctx.stats->verify_calls;
 
@@ -167,79 +158,11 @@ bool Verify(const VerifyContext& ctx, const std::vector<Halfspace>& bounds,
     return arr.cells()[a].Count() > arr.cells()[b].Count();
   });
 
-  const int tasks = static_cast<int>(promising.size());
-  if (lanes <= 1 || tasks <= 1) {
-    for (int c : promising) {
-      if (VerifyCell(ctx, arr, c, quota, ignored, inserted, competitors))
-        return true;
-    }
-    return false;
+  for (int c : promising) {
+    if (VerifyCell(ctx, arr, c, quota, ignored, inserted, competitors))
+      return true;
   }
-
-  // Speculative parallel walk of the promising partitions. Tasks evaluate
-  // out of order on the shared pool, but outcomes commit strictly in cell
-  // order up to (and including) the first success — exactly the prefix the
-  // serial loop would have executed. The speculation cut is sound: a task
-  // is skipped only when a success at a LOWER index already exists, and
-  // the committed walk stops at the minimal success, so it never reaches a
-  // skipped index. Tasks past the first success may run to completion; all
-  // their side effects live in task-private scratch/stats and are dropped.
-  struct CellTask {
-    bool ok = false;
-    QueryStats stats;
-    int64_t us = 0;
-  };
-  std::vector<CellTask> results(tasks);
-  std::atomic<int> first_ok{std::numeric_limits<int>::max()};
-  const int width = std::min(lanes, tasks);
-  ParallelFor(tasks, width, [&](int idx) {
-    if (idx > first_ok.load(std::memory_order_acquire)) return;
-    Timer t;
-    CellTask& res = results[idx];
-    std::vector<Scalar> local_scratch(ctx.scratch->size());
-    VerifyContext local = ctx;
-    local.scratch = &local_scratch;
-    local.stats = &res.stats;
-    res.ok = VerifyCell(local, arr, promising[idx], quota, ignored, inserted,
-                        competitors);
-    res.us = static_cast<int64_t>(t.ElapsedMs() * 1000.0);
-    if (res.ok) {
-      int cur = first_ok.load(std::memory_order_relaxed);
-      while (idx < cur &&
-             !first_ok.compare_exchange_weak(cur, idx,
-                                             std::memory_order_acq_rel)) {
-      }
-    }
-  });
-
-  // Commit the serial prefix: cells [0, s] where s is the first success
-  // (every index <= s provably ran), or all cells when none succeeded.
-  int s = -1;
-  for (int i = 0; i < tasks; ++i) {
-    if (results[i].ok) {
-      s = i;
-      break;
-    }
-  }
-  const int committed = s >= 0 ? s + 1 : tasks;
-  int64_t sum_us = 0, max_us = 0;
-  for (int i = 0; i < committed; ++i) {
-    if (ctx.stats != nullptr) *ctx.stats += results[i].stats;
-    sum_us += results[i].us;
-    max_us = std::max(max_us, results[i].us);
-  }
-  if (ctx.stats != nullptr) {
-    ctx.stats->refine_tasks += committed;
-    ctx.stats->refine_task_us += sum_us;
-    // List-scheduling makespan lower bound at this lane count: the section
-    // cannot finish faster than its longest task, nor faster than perfect
-    // division of the total. Summed across sections this yields a sound
-    // "parallel time" even on a 1-core CI box, where wall clock cannot
-    // show the speedup.
-    ctx.stats->refine_critical_us +=
-        std::max(max_us, (sum_us + width - 1) / width);
-  }
-  return s >= 0;
+  return false;
 }
 
 // The refinement step (Section 4.2): candidate verification over a computed
@@ -284,7 +207,7 @@ void Refine(const Rsa::Options& options, const Dataset& data,
     const int quota = k - g.Ancestors(p).CountAnd(g.Active());
     assert(quota >= 1);
     if (Verify(ctx, r.constraints(), interior->x, interior->radius, quota,
-               ignored, options.refine_threads)) {
+               ignored)) {
       state[p] = State::kInResult;
       g.Ancestors(p).ForEach([&](int a) { state[a] = State::kInResult; });
     } else {

@@ -27,15 +27,8 @@ class Rsa {
     /// only descends into promising partitions. 0 = insert all count-0
     /// competitors at once.
     int wave_cap = 8;
-    /// Promising partitions evaluated concurrently at the TOP level of each
-    /// candidate's verification (recursive levels stay serial — the top
-    /// level owns nearly all the fan-out). <= 1 keeps the serial walk.
-    /// > 1 evaluates cells speculatively on the shared pool
-    /// (common/pool.h) and commits outcomes in cell order up to the first
-    /// success, so result ids, cell outcomes, and every logical QueryStats
-    /// counter are bitwise identical to the serial walk; only the
-    /// refine_tasks/refine_task_us/refine_critical_us timing fields (and
-    /// wall time) differ.
+    /// Ignored; kept only because perfbench reads it (ROADMAP item 9).
+    /// Verification always runs on the calling thread.
     int refine_threads = 0;
   };
 

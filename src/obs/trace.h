@@ -12,7 +12,7 @@
 // Span names follow `<subsystem>.<phase>` (DESIGN.md §12). Spans opened on
 // the same thread nest by scope; each event records its depth at open time,
 // and per-thread nesting is what Perfetto uses to rebuild the tree. Worker
-// threads (RunBatch, shard fan-out) record onto their own thread track.
+// threads (RunBatch, QueryBatch) record onto their own thread track.
 //
 // Overhead contract:
 //  - Compile-time off (-DUTK_OBS_ENABLED=0): UTK_SPAN expands to ((void)0);

@@ -420,59 +420,5 @@ TEST(Differential, SimdTiersBitIdenticalAcrossEngineDraws) {
   SetSimdTier(prior);
 }
 
-// Parallel cell refinement (QuerySpec::refine_threads) must be invisible in
-// the answer: RSA's speculative verification commits exactly the serial
-// prefix of promising cells and JAA merges per-cell partitions in cell
-// order, so ids, cells, witnesses, and every logical counter are bitwise
-// equal to the serial run. Only the refine_* accounting fields may differ.
-TEST(Differential, ParallelRefineMatchesSerialBitwise) {
-  const uint64_t base_seed = EnvSeed() ^ 0xef1e;
-  Rng rng(base_seed);
-
-  for (int i = 0; i < 60; ++i) {
-    const Draw d = NextDraw(rng, i, base_seed);
-    SCOPED_TRACE("draw " + std::to_string(i) + ": " + d.Describe());
-    Dataset data = Generate(d.dist, d.n, d.dim, d.seed);
-    Engine engine((Dataset(data)));
-
-    const QuerySpec serial_spec = SpecFor(d);
-    QuerySpec parallel_spec = serial_spec;
-    parallel_spec.refine_threads = 4;
-
-    QueryResult serial = engine.Run(serial_spec);
-    QueryResult parallel = engine.Run(parallel_spec);
-    ASSERT_EQ(parallel.ok, serial.ok) << parallel.error;
-    if (!serial.ok) continue;
-
-    EXPECT_EQ(parallel.ids, serial.ids);
-    EXPECT_EQ(parallel.algorithm, serial.algorithm);
-    ASSERT_EQ(parallel.utk2.cells.size(), serial.utk2.cells.size());
-    for (size_t c = 0; c < parallel.utk2.cells.size(); ++c) {
-      EXPECT_EQ(parallel.utk2.cells[c].topk, serial.utk2.cells[c].topk);
-      EXPECT_EQ(parallel.utk2.cells[c].witness, serial.utk2.cells[c].witness);
-    }
-    EXPECT_EQ(parallel.stats.candidates, serial.stats.candidates);
-    EXPECT_EQ(parallel.stats.lp_calls, serial.stats.lp_calls);
-    EXPECT_EQ(parallel.stats.rdom_tests, serial.stats.rdom_tests);
-    EXPECT_EQ(parallel.stats.cells_created, serial.stats.cells_created);
-    EXPECT_EQ(parallel.stats.halfspaces_inserted,
-              serial.stats.halfspaces_inserted);
-    EXPECT_EQ(parallel.stats.heap_pops, serial.stats.heap_pops);
-    // The serial run never enters the parallel section; the parallel run
-    // accounts every committed task.
-    EXPECT_EQ(serial.stats.refine_tasks, 0);
-    if (parallel.stats.refine_tasks > 0) {
-      EXPECT_GE(parallel.stats.refine_task_us,
-                parallel.stats.refine_critical_us);
-    }
-
-    if (HasFailure()) {
-      ADD_FAILURE() << "refine mismatch — replay with UTK_DIFF_SEED="
-                    << EnvSeed() << " (failing draw: " << d.Describe() << ")";
-      return;
-    }
-  }
-}
-
 }  // namespace
 }  // namespace utk

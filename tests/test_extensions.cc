@@ -91,44 +91,6 @@ TEST(ImmutableRegion, PrunedEqualsUnpruned) {
   }
 }
 
-TEST(ReverseTopK, AgreesWithUtkMembership) {
-  Dataset data = Generate(Distribution::kIndependent, 100, 3, 9);
-  ConvexRegion region = ConvexRegion::FromBox({0.2, 0.2}, {0.35, 0.3});
-  const int k = 3;
-  RTree tree = RTree::BulkLoad(data);
-  auto utk1 = Rsa().Run(data, tree, region, k);
-  std::set<int32_t> member(utk1.ids.begin(), utk1.ids.end());
-  for (int32_t p = 0; p < 20; ++p) {
-    KsprResult r = MonochromaticReverseTopK(data, p, region, k);
-    EXPECT_EQ(r.qualifies, member.count(p) > 0) << "record " << p;
-  }
-}
-
-TEST(ReverseTopK, CellsCoverQualifyingVectors) {
-  Dataset data = Generate(Distribution::kIndependent, 80, 3, 10);
-  ConvexRegion region = ConvexRegion::FromBox({0.15, 0.2}, {0.3, 0.35});
-  const int k = 2;
-  for (const auto& [w, topk] : SampleTopkSets(data, region, k, 30, 777)) {
-    for (int32_t p : topk) {
-      KsprResult r = MonochromaticReverseTopK(data, p, region, k);
-      bool covered = false;
-      for (const Cell& c : r.topk_cells) {
-        bool inside = true;
-        for (const Halfspace& h : c.bounds)
-          if (!h.Contains(w, 1e-7)) {
-            inside = false;
-            break;
-          }
-        if (inside) {
-          covered = true;
-          break;
-        }
-      }
-      EXPECT_TRUE(covered) << "record " << p << " missing cell at sample";
-    }
-  }
-}
-
 TEST(PowerTransform, SquaringChangesRanking) {
   Dataset data = GenerateHotelLike(500, 11);
   Dataset squared = ApplyPowerTransform(data, 2.0);
@@ -147,50 +109,6 @@ TEST(PowerTransform, UtkOnTransformedDataIsExact) {
   ConvexRegion region = ConvexRegion::FromBox({0.2, 0.25}, {0.35, 0.4});
   auto got = Rsa().Run(powered, tree, region, 3).ids;
   EXPECT_EQ(got, NaiveUtk1(powered, region, 3));
-}
-
-TEST(Robustness, FractionsInRangeAndSorted) {
-  Dataset data = Generate(Distribution::kAnticorrelated, 400, 3, 14);
-  ConvexRegion region = ConvexRegion::FromBox({0.2, 0.25}, {0.4, 0.45});
-  const int k = 3;
-  RTree tree = RTree::BulkLoad(data);
-  auto utk1 = Rsa().Run(data, tree, region, k).ids;
-  auto scores = RobustnessScores(data, region, k, utk1, 300, 7);
-  ASSERT_EQ(scores.size(), utk1.size());
-  for (size_t i = 0; i < scores.size(); ++i) {
-    EXPECT_GE(scores[i].fraction, 0.0);
-    EXPECT_LE(scores[i].fraction, 1.0);
-    if (i > 0) {
-      EXPECT_LE(scores[i].fraction, scores[i - 1].fraction);
-    }
-  }
-  // Total coverage: the k slots are always filled by UTK1 members, so the
-  // fractions sum to exactly k.
-  double total = 0;
-  for (const auto& e : scores) total += e.fraction;
-  EXPECT_NEAR(total, static_cast<double>(k), 1e-9);
-}
-
-TEST(Robustness, AlwaysWinnerScoresOne) {
-  // A record that r-dominates everything has fraction 1.
-  Dataset data = Generate(Distribution::kIndependent, 50, 3, 15);
-  Record super;
-  super.id = static_cast<int32_t>(data.size());
-  super.attrs = {2.0, 2.0, 2.0};  // dominates all of [0,1]^3
-  data.push_back(super);
-  ConvexRegion region = ConvexRegion::FromBox({0.2, 0.2}, {0.3, 0.3});
-  RTree tree = RTree::BulkLoad(data);
-  auto utk1 = Rsa().Run(data, tree, region, 2).ids;
-  auto scores = RobustnessScores(data, region, 2, utk1, 200, 8);
-  ASSERT_FALSE(scores.empty());
-  bool found = false;
-  for (const auto& e : scores) {
-    if (e.id == super.id) {
-      EXPECT_DOUBLE_EQ(e.fraction, 1.0);
-      found = true;
-    }
-  }
-  EXPECT_TRUE(found);
 }
 
 TEST(PowerTransform, IdentityIsNoop) {

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/rsa.h"
@@ -90,14 +91,32 @@ TEST(Parallel, DefaultThreadsHonorsEnvOverride) {
   const char* prev = std::getenv("UTK_THREADS");
   const std::string saved = prev != nullptr ? prev : "";
 
+  ASSERT_EQ(unsetenv("UTK_THREADS"), 0);
+  const int fallback = DefaultThreads();  // hardware detection, floored at 1
+  ASSERT_GE(fallback, 1);
+
   ASSERT_EQ(setenv("UTK_THREADS", "3", 1), 0);
   EXPECT_EQ(DefaultThreads(), 3);
   ASSERT_EQ(setenv("UTK_THREADS", "1", 1), 0);
   EXPECT_EQ(DefaultThreads(), 1);
-  // Invalid values fall through to hardware detection, floored at 1.
-  for (const char* bad : {"0", "-2", "abc", ""}) {
-    ASSERT_EQ(setenv("UTK_THREADS", bad, 1), 0);
-    EXPECT_GE(DefaultThreads(), 1) << "UTK_THREADS=" << bad;
+  ASSERT_EQ(setenv("UTK_THREADS", "007", 1), 0);
+  EXPECT_EQ(DefaultThreads(), 7);
+  ASSERT_EQ(setenv("UTK_THREADS", "1024", 1), 0);
+  EXPECT_EQ(DefaultThreads(), kMaxThreads);
+  // Anything but a whole integer in [1, kMaxThreads] yields exactly the
+  // fallback: never a parsed prefix ("4x" is not 4), never a pool of
+  // 99,999 threads, never a value wrapped past int. `n` differs from the
+  // fallback, so a parser that honours the prefix fails here on any host.
+  const std::string n = std::to_string(fallback % kMaxThreads + 1);
+  ASSERT_EQ(setenv("UTK_THREADS", n.c_str(), 1), 0);
+  EXPECT_EQ(std::to_string(DefaultThreads()), n);
+  for (const std::string& bad :
+       {std::string("0"), std::string("-2"), std::string("abc"),
+        std::string(""), n + "x", " " + n, n + " ", "+" + n, n + ".0",
+        std::string("1025"), std::string("100000"),
+        std::string("99999999999")}) {
+    ASSERT_EQ(setenv("UTK_THREADS", bad.c_str(), 1), 0);
+    EXPECT_EQ(DefaultThreads(), fallback) << "UTK_THREADS='" << bad << "'";
   }
 
   if (prev != nullptr) {
