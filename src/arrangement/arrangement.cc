@@ -82,11 +82,22 @@ void CellArrangement::Insert(int hs_id, const Halfspace& hs) {
     if (cells_[i].frozen) continue;
 
     // One Chebyshev solve per side, started from the cell's cached centre.
+    // A rejected side with radius in (kEps, kInteriorEps] is a sliver; one
+    // no wider than kEps lies within the membership tolerance of the cut.
+    bool sliver = false;
     auto side_interior = [&](const Halfspace& h) {
       if (stats_ != nullptr) ++stats_->lp_calls;
       auto ip = FindInteriorPoint(cells_[i].bounds, h, cells_[i].interior);
       if (ip.has_value() && ip->radius > kInteriorEps) return ip;
+      if (ip.has_value() && ip->radius > kEps) sliver = true;
       return std::optional<InteriorPoint>{};
+    };
+    // Keeping one side of a cut that drops a sliver records the cut, so no
+    // later split can move the centre back into the sliver (DESIGN.md §4).
+    auto bound_if_sliver = [&](const Halfspace& kept) {
+      if (!sliver) return;
+      cells_[i].bounds.push_back(kept);
+      bytes_ += BoundBytes(kept);
     };
 
     // Fast path: if the cached ball lies entirely on one side of the
@@ -130,14 +141,17 @@ void CellArrangement::Insert(int hs_id, const Halfspace& hs) {
         stats_->peak_bytes = std::max(stats_->peak_bytes, bytes_);
       }
     } else if (inside_feasible) {
+      bound_if_sliver(hs);
       Cover(cells_[i], hs_id);
       Recentre(cells_[i], std::move(*in_ip));
     } else if (outside_feasible) {
+      bound_if_sliver(hs.Complement());
       Recentre(cells_[i], std::move(*out_ip));
     }
-    // Neither side reaching kInteriorEps leaves the cell as it is. That is
-    // not impossible: a near-tie hyperplane through a cell barely thicker
-    // than kInteriorEps can leave both sides below it (ROADMAP item 10).
+    // Neither side reaching kInteriorEps leaves the cell as it is. One side
+    // of any cut keeps a ball of half the cell's radius, so that needs a
+    // cell no wider than 2 * kInteriorEps: a near-tie hyperplane through a
+    // cell that is itself almost a sliver.
   }
 }
 

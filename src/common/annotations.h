@@ -19,7 +19,6 @@
 #ifndef UTK_COMMON_ANNOTATIONS_H_
 #define UTK_COMMON_ANNOTATIONS_H_
 
-#include <condition_variable>
 #include <mutex>
 #include <shared_mutex>
 
@@ -64,8 +63,7 @@
 namespace utk {
 
 // std::mutex with a capability attribute so clang can track who holds it.
-// Same layout and cost as std::mutex; `native()` exposes the underlying
-// mutex for condition-variable waits (see CondVar below).
+// Same layout and cost as std::mutex.
 class UTK_CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;
@@ -75,7 +73,6 @@ class UTK_CAPABILITY("mutex") Mutex {
   void lock() UTK_ACQUIRE() { mu_.lock(); }
   void unlock() UTK_RELEASE() { mu_.unlock(); }
   bool try_lock() UTK_TRY_ACQUIRE(true) { return mu_.try_lock(); }
-  std::mutex& native() { return mu_; }
 
  private:
   std::mutex mu_;
@@ -140,36 +137,6 @@ class UTK_SCOPED_CAPABILITY ReaderLock {
 
  private:
   SharedMutex& mu_;
-};
-
-// Condition variable usable with utk::Mutex while keeping the cheap
-// std::condition_variable underneath. Wait() requires the capability: from
-// the analysis' point of view the lock is held across the call, which is the
-// contract the caller sees (wait re-acquires before returning). The adopted
-// unique_lock is released (not unlocked) on exit so ownership stays with the
-// caller's guard.
-class CondVar {
- public:
-  // Bare wait (spurious wakeups possible — loop on the condition). Prefer
-  // this form when the condition reads UTK_GUARDED_BY state: clang does not
-  // propagate held capabilities into lambda bodies, so a predicate lambda
-  // over guarded members would trip the analysis.
-  void Wait(Mutex& mu) UTK_REQUIRES(mu) {
-    std::unique_lock<std::mutex> lock(mu.native(), std::adopt_lock);
-    cv_.wait(lock);
-    lock.release();
-  }
-  template <class Pred>
-  void Wait(Mutex& mu, Pred pred) UTK_REQUIRES(mu) {
-    std::unique_lock<std::mutex> lock(mu.native(), std::adopt_lock);
-    cv_.wait(lock, pred);
-    lock.release();
-  }
-  void NotifyOne() { cv_.notify_one(); }
-  void NotifyAll() { cv_.notify_all(); }
-
- private:
-  std::condition_variable cv_;
 };
 
 }  // namespace utk

@@ -1,42 +1,24 @@
-// Parallel-for over independent work items (the queries of a RunBatch or
-// QueryBatch), backed by the shared work-stealing pool in
-// common/pool.h. The old spawn-per-call std::thread fan-out is gone: every
-// call draws lanes from ThreadPool::Global(), so nested fan-outs share one
-// fixed set of OS threads, and a worker exception propagates to the caller
-// instead of hitting std::terminate.
+// Parallel-for over independent work items: the queries of one AnswerBatch,
+// which QueryEngine::RunBatch and Server::QueryBatch share. Each call
+// spawns its own lanes and joins them before it returns, so no thread
+// outlives a call and calls share no state. Nothing in the library nests a
+// ParallelFor inside another; a nested call would spawn lanes of its own.
 #ifndef UTK_COMMON_PARALLEL_H_
 #define UTK_COMMON_PARALLEL_H_
 
+#include <algorithm>
+#include <atomic>
 #include <charconv>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
+#include <exception>
 #include <thread>
-#include <utility>
-
-#include "common/pool.h"
+#include <vector>
 
 namespace utk {
 
-/// Invokes fn(i) for i in [0, count) across up to `threads` concurrent
-/// lanes of the global pool (the calling thread is one of them). fn must be
-/// safe to call concurrently for distinct i; results should be written to
-/// pre-sized per-index slots. threads <= 1 runs inline, in order. The first
-/// exception thrown by any lane is rethrown on the caller after all lanes
-/// have been joined; remaining indices are abandoned.
-template <typename Fn>
-void ParallelFor(int count, int threads, Fn&& fn) {
-  if (count <= 0) return;
-  if (threads <= 1 || count == 1) {
-    for (int i = 0; i < count; ++i) fn(i);
-    return;
-  }
-  ThreadPool::Global().ParallelFor(
-      count, threads, std::function<void(int)>(std::forward<Fn>(fn)));
-}
-
-/// Largest UTK_THREADS value honoured; the global pool spawns this many
-/// threads minus one, so a typo must not spawn thousands.
+/// Largest UTK_THREADS value honoured. DefaultThreads() caps the lanes of
+/// every ParallelFor call, so a typo must not spawn thousands of threads.
 inline constexpr int kMaxThreads = 1024;
 
 /// Default lane count wherever a thread count is unset: the UTK_THREADS
@@ -55,6 +37,52 @@ inline int DefaultThreads() {
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
+}
+
+/// Invokes fn(i) for i in [0, count) across min(threads, count,
+/// DefaultThreads()) lanes: the caller is lane 0, and the call spawns one
+/// std::thread per other lane. Lanes pull indices from one shared cursor.
+/// fn must be safe to call concurrently for distinct i; results should be
+/// written to pre-sized per-index slots. One lane runs inline, in order.
+/// Once any lane throws, no lane takes a new index; every thread is joined,
+/// and the exception of the lowest-numbered failed lane is rethrown here.
+/// If a thread cannot be spawned, the lanes already running take its share.
+template <typename Fn>
+void ParallelFor(int count, int threads, Fn&& fn) {
+  if (count <= 0) return;
+  const int lanes = std::min({threads, count, DefaultThreads()});
+  if (lanes <= 1) {
+    for (int i = 0; i < count; ++i) fn(i);
+    return;
+  }
+  std::atomic<int> next{0};
+  std::atomic<bool> failed{false};
+  std::vector<std::exception_ptr> errors(lanes);  // one slot per lane
+  auto lane = [&](int l) {
+    try {
+      while (!failed.load(std::memory_order_relaxed)) {
+        const int i = next.fetch_add(1, std::memory_order_relaxed);
+        if (i >= count) return;
+        fn(i);
+      }
+    } catch (...) {
+      errors[l] = std::current_exception();
+      failed.store(true, std::memory_order_relaxed);
+    }
+  };
+  std::vector<std::thread> spawned;
+  spawned.reserve(lanes - 1);
+  for (int l = 1; l < lanes; ++l) {
+    try {
+      spawned.emplace_back(lane, l);
+    } catch (...) {
+      break;  // out of threads: the lanes already running drain the cursor
+    }
+  }
+  lane(0);
+  for (std::thread& t : spawned) t.join();
+  for (const std::exception_ptr& e : errors)
+    if (e) std::rethrow_exception(e);
 }
 
 }  // namespace utk

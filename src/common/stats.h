@@ -65,10 +65,10 @@ struct QueryStats {
   QueryStats& operator+=(const QueryStats& o);
 
   /// Merges per-part stats into one: counters (and elapsed_ms) sum, peak
-  /// gauges take the max. This is the one aggregation rule for everything
-  /// that fans work out — Engine::RunBatch over queries and
-  /// Server::QueryBatch over a trace. An empty span merges to
-  /// default-constructed stats.
+  /// gauges take the max. This is the one aggregation rule for the one
+  /// fan-out, AnswerBatch over a batch's queries (QueryEngine::RunBatch
+  /// and Server::QueryBatch). An empty span merges to default-constructed
+  /// stats.
   static QueryStats Merge(std::span<const QueryStats> parts);
 
   std::string ToString() const;

@@ -11,8 +11,9 @@
 //
 // Span names follow `<subsystem>.<phase>` (DESIGN.md §12). Spans opened on
 // the same thread nest by scope; each event records its depth at open time,
-// and per-thread nesting is what Perfetto uses to rebuild the tree. Worker
-// threads (RunBatch, QueryBatch) record onto their own thread track.
+// and per-thread nesting is what Perfetto uses to rebuild the tree. The
+// lanes a RunBatch or QueryBatch spawns (common/parallel.h) record onto
+// their own thread tracks; the caller's lane records onto the caller's.
 //
 // Overhead contract:
 //  - Compile-time off (-DUTK_OBS_ENABLED=0): UTK_SPAN expands to ((void)0);

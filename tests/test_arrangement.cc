@@ -281,11 +281,13 @@ class TwoPhaseArrangement {
 
   void set_freeze_threshold(int t) { freeze_threshold_ = t; }
   const std::vector<Cell>& cells() const { return cells_; }
-  // Slivers (a rejected side with radius in (0, kInteriorEps]) dropped on
-  // the way to cell i while its other side was kept. The kept side's
-  // centre is recentred, but its bounds do not record the cut, so the
-  // stored radius depends on whether that side was solved or settled by
-  // the cached ball: it can move by less than the sliver's radius.
+  // Rejected sides with radius in (0, kInteriorEps] met on the way to cell
+  // i while its other side was kept. Above kEps the kept side's half-space
+  // becomes a bound, as in Insert; at or below kEps the cut stays within
+  // the membership tolerance and leaves none, so the stored radius depends
+  // on whether the kept side was solved or settled by the cached ball, by
+  // up to the rejected radius. Near-parallel bounds also cost the two
+  // solvers agreement on the radius: both effects stay under kEps each.
   int slivers(size_t i) const { return slivers_[i]; }
 
   void Insert(int hs_id, const Halfspace& hs) {
@@ -339,12 +341,14 @@ class TwoPhaseArrangement {
         cells_.push_back(std::move(outside));
         slivers_.push_back(slivers_[i]);
       } else if (in_ip.has_value()) {
+        if (rejected > kEps) cells_[i].bounds.push_back(hs);
         cells_[i].covering.push_back(hs_id);
         cells_[i].interior = in_ip->x;
         cells_[i].radius = in_ip->radius;
         cells_[i].frozen = cells_[i].Count() >= freeze_threshold_;
         if (rejected > 0.0) ++slivers_[i];
       } else if (out_ip.has_value()) {
+        if (rejected > kEps) cells_[i].bounds.push_back(hs.Complement());
         cells_[i].interior = out_ip->x;
         cells_[i].radius = out_ip->radius;
         if (rejected > 0.0) ++slivers_[i];
@@ -359,10 +363,10 @@ class TwoPhaseArrangement {
 };
 
 // Cells equal the oracle's exactly in count, bounds, covering and frozen
-// flags. Radii agree within 1e-10, widened by kInteriorEps per sliver the
-// oracle dropped on the cell's path (see TwoPhaseArrangement::slivers).
-// Centres may differ (the maximal ball is not unique), so each centre's
-// ball must instead lie within its bounds.
+// flags. Radii agree within 1e-10, widened by kEps per sliver the oracle
+// met on the cell's path (see TwoPhaseArrangement::slivers). Centres may
+// differ (the maximal ball is not unique), so each centre's ball must
+// instead lie within its bounds.
 void ExpectSameCells(const TwoPhaseArrangement& oracle,
                      const std::vector<Cell>& got, const std::string& label) {
   const std::vector<Cell>& want = oracle.cells();
@@ -375,7 +379,7 @@ void ExpectSameCells(const TwoPhaseArrangement& oracle,
     }
     EXPECT_EQ(got[i].covering, want[i].covering) << label << " cell " << i;
     EXPECT_NEAR(got[i].radius, want[i].radius,
-                1e-10 + oracle.slivers(i) * kInteriorEps)
+                1e-10 + oracle.slivers(i) * kEps)
         << label << " cell " << i;
     ExpectValidCentre(got[i].bounds,
                       InteriorPoint{got[i].interior, got[i].radius},

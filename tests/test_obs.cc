@@ -299,9 +299,9 @@ TEST(Trace, NestedRunBatchSpansStayBalancedPerThread) {
     per_thread[e.tid].push_back(e);
     if (std::string(e.name) == "engine.run") {
       ++runs;
-      // A query runs at depth 0 on a pool worker's track, or at depth 1
-      // when the calling thread's lane executes it inside its own
-      // engine.batch span (common/pool.h: callers help while waiting).
+      // A query runs at depth 0 on the track of a lane ParallelFor
+      // spawned, or at depth 1 when the calling thread, lane 0, runs it
+      // inside its own engine.batch span (common/parallel.h).
       EXPECT_LE(e.depth, 1);
     }
     if (std::string(e.name) == "filter.rskyband") {

@@ -174,5 +174,32 @@ TEST(Regression, Utk2WitnessTopKMatchesOnAntiBox) {
   }
 }
 
+// A UTK2 query whose arrangement once dropped a sliver without a bound:
+// a cut kept only one side of a cell because the other side's ball was
+// thinner than kInteriorEps, the cell was recentred but no bound recorded
+// the cut, and a later split moved the centre back into the sliver. One
+// cell's witness then lay on the wrong side of a score hyperplane, so its
+// top-k differed from the top-k at its witness. The kept side's half-space
+// is now a bound of the cell.
+TEST(Regression, Utk2WitnessTopKMatchesAfterSliverCut) {
+  Engine engine(Generate(Distribution::kAnticorrelated, 10000, 4, 4242));
+  const ConvexRegion region = ConvexRegion::FromBox(
+      {0.12753301709833159, 0.13865927768223224, 0.59303570753778545},
+      {0.14753301709833158, 0.15865927768223223, 0.61303570753778547});
+  constexpr int kK = 10;
+  QueryResult r =
+      engine.Run(MakeSpec(QueryMode::kUtk2, Algorithm::kAuto, kK, region));
+  ASSERT_TRUE(r.ok) << r.error;
+  ASSERT_FALSE(r.utk2.cells.empty());
+  for (size_t c = 0; c < r.utk2.cells.size(); ++c) {
+    const Utk2Cell& cell = r.utk2.cells[c];
+    std::vector<int32_t> got = cell.topk;
+    std::vector<int32_t> want = engine.TopK(cell.witness, kK);
+    std::sort(got.begin(), got.end());
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(got, want) << "cell " << c << " of " << r.utk2.cells.size();
+  }
+}
+
 }  // namespace
 }  // namespace utk

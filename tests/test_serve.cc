@@ -289,7 +289,7 @@ TEST_F(ServeTestBase, ConcurrentMixedLoadIsDeterministic) {
   std::vector<QueryResult> fresh;
   for (const QuerySpec& spec : specs) fresh.push_back(engine_->Run(spec));
 
-  for (int threads : {1, 8}) {
+  for (int threads : {1, 2, 8}) {
     Server server(engine_);
     BatchQueryResult batch = server.QueryBatch(specs, threads);
     ASSERT_EQ(batch.results.size(), specs.size());
