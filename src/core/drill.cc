@@ -9,7 +9,7 @@ namespace utk {
 
 std::optional<Vec> DrillVector(const AffineScore& objective,
                                const std::vector<Halfspace>& cons,
-                               QueryStats* stats) {
+                               const Vec* start, QueryStats* stats) {
   if (stats != nullptr) {
     ++stats->lp_calls;
     ++stats->drills;
@@ -17,7 +17,7 @@ std::optional<Vec> DrillVector(const AffineScore& objective,
   static obs::Counter& probes = obs::MetricRegistry::Global().GetCounter(
       "utk_drill_probes_total");
   probes.Add();
-  LpResult r = SolveLp(objective.coef, cons, /*maximize=*/true);
+  LpResult r = SolveLp(objective.coef, cons, /*maximize=*/true, start);
   if (r.status != LpStatus::kOptimal) return std::nullopt;
   return r.x;
 }

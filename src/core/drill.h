@@ -20,10 +20,14 @@
 namespace utk {
 
 /// Weight vector inside the region defined by `cons` that maximizes the
-/// affine `objective` (the candidate's score). Returns nullopt if the LP
-/// fails (degenerate region); callers then fall back to an interior point.
+/// affine `objective` (the candidate's score). The LP starts from `start`, a
+/// point of the region (Verify passes the cell's centre), or without one
+/// from the region's Chebyshev centre. Returns nullopt only when the LP is
+/// unbounded or, without a start, infeasible; callers then fall back to an
+/// interior point.
 std::optional<Vec> DrillVector(const AffineScore& objective,
                                const std::vector<Halfspace>& cons,
+                               const Vec* start = nullptr,
                                QueryStats* stats = nullptr);
 
 /// Top-k probe at weight vector `w`, evaluated purely on the r-dominance

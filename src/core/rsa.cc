@@ -100,7 +100,7 @@ bool Verify(const VerifyContext& ctx, const std::vector<Halfspace>& bounds,
 
   // Drill (Section 4.3): a top-k probe at the score-maximizing vector.
   if (ctx.options.use_drill) {
-    auto w = DrillVector(ctx.cand_score, bounds, ctx.stats);
+    auto w = DrillVector(ctx.cand_score, bounds, &interior, ctx.stats);
     const Vec& probe = w.has_value() ? *w : interior;
     if (CountStrictlyBetter(ctx, ignored, probe) < quota) return true;
   } else if (CountStrictlyBetter(ctx, ignored, interior) < quota) {

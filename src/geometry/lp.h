@@ -1,18 +1,19 @@
 // Dense simplex solver for the small linear programs that drive UTK
-// processing: drill-vector computation (Section 4.3), r-dominance tests
-// over general convex regions (Definition 1), and feasibility / interior
-// point queries on arrangement cells (Section 4.5).
+// processing: drill-vector computation (Section 4.3), the onion-layer
+// margin test, and feasibility / interior point queries on arrangement
+// cells (Section 4.5).
 //
 // Problems have very few variables (d-1 <= 6 in all experiments) and at most
 // a few hundred half-space constraints, so a dense tableau with Bland's
-// anti-cycling rule is both simple and fast. Free variables are handled by
-// the standard x = u - v split. SolveLp is the two-phase solver for general
-// objectives; FindInteriorPoint solves the Chebyshev LP on the same tableau
-// from a caller-given start point, with no phase 1 (DESIGN.md §4).
+// anti-cycling rule is both simple and fast. There is one simplex and no
+// phase 1: every solve starts from a point the caller has, with
+// x = start + u - v, so each row's right-hand side is its slack there and
+// the slack basis is feasible. FindInteriorPoint solves the Chebyshev LP
+// from any start; SolveLp needs a feasible start, or finds one with
+// FindInteriorPoint (DESIGN.md §4).
 #ifndef UTK_GEOMETRY_LP_H_
 #define UTK_GEOMETRY_LP_H_
 
-#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -29,11 +30,14 @@ struct LpResult {
 };
 
 /// Solves: maximize (or minimize) c . x subject to a_i . x <= b_i for every
-/// half-space in `cons`, with x free. Trivial (zero-normal) constraints with
-/// b >= 0 are ignored; zero-normal constraints with b < 0 make the program
-/// infeasible.
+/// half-space in `cons`, with x free, from `start`, which must satisfy every
+/// constraint within kEps (asserted in debug builds). Without a start, it
+/// starts from the Chebyshev centre of `cons` found from the origin, and
+/// returns kInfeasible when that radius is below -kEps. Zero-normal
+/// constraints with b >= -kEps are ignored; with b < -kEps they make the
+/// program infeasible.
 LpResult SolveLp(const Vec& c, const std::vector<Halfspace>& cons,
-                 bool maximize = true);
+                 bool maximize = true, const Vec* start = nullptr);
 
 /// Cap on the Chebyshev radius, so unbounded regions still yield a finite
 /// centre.
@@ -63,11 +67,6 @@ std::optional<InteriorPoint> FindInteriorPoint(
 /// True iff the region has an interior point with Chebyshev radius
 /// > kInteriorEps, solved from the origin.
 bool HasInterior(const std::vector<Halfspace>& cons);
-
-/// Thread-local count of simplex solves (SolveLp, FindInteriorPoint and
-/// everything built on them), for QueryStats plumbing.
-int64_t LpSolveCount();
-void ResetLpSolveCount();
 
 }  // namespace utk
 

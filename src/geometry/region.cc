@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <limits>
 #include <numeric>
 
@@ -83,34 +82,6 @@ bool ConvexRegion::Contains(const Vec& w, Scalar eps) const {
   return true;
 }
 
-bool ConvexRegion::ContainsRegion(const ConvexRegion& inner,
-                                  Scalar eps) const {
-  if (is_box_ && inner.is_box_) {
-    if (inner.dim_ != dim_) return false;
-    for (int i = 0; i < dim_; ++i) {
-      if (EpsLt(inner.box_lo_[i], box_lo_[i], eps)) return false;
-      if (EpsGt(inner.box_hi_[i], box_hi_[i], eps)) return false;
-    }
-    return true;
-  }
-  if (inner.dim_ != dim_) return false;
-  for (const Halfspace& h : constraints_) {
-    if (inner.is_box_) {  // closed-form maximum over a box
-      auto range = inner.RangeOf(h.a, 0.0);
-      if (EpsGt(range->second, h.b, eps)) return false;
-      continue;
-    }
-    // RangeOf cannot distinguish empty from unbounded, so solve the max LP
-    // directly: infeasible means inner is empty (vacuously contained),
-    // unbounded means inner escapes every bounded outer region.
-    LpResult hi = SolveLp(h.a, inner.constraints_, /*maximize=*/true);
-    if (hi.status == LpStatus::kInfeasible) return true;
-    if (hi.status == LpStatus::kUnbounded) return false;
-    if (EpsGt(hi.objective, h.b, eps)) return false;
-  }
-  return true;
-}
-
 std::optional<Vec> ConvexRegion::Pivot() const {
   if (is_box_) {
     Vec c(dim_);
@@ -176,40 +147,6 @@ bool ConvexRegion::HasInteriorPoint() const {
     return radius > kInteriorEps;
   }
   return HasInterior(constraints_);
-}
-
-ConvexRegion ConvexRegion::Reduced() const {
-  // Deduplicate (up to scaling would be nicer; exact match suffices for the
-  // pair-generated constraint sets this is used on).
-  std::vector<Halfspace> kept;
-  for (const Halfspace& h : constraints_) {
-    bool dup = false;
-    for (const Halfspace& g : kept) {
-      if (g.b == h.b && g.a == h.a) {
-        dup = true;
-        break;
-      }
-    }
-    if (!dup) kept.push_back(h);
-  }
-  // Drop constraints implied by the rest.
-  for (size_t i = 0; i < kept.size();) {
-    std::vector<Halfspace> others;
-    others.reserve(kept.size() - 1);
-    for (size_t j = 0; j < kept.size(); ++j)
-      if (j != i) others.push_back(kept[j]);
-    LpResult r = SolveLp(kept[i].a, others, /*maximize=*/true);
-    const bool redundant =
-        r.status == LpStatus::kOptimal && EpsLe(r.objective, kept[i].b);
-    if (redundant) {
-      kept.erase(kept.begin() + i);
-    } else {
-      ++i;
-    }
-  }
-  ConvexRegion out(std::move(kept));
-  out.dim_ = dim_;
-  return out;
 }
 
 }  // namespace utk

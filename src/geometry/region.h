@@ -48,14 +48,6 @@ class ConvexRegion {
   /// Membership test.
   bool Contains(const Vec& w, Scalar eps = kEps) const;
 
-  /// True iff `inner` is contained in this region (up to eps slack per
-  /// constraint): every constraint a.w <= b of *this* satisfies
-  /// max_{w in inner} a.w <= b + eps. Closed form when both are boxes, one
-  /// LP per constraint otherwise. An empty `inner` is contained vacuously.
-  /// Used to check that region tilings and generated sub-regions stay
-  /// inside their parent.
-  bool ContainsRegion(const ConvexRegion& inner, Scalar eps = kEps) const;
-
   /// The pivot vector of the region (Section 4.1): for boxes, the average of
   /// the vertices (== box center); for general regions, the Chebyshev
   /// center. Returns nullopt when the region has empty interior.
@@ -72,13 +64,6 @@ class ConvexRegion {
 
   /// True iff the region has interior (Chebyshev radius > kInteriorEps).
   bool HasInteriorPoint() const;
-
-  /// Returns an equivalent region with redundant constraints removed: a
-  /// constraint is dropped when maximizing its left-hand side subject to the
-  /// remaining constraints cannot exceed its bound. One LP per constraint;
-  /// intended for presenting outputs (UTK2 cell bounds, immutable regions),
-  /// not for hot paths. Exact duplicates are removed first.
-  ConvexRegion Reduced() const;
 
  private:
   int dim_ = 0;

@@ -17,8 +17,12 @@ bool IsFirstQuadrantHullMember(const Record& p,
   // Variables (w, t): maximize t subject to
   //   S(p)(w) - S(q)(w) >= t  for all q,
   //   w in the closed weight simplex, t <= 1.
+  // It starts from w = 0, t = min(1, min_q (p_d - q_d)), which satisfies
+  // every row exactly.
   std::vector<Halfspace> cons;
   cons.reserve(others.size() + nv + 2);
+  Vec start(nv + 1, 0.0);
+  start[nv] = 1.0;
   for (const Record* q : others) {
     // (coef_q - coef_p).w + t <= offset_p - offset_q
     Halfspace h;
@@ -30,6 +34,7 @@ bool IsFirstQuadrantHullMember(const Record& p,
     }
     h.a[nv] = 1.0;
     h.b = p.attrs[d - 1] - q->attrs[d - 1];
+    start[nv] = std::min(start[nv], h.b);
     cons.push_back(std::move(h));
   }
   for (int i = 0; i < nv; ++i) {
@@ -56,7 +61,7 @@ bool IsFirstQuadrantHullMember(const Record& p,
   static obs::Counter& probes = obs::MetricRegistry::Global().GetCounter(
       "utk_onion_hull_probes_total");
   probes.Add();
-  LpResult r = SolveLp(obj, cons, /*maximize=*/true);
+  LpResult r = SolveLp(obj, cons, /*maximize=*/true, &start);
   return r.status == LpStatus::kOptimal && EpsGe(r.objective, 0.0);
 }
 

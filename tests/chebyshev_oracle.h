@@ -2,10 +2,11 @@
 //
 // It solves the same program, maximize t subject to
 // a_i . x + ||a_i|| * t <= b_i and t <= kRadiusCap, by a different path:
-// SolveLp over the augmented rows (a_i, ||a_i||) with phase 1, from no start
-// point. The library solves it phase-1-free from a caller-given start, so the
-// two share only the tableau. The optimal radius is unique and must agree;
-// the centre need not, and is checked by ExpectValidCentre instead.
+// the two-phase oracle (lp_oracle.h) over the augmented rows (a_i, ||a_i||),
+// from no start point. The library solves it phase-1-free from a
+// caller-given start, so the two share no code. The optimal radius is
+// unique and must agree; the centre need not, and is checked by
+// ExpectValidCentre instead.
 #ifndef UTK_TESTS_CHEBYSHEV_ORACLE_H_
 #define UTK_TESTS_CHEBYSHEV_ORACLE_H_
 
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "geometry/lp.h"
+#include "lp_oracle.h"
 
 namespace utk {
 
@@ -40,7 +42,7 @@ inline std::optional<InteriorPoint> TwoPhaseInteriorPoint(
 
   Vec obj(nv + 1, 0.0);
   obj[nv] = 1.0;
-  const LpResult r = SolveLp(obj, aug, /*maximize=*/true);
+  const LpResult r = TwoPhaseLp(obj, aug, /*maximize=*/true);
   if (r.status != LpStatus::kOptimal) return std::nullopt;
   InteriorPoint ip;
   ip.radius = r.x[nv];

@@ -23,13 +23,29 @@ TEST(Drill, VectorMaximizesCandidateScore) {
   EXPECT_NEAR((*w)[0], 0.3, 1e-7);
 }
 
+TEST(Drill, StartAtPivotGivesTheSameObjective) {
+  Record p;
+  p.id = 0;
+  p.attrs = {0.7, 0.2, 0.5};
+  ConvexRegion region = ConvexRegion::FromBox({0.1, 0.15}, {0.35, 0.3});
+  region.AddConstraint({{1.0, 1.0}, 0.55});  // pivot = Chebyshev centre
+  const Vec pivot = *region.Pivot();
+  const AffineScore score = MakeScore(p);
+  auto from_centre = DrillVector(score, region.constraints());
+  auto from_pivot = DrillVector(score, region.constraints(), &pivot);
+  ASSERT_TRUE(from_centre.has_value());
+  ASSERT_TRUE(from_pivot.has_value());
+  EXPECT_NEAR(score.Eval(*from_pivot), score.Eval(*from_centre), 1e-9);
+  EXPECT_TRUE(region.Contains(*from_pivot));
+}
+
 TEST(Drill, StatsCount) {
   Record p;
   p.id = 0;
   p.attrs = {0.4, 0.6, 0.2};
   ConvexRegion region = ConvexRegion::FromBox({0.1, 0.1}, {0.2, 0.2});
   QueryStats stats;
-  DrillVector(MakeScore(p), region.constraints(), &stats);
+  DrillVector(MakeScore(p), region.constraints(), nullptr, &stats);
   EXPECT_EQ(stats.drills, 1);
   EXPECT_EQ(stats.lp_calls, 1);
 }

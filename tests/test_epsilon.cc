@@ -70,6 +70,7 @@ TEST(Epsilon, RegionContainsAgreesWithLpFeasibilityOnBoundary) {
       {0.5, 0.5},    // on a corner
       {0.2, 0.2},    // opposite corner
       {0.35, 0.35},  // interior
+      {0.5 + 0.5 * kEps, 0.3},  // within kEps outside a face
   };
   for (const Vec& w : points) {
     EXPECT_TRUE(box.Contains(w)) << w[0] << "," << w[1];

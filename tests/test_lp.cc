@@ -36,7 +36,8 @@ TEST(Lp, Minimization) {
 }
 
 TEST(Lp, NegativeRhsPhase1) {
-  // Feasible region requires x >= 1 (rhs -1 after negation): phase 1 path.
+  // Feasible region requires x >= 1: negative right-hand sides, so the
+  // origin is infeasible and the solve starts from the Chebyshev centre.
   std::vector<Halfspace> cons = {Hs({-1, 0}, -1), Hs({1, 0}, 4),
                                  Hs({0, -1}, -2), Hs({0, 1}, 5)};
   LpResult r = SolveLp({-1, -1}, cons);  // minimize x + y
@@ -125,14 +126,6 @@ TEST(Lp, RadiusCapOnUnboundedRegion) {
   // Solved from a start outside the region: the centre is kRadiusCap deep.
   EXPECT_GE(ip->x[0], kRadiusCap - 1e-7);
   EXPECT_GE(ip->x[1], kRadiusCap - 1e-7);
-}
-
-TEST(Lp, SolveCountAdvances) {
-  ResetLpSolveCount();
-  std::vector<Halfspace> cons = {Hs({1}, 1), Hs({-1}, 0)};
-  SolveLp({1}, cons);
-  SolveLp({1}, cons, false);
-  EXPECT_EQ(LpSolveCount(), 2);
 }
 
 // Randomized cross-check: LP optimum over a random box must match the

@@ -13,6 +13,7 @@
 #include "common/rng.h"
 #include "diff_env.h"
 #include "geometry/lp.h"
+#include "lp_oracle.h"
 
 namespace utk {
 namespace {
@@ -540,6 +541,73 @@ TEST(LpFuzz, ChebyshevCentreOnNearParallelSlab) {
   EXPECT_NEAR(ip->radius, ref->radius, 1e-10);
   EXPECT_NEAR(ip->radius, 1.1639e-7, 1e-11);
   ExpectValidCentre(cons, *ip, "near-parallel slab");
+}
+
+// --- SolveLp against the two-phase oracle ----------------------------------
+
+TEST(LpFuzz, SolveLpMatchesTwoPhaseOracle) {
+  // Programs around a point p: every random row keeps p strictly inside.
+  // Bounded ones add a box; infeasible ones add a slab that excludes a
+  // band around its own hyperplane; unbounded ones drop the box, keep
+  // every row's normal <= 0 and maximize a positive objective, so
+  // x = p + s * (1, ..., 1) stays feasible for every s >= 0.
+  const uint64_t seed = EnvSeed();
+  int seen[3] = {0, 0, 0};
+  for (int draw = 0; draw < EnvDraws(); ++draw) {
+    Rng rng(seed + static_cast<uint64_t>(draw));
+    const int nv = rng.UniformInt(1, 6);
+    const int kind = rng.UniformInt(0, 2);  // feasible, infeasible, unbounded
+    const std::string label = "UTK_DIFF_SEED=" + std::to_string(seed + draw) +
+                              " kind " + std::to_string(kind);
+    Vec p(nv), c(nv);
+    for (Scalar& v : p) v = rng.Uniform(-0.5, 0.5);
+    for (Scalar& v : c) v = rng.Uniform(-1, 1);
+    std::vector<Halfspace> cons;
+    if (kind != 2) AddBox(cons, nv, 1.0);
+    const int m = rng.UniformInt(1, 10);
+    for (int i = 0; i < m; ++i) {
+      Halfspace h = RandomHalfspace(rng, nv, 0.0, 0.0);
+      if (kind == 2)
+        for (Scalar& v : h.a) v = -std::fabs(v);
+      h.b = Dot(h.a, p) + rng.Uniform(0.01, 0.5);
+      cons.push_back(h);
+    }
+    bool maximize = rng.UniformInt(0, 1) == 1;
+    if (kind == 2) {
+      for (Scalar& v : c) v = std::fabs(v) + 0.1;
+      maximize = true;
+    }
+    if (kind == 1) {
+      Halfspace lo = RandomHalfspace(rng, nv, 0.0, 0.0);
+      lo.a[0] = 1.0;  // keep the slab's normal away from zero
+      const Scalar mid = Dot(lo.a, p) + rng.Uniform(-0.3, 0.3);
+      Halfspace hi = lo.Complement();
+      lo.b = mid - 0.05;  // lo.a . x <= mid - 0.05
+      hi.b = -(mid + 0.05);  // lo.a . x >= mid + 0.05
+      cons.push_back(lo);
+      cons.push_back(hi);
+    }
+
+    const LpResult want = TwoPhaseLp(c, cons, maximize);
+    const LpResult got = SolveLp(c, cons, maximize);
+    ASSERT_EQ(got.status, want.status) << label;
+    ++seen[static_cast<int>(want.status)];
+    if (got.status != LpStatus::kOptimal) continue;
+    EXPECT_NEAR(got.objective, want.objective, 1e-6) << label;
+    for (const Halfspace& h : cons) EXPECT_GE(h.Slack(got.x), -1e-6) << label;
+    // From a second feasible start, the same optimum.
+    const LpResult again = SolveLp(c, cons, maximize, &p);
+    ASSERT_EQ(again.status, LpStatus::kOptimal) << label;
+    EXPECT_NEAR(again.objective, want.objective, 1e-6) << label;
+    for (const Halfspace& h : cons)
+      EXPECT_GE(h.Slack(again.x), -1e-6) << label;
+  }
+  // Every outcome is exercised once there are a few dozen draws.
+  if (EnvDraws() >= 30) {
+    EXPECT_GT(seen[static_cast<int>(LpStatus::kOptimal)], 0);
+    EXPECT_GT(seen[static_cast<int>(LpStatus::kInfeasible)], 0);
+    EXPECT_GT(seen[static_cast<int>(LpStatus::kUnbounded)], 0);
+  }
 }
 
 }  // namespace

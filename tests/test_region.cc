@@ -119,45 +119,5 @@ TEST(Region, DegenerateBoxHasNoInterior) {
   EXPECT_FALSE(r.HasInteriorPoint());
 }
 
-TEST(Region, ReducedDropsDuplicatesAndImplied) {
-  ConvexRegion box = ConvexRegion::FromBox({0.1, 0.1}, {0.3, 0.3});
-  ConvexRegion r(box.constraints());
-  Halfspace dup = box.constraints()[0];
-  r.AddConstraint(dup);  // exact duplicate
-  Halfspace loose;
-  loose.a = {1.0, 0.0};
-  loose.b = 0.9;  // implied by w1 <= 0.3
-  r.AddConstraint(loose);
-  Halfspace diag;
-  diag.a = {1.0, 1.0};
-  diag.b = 10.0;  // implied by the box
-  r.AddConstraint(diag);
-  ConvexRegion reduced = r.Reduced();
-  EXPECT_EQ(reduced.constraints().size(), 4u);  // just the box faces
-  // Geometry unchanged: membership agrees on a grid.
-  for (Scalar x = 0.0; x <= 0.45; x += 0.05)
-    for (Scalar y = 0.0; y <= 0.45; y += 0.05)
-      EXPECT_EQ(reduced.Contains({x, y}), r.Contains({x, y}))
-          << x << "," << y;
-}
-
-TEST(Region, ReducedKeepsBindingConstraints) {
-  // A pentagon where every constraint is binding: nothing is dropped.
-  std::vector<Halfspace> cons;
-  auto add = [&](Scalar a0, Scalar a1, Scalar b) {
-    Halfspace h;
-    h.a = {a0, a1};
-    h.b = b;
-    cons.push_back(h);
-  };
-  add(-1, 0, 0);      // x >= 0
-  add(0, -1, 0);      // y >= 0
-  add(1, 0, 0.4);     // x <= 0.4
-  add(0, 1, 0.4);     // y <= 0.4
-  add(1, 1, 0.6);     // cut the corner
-  ConvexRegion reduced = ConvexRegion(cons).Reduced();
-  EXPECT_EQ(reduced.constraints().size(), 5u);
-}
-
 }  // namespace
 }  // namespace utk

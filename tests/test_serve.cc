@@ -117,39 +117,6 @@ TEST(ServeFingerprint, CanonicalizesSpecs) {
             CanonicalFingerprint(s2, Algorithm::kRsa));
 }
 
-TEST(ServeRegion, ContainsRegion) {
-  ConvexRegion outer = ConvexRegion::FromBox({0.1, 0.1}, {0.4, 0.4});
-  EXPECT_TRUE(outer.ContainsRegion(
-      ConvexRegion::FromBox({0.2, 0.15}, {0.3, 0.4})));
-  EXPECT_TRUE(outer.ContainsRegion(outer));
-  EXPECT_FALSE(outer.ContainsRegion(
-      ConvexRegion::FromBox({0.2, 0.15}, {0.45, 0.4})));
-
-  // Mixed box / general-region pairs go through the LP path.
-  ConvexRegion inner = ConvexRegion::FromBox({0.2, 0.2}, {0.3, 0.3});
-  inner.AddConstraint({{1.0, 1.0}, 0.55});
-  EXPECT_TRUE(outer.ContainsRegion(inner));
-  ConvexRegion poked = ConvexRegion::FromBox({0.2, 0.2}, {0.5, 0.3});
-  poked.AddConstraint({{1.0, 1.0}, 0.9});
-  EXPECT_FALSE(outer.ContainsRegion(poked));
-
-  // An unbounded inner region is never contained in a bounded outer one;
-  // an empty inner region is contained vacuously.
-  ConvexRegion unbounded(std::vector<Halfspace>{{{1.0, 0.0}, 0.5}});
-  EXPECT_FALSE(outer.ContainsRegion(unbounded));
-  ConvexRegion empty(
-      std::vector<Halfspace>{{{1.0, 0.0}, -1.0}, {{-1.0, 0.0}, -1.0}});
-  EXPECT_TRUE(outer.ContainsRegion(empty));
-
-  // Random sub-boxes are contained in their parents by construction.
-  Rng rng(7);
-  for (int t = 0; t < 50; ++t) {
-    ConvexRegion parent = RandomQueryBox(3, 0.12, rng);
-    ConvexRegion sub = RandomSubBox(parent, rng.Uniform(0.3, 1.0), rng);
-    EXPECT_TRUE(parent.ContainsRegion(sub));
-  }
-}
-
 TEST_F(ServeTestBase, ExactHitReturnsIdenticalResult) {
   Server server(engine_);
   for (QueryMode mode : {QueryMode::kUtk1, QueryMode::kUtk2}) {

@@ -61,8 +61,9 @@ TEST(Workload, SubBoxContainedInParent) {
     const Scalar shrink = rng.Uniform(0.2, 1.0);
     ConvexRegion sub = RandomSubBox(parent, shrink, rng);
     ASSERT_TRUE(sub.is_box());
-    EXPECT_TRUE(parent.ContainsRegion(sub));
     for (int i = 0; i < 3; ++i) {
+      EXPECT_TRUE(EpsGe(sub.box_lo()[i], parent.box_lo()[i])) << i;
+      EXPECT_TRUE(EpsLe(sub.box_hi()[i], parent.box_hi()[i])) << i;
       EXPECT_NEAR(sub.box_hi()[i] - sub.box_lo()[i],
                   shrink * (parent.box_hi()[i] - parent.box_lo()[i]), 1e-12);
     }
@@ -99,8 +100,14 @@ TEST(Workload, ServeTraceShapesAndDeterminism) {
       case TraceKind::kSubregion: {
         // Contained in some hot region (the containment-hit path).
         bool contained = false;
-        for (const ConvexRegion& h : a.hot)
-          if (h.ContainsRegion(a.queries[i])) contained = true;
+        const ConvexRegion& q = a.queries[i];
+        for (const ConvexRegion& h : a.hot) {
+          bool inside = true;
+          for (int d = 0; d < opt.pref_dim; ++d)
+            inside &= EpsGe(q.box_lo()[d], h.box_lo()[d]) &&
+                      EpsLe(q.box_hi()[d], h.box_hi()[d]);
+          contained |= inside;
+        }
         EXPECT_TRUE(contained) << i;
         ++subs;
         break;
