@@ -76,6 +76,7 @@ void CellArrangement::Insert(int hs_id, const Halfspace& hs) {
     return;
   }
 
+  const Halfspace complement = hs.Complement();
   const size_t n = cells_.size();
   for (size_t i = 0; i < n; ++i) {
     // Note: Insert may push new cells; only pre-existing cells are visited.
@@ -88,7 +89,11 @@ void CellArrangement::Insert(int hs_id, const Halfspace& hs) {
     auto side_interior = [&](const Halfspace& h) {
       if (stats_ != nullptr) ++stats_->lp_calls;
       auto ip = FindInteriorPoint(cells_[i].bounds, h, cells_[i].interior);
+      // utk-lint: allow(eps-compare) kInteriorEps is the threshold itself:
+      // a radius strictly above it is interior (DESIGN.md §4).
       if (ip.has_value() && ip->radius > kInteriorEps) return ip;
+      // utk-lint: allow(eps-compare) kEps is the threshold itself: a radius
+      // strictly above it is a sliver (DESIGN.md §4).
       if (ip.has_value() && ip->radius > kEps) sliver = true;
       return std::optional<InteriorPoint>{};
     };
@@ -108,13 +113,13 @@ void CellArrangement::Insert(int hs_id, const Halfspace& hs) {
     std::optional<InteriorPoint> in_ip, out_ip;
     if (slack >= norm * radius) {
       in_ip = InteriorPoint{cells_[i].interior, radius};
-      out_ip = side_interior(hs.Complement());
+      out_ip = side_interior(complement);
     } else if (slack <= -norm * radius) {
       out_ip = InteriorPoint{cells_[i].interior, radius};
       in_ip = side_interior(hs);
     } else {
       in_ip = side_interior(hs);
-      out_ip = side_interior(hs.Complement());
+      out_ip = side_interior(complement);
     }
     const bool inside_feasible = in_ip.has_value();
     const bool outside_feasible = out_ip.has_value();
@@ -124,7 +129,7 @@ void CellArrangement::Insert(int hs_id, const Halfspace& hs) {
       // outside child.
       Cell outside;
       outside.bounds = cells_[i].bounds;
-      outside.bounds.push_back(hs.Complement());
+      outside.bounds.push_back(complement);
       outside.covering = cells_[i].covering;
       outside.interior = std::move(out_ip->x);
       outside.radius = out_ip->radius;
@@ -145,7 +150,7 @@ void CellArrangement::Insert(int hs_id, const Halfspace& hs) {
       Cover(cells_[i], hs_id);
       Recentre(cells_[i], std::move(*in_ip));
     } else if (outside_feasible) {
-      bound_if_sliver(hs.Complement());
+      bound_if_sliver(complement);
       Recentre(cells_[i], std::move(*out_ip));
     }
     // Neither side reaching kInteriorEps leaves the cell as it is. One side

@@ -15,8 +15,9 @@
 //
 // Numerical policy: a cell must have a Chebyshev ball of radius
 // kInteriorEps to exist. Splits that would create a thinner side do not
-// create it; such slivers are measure-zero score-tie boundaries that cannot
-// affect UTK semantics (DESIGN.md §4).
+// create it. A dropped sliver wider than kEps can still hold a different
+// top-k, so the kept side's half-space becomes a bound of the cell and no
+// later split can move the centre back into it (DESIGN.md §4).
 #ifndef UTK_ARRANGEMENT_ARRANGEMENT_H_
 #define UTK_ARRANGEMENT_ARRANGEMENT_H_
 

@@ -24,11 +24,11 @@ using Vec = std::vector<Scalar>;
 inline constexpr Scalar kEps = 1e-9;
 
 /// Minimum Chebyshev radius for an arrangement cell to be considered
-/// non-degenerate. Cells thinner than this are measure-zero tie boundaries
-/// and are dropped (see DESIGN.md, "Numerical policy").
+/// non-degenerate. Thinner sides of a cut are not created; a dropped side
+/// wider than kEps bounds the kept one (see DESIGN.md, "Numerical policy").
 inline constexpr Scalar kInteriorEps = 1e-7;
 
-/// Pivot / reduced-cost tolerance of the dense simplex solver
+/// Pivot / reduced-cost tolerance of the simplex solver
 /// (geometry/lp.cc). Strictly tighter than kEps: the solver must keep
 /// resolving differences the geometric predicates above still consider
 /// ties, otherwise LP feasibility and Contains() could disagree on

@@ -12,37 +12,47 @@ namespace {
 // The pivot tolerance is the library-wide kPivotEps (common/types.h),
 // deliberately tighter than the geometric kEps — see the note there.
 
-// Dense simplex tableau over the equality system  B z = rhs, z >= 0, with an
-// explicit basis. Maximizes obj . z. Rows are constraints, columns are
-// variables. Uses Bland's rule, so it terminates on degenerate problems.
+// Condensed simplex tableau over the equality system  B z = rhs, z >= 0.
+// Maximizes obj . z. It keeps one row per basic variable and one column
+// per nonbasic variable, so the identity columns of the basic variables
+// are never stored: `basis_[r]` names row r's basic variable and
+// `nonbasic_[c]` column c's nonbasic one. The objective row is stored
+// last, below the constraint rows. Uses Bland's rule on variable indices,
+// so it terminates on degenerate problems and visits the same bases as a
+// dense tableau would, up to rounding.
 class Tableau {
  public:
-  // Re-dimensions to a zeroed rows x cols tableau, keeping the storage.
+  // Re-dimensions to a zeroed tableau of `rows` constraints and `cols`
+  // structural variables, keeping the storage. Variables 0..cols-1 start
+  // nonbasic; the slack cols + r starts basic in row r.
   void Reset(int rows, int cols) {
     rows_ = rows;
     cols_ = cols;
-    a_.assign(static_cast<size_t>(rows) * (cols + 1), 0.0);
-    basis_.assign(rows, -1);
-    obj_.assign(cols + 1, 0.0);
+    a_.assign(static_cast<size_t>(rows + 1) * (cols + 1), 0.0);
+    basis_.resize(rows);
+    for (int r = 0; r < rows; ++r) basis_[r] = cols + r;
+    nonbasic_.resize(cols);
+    for (int c = 0; c < cols; ++c) nonbasic_[c] = c;
+    ratio_.resize(rows);
   }
 
   Scalar& At(int r, int c) { return a_[r * (cols_ + 1) + c]; }
-  Scalar& Rhs(int r) { return a_[r * (cols_ + 1) + cols_]; }
-  Scalar& Obj(int c) { return obj_[c]; }
-  void SetBasis(int r, int c) { basis_[r] = c; }
+  Scalar& Rhs(int r) { return At(r, cols_); }
+  Scalar& Obj(int c) { return At(rows_, c); }
 
   // Runs simplex iterations to optimality or unboundedness.
   // Returns false on unbounded.
   bool Optimize() {
+    const int stride = cols_ + 1;
     for (;;) {
-      // Bland's rule: entering variable = smallest index with positive
-      // reduced profit (we maximize, so look for obj coefficient > eps).
+      // Bland's rule: entering variable = smallest variable index with
+      // positive reduced profit (we maximize, so look for obj > eps).
       int enter = -1;
+      const Scalar* obj = &a_[rows_ * stride];
       for (int c = 0; c < cols_; ++c) {
-        if (EpsGt(obj_[c], 0.0, kPivotEps)) {
+        if (EpsGt(obj[c], 0.0, kPivotEps) &&
+            (enter < 0 || nonbasic_[c] < nonbasic_[enter]))
           enter = c;
-          break;
-        }
       }
       if (enter < 0) return true;  // optimal
       // Ratio test, Bland tie-break on basis variable index. Rows whose
@@ -51,21 +61,20 @@ class Tableau {
       // leaving at ratio `limit` drives row q's right-hand side to
       // coef_q * (ratio_q - limit), so `limit` is capped at every row's
       // ratio_q + kPivotEps / max(1, coef_q) and no row goes negative by
-      // more than kPivotEps, however large its coefficient.
+      // more than kPivotEps, however large its coefficient. Each ratio is
+      // divided once and kept for the leave loop.
       Scalar limit = std::numeric_limits<Scalar>::infinity();
       for (int r = 0; r < rows_; ++r) {
-        const Scalar coef = a_[r * (cols_ + 1) + enter];
+        const Scalar coef = a_[r * stride + enter];
         if (EpsGt(coef, 0.0, kPivotEps)) {
-          const Scalar ratio = a_[r * (cols_ + 1) + cols_] / coef;
-          limit = std::min(limit, ratio + kPivotEps / std::max(1.0, coef));
+          ratio_[r] = a_[r * stride + cols_] / coef;
+          limit = std::min(limit, ratio_[r] + kPivotEps / std::max(1.0, coef));
         }
       }
       int leave = -1;
       for (int r = 0; r < rows_; ++r) {
-        const Scalar coef = a_[r * (cols_ + 1) + enter];
-        if (EpsGt(coef, 0.0, kPivotEps) &&
-            a_[r * (cols_ + 1) + cols_] / coef <= limit &&
-            (leave < 0 || basis_[r] < basis_[leave]))
+        if (EpsGt(a_[r * stride + enter], 0.0, kPivotEps) &&
+            ratio_[r] <= limit && (leave < 0 || basis_[r] < basis_[leave]))
           leave = r;
       }
       if (leave < 0) return false;  // unbounded
@@ -73,41 +82,53 @@ class Tableau {
     }
   }
 
+  // Exchanges row r's basic variable with column c's nonbasic one. Column c
+  // then holds the leaving variable: 1/piv in row r and -f/piv in a row
+  // whose entry was f, which is what eliminating the entering column from
+  // the leaving variable's unit column gives.
   void Pivot(int r, int c) {
-    const Scalar piv = At(r, c);
+    const int stride = cols_ + 1;
+    Scalar* pr = &a_[r * stride];
+    const Scalar piv = pr[c];
     // utk-lint: allow(eps-compare) pivot-magnitude assert; kPivotEps is the
     // tolerance itself, not a fuzz on an exact comparison.
     assert(std::fabs(piv) > kPivotEps);
     const Scalar inv = 1.0 / piv;
-    for (int j = 0; j <= cols_; ++j) a_[r * (cols_ + 1) + j] *= inv;
-    for (int i = 0; i < rows_; ++i) {
+    for (int j = 0; j <= cols_; ++j) pr[j] *= inv;
+    pr[c] = inv;
+    // Every other row, the objective row (index rows_) included.
+    for (int i = 0; i <= rows_; ++i) {
       if (i == r) continue;
-      const Scalar f = a_[i * (cols_ + 1) + c];
+      Scalar* pi = &a_[i * stride];
+      const Scalar f = pi[c];
       // utk-lint: allow(eps-compare) pivot-magnitude test: strict < against
-      // kPivotEps IS the policy (types.h); EpsEq would widen < to <=.
-      if (std::fabs(f) < kPivotEps) continue;
-      for (int j = 0; j <= cols_; ++j)
-        a_[i * (cols_ + 1) + j] -= f * a_[r * (cols_ + 1) + j];
+      // kPivotEps IS the policy (types.h); EpsEq would widen < to <=. The
+      // skipped row keeps 0 in the leaving variable's column.
+      if (std::fabs(f) < kPivotEps) {
+        pi[c] = 0.0;
+        continue;
+      }
+      for (int j = 0; j <= cols_; ++j) pi[j] -= f * pr[j];
+      pi[c] = -f * inv;
     }
-    const Scalar f = obj_[c];
-    // utk-lint: allow(eps-compare) pivot-magnitude test (see above)
-    if (std::fabs(f) > kPivotEps)
-      for (int j = 0; j <= cols_; ++j) obj_[j] -= f * a_[r * (cols_ + 1) + j];
-    basis_[r] = c;
+    std::swap(basis_[r], nonbasic_[c]);
   }
 
-  // Extracts the value of variable c from the current basic solution.
-  Scalar Value(int c) const {
+  // Extracts the value of variable v from the current basic solution.
+  Scalar Value(int v) const {
     for (int r = 0; r < rows_; ++r)
-      if (basis_[r] == c) return a_[r * (cols_ + 1) + cols_];
+      if (basis_[r] == v) return a_[r * (cols_ + 1) + cols_];
     return 0.0;
   }
 
  private:
   int rows_ = 0, cols_ = 0;
-  std::vector<Scalar> a_;  // row-major, last column is rhs
-  std::vector<int> basis_;
-  std::vector<Scalar> obj_;
+  // Row-major (rows_ + 1) x (cols_ + 1): the constraint rows, then the
+  // objective row; the last column is the right-hand side.
+  std::vector<Scalar> a_;
+  std::vector<int> basis_;     // variable basic in each row
+  std::vector<int> nonbasic_;  // variable nonbasic in each column
+  std::vector<Scalar> ratio_;  // ratio-test scratch, one per row
 };
 
 // The one simplex, from a start point. With `c`, it maximizes c . x over the
@@ -150,14 +171,14 @@ LpStatus SolveFrom(const std::vector<Halfspace>& bounds, const Halfspace* extra,
     if (!keep(h)) return LpStatus::kInfeasible;
   if (extra != nullptr && !keep(*extra)) return LpStatus::kInfeasible;
 
-  // Columns u, v, then s (Chebyshev only), then one slack per row; the
-  // Chebyshev LP has one more row, s <= cap - t0.
+  // Variables u, v, then s (Chebyshev only), then one slack per row, each
+  // basic in its own row; the Chebyshev LP has one more row,
+  // s <= cap - t0.
   const int m = static_cast<int>(rows.size());
   const int s_col = 2 * nv;
-  const int first_slack = chebyshev ? s_col + 1 : s_col;
-  const int n_rows = chebyshev ? m + 1 : m;
+  const int n_cols = chebyshev ? s_col + 1 : s_col;
   thread_local Tableau t;
-  t.Reset(n_rows, first_slack + n_rows);
+  t.Reset(chebyshev ? m + 1 : m, n_cols);
   for (int r = 0; r < m; ++r) {
     const Vec& a = rows[r]->a;
     for (int j = 0; j < nv; ++j) {
@@ -165,15 +186,11 @@ LpStatus SolveFrom(const std::vector<Halfspace>& bounds, const Halfspace* extra,
       t.At(r, nv + j) = -a[j];
     }
     if (chebyshev) t.At(r, s_col) = norms[r];
-    t.At(r, first_slack + r) = 1.0;
     t.Rhs(r) = std::max(0.0, slacks[r] - norms[r] * t0);
-    t.SetBasis(r, first_slack + r);
   }
   if (chebyshev) {
     t.At(m, s_col) = 1.0;
-    t.At(m, first_slack + m) = 1.0;
     t.Rhs(m) = std::max(0.0, kRadiusCap - t0);
-    t.SetBasis(m, first_slack + m);
     t.Obj(s_col) = 1.0;
   } else {
     for (int j = 0; j < nv; ++j) {

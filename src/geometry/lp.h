@@ -1,11 +1,11 @@
-// Dense simplex solver for the small linear programs that drive UTK
-// processing: drill-vector computation (Section 4.3), the onion-layer
-// margin test, and feasibility / interior point queries on arrangement
-// cells (Section 4.5).
+// Simplex solver for the small linear programs that drive UTK processing:
+// drill-vector computation (Section 4.3), the onion-layer margin test, and
+// feasibility / interior point queries on arrangement cells (Section 4.5).
 //
 // Problems have very few variables (d-1 <= 6 in all experiments) and at most
-// a few hundred half-space constraints, so a dense tableau with Bland's
-// anti-cycling rule is both simple and fast. There is one simplex and no
+// a few hundred half-space constraints, so the tableau is condensed: it
+// stores one column per nonbasic variable and no slack identity, and
+// pivots by Bland's anti-cycling rule. There is one simplex and no
 // phase 1: every solve starts from a point the caller has, with
 // x = start + u - v, so each row's right-hand side is its slack there and
 // the slack basis is feasible. FindInteriorPoint solves the Chebyshev LP

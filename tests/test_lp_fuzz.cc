@@ -317,6 +317,47 @@ TEST(LpFuzz, ChebyshevRadiusMatchesReferenceOnRandomRegions) {
   }
 }
 
+TEST(LpFuzz, ChebyshevRadiusMatchesReferenceOnTallRegions) {
+  // Tableaux taller than the other draws make: a box plus 20-48 random
+  // rows, so every solve has 24-60 rows where the others stop at
+  // 2 * nv + 12. The same rows also go to SolveLp against the two-phase
+  // oracle.
+  const uint64_t seed = EnvSeed();
+  int optimal = 0;
+  for (int draw = 0; draw < EnvDraws(); ++draw) {
+    Rng rng(seed + static_cast<uint64_t>(draw));
+    const int nv = rng.UniformInt(2, 6);
+    std::vector<Halfspace> bounds;
+    AddBox(bounds, nv, rng.Uniform(0.1, 1.0));
+    const int m = rng.UniformInt(20, 48);
+    for (int i = 0; i < m; ++i)
+      bounds.push_back(RandomHalfspace(rng, nv, -0.05, 0.6));
+    const Halfspace extra = RandomHalfspace(rng, nv, -0.3, 0.3);
+    const std::string label = "UTK_DIFF_SEED=" + std::to_string(seed + draw);
+    Vec x(nv);
+    for (Scalar& v : x) v = rng.Uniform(-1.5, 1.5);
+    const std::optional<InteriorPoint> centre = FindInteriorPoint(bounds, x);
+    ASSERT_TRUE(centre.has_value()) << label;
+    ExpectMatchesOracle(bounds, extra, centre->x, label + " centre");
+    ExpectMatchesOracle(bounds, extra, x, label + " arbitrary x0");
+
+    std::vector<Halfspace> cons = bounds;
+    cons.push_back(extra);
+    Vec c(nv);
+    for (Scalar& v : c) v = rng.Uniform(-1, 1);
+    const bool maximize = rng.UniformInt(0, 1) == 1;
+    const LpResult want = TwoPhaseLp(c, cons, maximize);
+    const LpResult got = SolveLp(c, cons, maximize);
+    ASSERT_EQ(got.status, want.status) << label;
+    if (got.status != LpStatus::kOptimal) continue;
+    ++optimal;
+    EXPECT_NEAR(got.objective, want.objective, 1e-6) << label;
+  }
+  // Most draws keep a feasible region; the solves above must not all be
+  // infeasible ones.
+  EXPECT_GT(optimal, 0);
+}
+
 TEST(LpFuzz, ChebyshevRadiusMatchesReferenceOnDegenerateRegions) {
   const uint64_t seed = EnvSeed();
   for (int draw = 0; draw < EnvDraws(); ++draw) {

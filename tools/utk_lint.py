@@ -4,8 +4,9 @@
 Five rules, each a hard-won invariant from DESIGN.md that previously lived
 as prose (or, for the clock rule, as a fragile CI grep):
 
-  eps-compare  Raw floating-point ordering comparisons in the geometry and
-               skyline layers (src/geometry/, src/skyline/) must go through
+  eps-compare  Raw floating-point ordering comparisons in the geometry,
+               arrangement and skyline layers (src/geometry/,
+               src/arrangement/, src/skyline/) must go through
                the Eps predicates in src/common/types.h (EpsGe/EpsGt/EpsLe/
                EpsLt/EpsEq). A bare `x <= kEps` silently re-derives the
                boundary policy those predicates centralize; the allowlist
@@ -57,6 +58,8 @@ SOURCE_EXTS = (".cc", ".h", ".cpp", ".hpp")
 # Fixture files exercise violations on purpose; the tree scan must skip them.
 FIXTURE_DIR = "tests/lint"
 
+# The layers whose floating-point comparisons eps-compare checks.
+EPS_DIRS = ("src/geometry", "src/arrangement", "src/skyline")
 # Files where each rule's "violation" is the rule's own definition.
 EPS_ALLOWLIST = {"src/common/types.h"}
 CLOCK_ALLOWLIST = {"src/common/stats.h"}
@@ -311,7 +314,7 @@ def in_dir(relpath, prefix):
 
 
 def rule_eps_compare(relpath, lexed):
-    if not (in_dir(relpath, "src/geometry") or in_dir(relpath, "src/skyline")):
+    if not any(in_dir(relpath, d) for d in EPS_DIRS):
         return
     if relpath in EPS_ALLOWLIST:
         return
@@ -524,7 +527,10 @@ LEXER_CASES = [
     # But a real float comparison is caught either side of the operator.
     ("src/geometry/c.cc", "if (1e-7 < x) {}\n", False),
     ("src/geometry/c.cc", "if (x > kPivotEps) {}\n", False),
-    # The same comparison outside geometry/skyline is out of scope.
+    # The arrangement's radius thresholds are in scope too.
+    ("src/arrangement/c.cc", "if (r > kInteriorEps) {}\n", False),
+    # The same comparison outside geometry/arrangement/skyline is out of
+    # scope.
     ("src/api/c.cc", "if (x > kPivotEps) {}\n", True),
 ]
 
