@@ -1,50 +1,182 @@
 #include "arrangement/arrangement.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 namespace utk {
 
 namespace {
 
+// A clipped vertex within this distance of a cut lies on it: it is kept,
+// and the cut's bound is tight there. Every vertex stays within it of the
+// true cell, far inside the kEps / 2 margin of the miss test.
+constexpr Scalar kVertexTol = 1e-11;
+
+// The most dimensions whose box corners fit in kMaxCellVertices.
+constexpr int kMaxVertexDim =
+    std::bit_width(static_cast<unsigned>(kMaxCellVertices)) - 1;
+
+// Bits in a vertex's tight-bound mask.
+constexpr int kMaskBits = 64;
+
 int64_t BoundBytes(const Halfspace& h) {
   return static_cast<int64_t>(sizeof(Halfspace) + h.a.size() * sizeof(Scalar));
+}
+
+int64_t VertexBytes(const Cell& c) {
+  return static_cast<int64_t>(c.verts.size() * sizeof(Scalar) +
+                              c.tight.size() * sizeof(uint64_t));
 }
 
 int64_t CellBytes(const Cell& c) {
   int64_t bytes = static_cast<int64_t>(sizeof(Cell));
   for (const Halfspace& h : c.bounds) bytes += BoundBytes(h);
-  return bytes + static_cast<int64_t>(c.covering.size() * sizeof(int) +
-                                      c.interior.size() * sizeof(Scalar));
+  return bytes + VertexBytes(c) +
+         static_cast<int64_t>(c.covering.size() * sizeof(int) +
+                              c.interior.size() * sizeof(Scalar));
+}
+
+// Signed distance of vertex `v` into `h`: Slack(v) / ||a||.
+Scalar Reach(const Halfspace& h, const Scalar* v, Scalar norm) {
+  Scalar dot = 0.0;
+  for (size_t j = 0; j < h.a.size(); ++j) dot += h.a[j] * v[j];
+  return (h.b - dot) / norm;
+}
+
+// Scratch for one clipped vertex list.
+struct ClipBuffer {
+  Scalar verts[kMaxCellVertices * kMaxVertexDim];
+  uint64_t tight[kMaxCellVertices];
+};
+
+// Clips cell `c`'s vertex list to one side of a cut that becomes bound `m`;
+// `sign * dist[v]` is vertex v's signed distance into that side. Each vertex
+// within kVertexTol of the side is kept, tight on m when within kVertexTol
+// of the cut. Each pair of a vertex strictly in and one strictly out whose
+// masks share at least dim - 1 bounds adds the point where their segment
+// crosses the cut, tight on the shared bounds and m. Every edge's endpoints
+// share the dim - 1 bounds that define it, so every new vertex is found;
+// any extra point lies on a segment of the cell. Returns the number of
+// vertices written to `out`, or -1 when m has no mask bit or the list
+// would pass kMaxCellVertices.
+int ClipVertices(const Cell& c, const Scalar* dist, Scalar sign, int m,
+                 ClipBuffer* out) {
+  if (m >= kMaskBits) return -1;
+  const int nv = c.NumVertices();
+  const int dim = static_cast<int>(c.interior.size());
+  const Scalar* verts = c.verts.data();
+  const uint64_t bit = uint64_t{1} << m;
+  int in[kMaxCellVertices], out_side[kMaxCellVertices];
+  int n_in = 0, n_out = 0, n = 0;
+  for (int v = 0; v < nv; ++v) {
+    const Scalar d = sign * dist[v];
+    if (EpsLt(d, 0.0, kVertexTol)) {
+      out_side[n_out++] = v;
+      continue;
+    }
+    const bool on_cut = !EpsGt(d, 0.0, kVertexTol);
+    if (!on_cut) in[n_in++] = v;
+    std::copy_n(verts + v * dim, dim, out->verts + n * dim);
+    out->tight[n++] = on_cut ? c.tight[v] | bit : c.tight[v];
+  }
+  for (int a = 0; a < n_in; ++a) {
+    const int u = in[a];
+    for (int b = 0; b < n_out; ++b) {
+      const int w = out_side[b];
+      const uint64_t shared = c.tight[u] & c.tight[w];
+      if (std::popcount(shared) < dim - 1) continue;
+      if (n == kMaxCellVertices) return -1;
+      const Scalar t = dist[u] / (dist[u] - dist[w]);
+      const Scalar* pu = verts + u * dim;
+      const Scalar* pw = verts + w * dim;
+      for (int j = 0; j < dim; ++j)
+        out->verts[n * dim + j] = pu[j] + t * (pw[j] - pu[j]);
+      out->tight[n++] = shared | bit;
+    }
+  }
+  return n;
+}
+
+// True iff rows 2i and 2i+1 of `bounds` are w_i <= hi_i and -w_i <= -lo_i
+// for every i < dim, the layout ConvexRegion::FromBox writes.
+bool LeadsWithBox(const std::vector<Halfspace>& bounds, int dim) {
+  if (static_cast<int>(bounds.size()) < 2 * dim) return false;
+  for (int i = 0; i < dim; ++i) {
+    for (int j = 0; j < dim; ++j) {
+      const Scalar unit = i == j ? 1.0 : 0.0;
+      if (!EpsEq(bounds[2 * i].a[j], unit, 0.0) ||
+          !EpsEq(bounds[2 * i + 1].a[j], -unit, 0.0))
+        return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace
 
-CellArrangement::CellArrangement(const ConvexRegion& base, QueryStats* stats)
-    : stats_(stats) {
-  auto ip = FindInteriorPoint(base.constraints(),
-                              base.Pivot().value_or(Vec(base.dim(), 0.0)));
-  assert(ip.has_value() && ip->radius > 0 && "base region must have interior");
+Cell BaseCell(const ConvexRegion& region) {
   Cell c;
-  c.bounds = base.constraints();
-  c.interior = ip->x;
+  c.bounds = region.constraints();
+  auto ip = FindInteriorPoint(c.bounds,
+                              region.Pivot().value_or(Vec(region.dim(), 0.0)));
+  assert(ip.has_value() && ip->radius > 0 && "base region must have interior");
+  c.interior = std::move(ip->x);
   c.radius = ip->radius;
-  bytes_ = CellBytes(c);
-  cells_.push_back(std::move(c));
-  if (stats_ != nullptr) {
-    ++stats_->cells_created;
-    ++stats_->lp_calls;
+
+  const int dim = region.dim();
+  if (dim > kMaxVertexDim || !LeadsWithBox(c.bounds, dim)) return c;
+  // Corner `corner` takes hi_i (row 2i tight) where its bit i is set, else
+  // lo_i (row 2i + 1 tight).
+  const int corners = 1 << dim;
+  c.verts.resize(static_cast<size_t>(corners * dim));
+  c.tight.assign(corners, 0);
+  for (int corner = 0; corner < corners; ++corner) {
+    for (int i = 0; i < dim; ++i) {
+      const bool hi = (corner >> i) & 1;
+      c.verts[corner * dim + i] =
+          hi ? c.bounds[2 * i].b : -c.bounds[2 * i + 1].b;
+      c.tight[corner] |= uint64_t{1} << (hi ? 2 * i : 2 * i + 1);
+    }
   }
+  // Further rows, such as the weight simplex, clip the corners.
+  Scalar dist[kMaxCellVertices];
+  ClipBuffer buf;
+  for (size_t j = 2 * dim; j < c.bounds.size(); ++j) {
+    const Halfspace& h = c.bounds[j];
+    const Scalar norm = Norm(h.a);
+    if (EpsLe(norm, 0.0)) continue;  // a zero row cuts nothing
+    for (int v = 0; v < c.NumVertices(); ++v)
+      dist[v] = Reach(h, &c.verts[v * dim], norm);
+    const int n = ClipVertices(c, dist, 1.0, static_cast<int>(j), &buf);
+    if (n <= 0) {
+      c.verts.clear();
+      c.tight.clear();
+      return c;
+    }
+    c.verts.assign(buf.verts, buf.verts + n * dim);
+    c.tight.assign(buf.tight, buf.tight + n);
+  }
+  return c;
 }
 
-CellArrangement::CellArrangement(std::vector<Halfspace> base_bounds,
-                                 Vec interior, Scalar radius,
-                                 QueryStats* stats)
+CellArrangement::CellArrangement(const ConvexRegion& base, QueryStats* stats)
+    : CellArrangement(BaseCell(base), stats) {
+  if (stats_ != nullptr) ++stats_->lp_calls;
+}
+
+CellArrangement::CellArrangement(const Cell& zone, QueryStats* stats)
     : stats_(stats) {
+  // Lists come from BaseCell and clips, which keep within the scratch sizes.
+  assert(zone.NumVertices() <= kMaxCellVertices);
+  assert(!zone.HasVertices() ||
+         static_cast<int>(zone.interior.size()) <= kMaxVertexDim);
   Cell c;
-  c.bounds = std::move(base_bounds);
-  c.interior = std::move(interior);
-  c.radius = radius;
+  c.bounds = zone.bounds;
+  c.interior = zone.interior;
+  c.radius = zone.radius;
+  c.verts = zone.verts;
+  c.tight = zone.tight;
   bytes_ = CellBytes(c);
   cells_.push_back(std::move(c));
   if (stats_ != nullptr) ++stats_->cells_created;
@@ -64,6 +196,19 @@ void CellArrangement::Recentre(Cell& c, InteriorPoint ip) {
   c.radius = ip.radius;
 }
 
+void CellArrangement::SetVertices(Cell& c, const Scalar* verts,
+                                  const uint64_t* tight, int n) {
+  bytes_ -= VertexBytes(c);
+  if (n <= 0) {
+    c.verts.clear();
+    c.tight.clear();
+  } else {
+    c.verts.assign(verts, verts + n * c.interior.size());
+    c.tight.assign(tight, tight + n);
+  }
+  bytes_ += VertexBytes(c);
+}
+
 void CellArrangement::Insert(int hs_id, const Halfspace& hs) {
   if (stats_ != nullptr) ++stats_->halfspaces_inserted;
   const Scalar norm = Norm(hs.a);
@@ -77,16 +222,37 @@ void CellArrangement::Insert(int hs_id, const Halfspace& hs) {
   }
 
   const Halfspace complement = hs.Complement();
+  const int dim = static_cast<int>(hs.a.size());
+  Scalar dist[kMaxCellVertices];  // the visited cell's vertices, into hs
+  ClipBuffer buf;
   const size_t n = cells_.size();
   for (size_t i = 0; i < n; ++i) {
     // Note: Insert may push new cells; only pre-existing cells are visited.
     if (cells_[i].frozen) continue;
 
+    // The largest distance of a vertex into each side. Without a list both
+    // stay infinite, so every side is solved.
+    const int nv = cells_[i].NumVertices();
+    Scalar in_reach = std::numeric_limits<Scalar>::infinity();
+    Scalar out_reach = in_reach;
+    if (nv > 0) {
+      in_reach = out_reach = -in_reach;
+      for (int v = 0; v < nv; ++v) {
+        dist[v] = Reach(hs, &cells_[i].verts[v * dim], norm);
+        in_reach = std::max(in_reach, dist[v]);
+        out_reach = std::max(out_reach, -dist[v]);
+      }
+    }
+
     // One Chebyshev solve per side, started from the cell's cached centre.
     // A rejected side with radius in (kEps, kInteriorEps] is a sliver; one
     // no wider than kEps lies within the membership tolerance of the cut.
     bool sliver = false;
-    auto side_interior = [&](const Halfspace& h) {
+    auto side_interior = [&](const Halfspace& h, Scalar reach) {
+      // Every vertex within kEps of the cut: the side fits in a slab kEps
+      // wide, so its radius is at most kEps / 2, and the LP would reject
+      // it as neither interior nor a sliver.
+      if (EpsLe(reach, 0.0)) return std::optional<InteriorPoint>{};
       if (stats_ != nullptr) ++stats_->lp_calls;
       auto ip = FindInteriorPoint(cells_[i].bounds, h, cells_[i].interior);
       // utk-lint: allow(eps-compare) kInteriorEps is the threshold itself:
@@ -97,10 +263,20 @@ void CellArrangement::Insert(int hs_id, const Halfspace& hs) {
       if (ip.has_value() && ip->radius > kEps) sliver = true;
       return std::optional<InteriorPoint>{};
     };
+    // Clips the visited cell's list into `buf` for the side of the cut
+    // (sign +1: hs, -1: its complement) that becomes its next bound, and
+    // gives the list to `dst`.
+    auto clip_into = [&](Cell& dst, Scalar sign) {
+      if (nv == 0) return;
+      const int m = static_cast<int>(cells_[i].bounds.size());
+      const int kept = ClipVertices(cells_[i], dist, sign, m, &buf);
+      SetVertices(dst, buf.verts, buf.tight, kept);
+    };
     // Keeping one side of a cut that drops a sliver records the cut, so no
     // later split can move the centre back into the sliver (DESIGN.md §4).
-    auto bound_if_sliver = [&](const Halfspace& kept) {
+    auto bound_if_sliver = [&](const Halfspace& kept, Scalar sign) {
       if (!sliver) return;
+      clip_into(cells_[i], sign);
       cells_[i].bounds.push_back(kept);
       bytes_ += BoundBytes(kept);
     };
@@ -113,20 +289,20 @@ void CellArrangement::Insert(int hs_id, const Halfspace& hs) {
     std::optional<InteriorPoint> in_ip, out_ip;
     if (slack >= norm * radius) {
       in_ip = InteriorPoint{cells_[i].interior, radius};
-      out_ip = side_interior(complement);
+      out_ip = side_interior(complement, out_reach);
     } else if (slack <= -norm * radius) {
       out_ip = InteriorPoint{cells_[i].interior, radius};
-      in_ip = side_interior(hs);
+      in_ip = side_interior(hs, in_reach);
     } else {
-      in_ip = side_interior(hs);
-      out_ip = side_interior(complement);
+      in_ip = side_interior(hs, in_reach);
+      out_ip = side_interior(complement, out_reach);
     }
     const bool inside_feasible = in_ip.has_value();
     const bool outside_feasible = out_ip.has_value();
 
     if (inside_feasible && outside_feasible) {
       // Split: the existing cell becomes the inside child, a new cell is the
-      // outside child.
+      // outside child. Both clip the parent's list.
       Cell outside;
       outside.bounds = cells_[i].bounds;
       outside.bounds.push_back(complement);
@@ -134,6 +310,8 @@ void CellArrangement::Insert(int hs_id, const Halfspace& hs) {
       outside.interior = std::move(out_ip->x);
       outside.radius = out_ip->radius;
       bytes_ += CellBytes(outside);
+      clip_into(outside, -1.0);
+      clip_into(cells_[i], 1.0);
 
       cells_[i].bounds.push_back(hs);
       bytes_ += BoundBytes(hs);
@@ -146,17 +324,22 @@ void CellArrangement::Insert(int hs_id, const Halfspace& hs) {
         stats_->peak_bytes = std::max(stats_->peak_bytes, bytes_);
       }
     } else if (inside_feasible) {
-      bound_if_sliver(hs);
+      bound_if_sliver(hs, 1.0);
       Cover(cells_[i], hs_id);
       Recentre(cells_[i], std::move(*in_ip));
     } else if (outside_feasible) {
-      bound_if_sliver(complement);
+      bound_if_sliver(complement, -1.0);
       Recentre(cells_[i], std::move(*out_ip));
+    } else if (EpsGe(slack, 0.0, 0.0)) {
+      // Neither side reaches kInteriorEps. One side of any cut keeps a ball
+      // of half the cell's radius, so that needs a cell no wider than
+      // 2 * kInteriorEps: a near-tie hyperplane through a cell that is
+      // itself almost a sliver. Scores on the two sides then still differ
+      // by more than kEps, so the side of the cached centre, the cell's
+      // witness, decides whether the cut covers the cell. The geometry is
+      // unchanged.
+      Cover(cells_[i], hs_id);
     }
-    // Neither side reaching kInteriorEps leaves the cell as it is. One side
-    // of any cut keeps a ball of half the cell's radius, so that needs a
-    // cell no wider than 2 * kInteriorEps: a near-tie hyperplane through a
-    // cell that is itself almost a sliver.
   }
 }
 

@@ -1,13 +1,16 @@
 // Half-space arrangement over a convex region of the preference domain
 // (Sections 4.2 and 4.5).
 //
-// Cells are kept implicitly, each as the constraint list of the base region
-// plus the signed half-spaces inserted so far, together with the ids of the
-// half-spaces that fully cover the cell and a cached interior point. This is
-// the implicit representation of Tang et al. [45] that the paper adopts; we
+// Each cell is the constraint list of the base region plus the signed
+// half-spaces inserted so far, together with the ids of the half-spaces
+// that fully cover the cell and a cached interior point. This is the
+// implicit representation of Tang et al. [45] that the paper adopts; we
 // hold the leaves in a flat vector, which produces exactly the same cell set
 // as the binary tree (every insertion visits every leaf in both layouts) and
-// simplifies iteration.
+// simplifies iteration. A cell may also carry its vertex list, each vertex
+// with the mask of bounds tight there. The list only settles questions the
+// LP would answer the same way: a cut that misses the cell, and the drill
+// vector (core/drill.h). A cell without one runs the LPs.
 //
 // Instances are small and disposable: RSA/JAA build one local arrangement
 // per recursive Verify/Partition call and throw it away afterwards
@@ -17,7 +20,10 @@
 // kInteriorEps to exist. Splits that would create a thinner side do not
 // create it. A dropped sliver wider than kEps can still hold a different
 // top-k, so the kept side's half-space becomes a bound of the cell and no
-// later split can move the centre back into it (DESIGN.md §4).
+// later split can move the centre back into it. A side whose every vertex
+// lies within kEps of the cut fits in a slab kEps wide, so its radius is at
+// most kEps/2: it is rejected without an LP, as the LP would reject it
+// (DESIGN.md §4).
 #ifndef UTK_ARRANGEMENT_ARRANGEMENT_H_
 #define UTK_ARRANGEMENT_ARRANGEMENT_H_
 
@@ -30,6 +36,10 @@
 
 namespace utk {
 
+/// Most vertices a cell's list may hold. A cell whose list would grow past
+/// it drops the list, and so do its descendants (DESIGN.md §4).
+inline constexpr int kMaxCellVertices = 64;
+
 /// One arrangement cell.
 struct Cell {
   std::vector<Halfspace> bounds;  ///< base region + signed path half-spaces
@@ -37,17 +47,33 @@ struct Cell {
   Vec interior;                   ///< cached interior point
   Scalar radius = 0.0;            ///< Chebyshev radius at `interior`
   bool frozen = false;            ///< stopped splitting (count threshold hit)
+  /// Vertices, NumVertices() rows of dim coordinates each. Empty when the
+  /// cell carries no vertex list; every question about it is then an LP.
+  std::vector<Scalar> verts;
+  /// One mask per vertex: bit j set means bounds[j] is tight there.
+  std::vector<uint64_t> tight;
 
   int Count() const { return static_cast<int>(covering.size()); }
+  bool HasVertices() const { return !tight.empty(); }
+  int NumVertices() const { return static_cast<int>(tight.size()); }
 };
+
+/// The single cell of `region`: its constraints and the Chebyshev centre
+/// found from its pivot. When the first 2 * dim rows are the axis box, as
+/// ConvexRegion::FromBox puts them, the cell also carries the box corners,
+/// clipped by any further rows; otherwise it carries no vertex list. The
+/// region must have interior.
+Cell BaseCell(const ConvexRegion& region);
 
 class CellArrangement {
  public:
-  /// Starts with the single cell `base`. The base must have interior.
+  /// Starts with the single cell BaseCell(base), whose Chebyshev solve is
+  /// charged to `stats`.
   explicit CellArrangement(const ConvexRegion& base,
                            QueryStats* stats = nullptr);
-  CellArrangement(std::vector<Halfspace> base_bounds, Vec interior,
-                  Scalar radius, QueryStats* stats = nullptr);
+  /// Starts with one cell that has the geometry of `zone`: its bounds,
+  /// centre, radius and vertex list, but no covering ids.
+  explicit CellArrangement(const Cell& zone, QueryStats* stats = nullptr);
 
   /// Inserts half-space `hs` with external id `hs_id`: every cell is either
   /// covered (count++), untouched, or split in two. Cells whose covering
@@ -72,8 +98,8 @@ class CellArrangement {
   int Locate(const Vec& w, Scalar eps = kEps) const;
 
   /// Estimated memory footprint of the cell store, for stats: per cell
-  /// sizeof(Cell) plus its bounds, covering ids and interior point. Kept as
-  /// a running total, so reading it is O(1).
+  /// sizeof(Cell) plus its bounds, covering ids, interior point and vertex
+  /// arrays. Kept as a running total, so reading it is O(1).
   int64_t MemoryBytes() const { return bytes_; }
 
  private:
@@ -81,6 +107,10 @@ class CellArrangement {
   void Cover(Cell& c, int hs_id);
   // Replaces c's cached centre and radius.
   void Recentre(Cell& c, InteriorPoint ip);
+  // Replaces c's vertex list with the first n rows of `verts` and `tight`,
+  // or drops it when n <= 0.
+  void SetVertices(Cell& c, const Scalar* verts, const uint64_t* tight,
+                   int n);
 
   std::vector<Cell> cells_;
   int freeze_threshold_ = std::numeric_limits<int>::max();

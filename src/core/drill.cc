@@ -7,19 +7,45 @@
 
 namespace utk {
 
-std::optional<Vec> DrillVector(const AffineScore& objective,
-                               const std::vector<Halfspace>& cons,
-                               const Vec* start, QueryStats* stats) {
-  if (stats != nullptr) {
-    ++stats->lp_calls;
-    ++stats->drills;
-  }
+namespace {
+
+void CountDrill(QueryStats* stats) {
+  if (stats != nullptr) ++stats->drills;
   static obs::Counter& probes = obs::MetricRegistry::Global().GetCounter(
       "utk_drill_probes_total");
   probes.Add();
+}
+
+}  // namespace
+
+std::optional<Vec> DrillVector(const AffineScore& objective,
+                               const std::vector<Halfspace>& cons,
+                               const Vec* start, QueryStats* stats) {
+  if (stats != nullptr) ++stats->lp_calls;
+  CountDrill(stats);
   LpResult r = SolveLp(objective.coef, cons, /*maximize=*/true, start);
   if (r.status != LpStatus::kOptimal) return std::nullopt;
   return r.x;
+}
+
+std::optional<Vec> DrillVector(const AffineScore& objective, const Cell& cell,
+                               QueryStats* stats) {
+  if (!cell.HasVertices())
+    return DrillVector(objective, cell.bounds, &cell.interior, stats);
+  CountDrill(stats);
+  const size_t dim = cell.interior.size();
+  const Scalar* best = nullptr;
+  Scalar best_score = 0.0;
+  for (int v = 0; v < cell.NumVertices(); ++v) {
+    const Scalar* x = &cell.verts[v * dim];
+    Scalar s = 0.0;
+    for (size_t j = 0; j < dim; ++j) s += objective.coef[j] * x[j];
+    if (best == nullptr || s > best_score) {
+      best = x;
+      best_score = s;
+    }
+  }
+  return Vec(best, best + dim);
 }
 
 std::vector<int> GraphTopK(const Dataset& data, const RSkybandResult& band,

@@ -2,15 +2,19 @@
 //
 // A drill executes a regular top-k probe at a carefully chosen weight vector
 // inside a region/partition: the vector that maximizes the candidate's score
-// subject to the region's constraints (a small LP). The probe itself never
-// touches the dataset or the R-tree — it runs branch-and-bound over the
-// r-dominance graph G, whose arcs give score upper bounds at any w in R.
+// subject to the region's constraints. The maximum of an affine score over
+// a polytope is attained at a vertex, so for an arrangement cell that
+// carries its vertices the drill is an argmax over them; otherwise it is a
+// small LP. The probe itself never touches the dataset or the R-tree — it
+// runs branch-and-bound over the r-dominance graph G, whose arcs give score
+// upper bounds at any w in R.
 #ifndef UTK_CORE_DRILL_H_
 #define UTK_CORE_DRILL_H_
 
 #include <optional>
 #include <vector>
 
+#include "arrangement/arrangement.h"
 #include "common/bitset.h"
 #include "common/stats.h"
 #include "geometry/lp.h"
@@ -28,6 +32,13 @@ namespace utk {
 std::optional<Vec> DrillVector(const AffineScore& objective,
                                const std::vector<Halfspace>& cons,
                                const Vec* start = nullptr,
+                               QueryStats* stats = nullptr);
+
+/// The drill vector of arrangement cell `cell`. When the cell carries its
+/// vertices, it is the vertex with the largest `objective` (the first
+/// maximum wins), found without an LP: it counts a drill but no LP call.
+/// Otherwise it is DrillVector over the cell's bounds from its centre.
+std::optional<Vec> DrillVector(const AffineScore& objective, const Cell& cell,
                                QueryStats* stats = nullptr);
 
 /// Top-k probe at weight vector `w`, evaluated purely on the r-dominance

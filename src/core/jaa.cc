@@ -27,18 +27,13 @@ struct JaaContext {
   QueryStats* stats;
 };
 
-// Geometric description of the (sub-)region currently being partitioned.
-struct Zone {
-  const std::vector<Halfspace>& bounds;
-  const Vec& interior;
-  Scalar radius;
-};
-
-void Solve(const JaaContext& ctx, const Zone& zone, const Bitset& prefix,
+// A zone, the (sub-)region being partitioned, is an arrangement cell; only
+// its geometry is used: bounds, centre, radius and vertices.
+void Solve(const JaaContext& ctx, const Cell& zone, const Bitset& prefix,
            int need, const Bitset& excluded);
 
 // Emits a finalized equal-to cell: top-k = prefix  U  above  U  {anchor}.
-void Finalize(const JaaContext& ctx, const Zone& zone, const Bitset& prefix,
+void Finalize(const JaaContext& ctx, const Cell& zone, const Bitset& prefix,
               const Bitset& above, int anchor) {
   Utk2Cell cell;
   cell.bounds = zone.bounds;
@@ -57,7 +52,7 @@ void Finalize(const JaaContext& ctx, const Zone& zone, const Bitset& prefix,
 //   above    non-prefix records known to score above p everywhere in `zone`
 //   irrelevant  non-prefix records known to score below p everywhere in
 //               `zone` (inserted-not-covering and Lemma-1 disregarded)
-void PartitionRec(const JaaContext& ctx, int p, const Zone& zone,
+void PartitionRec(const JaaContext& ctx, int p, const Cell& zone,
                   const Bitset& prefix, int need, const Bitset& excluded,
                   const Bitset& above, const Bitset& irrelevant);
 
@@ -74,7 +69,6 @@ void PartitionCell(const JaaContext& ctx, int p, const Cell& cell,
   not_covering.SubtractWith(covering);
 
   const int rank = rank_known + cell.Count();  // rank with inserted only
-  Zone sub{cell.bounds, cell.interior, cell.radius};
 
   if (rank > need) {
     // Greater-than partition: p (and its descendants) cannot be in the
@@ -82,7 +76,7 @@ void PartitionCell(const JaaContext& ctx, int p, const Cell& cell,
     Bitset next_excluded = excluded;
     next_excluded.Set(p);
     next_excluded.UnionWith(ctx.g.Descendants(p));
-    Solve(ctx, sub, prefix, need, next_excluded);
+    Solve(ctx, cell, prefix, need, next_excluded);
     return;
   }
 
@@ -104,24 +98,24 @@ void PartitionCell(const JaaContext& ctx, int p, const Cell& cell,
 
   if (confirmed) {
     if (rank == need) {
-      Finalize(ctx, sub, prefix, cell_above, p);
+      Finalize(ctx, cell, prefix, cell_above, p);
     } else {  // rank < need: less-than partition
       Bitset next_prefix = prefix;
       next_prefix.UnionWith(cell_above);
       next_prefix.Set(p);
-      Solve(ctx, sub, next_prefix, need - rank, excluded);
+      Solve(ctx, cell, next_prefix, need - rank, excluded);
     }
   } else {
     // Unclassifiable: refine this cell with the next wave of competitors.
     Bitset cell_irrelevant = irrelevant;
     cell_irrelevant.UnionWith(not_covering);
     cell_irrelevant.UnionWith(disregarded);
-    PartitionRec(ctx, p, sub, prefix, need, excluded, cell_above,
+    PartitionRec(ctx, p, cell, prefix, need, excluded, cell_above,
                  cell_irrelevant);
   }
 }
 
-void PartitionRec(const JaaContext& ctx, int p, const Zone& zone,
+void PartitionRec(const JaaContext& ctx, int p, const Cell& zone,
                   const Bitset& prefix, int need, const Bitset& excluded,
                   const Bitset& above, const Bitset& irrelevant) {
   if (ctx.stats != nullptr) ++ctx.stats->verify_calls;
@@ -159,7 +153,7 @@ void PartitionRec(const JaaContext& ctx, int p, const Zone& zone,
   // r-dominance count 0), wave-capped as in RSA. Once a cell's count pushes
   // the anchor's rank beyond `need` it is greater-than regardless of any
   // further half-space, so it freezes (no more refinement by this anchor).
-  CellArrangement arr(zone.bounds, zone.interior, zone.radius, ctx.stats);
+  CellArrangement arr(zone, ctx.stats);
   arr.set_freeze_threshold(std::max(1, need - rank_known + 1));
   std::vector<int> wave;
   competitors.ForEach([&](int i) {
@@ -198,7 +192,7 @@ void PartitionRec(const JaaContext& ctx, int p, const Zone& zone,
 // Chooses an anchor for the zone (Section 5.1) and runs the
 // verification-like process for it. `prefix` are the known top records,
 // `need` > 0 the slots left, `excluded` records that cannot fill them.
-void Solve(const JaaContext& ctx, const Zone& zone, const Bitset& prefix,
+void Solve(const JaaContext& ctx, const Cell& zone, const Bitset& prefix,
            int need, const Bitset& excluded) {
   assert(need > 0);
   Bitset pool = ctx.g.Active();
@@ -240,18 +234,13 @@ void Refine(const Jaa::Options& options, const Dataset& data,
   UTK_SPAN_VAL("jaa.refine", static_cast<int64_t>(band.ids.size()));
   RDominanceGraph g = RDominanceGraph::Build(band);
 
-  auto interior = FindInteriorPoint(r.constraints(),
-                                    r.Pivot().value_or(Vec(r.dim(), 0.0)));
-  assert(interior.has_value() && interior->radius > 0);
-
   // Gathered SoA mirror of the band (see rsa.cc Refine).
   const ColumnStore band_cols(data, band.ids);
   std::vector<Scalar> scratch(band.ids.size());
 
   JaaContext ctx{data,    band, band_cols, &scratch, g,
                  options, k,    result,    &result->stats};
-  Zone zone{r.constraints(), interior->x, interior->radius};
-  Solve(ctx, zone, Bitset(g.size()), k, Bitset(g.size()));
+  Solve(ctx, BaseCell(r), Bitset(g.size()), k, Bitset(g.size()));
 }
 
 }  // namespace

@@ -45,12 +45,11 @@ int CountStrictlyBetter(const VerifyContext& ctx, const Bitset& ignored,
   return count;
 }
 
-// Recursive verification (Algorithm 2) of ctx.cand inside the cell described
-// by (bounds, interior, radius), with rank quota `quota` and ignore set
-// `ignored`. Returns true iff some sub-partition admits the candidate into
-// the top-k.
-bool Verify(const VerifyContext& ctx, const std::vector<Halfspace>& bounds,
-            const Vec& interior, Scalar radius, int quota,
+// Recursive verification (Algorithm 2) of ctx.cand inside `zone`, with rank
+// quota `quota` and ignore set `ignored`. Only the zone's geometry is used:
+// bounds, centre, radius and vertices. Returns true iff some sub-partition
+// admits the candidate into the top-k.
+bool Verify(const VerifyContext& ctx, const Cell& zone, int quota,
             const Bitset& ignored);
 
 // One promising partition of a Verify level: Lemma-1 confirmation first,
@@ -88,22 +87,20 @@ bool VerifyCell(const VerifyContext& ctx, const CellArrangement& arr, int c,
   next_ignored.UnionWith(disregarded);
   const int next_quota = quota - cell.Count();
   assert(next_quota >= 1);
-  return Verify(ctx, cell.bounds, cell.interior, cell.radius, next_quota,
-                next_ignored);
+  return Verify(ctx, cell, next_quota, next_ignored);
 }
 
-bool Verify(const VerifyContext& ctx, const std::vector<Halfspace>& bounds,
-            const Vec& interior, Scalar radius, int quota,
+bool Verify(const VerifyContext& ctx, const Cell& zone, int quota,
             const Bitset& ignored) {
   assert(quota >= 1);
   if (ctx.stats != nullptr) ++ctx.stats->verify_calls;
 
   // Drill (Section 4.3): a top-k probe at the score-maximizing vector.
   if (ctx.options.use_drill) {
-    auto w = DrillVector(ctx.cand_score, bounds, &interior, ctx.stats);
-    const Vec& probe = w.has_value() ? *w : interior;
+    auto w = DrillVector(ctx.cand_score, zone, ctx.stats);
+    const Vec& probe = w.has_value() ? *w : zone.interior;
     if (CountStrictlyBetter(ctx, ignored, probe) < quota) return true;
-  } else if (CountStrictlyBetter(ctx, ignored, interior) < quota) {
+  } else if (CountStrictlyBetter(ctx, ignored, zone.interior) < quota) {
     // Even without the LP drill, the cached interior point gives a free
     // membership witness.
     return true;
@@ -123,7 +120,7 @@ bool Verify(const VerifyContext& ctx, const std::vector<Halfspace>& bounds,
   // descend only into promising partitions. Cells whose count reaches the
   // quota are frozen: they can never become promising, so their geometry
   // needs no further refinement.
-  CellArrangement arr(bounds, interior, radius, ctx.stats);
+  CellArrangement arr(zone, ctx.stats);
   arr.set_freeze_threshold(quota);
   std::vector<int> wave;
   competitors.ForEach([&](int i) {
@@ -132,7 +129,7 @@ bool Verify(const VerifyContext& ctx, const std::vector<Halfspace>& bounds,
   if (ctx.options.wave_cap > 0 &&
       static_cast<int>(wave.size()) > ctx.options.wave_cap) {
     // Batched scores at the interior once; the sort compares flat scalars.
-    ScoreAll(ctx.band_cols, interior, ctx.scratch->data());
+    ScoreAll(ctx.band_cols, zone.interior, ctx.scratch->data());
     const std::vector<Scalar>& sc = *ctx.scratch;
     std::partial_sort(
         wave.begin(), wave.begin() + ctx.options.wave_cap, wave.end(),
@@ -187,9 +184,7 @@ void Refine(const Rsa::Options& options, const Dataset& data,
     return init_count[a] > init_count[b];
   });
 
-  auto interior = FindInteriorPoint(r.constraints(),
-                                    r.Pivot().value_or(Vec(r.dim(), 0.0)));
-  assert(interior.has_value() && interior->radius > 0);
+  const Cell base = BaseCell(r);
 
   // Gathered SoA mirror of the band: row i = data[band.ids[i]]. Every
   // verification scores these few hundred rows over and over; the batched
@@ -206,8 +201,7 @@ void Refine(const Rsa::Options& options, const Dataset& data,
     Bitset ignored = g.Ancestors(p);
     const int quota = k - g.Ancestors(p).CountAnd(g.Active());
     assert(quota >= 1);
-    if (Verify(ctx, r.constraints(), interior->x, interior->radius, quota,
-               ignored)) {
+    if (Verify(ctx, base, quota, ignored)) {
       state[p] = State::kInResult;
       g.Ancestors(p).ForEach([&](int a) { state[a] = State::kInResult; });
     } else {

@@ -233,6 +233,8 @@ int64_t RecountBytes(const CellArrangement& arr) {
                                     h.a.size() * sizeof(Scalar));
     bytes += static_cast<int64_t>(c.covering.size() * sizeof(int) +
                                   c.interior.size() * sizeof(Scalar));
+    bytes += static_cast<int64_t>(c.verts.size() * sizeof(Scalar) +
+                                  c.tight.size() * sizeof(uint64_t));
   }
   return bytes;
 }
@@ -352,6 +354,9 @@ class TwoPhaseArrangement {
         cells_[i].interior = out_ip->x;
         cells_[i].radius = out_ip->radius;
         if (rejected > 0.0) ++slivers_[i];
+      } else if (slack >= 0.0) {  // neither side: the centre's side decides
+        cells_[i].covering.push_back(hs_id);
+        cells_[i].frozen = cells_[i].Count() >= freeze_threshold_;
       }
     }
   }
@@ -388,27 +393,75 @@ void ExpectSameCells(const TwoPhaseArrangement& oracle,
   }
 }
 
-// One draw: a box region (clipped by the weight simplex when it pokes out)
-// and a stream of half-spaces like RSA/JAA insert: record-pair score
-// hyperplanes, cuts through the region, exact repeats and complements of
-// earlier ones, near-parallel cuts a few kInteriorEps away (slivers at the
-// threshold), and zero-normal rows.
+// One draw's base region: a box of `dim` preference dims, or with
+// `clipped` a box that pokes out of the weight simplex and is clipped by
+// it. sum(lo) <= 0.6 keeps an interior; a clipped box has sum(hi) > 1.
+ConvexRegion DrawRegion(Rng& rng, int dim, bool clipped, Vec* lo, Vec* hi) {
+  const Scalar side = rng.Uniform(0.05, 0.2);
+  lo->assign(dim, 0.0);
+  hi->assign(dim, 0.0);
+  for (int j = 0; j < dim; ++j) {
+    (*lo)[j] = rng.Uniform(0.0, 0.6 / dim);
+    (*hi)[j] = (*lo)[j] +
+               (clipped ? 1.0 / dim + rng.Uniform(0.05, 0.3) : side / dim);
+  }
+  return ConvexRegion::FromBox(*lo, *hi);
+}
+
+// The next half-space of a stream like RSA/JAA insert over the box
+// [lo, hi]: record-pair score hyperplanes, cuts through the region, exact
+// repeats and complements of earlier ones, near-parallel cuts a few
+// kInteriorEps away (slivers at the threshold), and zero-normal rows.
+// Returns nullopt for a repeat or a shift drawn before any half-space.
+std::optional<Halfspace> DrawCut(Rng& rng, const Vec& lo, const Vec& hi,
+                                 const std::vector<Halfspace>& stream) {
+  const int dim = static_cast<int>(lo.size());
+  Halfspace h;
+  switch (rng.UniformInt(0, 5)) {
+    case 0:
+    case 1: {  // score hyperplane of two random records
+      Record p, q;
+      p.attrs.resize(dim + 1);
+      q.attrs.resize(dim + 1);
+      for (Scalar& v : p.attrs) v = rng.Uniform();
+      for (Scalar& v : q.attrs) v = rng.Uniform();
+      return BetterOrEqual(p, q);
+    }
+    case 2: {  // a cut through a random point of the box
+      h.a.resize(dim);
+      for (Scalar& v : h.a) v = rng.Uniform(-1, 1);
+      Vec w(dim);
+      for (int j = 0; j < dim; ++j) w[j] = rng.Uniform(lo[j], hi[j]);
+      h.b = Dot(h.a, w);
+      return h;
+    }
+    case 3:  // an exact repeat or complement of an earlier half-space
+      if (stream.empty()) return std::nullopt;
+      h = stream[rng.UniformInt(0, static_cast<int>(stream.size()) - 1)];
+      if (rng.UniformInt(0, 1) == 1) h = h.Complement();
+      return h;
+    case 4:  // an earlier hyperplane shifted by a few kInteriorEps
+      if (stream.empty()) return std::nullopt;
+      h = stream[rng.UniformInt(0, static_cast<int>(stream.size()) - 1)];
+      h.b += Norm(h.a) * rng.Uniform(-3.0, 3.0) * kInteriorEps;
+      return h;
+    default:  // zero normal: covers everything or nothing
+      h.a.assign(dim, 0.0);
+      h.b = rng.Uniform(-1, 1);
+      return h;
+  }
+}
+
+// One draw: a DrawRegion base and a DrawCut stream.
 TEST(ArrangementOracle, MatchesTwoPhaseInsert) {
   const uint64_t seed = EnvSeed();
   constexpr int kPrefDims[] = {2, 3, 5, 6};
   for (int draw = 0; draw < EnvDraws(); ++draw) {
     Rng rng(seed + static_cast<uint64_t>(draw));
     const int dim = kPrefDims[draw % 4];
-    const bool clipped = (draw / 4) % 2 == 1;
-    // sum(lo) <= 0.6 keeps an interior; a clipped box has sum(hi) > 1.
-    const Scalar side = rng.Uniform(0.05, 0.2);
-    Vec lo(dim), hi(dim);
-    for (int j = 0; j < dim; ++j) {
-      lo[j] = rng.Uniform(0.0, 0.6 / dim);
-      hi[j] = lo[j] +
-              (clipped ? 1.0 / dim + rng.Uniform(0.05, 0.3) : side / dim);
-    }
-    const ConvexRegion base = ConvexRegion::FromBox(lo, hi);
+    Vec lo, hi;
+    const ConvexRegion base =
+        DrawRegion(rng, dim, /*clipped=*/(draw / 4) % 2 == 1, &lo, &hi);
     const int freeze = (draw / 8) % 2 == 0 ? std::numeric_limits<int>::max()
                                            : rng.UniformInt(1, 4);
     const std::string label = "UTK_DIFF_SEED=" + std::to_string(seed + draw) +
@@ -421,49 +474,91 @@ TEST(ArrangementOracle, MatchesTwoPhaseInsert) {
     std::vector<Halfspace> stream;
     const int count = dim <= 3 ? 24 : 14;
     for (int i = 0; i < count; ++i) {
-      Halfspace h;
-      switch (rng.UniformInt(0, 5)) {
-        case 0:
-        case 1: {  // score hyperplane of two random records
-          Record p, q;
-          p.attrs.resize(dim + 1);
-          q.attrs.resize(dim + 1);
-          for (Scalar& v : p.attrs) v = rng.Uniform();
-          for (Scalar& v : q.attrs) v = rng.Uniform();
-          h = BetterOrEqual(p, q);
-          break;
-        }
-        case 2: {  // a cut through a random point of the box
-          h.a.resize(dim);
-          for (Scalar& v : h.a) v = rng.Uniform(-1, 1);
-          Vec w(dim);
-          for (int j = 0; j < dim; ++j) w[j] = rng.Uniform(lo[j], hi[j]);
-          h.b = Dot(h.a, w);
-          break;
-        }
-        case 3:  // an exact repeat or complement of an earlier half-space
-          if (stream.empty()) continue;
-          h = stream[rng.UniformInt(0, static_cast<int>(stream.size()) - 1)];
-          if (rng.UniformInt(0, 1) == 1) h = h.Complement();
-          break;
-        case 4:  // an earlier hyperplane shifted by a few kInteriorEps
-          if (stream.empty()) continue;
-          h = stream[rng.UniformInt(0, static_cast<int>(stream.size()) - 1)];
-          h.b += Norm(h.a) * rng.Uniform(-3.0, 3.0) * kInteriorEps;
-          break;
-        default:  // zero normal: covers everything or nothing
-          h.a.assign(dim, 0.0);
-          h.b = rng.Uniform(-1, 1);
-          break;
-      }
-      stream.push_back(h);
-      arr.Insert(i, h);
-      reference.Insert(i, h);
+      const std::optional<Halfspace> h = DrawCut(rng, lo, hi, stream);
+      if (!h.has_value()) continue;
+      stream.push_back(*h);
+      arr.Insert(i, *h);
+      reference.Insert(i, *h);
       ExpectSameCells(reference, arr.cells(),
                       label + " insert " + std::to_string(i));
       if (HasFailure()) return;
     }
   }
+}
+
+// --- Vertex lists against the cell geometry ------------------------------
+
+// A cell's vertex list must be sound (every vertex satisfies every bound)
+// and complete (the maximum of any linear function over the vertices is
+// its maximum over the cell, which SolveLp finds from the centre). The two
+// together make Insert's miss test exact; the oracle test above checks
+// that every decision equals the two-phase LP's.
+void ExpectListMatchesGeometry(const Cell& c, Rng& rng,
+                               const std::string& label) {
+  const size_t dim = c.interior.size();
+  ASSERT_EQ(c.verts.size(), c.tight.size() * dim) << label;
+  for (int v = 0; v < c.NumVertices(); ++v) {
+    const Vec x(c.verts.begin() + v * dim, c.verts.begin() + (v + 1) * dim);
+    for (size_t j = 0; j < c.bounds.size(); ++j)
+      EXPECT_GE(c.bounds[j].Slack(x) / Norm(c.bounds[j].a), -1e-9)
+          << label << " vertex " << v << " bound " << j;
+  }
+  for (int t = 0; t < 8; ++t) {
+    Vec dir(dim);
+    for (Scalar& x : dir) x = rng.Uniform(-1, 1);
+    Scalar best = -std::numeric_limits<Scalar>::infinity();
+    for (int v = 0; v < c.NumVertices(); ++v) {
+      const Vec x(c.verts.begin() + v * dim, c.verts.begin() + (v + 1) * dim);
+      best = std::max(best, Dot(dir, x));
+    }
+    const LpResult lp = SolveLp(dir, c.bounds, /*maximize=*/true, &c.interior);
+    ASSERT_EQ(lp.status, LpStatus::kOptimal) << label;
+    EXPECT_NEAR(best, lp.objective, 1e-9) << label << " direction " << t;
+  }
+}
+
+TEST(ArrangementVertices, ListsMatchCellGeometry) {
+  const uint64_t seed = EnvSeed();
+  constexpr int kPrefDims[] = {2, 3, 4, 5, 6};
+  int checked = 0;
+  for (int draw = 0; draw < EnvDraws(); ++draw) {
+    Rng rng(seed + static_cast<uint64_t>(draw));
+    const int dim = kPrefDims[draw % 5];
+    Vec lo, hi;
+    const ConvexRegion base =
+        DrawRegion(rng, dim, /*clipped=*/(draw / 5) % 2 == 1, &lo, &hi);
+    const std::string label = "UTK_DIFF_SEED=" + std::to_string(seed + draw) +
+                              " dim=" + std::to_string(dim);
+    CellArrangement arr(base);
+    std::vector<Halfspace> stream;
+    const int count = dim <= 3 ? 24 : 14;
+    for (int i = 0; i < count; ++i) {
+      const std::optional<Halfspace> h = DrawCut(rng, lo, hi, stream);
+      if (!h.has_value()) continue;
+      stream.push_back(*h);
+      arr.Insert(i, *h);
+      for (size_t c = 0; c < arr.cells().size(); ++c) {
+        if (!arr.cells()[c].HasVertices()) continue;
+        ExpectListMatchesGeometry(arr.cells()[c], rng,
+                                  label + " insert " + std::to_string(i) +
+                                      " cell " + std::to_string(c));
+        ++checked;
+      }
+      if (HasFailure()) return;
+    }
+  }
+  EXPECT_GT(checked, 0);
+}
+
+TEST(ArrangementVertices, BoxCellCarriesCorners) {
+  const Cell box = BaseCell(ConvexRegion::FromBox({0.1, 0.2}, {0.3, 0.5}));
+  ASSERT_EQ(box.NumVertices(), 4);
+  EXPECT_EQ(box.verts, (Vec{0.1, 0.2, 0.3, 0.2, 0.1, 0.5, 0.3, 0.5}));
+  // A box poking out of the simplex is clipped by w1 + w2 <= 1.
+  const Cell clipped = BaseCell(ConvexRegion::FromBox({0.3, 0.3}, {0.8, 0.8}));
+  EXPECT_EQ(clipped.NumVertices(), 3);
+  // A region without box rows carries no list.
+  EXPECT_FALSE(BaseCell(ConvexRegion::FullDomain(3)).HasVertices());
 }
 
 }  // namespace

@@ -201,5 +201,34 @@ TEST(Regression, Utk2WitnessTopKMatchesAfterSliverCut) {
   }
 }
 
+// A UTK2 query whose arrangement once left a cell uncovered by a cut that
+// missed neither side by much: inside the zone of an anchor, a split left
+// a child of radius 1.17e-7, and a record's half-space cut it 4.9e-8 from
+// its centre. Neither side kept a ball of kInteriorEps, so Insert left the
+// cell as it was, neither covered nor split, and JAA took the record as
+// scoring below the anchor. It scored above it at the witness by far more
+// than kEps, so the cell's top-k differed from the top-k at its witness.
+// The side of the cached centre now decides whether the cut covers the
+// cell.
+TEST(Regression, Utk2WitnessTopKMatchesWhenNeitherSideIsInterior) {
+  Engine engine(Generate(Distribution::kAnticorrelated, 10000, 4, 4242));
+  const ConvexRegion region = ConvexRegion::FromBox(
+      {0.18095823724995808, 0.14481399932596672, 0.47852868922063913},
+      {0.20095823724995807, 0.16481399932596671, 0.49852868922063914});
+  constexpr int kK = 10;
+  QueryResult r =
+      engine.Run(MakeSpec(QueryMode::kUtk2, Algorithm::kAuto, kK, region));
+  ASSERT_TRUE(r.ok) << r.error;
+  ASSERT_FALSE(r.utk2.cells.empty());
+  for (size_t c = 0; c < r.utk2.cells.size(); ++c) {
+    const Utk2Cell& cell = r.utk2.cells[c];
+    std::vector<int32_t> got = cell.topk;
+    std::vector<int32_t> want = engine.TopK(cell.witness, kK);
+    std::sort(got.begin(), got.end());
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(got, want) << "cell " << c << " of " << r.utk2.cells.size();
+  }
+}
+
 }  // namespace
 }  // namespace utk
