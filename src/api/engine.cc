@@ -9,7 +9,6 @@
 #include "core/rsa.h"
 #include "core/topk.h"
 #include "data/io.h"
-#include "skyline/rskyband.h"
 
 namespace utk {
 
@@ -62,34 +61,23 @@ std::vector<int32_t> Engine::TopK(const Vec& w, int k) const {
 QueryResult RunRSkyband(const Dataset& data, const RTree& tree,
                         const ColumnStore* cols, const QuerySpec& spec,
                         Algorithm algo) {
-  Timer timer;
-  QueryStats filter_stats;
-  RSkybandResult band =
-      ComputeRSkyband(data, tree, spec.region, spec.k, &filter_stats, cols);
   QueryResult r;
   r.ok = true;
   r.mode = spec.mode;
   r.algorithm = algo;
+  Rsa::Options opt;
+  opt.use_drill = spec.use_drill;
+  opt.use_lemma1 = spec.use_lemma1;
+  opt.wave_cap = spec.wave_cap;
   if (algo == Algorithm::kRsa) {
-    Rsa::Options opt;
-    opt.use_drill = spec.use_drill;
-    opt.use_lemma1 = spec.use_lemma1;
-    opt.wave_cap = spec.wave_cap;
-    Utk1Result res = Rsa(opt).RunFiltered(data, band, spec.region, spec.k);
+    Utk1Result res = Rsa(opt).Run(data, tree, spec.region, spec.k, cols);
     r.ids = std::move(res.ids);
     r.stats = res.stats;
   } else {
-    Jaa::Options opt;
-    opt.use_lemma1 = spec.use_lemma1;
-    opt.wave_cap = spec.wave_cap;
-    r.utk2 = Jaa(opt).RunFiltered(data, band, spec.region, spec.k);
+    r.utk2 = Jaa(opt).Run(data, tree, spec.region, spec.k, cols);
     r.ids = r.utk2.AllRecords();
     r.stats = r.utk2.stats;
   }
-  const int64_t candidates = r.stats.candidates;
-  r.stats += filter_stats;
-  r.stats.candidates = candidates;
-  r.stats.elapsed_ms = timer.ElapsedMs();
   return r;
 }
 

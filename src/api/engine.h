@@ -76,9 +76,9 @@ class Engine final : public QueryEngine {
 };
 
 /// The r-skyband pipeline every RSA/JAA plan runs, on Engine and
-/// LiveEngine alike: the BBS filter over `tree` (Section 4.1), then
-/// refinement with `spec`'s knobs — RSA (Section 4) for kRsa, JAA
-/// (Section 5) otherwise. Stats sum both halves; candidates = band size.
+/// LiveEngine alike: Rsa::Run (Section 4) for kRsa, Jaa::Run (Section 5)
+/// otherwise, over `tree` with `spec`'s knobs. Each runs the BBS filter
+/// (Section 4.1), then refines; stats sum both, candidates = band size.
 QueryResult RunRSkyband(const Dataset& data, const RTree& tree,
                         const ColumnStore* cols, const QuerySpec& spec,
                         Algorithm algo);

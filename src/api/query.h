@@ -58,11 +58,11 @@ struct QuerySpec {
   int k = 10;
   ConvexRegion region;
 
-  // Per-algorithm knobs, mapped onto the executing algorithm's options
-  // (ignored by algorithms without the knob — see Rsa::Options/Jaa::Options).
+  // Refinement knobs, mapped onto Rsa::Options (all three) or JAA's
+  // RefineOptions (all but use_drill); the other algorithms ignore them.
   bool use_drill = true;   ///< drill short-circuit (Section 4.3)
   bool use_lemma1 = true;  ///< Lemma-1 competitor pruning (Section 4.2)
-  int wave_cap = 8;        ///< max half-spaces per local arrangement
+  int wave_cap = 8;        ///< max half-spaces per local arrangement, >= 0
   /// Ignored; kept only because perfbench reads it (ROADMAP item 9). Every
   /// query runs on one thread. Excluded from SpecFingerprint and the
   /// serving cache's CanonicalFingerprint.

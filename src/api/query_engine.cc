@@ -12,6 +12,7 @@ std::optional<std::string> QueryEngine::Prepare(const QuerySpec& spec,
                                                 PlanDecision* decision) const {
   if (size() == 0) return "engine holds an empty dataset";
   if (spec.k < 1) return "k must be >= 1";
+  if (spec.wave_cap < 0) return "wave_cap must be >= 0";
   if (spec.region.dim() != pref_dim())
     return "region has " + std::to_string(spec.region.dim()) +
            " preference dims, dataset needs " + std::to_string(pref_dim());

@@ -2,9 +2,10 @@
 //
 // JAA shares RSA's filtering step (r-skyband + r-dominance graph) but builds
 // one *common global arrangement* of R. An anchor record partitions the
-// current region via the verification-like process of Section 4.2 (drill and
-// early termination disabled); each partition is classified as
-//   equal-to      anchor ranks exactly `need`  -> top-k known, finalized
+// current region via the verification-like process of Section 4.2, the
+// refinement core RSA also runs (core/refine.h), with no drill and no early
+// exit. Each cell is settled by the anchor's rank there:
+//   equal-to      anchor ranks exactly `need`  -> top-k known, emitted
 //   less-than     anchor ranks above `need`    -> recurse with a longer
 //                                                 known top prefix
 //   greater-than  anchor ranks below `need`    -> recurse excluding the
@@ -15,6 +16,7 @@
 #ifndef UTK_CORE_JAA_H_
 #define UTK_CORE_JAA_H_
 
+#include "core/refine.h"
 #include "core/utk.h"
 #include "index/rtree.h"
 #include "skyline/rskyband.h"
@@ -23,15 +25,7 @@ namespace utk {
 
 class Jaa {
  public:
-  struct Options {
-    bool use_lemma1 = true;  ///< Lemma-1 competitor pruning
-    /// Maximum half-spaces inserted per local arrangement; leftover
-    /// competitors are handled by deeper recursion (see Rsa::Options).
-    int wave_cap = 8;
-    /// Ignored; kept only because perfbench reads it (ROADMAP item 9).
-    /// Partitioning always runs on the calling thread.
-    int refine_threads = 0;
-  };
+  using Options = RefineOptions;
 
   Jaa() = default;
   explicit Jaa(Options options) : options_(options) {}

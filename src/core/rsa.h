@@ -4,32 +4,23 @@
 // Refinement: verify candidates one by one in descending r-dominance-count
 // order; a verified candidate confirms all its ancestors in G for free, and
 // a disqualified candidate is removed from G. Verification of a candidate
-// recursively partitions the region with the half-spaces of the strongest
-// (r-dominance count 0) competitors, confirms promising partitions via
-// Lemma 1, and short-circuits with the drill optimization (Section 4.3).
+// partitions the region with the shared refinement core (core/refine.h):
+// the strongest competitors' half-spaces, then Lemma 1 on each cell. RSA
+// adds the rank quota, the drill (Section 4.3) and the early exit on the
+// first cell that admits the candidate.
 #ifndef UTK_CORE_RSA_H_
 #define UTK_CORE_RSA_H_
 
+#include "core/refine.h"
 #include "core/utk.h"
 #include "index/rtree.h"
-#include "skyline/graph.h"
 
 namespace utk {
 
 class Rsa {
  public:
-  struct Options {
-    bool use_drill = true;      ///< drill optimization (Section 4.3)
-    bool use_lemma1 = true;     ///< Lemma-1 competitor pruning
-    /// Maximum half-spaces inserted per local arrangement (the paper's
-    /// "small, carefully selected subset" of competitors, Section 4.2).
-    /// Leftover strongest competitors are handled by the recursion, which
-    /// only descends into promising partitions. 0 = insert all count-0
-    /// competitors at once.
-    int wave_cap = 8;
-    /// Ignored; kept only because perfbench reads it (ROADMAP item 9).
-    /// Verification always runs on the calling thread.
-    int refine_threads = 0;
+  struct Options : RefineOptions {
+    bool use_drill = true;  ///< drill optimization (Section 4.3)
   };
 
   Rsa() = default;

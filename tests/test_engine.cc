@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -218,6 +219,21 @@ TEST(EngineValidation, SpecKnobsReachTheAlgorithms) {
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(r.ids, base.ids);
   EXPECT_NE(r.stats.lp_calls, base.stats.lp_calls);
+}
+
+TEST(EngineValidation, RejectsNegativeWaveCap) {
+  // A negative cap is not 0 (uncapped, exponential on ANTI data): it is
+  // refused rather than run uncapped.
+  Engine engine(Generate(Distribution::kAnticorrelated, 200, 3, 11));
+  QuerySpec spec = MakeSpec(QueryMode::kUtk2, Algorithm::kAuto, 4,
+                            ConvexRegion::FromBox({0.2, 0.25}, {0.3, 0.35}));
+  spec.wave_cap = -1;
+  std::optional<std::string> error = engine.Validate(spec);
+  ASSERT_TRUE(error.has_value());
+  EXPECT_EQ(*error, "wave_cap must be >= 0");
+  QueryResult r = engine.Run(spec);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.error, "wave_cap must be >= 0");
 }
 
 TEST(EngineTopK, MatchesScanBasedTopK) {
