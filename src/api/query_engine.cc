@@ -11,6 +11,7 @@ namespace utk {
 std::optional<std::string> QueryEngine::Prepare(const QuerySpec& spec,
                                                 PlanDecision* decision) const {
   if (size() == 0) return "engine holds an empty dataset";
+  if (std::optional<std::string> error = DataError()) return error;
   if (spec.k < 1) return "k must be >= 1";
   if (spec.wave_cap < 0) return "wave_cap must be >= 0";
   if (spec.region.dim() != pref_dim())

@@ -114,6 +114,10 @@ class QueryEngine {
   virtual std::vector<PlanNode> ExplainChildren(
       const QuerySpec& spec, const PlanDecision& decision) const;
 
+  /// Why the engine's dataset cannot be queried (ValidateDataset's
+  /// diagnostic), or nullopt; Validate returns it after the empty check.
+  virtual std::optional<std::string> DataError() const { return std::nullopt; }
+
   /// Runs `body` (Run's steps 2-4 + epoch stamp) with the catalog pinned;
   /// LiveEngine holds its shared lock, immutable engines need nothing.
   virtual void ReadPinned(const std::function<void()>& body) const {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -201,6 +202,26 @@ TEST(EngineValidation, RejectsBadSpecsWithDiagnostics) {
   r = engine.Run(MakeSpec(QueryMode::kUtk1, Algorithm::kAuto, 3,
                           ConvexRegion::FromBox({0.3, 0.3}, {0.2, 0.2})));
   EXPECT_FALSE(r.ok);
+}
+
+TEST(EngineValidation, RejectsNonFiniteDataset) {
+  Dataset data = Generate(Distribution::kIndependent, 100, 3, 5);
+  data[10].attrs[1] = std::numeric_limits<Scalar>::quiet_NaN();
+  Engine engine(std::move(data));
+  const ConvexRegion box = ConvexRegion::FromBox({0.2, 0.2}, {0.3, 0.3});
+  for (QueryMode mode : {QueryMode::kUtk1, QueryMode::kUtk2}) {
+    const QuerySpec spec = MakeSpec(mode, Algorithm::kAuto, 3, box);
+    std::optional<std::string> error = engine.Validate(spec);
+    ASSERT_TRUE(error.has_value());
+    EXPECT_EQ(*error, "record 10 attribute 1 is not finite");
+    QueryResult r = engine.Run(spec);
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.error, "record 10 attribute 1 is not finite");
+  }
+  // The empty-dataset rule still comes first, with its own message.
+  EXPECT_EQ(Engine(Dataset{}).Validate(MakeSpec(QueryMode::kUtk1,
+                                                Algorithm::kAuto, 3, box)),
+            "engine holds an empty dataset");
 }
 
 TEST(EngineValidation, SpecKnobsReachTheAlgorithms) {

@@ -16,31 +16,10 @@
 #include "data/generator.h"
 #include "data/workload.h"
 #include "index/rtree.h"
+#include "scoped_threads.h"
 
 namespace utk {
 namespace {
-
-// Sets UTK_THREADS for one scope and restores the prior value, so the cases
-// that need real concurrency get it whatever the host's core count.
-class ScopedThreads {
- public:
-  explicit ScopedThreads(int n) {
-    if (const char* prev = std::getenv("UTK_THREADS")) saved_ = prev;
-    setenv("UTK_THREADS", std::to_string(n).c_str(), 1);
-  }
-  ~ScopedThreads() {
-    if (saved_.has_value()) {
-      setenv("UTK_THREADS", saved_->c_str(), 1);
-    } else {
-      unsetenv("UTK_THREADS");
-    }
-  }
-  ScopedThreads(const ScopedThreads&) = delete;
-  ScopedThreads& operator=(const ScopedThreads&) = delete;
-
- private:
-  std::optional<std::string> saved_;
-};
 
 // Runs fn(i) for i in [0, count) at width `threads` and returns the most
 // indices that were ever in flight at once.
