@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
+#include <limits>
 #include <utility>
 
 #include "core/topk.h"
@@ -18,6 +20,30 @@ void DiffScore(const Vec& q, const Vec& t, Vec* coef, Scalar* offset) {
   *offset = q[d - 1] - t[d - 1];
   for (int i = 0; i < d - 1; ++i)
     (*coef)[i] = (q[i] - q[d - 1]) - (t[i] - t[d - 1]);
+}
+
+/// Reduced coefficients of the score S(x)(w) itself: x_i - x_d and x_d.
+void ScoreOf(const Vec& x, Vec* coef, Scalar* offset) {
+  const int d = static_cast<int>(x.size());
+  coef->resize(d - 1);
+  *offset = x[d - 1];
+  for (int i = 0; i < d - 1; ++i) (*coef)[i] = x[i] - x[d - 1];
+}
+
+/// min over `region` of min over `ids` of S(t), or -inf when a range is
+/// unavailable (the floor then settles nothing).
+Scalar ScoreFloor(const Dataset& data, const std::vector<int32_t>& ids,
+                  const ConvexRegion& region) {
+  Scalar floor = std::numeric_limits<Scalar>::infinity();
+  Vec coef;
+  Scalar offset;
+  for (int32_t t : ids) {
+    ScoreOf(data[t].attrs, &coef, &offset);
+    auto range = region.RangeOf(coef, offset);
+    if (!range.has_value()) return -std::numeric_limits<Scalar>::infinity();
+    floor = std::min(floor, range->first);
+  }
+  return floor;
 }
 
 }  // namespace
@@ -185,7 +211,9 @@ void LiveEngine::DetachCache(ResultCache* cache) {
 }
 
 bool LiveEngine::CouldAffect(const UpdateEvent& event,
-                             const CacheEntryView& view) const {
+                             std::span<const ScoreForm> inserted,
+                             const CacheEntryView& view,
+                             int64_t* exact_tests) const {
   // An empty UTK1 answer should never have been cached; drop defensively.
   if (view.result.ids.empty()) return true;
   // Erase: removing a record changes some top-k over R iff it was IN some
@@ -195,11 +223,32 @@ bool LiveEngine::CouldAffect(const UpdateEvent& event,
                            id))
       return true;
   }
-  // Insert: if the new record is outscored by every cached answer member
-  // everywhere in R, it cannot displace any top-k (the old top-k at each w
-  // in R is a subset of the cached ids), so the entry stands. Otherwise be
-  // conservative. One affine range per (record, cached id) — closed form
-  // for box regions.
+  if (inserted.empty()) return false;
+  // Insert, first the floor: max_R(S_q - S_t) <= max_R S_q - min_R S_t <=
+  // top - floor, so a top below the floor by the margin puts every pair
+  // below -2 kEps, a full kEps under the exact test's threshold. The floor
+  // is memoized: a kept entry's ids and their attributes never change
+  // (DESIGN.md §9).
+  if (std::isnan(view.floor))
+    view.floor = ScoreFloor(data_, view.result.ids, view.region);
+  Scalar top = -std::numeric_limits<Scalar>::infinity();
+  for (const ScoreForm& q : inserted) {
+    auto range = view.region.RangeOf(q.coef, q.offset);
+    if (!range.has_value()) {
+      top = std::numeric_limits<Scalar>::infinity();
+      break;
+    }
+    top = std::max(top, range->second);
+  }
+  const Scalar margin =
+      2.0 * kEps * std::max({Scalar{1}, std::abs(top), std::abs(view.floor)});
+  if (top < view.floor - margin) return false;
+  // The exact test: if the new record is outscored by every cached answer
+  // member everywhere in R, it cannot displace any top-k (the old top-k at
+  // each w in R is a subset of the cached ids), so the entry stands.
+  // Otherwise be conservative. One affine range per (record, cached id) —
+  // closed form for box regions.
+  ++*exact_tests;
   Vec coef;
   Scalar offset;
   for (const Record& q : event.inserted) {
@@ -227,24 +276,40 @@ void LiveEngine::Commit(const UpdateEvent& event) {
       for (UpdateLog* log : logs_) log->OnCommit(event.ops, view);
     }
   }
+  int64_t swept = 0;
+  int64_t exact_tests = 0;
   {
     UTK_SPAN("live.cache_sweep");
     MutexLock lock(caches_mu_);
-    for (ResultCache* cache : caches_) {
-      cache->ApplyInvalidation(from, to, [&](const CacheEntryView& view) {
-        return CouldAffect(event, view);
-      });
+    if (!caches_.empty()) {
+      // Each inserted record's score form, once per batch.
+      std::vector<ScoreForm> inserted(event.inserted.size());
+      for (std::size_t i = 0; i < inserted.size(); ++i)
+        ScoreOf(event.inserted[i].attrs, &inserted[i].coef,
+                &inserted[i].offset);
+      for (ResultCache* cache : caches_) {
+        cache->ApplyInvalidation(from, to, [&](const CacheEntryView& view) {
+          ++swept;
+          return CouldAffect(event, inserted, view, &exact_tests);
+        });
+      }
     }
   }
   auto& reg = obs::MetricRegistry::Global();
   static obs::Counter& commits = reg.GetCounter("utk_live_commits_total");
   static obs::Counter& inserts = reg.GetCounter("utk_live_inserts_total");
   static obs::Counter& erases = reg.GetCounter("utk_live_erases_total");
+  static obs::Counter& sweep_entries =
+      reg.GetCounter("utk_live_sweep_entries_total");
+  static obs::Counter& sweep_exact =
+      reg.GetCounter("utk_live_sweep_exact_tests_total");
   static obs::Histogram& latency =
       reg.GetHistogram("utk_live_commit_latency_us");
   commits.Add();
   inserts.Add(static_cast<int64_t>(event.inserted.size()));
   erases.Add(static_cast<int64_t>(event.erased.size()));
+  sweep_entries.Add(swept);
+  sweep_exact.Add(exact_tests);
   latency.Observe(static_cast<int64_t>(timer.ElapsedMs() * 1000.0));
 }
 

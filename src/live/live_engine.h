@@ -19,7 +19,11 @@
 // predicate — an erase affects exactly the entries whose UTK1 answer
 // contains the erased id; an insert affects the entries where the new
 // record ties-or-beats some answer member somewhere in the entry's region
-// (an affine range test per cached id; closed form for boxes). Entries
+// (an affine range test per cached id; closed form for boxes). A per-entry
+// score floor (the lowest score any member reaches over the region,
+// memoized in the entry) settles most entries first: when every inserted
+// record's best score over the region stays below it by a margin, the
+// per-id test could only keep the entry too, so it is skipped. Entries
 // proven unaffected are re-tagged to the new epoch and keep serving;
 // affected ones are dropped, so a warm Server over a LiveEngine always
 // equals a cold one.
@@ -202,12 +206,22 @@ class LiveEngine final : public QueryEngine {
   /// Advances the epoch and sweeps every attached cache with the
   /// conservative could-affect predicate for `event`. Exclusive lock held.
   void Commit(const UpdateEvent& event) UTK_REQUIRES(mu_);
+  /// Reduced score coefficients of one inserted record (S(q)(w) = offset +
+  /// coef.w over the first d-1 weights), computed once per batch.
+  struct ScoreForm {
+    Vec coef;
+    Scalar offset = 0.0;
+  };
   /// True iff `event` could change the cached answer `view` (see class
-  /// comment for the exact tests). Runs under Commit's exclusive lock, but
-  /// reaches here through the std::function invalidation predicate — a
-  /// boundary the analysis cannot see capabilities across, hence the
-  /// explicit opt-out.
-  bool CouldAffect(const UpdateEvent& event, const CacheEntryView& view) const
+  /// comment for the exact tests); `inserted` holds event.inserted's score
+  /// forms. Counts the entries the score floor cannot settle, which run
+  /// the exact per-id test, in *exact_tests. Runs under Commit's exclusive
+  /// lock, but reaches here through the std::function invalidation
+  /// predicate — a boundary the analysis cannot see capabilities across,
+  /// hence the explicit opt-out.
+  bool CouldAffect(const UpdateEvent& event,
+                   std::span<const ScoreForm> inserted,
+                   const CacheEntryView& view, int64_t* exact_tests) const
       UTK_NO_THREAD_SAFETY_ANALYSIS;
 
   /// Catalog lock. Lock order: mu_ strictly before logs_mu_ and caches_mu_

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <functional>
-#include <string_view>
 
 #include "geometry/linear.h"
 #include "obs/metrics.h"
@@ -22,18 +21,6 @@ void AppendInt32(std::string* out, int32_t v) {
   char buf[sizeof(v)];
   std::memcpy(buf, &v, sizeof(v));
   out->append(buf, sizeof(v));
-}
-
-void AppendUint64(std::string* out, uint64_t v) {
-  char buf[sizeof(v)];
-  std::memcpy(buf, &v, sizeof(v));
-  out->append(buf, sizeof(v));
-}
-
-/// Swaps the trailing 8-byte epoch suffix of a fingerprint.
-void RekeyEpoch(std::string* key, uint64_t epoch) {
-  key->resize(key->size() - sizeof(uint64_t));
-  AppendUint64(key, epoch);
 }
 
 int64_t BytesOfVec(const Vec& v) {
@@ -60,8 +47,7 @@ double CacheCounters::HitRate() const {
   return static_cast<double>(exact_hits) / static_cast<double>(total);
 }
 
-std::string CanonicalFingerprint(const QuerySpec& spec, Algorithm planned,
-                                 uint64_t epoch) {
+std::string CanonicalFingerprint(const QuerySpec& spec, Algorithm planned) {
   std::string key;
   key.reserve(64);
   key.push_back(spec.mode == QueryMode::kUtk1 ? '1' : '2');
@@ -72,7 +58,6 @@ std::string CanonicalFingerprint(const QuerySpec& spec, Algorithm planned,
     key.push_back('B');
     for (Scalar v : spec.region.box_lo()) AppendScalar(&key, v);
     for (Scalar v : spec.region.box_hi()) AppendScalar(&key, v);
-    AppendUint64(&key, epoch);
     return key;
   }
   key.push_back('H');
@@ -94,7 +79,6 @@ std::string CanonicalFingerprint(const QuerySpec& spec, Algorithm planned,
   }
   std::sort(parts.begin(), parts.end());
   for (const std::string& part : parts) key += part;
-  AppendUint64(&key, epoch);
   return key;
 }
 
@@ -128,20 +112,19 @@ ResultCache::ResultCache(CacheConfig config) : config_(config) {
 }
 
 ResultCache::Shard& ResultCache::ShardFor(const std::string& key) {
-  // Hash everything but the trailing epoch, so a re-tagged entry stays in
-  // the shard its future lookups will probe.
-  const std::string_view base(key.data(), key.size() - sizeof(uint64_t));
-  return *shards_[std::hash<std::string_view>{}(base) % shards_.size()];
+  return *shards_[std::hash<std::string>{}(key) % shards_.size()];
 }
 
 std::optional<QueryResult> ResultCache::Lookup(const QuerySpec& spec,
                                                Algorithm planned,
                                                uint64_t epoch) {
-  const std::string key = CanonicalFingerprint(spec, planned, epoch);
+  const std::string key = CanonicalFingerprint(spec, planned);
   Shard& shard = ShardFor(key);
   MutexLock lock(shard.mu);
   auto it = shard.index.find(key);
-  if (it == shard.index.end()) {
+  // An entry tagged with another epoch answers another dataset version: a
+  // miss, and the entry stays for the sweep (or an admit) to settle.
+  if (it == shard.index.end() || it->second->epoch != epoch) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
   }
@@ -159,7 +142,7 @@ int64_t ResultCache::Admit(const QuerySpec& spec, Algorithm planned,
     return 0;
   }
   Entry entry;
-  entry.key = CanonicalFingerprint(spec, planned, epoch);
+  entry.key = CanonicalFingerprint(spec, planned);
   entry.mode = spec.mode;
   entry.k = spec.k;
   entry.epoch = epoch;
@@ -224,22 +207,12 @@ int64_t ResultCache::ApplyInvalidation(uint64_t from_epoch, uint64_t to_epoch,
       bool drop = it->epoch != from_epoch;  // missed a sweep: unauditable
       if (!drop)
         drop = affected(CacheEntryView{it->mode, it->k, it->region,
-                                       it->result});
+                                       it->result, it->floor});
       if (!drop) {
-        // Proven unaffected: re-tag to the new epoch in place.
-        shard->index.erase(it->key);
-        RekeyEpoch(&it->key, to_epoch);
+        // Proven unaffected: re-tag to the new epoch in place. The key
+        // carries no epoch, so the index needs no change.
         it->epoch = to_epoch;
-        // A fresh post-update entry for the same spec wins the key; this
-        // one is then unlinked WITHOUT touching the index — the rekeyed
-        // key belongs to the fresh entry now.
-        if (shard->index.emplace(it->key, it).second) {
-          ++it;
-          continue;
-        }
-        shard->bytes -= it->bytes;
-        it = shard->lru.erase(it);
-        ++dropped;
+        ++it;
         continue;
       }
       shard->bytes -= it->bytes;

@@ -2,11 +2,11 @@
 // by canonical QuerySpec fingerprints.
 //
 // Reuse is exact-match only: Lookup returns the cached result verbatim when
-// a request's fingerprint (mode, k, planned algorithm, canonical region,
-// dataset epoch) matches an entry, and nothing otherwise — the Server
-// (serve/server.h) then runs the engine and Admits the fresh answer. A
-// served answer is therefore always byte-identical to the engine's Run.
-// Hits refresh LRU recency.
+// a request's fingerprint (mode, k, planned algorithm, canonical region)
+// matches an entry whose epoch tag equals the request's dataset epoch, and
+// nothing otherwise — the Server (serve/server.h) then runs the engine and
+// Admits the fresh answer. A served answer is therefore always
+// byte-identical to the engine's Run. Hits refresh LRU recency.
 //
 // Sharding: entries are distributed over `shards` independent LRU lists by
 // fingerprint hash; each shard has its own mutex and an equal slice of the
@@ -18,6 +18,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <list>
 #include <memory>
 #include <optional>
@@ -59,26 +60,28 @@ struct CacheCounters {
 };
 
 /// Canonical fingerprint of a spec's semantic identity: mode, k, the planned
-/// (kAuto-resolved) algorithm, the region in canonical form — box corners
+/// (kAuto-resolved) algorithm and the region in canonical form — box corners
 /// for boxes, otherwise the constraint list normalized to unit normals and
-/// byte-sorted so constraint order never matters — and, last, the dataset
-/// `epoch` the answer is computed against (QueryEngine::epoch(); always 0
-/// for immutable engines). Execution knobs (use_drill/use_lemma1/wave_cap)
-/// are excluded: they change the work, never the answer. The epoch is the
-/// trailing 8 bytes of every key, so an answer from a superseded dataset
-/// version can never satisfy a lookup at the current one.
-std::string CanonicalFingerprint(const QuerySpec& spec, Algorithm planned,
-                                 uint64_t epoch = 0);
+/// byte-sorted so constraint order never matters. Execution knobs
+/// (use_drill/use_lemma1/wave_cap) are excluded: they change the work, never
+/// the answer. The dataset epoch is not part of the key; each entry carries
+/// it as a tag that Lookup compares.
+std::string CanonicalFingerprint(const QuerySpec& spec, Algorithm planned);
 
 /// Estimated resident size of a cached result, for the byte budget.
 int64_t EstimateResultBytes(const QueryResult& r);
 
-/// Read-only view of a cached entry handed to invalidation predicates.
+/// View of a cached entry handed to invalidation predicates: the entry
+/// itself is read-only, `floor` is a slot the predicate owns.
 struct CacheEntryView {
   QueryMode mode;
   int k;
   const ConvexRegion& region;    ///< region the cached answer covers
   const QueryResult& result;     ///< the cached answer itself
+  /// Per-entry memo for the predicate: NaN when the entry is admitted, then
+  /// kept for the entry's life (re-tagging leaves it alone). Its meaning is
+  /// the predicate's (LiveEngine stores its score floor here).
+  Scalar& floor;
 };
 
 /// Decides whether an update batch *could* change a cached answer. Must be
@@ -93,17 +96,19 @@ class ResultCache {
   /// The cached answer for `spec`, or nullopt. `planned` must be the
   /// engine's Plan(spec) so kAuto specs fingerprint identically to their
   /// resolved form, and `epoch` the engine's epoch() read before running (0
-  /// for immutable engines). Thread-safe; counts exactly one hit or one miss
-  /// and refreshes the hit entry's recency.
+  /// for immutable engines). Hits only when the entry's epoch tag equals
+  /// `epoch`; an entry at any other epoch is a miss and stays resident.
+  /// Thread-safe; counts exactly one hit or one miss and refreshes the hit
+  /// entry's recency.
   std::optional<QueryResult> Lookup(const QuerySpec& spec, Algorithm planned,
                                     uint64_t epoch = 0);
 
-  /// Inserts a fresh engine result (replacing any entry with the same
-  /// fingerprint) and enforces the budgets. Returns the number of entries
-  /// evicted by this admission. Results that failed (!ok) are not cached,
-  /// and neither are results whose `epoch` an invalidation sweep has
-  /// already superseded — a query racing a dataset update can never plant a
-  /// stale answer.
+  /// Inserts a fresh engine result tagged `epoch` (replacing any entry with
+  /// the same fingerprint, whatever its tag) and enforces the budgets.
+  /// Returns the number of entries evicted by this admission. Results that
+  /// failed (!ok) are not cached, and neither are results whose `epoch` an
+  /// invalidation sweep has already superseded — a query racing a dataset
+  /// update can never plant a stale answer.
   int64_t Admit(const QuerySpec& spec, Algorithm planned,
                 const QueryResult& result, uint64_t epoch = 0);
 
@@ -113,7 +118,7 @@ class ResultCache {
   ///   * entries already at `to_epoch` (admitted by queries that observed
   ///     the new dataset) are kept untouched;
   ///   * entries at `from_epoch` are tested with `affected` — affected ones
-  ///     are dropped, unaffected ones are *re-tagged* (re-keyed) to
+  ///     are dropped, unaffected ones are *re-tagged* in place to
   ///     `to_epoch`, staying servable with zero recomputation;
   ///   * entries at any older epoch missed a sweep (the cache was detached)
   ///     and are dropped unconditionally.
@@ -129,13 +134,15 @@ class ResultCache {
 
  private:
   struct Entry {
-    std::string key;  ///< CanonicalFingerprint; last 8 bytes are the epoch
+    std::string key;  ///< CanonicalFingerprint
     QueryMode mode = QueryMode::kUtk1;
     int k = 0;
-    uint64_t epoch = 0;
+    uint64_t epoch = 0;  ///< the dataset epoch the answer is valid at
     ConvexRegion region;
     QueryResult result;
     int64_t bytes = 0;
+    /// CacheEntryView::floor's storage.
+    Scalar floor = std::numeric_limits<Scalar>::quiet_NaN();
   };
   struct Shard {
     Mutex mu;
@@ -146,8 +153,6 @@ class ResultCache {
     int64_t bytes UTK_GUARDED_BY(mu) = 0;
   };
 
-  /// Shard choice hashes the key *without* its epoch suffix, so re-tagging
-  /// an entry to a new epoch never moves it across shards.
   Shard& ShardFor(const std::string& key);
 
   CacheConfig config_;

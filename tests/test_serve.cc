@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <optional>
 #include <vector>
 
@@ -323,16 +324,34 @@ TEST(ServeSpeedup, WarmExactHitsBeatColdByTenX) {
 
 // --------------------------------------------------------- epoch contract
 
-TEST(ServeEpoch, FingerprintSeparatesEpochs) {
-  ConvexRegion box = ConvexRegion::FromBox({0.2, 0.25}, {0.3, 0.35});
-  QuerySpec spec = MakeSpec(QueryMode::kUtk1, 5, box);
-  EXPECT_EQ(CanonicalFingerprint(spec, Algorithm::kRsa, 3),
-            CanonicalFingerprint(spec, Algorithm::kRsa, 3));
-  EXPECT_NE(CanonicalFingerprint(spec, Algorithm::kRsa, 3),
-            CanonicalFingerprint(spec, Algorithm::kRsa, 4));
-  // The 2-arg form is the epoch-0 form immutable engines use.
-  EXPECT_EQ(CanonicalFingerprint(spec, Algorithm::kRsa),
-            CanonicalFingerprint(spec, Algorithm::kRsa, 0));
+TEST(ServeEpoch, LookupAtAnotherEpochMissesAndAdmitReplaces) {
+  // The epoch is a tag on the entry, not part of its key: a lookup at any
+  // other epoch misses without disturbing the entry, and a later admit of
+  // the same spec replaces it.
+  Engine engine(Generate(Distribution::kAnticorrelated, 150, 3, 20260728));
+  ResultCache cache;
+  QuerySpec spec = MakeSpec(
+      QueryMode::kUtk1, 5, ConvexRegion::FromBox({0.2, 0.25}, {0.3, 0.35}));
+  QueryResult res = engine.Run(spec);
+  ASSERT_TRUE(res.ok);
+  cache.Admit(spec, Algorithm::kRsa, res, /*epoch=*/3);
+  EXPECT_FALSE(cache.Lookup(spec, Algorithm::kRsa, 2).has_value());
+  EXPECT_FALSE(cache.Lookup(spec, Algorithm::kRsa, 4).has_value());
+  EXPECT_FALSE(cache.Lookup(spec, Algorithm::kRsa, 0).has_value());
+  std::optional<QueryResult> hit = cache.Lookup(spec, Algorithm::kRsa, 3);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->ids, res.ids);
+  CacheCounters c = cache.Counters();
+  EXPECT_EQ(c.misses, 3);
+  EXPECT_EQ(c.exact_hits, 1);
+  EXPECT_EQ(c.entries, 1);
+
+  cache.Admit(spec, Algorithm::kRsa, res, /*epoch=*/4);
+  EXPECT_EQ(cache.Counters().entries, 1);
+  EXPECT_FALSE(cache.Lookup(spec, Algorithm::kRsa, 3).has_value());
+  hit = cache.Lookup(spec, Algorithm::kRsa, 4);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->ids, res.ids);
 }
 
 TEST(ServeEpoch, SweepDropsAffectedRetagsUnaffectedRejectsStale) {
@@ -375,11 +394,11 @@ TEST(ServeEpoch, SweepDropsAffectedRetagsUnaffectedRejectsStale) {
   EXPECT_EQ(c.entries, 1);
 }
 
-TEST(ServeEpoch, RekeyCollisionKeepsTheFreshEntryServable) {
+TEST(ServeEpoch, FreshAdmitReplacesItsStaleTwin) {
   // A query that observed the post-update dataset can admit at the new
-  // epoch BEFORE the sweep runs. The sweep then re-keys the surviving old
-  // entry onto the same fingerprint; the fresh entry must win the key and
-  // stay exact-hittable, with the old one dropped cleanly.
+  // epoch BEFORE the sweep runs. That admit replaces the old entry for the
+  // same spec, so the sweep finds the fresh entry already at the new epoch
+  // and drops nothing; the fresh entry stays exact-hittable.
   Engine engine(Generate(Distribution::kAnticorrelated, 150, 3, 20260728));
   ResultCache cache;
   QuerySpec spec = MakeSpec(
@@ -388,9 +407,15 @@ TEST(ServeEpoch, RekeyCollisionKeepsTheFreshEntryServable) {
   ASSERT_TRUE(res.ok);
   cache.Admit(spec, Algorithm::kRsa, res, /*epoch=*/0);
   cache.Admit(spec, Algorithm::kRsa, res, /*epoch=*/1);  // post-update racer
+  EXPECT_EQ(cache.Counters().entries, 1);
+  int tested = 0;
   const int64_t dropped = cache.ApplyInvalidation(
-      0, 1, [](const CacheEntryView&) { return false; });  // unaffected
-  EXPECT_EQ(dropped, 1);  // the superseded twin, not the fresh entry
+      0, 1, [&](const CacheEntryView&) {
+        ++tested;
+        return false;  // unaffected
+      });
+  EXPECT_EQ(dropped, 0);
+  EXPECT_EQ(tested, 0);  // the fresh entry is already at epoch 1
   std::optional<QueryResult> hit = cache.Lookup(spec, Algorithm::kRsa, 1);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->ids, res.ids);
@@ -399,6 +424,32 @@ TEST(ServeEpoch, RekeyCollisionKeepsTheFreshEntryServable) {
   cache.Admit(spec, Algorithm::kRsa, res, /*epoch=*/1);
   EXPECT_TRUE(cache.Lookup(spec, Algorithm::kRsa, 1).has_value());
   EXPECT_EQ(cache.Counters().entries, 1);
+}
+
+TEST(ServeEpoch, FloorSlotPersistsAcrossRetagsAndResetsOnAdmit) {
+  Engine engine(Generate(Distribution::kAnticorrelated, 150, 3, 20260728));
+  ResultCache cache;
+  QuerySpec spec = MakeSpec(
+      QueryMode::kUtk1, 5, ConvexRegion::FromBox({0.2, 0.25}, {0.3, 0.35}));
+  QueryResult res = engine.Run(spec);
+  ASSERT_TRUE(res.ok);
+  cache.Admit(spec, Algorithm::kRsa, res, /*epoch=*/0);
+  std::vector<Scalar> seen;
+  auto record = [&](const CacheEntryView& view) {
+    seen.push_back(view.floor);
+    view.floor = 0.5 + static_cast<Scalar>(seen.size());
+    return false;
+  };
+  cache.ApplyInvalidation(0, 1, record);
+  cache.ApplyInvalidation(1, 2, record);
+  ASSERT_EQ(seen.size(), 2u);
+  EXPECT_TRUE(std::isnan(seen[0]));  // fresh entry: the slot starts empty
+  EXPECT_EQ(seen[1], 1.5);           // a re-tag keeps what the sweep wrote
+  // A re-admit is a new entry with an empty slot.
+  cache.Admit(spec, Algorithm::kRsa, res, /*epoch=*/2);
+  cache.ApplyInvalidation(2, 3, record);
+  ASSERT_EQ(seen.size(), 3u);
+  EXPECT_TRUE(std::isnan(seen[2]));
 }
 
 TEST(ServeEpoch, EntriesThatMissedASweepAreDropped) {

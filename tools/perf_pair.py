@@ -9,7 +9,8 @@ Usage, from anywhere inside the repository:
 The change side is this checkout's working tree. The parent side is REF
 (default: the merge base of HEAD with main), checked out with
 `git worktree add` into a temporary directory and removed afterwards;
-`--parent-dir DIR` uses an existing checkout instead. Each side builds
+`--parent-dir DIR` uses an existing checkout instead and runs no git, so
+both sides may be plain copies (e.g. from `git archive`). Each side builds
 perfbench under its own CARGO_TARGET_DIR (perfbench/run.py's build
 directory) inside the work directory.
 
@@ -154,6 +155,19 @@ def build_report(parent_ref, seconds, results, end_to_end):
     return report
 
 
+def resolve_parent(args, work, run_git=None):
+    """(parent checkout, worktree to remove or None, report label). Only a
+    worktree needs a ref, so `--parent-dir` runs no git command and works
+    from a change side that is not a git checkout."""
+    run_git = run_git or git
+    if args.parent_dir:
+        return os.path.abspath(args.parent_dir), None, args.parent_dir
+    parent_ref = args.parent or run_git("merge-base", "HEAD", "main")
+    worktree = os.path.join(work, "parent")
+    run_git("worktree", "add", "--detach", worktree, parent_ref)
+    return worktree, worktree, parent_ref
+
+
 def canned_line(setup, p50, p90, ops, rss, failed=0):
     names = (("setup_s", "s", setup), ("utk1_ms_p50", "ms", p50),
              ("utk1_ms_p90", "ms", p90), ("ops_per_s", "1/s", ops),
@@ -201,6 +215,21 @@ def self_check(end_to_end):
         checks.append((False, "a failed run is rejected"))
     except RunFailed:
         pass
+    git_calls = []
+
+    def fake_git(*args):
+        git_calls.append(args)
+        return "abc123"
+
+    given = argparse.Namespace(parent=None, parent_dir="/p")
+    checks.append((resolve_parent(given, "/w", fake_git) ==
+                   (os.path.abspath("/p"), None, "/p") and not git_calls,
+                   "--parent-dir runs no git"))
+    given = argparse.Namespace(parent=None, parent_dir=None)
+    checks.append((resolve_parent(given, "/w", fake_git) ==
+                   ("/w/parent", "/w/parent", "abc123") and
+                   [c[0] for c in git_calls] == ["merge-base", "worktree"],
+                   "a worktree resolves the merge base"))
     bad = [what for ok, what in checks if not ok]
     if bad:
         sys.stdout.write(text)
@@ -232,14 +261,7 @@ def main():
 
     work = args.work_dir or tempfile.mkdtemp(prefix="perf_pair-")
     os.makedirs(work, exist_ok=True)
-    parent_ref = args.parent or git("merge-base", "HEAD", "main")
-    worktree = None
-    if args.parent_dir:
-        parent_root = os.path.abspath(args.parent_dir)
-    else:
-        worktree = os.path.join(work, "parent")
-        git("worktree", "add", "--detach", worktree, parent_ref)
-        parent_root = worktree
+    parent_root, worktree, parent_label = resolve_parent(args, work)
     roots = {"parent": parent_root, "change": ROOT}
     builds = {s: os.path.join(os.path.abspath(work), "build-" + s)
               for s in SIDES}
@@ -265,8 +287,7 @@ def main():
         if args.work_dir is None:
             shutil.rmtree(work, ignore_errors=True)
 
-    report = build_report(args.parent_dir or parent_ref, args.seconds,
-                          results, end_to_end)
+    report = build_report(parent_label, args.seconds, results, end_to_end)
     sys.stdout.write(render(report))
     if args.json:
         with open(args.json, "w") as f:
