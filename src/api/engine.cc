@@ -1,7 +1,5 @@
 #include "api/engine.h"
 
-#include <array>
-#include <bit>
 #include <memory>
 #include <utility>
 
@@ -12,58 +10,15 @@
 #include "core/topk.h"
 #include "core/validate.h"
 #include "data/io.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
-#include "skyline/skyband.h"
 
 namespace utk {
-
-// One slot per K = 2^j. A slot is filled once, under its own mutex, so
-// queries with different K never wait on each other's build.
-struct Engine::IndexSlots {
-  struct Slot {
-    Mutex mu;
-    bool built UTK_GUARDED_BY(mu) = false;
-    std::shared_ptr<const CompactEngine> index UTK_GUARDED_BY(mu);
-  };
-  std::array<Slot, 32> slots;
-};
 
 Engine::Engine(Dataset data)
     : QueryEngine("engine.run"),
       data_(std::move(data)),
       tree_(RTree::BulkLoad(data_)),
       cols_(data_),
-      data_error_(ValidateDataset(data_)),
-      index_(std::make_unique<IndexSlots>()) {}
-
-Engine::~Engine() = default;
-Engine::Engine(Engine&&) noexcept = default;
-Engine& Engine::operator=(Engine&&) noexcept = default;
-
-std::shared_ptr<const CompactEngine> Engine::SkybandIndex(int k) const {
-  const int j = std::bit_width(static_cast<unsigned>(k - 1));
-  IndexSlots::Slot& slot = index_->slots[j];
-  MutexLock lock(slot.mu);
-  if (slot.built) return slot.index;
-  slot.built = true;
-  UTK_SPAN("index.kskyband");
-  static obs::Counter& builds = obs::MetricRegistry::Global().GetCounter(
-      "utk_skyband_index_builds_total");
-  builds.Add();
-  // Every record has fewer than n others beating it, so K >= n keeps all.
-  const int64_t big_k = int64_t{1} << j;
-  if (big_k >= size()) return nullptr;
-  // The 3 * kEps shift counts only members at least 2 * kEps above a
-  // record in every attribute: those r-dominate it in every region.
-  const std::vector<int32_t> band = KSkyband(
-      data_, tree_, static_cast<int>(big_k), nullptr, &cols_, 3 * kEps);
-  if (4 * band.size() > 3 * data_.size()) return nullptr;
-  std::vector<char> keep(data_.size(), 0);
-  for (int32_t id : band) keep[id] = 1;
-  slot.index = std::make_shared<const CompactEngine>(data_, keep);
-  return slot.index;
-}
+      data_error_(ValidateDataset(data_)) {}
 
 std::optional<Engine> Engine::FromCsvFile(const std::string& path) {
   std::optional<Dataset> data = LoadCsvFile(path);
@@ -74,14 +29,8 @@ std::optional<Engine> Engine::FromCsvFile(const std::string& path) {
 QueryResult Engine::Execute(const QuerySpec& spec,
                             const PlanDecision& decision) const {
   const Algorithm algo = decision.algorithm;
-  if (algo == Algorithm::kRsa || algo == Algorithm::kJaa) {
-    std::shared_ptr<const CompactEngine> index = SkybandIndex(spec.k);
-    if (index == nullptr) return RunRSkyband(data_, tree_, &cols_, spec, algo);
-    const Engine& e = index->engine;
-    QueryResult r = RunRSkyband(e.data_, e.tree_, &e.cols_, spec, algo);
-    index->MapBack(&r);
-    return r;
-  }
+  if (algo == Algorithm::kRsa || algo == Algorithm::kJaa)
+    return RunRSkyband(data_, tree_, &cols_, spec, algo);
   QueryResult r;
   r.ok = true;
   r.mode = spec.mode;

@@ -26,24 +26,14 @@
 
 namespace utk {
 
-struct CompactEngine;
-
 // Engine supplies Execute to the QueryEngine pipeline (api/query_engine.h),
-// root span engine.run. Thread-safety: immutable except the lazily built
-// skyband index, published under a mutex; every query entry point is const,
-// so any number of threads (and serving sessions — see serve/server.h) may
-// share one engine without further synchronization. Move-only: share a
-// single instance (e.g. via std::shared_ptr<const Engine>) instead of
-// copying. Moving is cheap and safe — the R-tree stores record ids, never
-// pointers into the dataset vector, and the index sits behind a pointer.
-//
-// The skyband index (DESIGN.md §2): for K = bit_ceil(k), the records that
-// fewer than K others beat by at least 2 * kEps in every attribute — a
-// superset of every r-skyband for any k <= K and any region, so RSA and
-// JAA filter it instead of the whole dataset and map the answer ids back.
-// One slot per K, built on the first query that needs it and kept for the
-// engine's life; a K whose index would keep more than 3/4 of the records
-// stores none and runs on the full tree.
+// root span engine.run. Thread-safety: immutable after construction; every
+// query entry point is const and reads the dataset and R-tree only, so any
+// number of threads (and serving sessions — see serve/server.h) may share
+// one engine without synchronization. Move-only: share a single instance
+// (e.g. via std::shared_ptr<const Engine>) instead of copying. Moving is
+// cheap and safe — the R-tree stores record ids, never pointers into the
+// dataset vector.
 class Engine final : public QueryEngine {
  public:
   /// Takes ownership of `data` and bulk-loads the R-tree once. The dataset
@@ -52,10 +42,9 @@ class Engine final : public QueryEngine {
   /// non-finite attribute say, makes every query come back ok == false with
   /// that diagnostic.
   explicit Engine(Dataset data);
-  ~Engine() override;
 
-  Engine(Engine&&) noexcept;
-  Engine& operator=(Engine&&) noexcept;
+  Engine(Engine&&) = default;
+  Engine& operator=(Engine&&) = default;
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
@@ -78,25 +67,17 @@ class Engine final : public QueryEngine {
   // Runs decisions its outer engine's Run already made.
   friend class CompactFallback;
 
-  /// RSA/JAA through RunRSkyband over the skyband index for spec.k (the
-  /// bulk-loaded tree when that K has none); the SK/ON baselines and the
-  /// naive oracle directly.
+  /// RSA/JAA through RunRSkyband over the bulk-loaded tree; the SK/ON
+  /// baselines and the naive oracle directly.
   QueryResult Execute(const QuerySpec& spec,
                       const PlanDecision& decision) const override;
 
   std::optional<std::string> DataError() const override { return data_error_; }
 
-  /// The index slot for K = bit_ceil(k), built on first use; null when
-  /// that K runs on the full tree.
-  std::shared_ptr<const CompactEngine> SkybandIndex(int k) const;
-
-  struct IndexSlots;
-
   Dataset data_;
   RTree tree_;
   ColumnStore cols_;
   std::optional<std::string> data_error_;
-  std::unique_ptr<IndexSlots> index_;
 };
 
 /// The r-skyband pipeline every RSA/JAA plan runs, on Engine and

@@ -127,34 +127,6 @@ int CountDominatorsOfPoint(const ColumnStore& cols,
   return count;
 }
 
-namespace {
-
-// The single range accumulation both Range() forms share — the
-// bit-for-bit twin of DiffScore + ConvexRegion::RangeOf's box path. The
-// attribute accessors abstract only where p/q live (a store row or a free
-// Vec); the expression tree and accumulation order are fixed here, once.
-template <typename GetP, typename GetQ>
-inline std::pair<Scalar, Scalar> GapRange(int d, const GetP& p, const GetQ& q,
-                                          const Vec& box_lo,
-                                          const Vec& box_hi) {
-  const Scalar pl = p(d - 1), ql = q(d - 1);
-  const Scalar offset = pl - ql;
-  Scalar lo = offset, hi = offset;
-  for (int i = 0; i < d - 1; ++i) {
-    const Scalar c = (p(i) - pl) - (q(i) - ql);
-    if (c >= 0.0) {
-      lo += c * box_lo[i];
-      hi += c * box_hi[i];
-    } else {
-      lo += c * box_hi[i];
-      hi += c * box_lo[i];
-    }
-  }
-  return {lo, hi};
-}
-
-}  // namespace
-
 std::pair<Scalar, Scalar> BoxGapEvaluator::Range(int32_t p, int32_t q) const {
   return GapRange(
       cols_->dim(), [&](int i) { return cols_->at(p, i); },

@@ -62,6 +62,33 @@ int CountDominatorsOfPoint(const ColumnStore& cols,
                            std::span<const int32_t> rows, const Vec& v,
                            int cap, Scalar eps);
 
+/// {min, max} of S(p) - S(q) over the box [box_lo, box_hi], for d
+/// attributes read through the accessors p(i) and q(i): the single range
+/// accumulation behind BoxGapEvaluator, the bit-for-bit twin of DiffScore +
+/// ConvexRegion::RangeOf's box path. The accessors abstract only where p
+/// and q live (a store row, a free Vec, or the zero record, which gives
+/// the range of S(p) itself); the expression tree and accumulation order
+/// are fixed here, once.
+template <typename GetP, typename GetQ>
+inline std::pair<Scalar, Scalar> GapRange(int d, const GetP& p, const GetQ& q,
+                                          const Vec& box_lo,
+                                          const Vec& box_hi) {
+  const Scalar pl = p(d - 1), ql = q(d - 1);
+  const Scalar offset = pl - ql;
+  Scalar lo = offset, hi = offset;
+  for (int i = 0; i < d - 1; ++i) {
+    const Scalar c = (p(i) - pl) - (q(i) - ql);
+    if (c >= 0.0) {
+      lo += c * box_lo[i];
+      hi += c * box_hi[i];
+    } else {
+      lo += c * box_hi[i];
+      hi += c * box_lo[i];
+    }
+  }
+  return {lo, hi};
+}
+
 /// Allocation-free score-difference ranges over an axis-parallel box
 /// region. RDominance() builds a temporary coefficient vector per pair and
 /// routes it through ConvexRegion::RangeOf; for box regions this evaluator

@@ -11,6 +11,13 @@
 // point is identically zero) — i.e. q does not r-dominate p. Hence all
 // r-dominators of a record are already confirmed when it pops, which is also
 // how the r-dominance graph is obtained for free.
+//
+// Over a box R the BBS also keeps a score bound (DESIGN.md §2): tau, the
+// k-th largest min_R S among the records of the leaves expanded so far. A
+// node or record whose max_R S falls below tau by more than a margin is
+// beaten everywhere in R by k records and is never pushed. It would have
+// been rejected anyway, so the band, its order and its dominator lists are
+// those of the plain BBS; only heap_pops and rdom_tests shrink.
 #ifndef UTK_SKYLINE_RSKYBAND_H_
 #define UTK_SKYLINE_RSKYBAND_H_
 

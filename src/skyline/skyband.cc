@@ -27,8 +27,7 @@ Scalar SumCoords(const Vec& v) {
 }  // namespace
 
 std::vector<int32_t> KSkyband(const Dataset& data, const RTree& tree, int k,
-                              QueryStats* stats, const ColumnStore* cols,
-                              Scalar margin) {
+                              QueryStats* stats, const ColumnStore* cols) {
   UTK_SPAN("filter.skyband");
   std::vector<int32_t> band;
   if (tree.empty()) return band;
@@ -40,11 +39,8 @@ std::vector<int32_t> KSkyband(const Dataset& data, const RTree& tree, int k,
 
   static obs::Counter& probes = obs::MetricRegistry::Global().GetCounter(
       "utk_skyband_membership_probes_total");
-  Vec v;  // the shifted probe point, reused across probes
-  auto dominated_count_reaches_k = [&](const Vec& point) {
+  auto dominated_count_reaches_k = [&](const Vec& v) {
     probes.Add();
-    v = point;
-    for (Scalar& x : v) x += margin;
     if (soa) return CountDominatorsOfPoint(*cols, band, v, k, kEps) >= k;
     int count = 0;
     for (int32_t id : band) {

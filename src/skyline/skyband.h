@@ -21,15 +21,10 @@ namespace utk {
 /// non-null, must mirror `data`; the dominated-count probes then run the
 /// batched CountDominatorsOfPoint kernel over the confirmed members
 /// (bit-identical either way). Heap keys stay scalar — SumCoords per
-/// popped entry is not a hot loop. A positive `margin` shifts every probe
-/// point (record or node top corner) up by `margin` in each coordinate
-/// before the dominated-count test, so only members that beat a record by
-/// at least margin - kEps in every attribute count against it (the
-/// engine's skyband index, api/engine.h, uses 3 * kEps).
+/// popped entry is not a hot loop.
 std::vector<int32_t> KSkyband(const Dataset& data, const RTree& tree, int k,
                               QueryStats* stats = nullptr,
-                              const ColumnStore* cols = nullptr,
-                              Scalar margin = 0.0);
+                              const ColumnStore* cols = nullptr);
 
 /// Brute-force k-skyband (O(n^2)), used as a test oracle.
 std::vector<int32_t> KSkybandBruteForce(const Dataset& data, int k);
