@@ -2,71 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <utility>
 
 namespace utk {
 namespace {
-
-// Build-time node: a TraceEvent plus its adopted children, kept until the
-// whole forest is assembled (PlanNode has no timestamps, and grafting
-// worker-thread subtrees needs interval containment).
-struct BuildNode {
-  obs::TraceEvent e;
-  std::vector<BuildNode> kids;
-
-  int64_t start() const { return e.ts_us; }
-  int64_t end() const { return e.ts_us + e.dur_us; }
-  bool Contains(const BuildNode& o) const {
-    return start() <= o.start() && o.end() <= end();
-  }
-};
-
-PlanNode ToPlanNode(const BuildNode& b) {
-  PlanNode n;
-  n.op = b.e.name;
-  n.actual_ms = static_cast<double>(b.e.dur_us) / 1000.0;
-  n.actual_rows = b.e.arg >= 0 ? b.e.arg : -1;
-  n.children.reserve(b.kids.size());
-  for (const BuildNode& k : b.kids) n.children.push_back(ToPlanNode(k));
-  return n;
-}
-
-/// Rebuilds one thread's span forest. Events arrive in close order, so a
-/// parent always follows its children: every pending node that is deeper
-/// and inside the new span's interval becomes its child.
-std::vector<BuildNode> BuildForest(std::vector<obs::TraceEvent> events) {
-  std::vector<BuildNode> pending;
-  for (const obs::TraceEvent& e : events) {
-    BuildNode node{e, {}};
-    auto claimed = std::stable_partition(
-        pending.begin(), pending.end(), [&](const BuildNode& p) {
-          return !(p.e.depth > e.depth && node.Contains(p));
-        });
-    node.kids.assign(std::make_move_iterator(claimed),
-                     std::make_move_iterator(pending.end()));
-    std::sort(node.kids.begin(), node.kids.end(),
-              [](const BuildNode& a, const BuildNode& b) {
-                return a.start() < b.start();
-              });
-    pending.erase(claimed, pending.end());
-    pending.push_back(std::move(node));
-  }
-  return pending;
-}
-
-/// Grafts `orphan` under the deepest node of `tree` whose interval contains
-/// it (worker-thread subtrees nest inside the fan-out phase that spawned
-/// them). Returns false when nothing contains it.
-bool Graft(BuildNode* tree, BuildNode&& orphan) {
-  if (!tree->Contains(orphan)) return false;
-  for (BuildNode& kid : tree->kids)
-    if (Graft(&kid, std::move(orphan))) return true;
-  tree->kids.push_back(std::move(orphan));
-  std::sort(tree->kids.begin(), tree->kids.end(),
-            [](const BuildNode& a, const BuildNode& b) {
-              return a.start() < b.start();
-            });
-  return true;
-}
 
 void AppendMs(std::string* out, const char* label, double ms) {
   char buf[64];
@@ -153,42 +92,24 @@ std::string RenderPlan(const PlanNode& root) {
   return out;
 }
 
-PlanNode PlanFromTrace(const std::vector<obs::TraceEvent>& events,
-                       int64_t t0_us) {
-  // Per-thread forests, keyed by dense tid. Snapshot order is per-thread
-  // close order with threads concatenated, so splitting by tid preserves
-  // the close-order invariant BuildForest depends on.
-  std::vector<std::pair<uint32_t, std::vector<obs::TraceEvent>>> by_tid;
+PlanNode PlanFromTrace(const std::vector<obs::TraceEvent>& events) {
+  // Close order puts every span after its children, and the pending nodes
+  // deeper than a span when it closes are exactly those children, in order
+  // (pending depths never decrease, so they form a suffix).
+  std::vector<std::pair<int, PlanNode>> pending;
   for (const obs::TraceEvent& e : events) {
-    if (e.ts_us < t0_us) continue;
-    auto it = std::find_if(by_tid.begin(), by_tid.end(),
-                           [&](const auto& p) { return p.first == e.tid; });
-    if (it == by_tid.end()) {
-      by_tid.emplace_back(e.tid, std::vector<obs::TraceEvent>{});
-      it = std::prev(by_tid.end());
-    }
-    it->second.push_back(e);
+    PlanNode node;
+    node.op = e.name;
+    node.actual_ms = static_cast<double>(e.dur_us) / 1000.0;
+    node.actual_rows = e.arg >= 0 ? e.arg : -1;
+    auto kids = std::find_if(pending.begin(), pending.end(),
+                             [&](const auto& p) { return p.first > e.depth; });
+    for (auto it = kids; it != pending.end(); ++it)
+      node.children.push_back(std::move(it->second));
+    pending.erase(kids, pending.end());
+    pending.emplace_back(e.depth, std::move(node));
   }
-  std::vector<BuildNode> roots;
-  for (auto& [tid, tevents] : by_tid) {
-    std::vector<BuildNode> forest = BuildForest(std::move(tevents));
-    roots.insert(roots.end(), std::make_move_iterator(forest.begin()),
-                 std::make_move_iterator(forest.end()));
-  }
-  if (roots.empty()) return PlanNode{};
-
-  // The longest top-level span is the query root; everything else (worker
-  // threads, sibling top-level spans inside its window) grafts into it by
-  // interval containment. Roots outside the window are unrelated queries
-  // recorded earlier in the same buffers — dropped.
-  auto main_it = std::max_element(roots.begin(), roots.end(),
-                                  [](const BuildNode& a, const BuildNode& b) {
-                                    return a.e.dur_us < b.e.dur_us;
-                                  });
-  BuildNode main = std::move(*main_it);
-  roots.erase(main_it);
-  for (BuildNode& orphan : roots) Graft(&main, std::move(orphan));
-  return ToPlanNode(main);
+  return pending.empty() ? PlanNode{} : std::move(pending.back().second);
 }
 
 void AnnotateEstimates(PlanNode* tree, const PlanNode& reference) {
@@ -242,14 +163,12 @@ PlanNode CoalescePlan(const PlanNode& root) {
 PlanNode AnalyzeWithTrace(const PlanNode& static_plan,
                           const std::function<QueryResult()>& run,
                           QueryResult* result) {
-  const bool was_tracing = obs::TracingEnabled();
-  obs::SetTracingEnabled(true);
-  const int64_t t0 = obs::NowMicros();
+  // The query runs on this thread, so its spans are the ones this thread
+  // records from the mark on, whatever other threads trace meanwhile.
+  const obs::TracingHold tracing;
+  const int64_t mark = obs::SpanMark();
   QueryResult r = run();
-  std::vector<obs::TraceEvent> events = obs::TraceSnapshot();
-  obs::SetTracingEnabled(was_tracing);
-
-  PlanNode actual = PlanFromTrace(events, t0);
+  PlanNode actual = PlanFromTrace(obs::SpansSince(mark));
   if (actual.op.empty()) {
     // Spans compiled out or dropped: the static tree with the measured
     // total is the best ANALYZE available.

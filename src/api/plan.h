@@ -4,9 +4,9 @@
 // query execute, and why?". EXPLAIN builds the tree statically from the
 // planner's decision and the engine's cardinality estimates; EXPLAIN
 // ANALYZE runs the query with span tracing on (src/obs/trace.h), rebuilds
-// the *executed* operator tree from the recorded spans, and grafts the
-// static estimates onto it so estimated and actual columns sit side by
-// side per operator.
+// the *executed* operator tree from the spans its thread recorded, and
+// copies the static estimates onto it so estimated and actual columns sit
+// side by side per operator.
 //
 // Node `op` names reuse the span naming scheme `<subsystem>.<phase>`
 // (DESIGN.md §12) — an ANALYZE tree is structurally the span tree, so the
@@ -50,14 +50,11 @@ struct PlanNode {
 /// omitted and an empty bracket section dropped entirely.
 std::string RenderPlan(const PlanNode& root);
 
-/// Rebuilds the executed operator tree from trace events recorded at or
-/// after `t0_us`. Events are grouped per thread and nested by the depth
-/// each span recorded at open; worker-thread subtrees are grafted into the
-/// main tree at the deepest node whose interval contains them. Returns the
-/// largest top-level span as the root (an empty PlanNode when no event
-/// qualifies). actual_ms is the span duration, actual_rows its arg.
-PlanNode PlanFromTrace(const std::vector<obs::TraceEvent>& events,
-                       int64_t t0_us);
+/// Rebuilds the executed operator tree from one thread's spans in close
+/// order (obs::SpansSince), nested by the depth each span recorded at open.
+/// The last span closed is the root (an empty PlanNode when there is
+/// none). actual_ms is the span duration, actual_rows its arg.
+PlanNode PlanFromTrace(const std::vector<obs::TraceEvent>& events);
 
 /// Copies est_rows / detail from `reference` onto `tree` by
 /// operator name (first unclaimed reference node with the same op wins, in
@@ -75,14 +72,13 @@ void AnnotateEstimates(PlanNode* tree, const PlanNode& reference);
 /// coalescing is idempotent and leaves static EXPLAIN trees alone.
 PlanNode CoalescePlan(const PlanNode& root);
 
-/// The ANALYZE driver shared by every engine and the Server: flips tracing
-/// on, answers the query with `run`, rebuilds the executed tree from the
-/// spans it recorded, and grafts `static_plan`'s estimates onto it. Tracing
-/// is restored to its previous state afterwards. When no spans were
+/// The ANALYZE routine shared by every engine and the Server: holds tracing
+/// on (obs::TracingHold), answers the query with `run` on this thread,
+/// rebuilds the executed tree from the spans this thread recorded meanwhile,
+/// and copies `static_plan`'s estimates onto it. When no spans were
 /// recorded (e.g. compiled out), returns `static_plan` with actual_ms set
 /// on the root — never an empty tree. `result`, when non-null, receives the
-/// answer. NOT concurrency-safe: spans from concurrently traced queries end
-/// up interleaved in the same buffers.
+/// answer. Safe to call from several threads at once.
 PlanNode AnalyzeWithTrace(const PlanNode& static_plan,
                           const std::function<QueryResult()>& run,
                           QueryResult* result);

@@ -107,22 +107,9 @@ std::string PlanDetail(const PlanDecision& d, int k, int64_t n) {
 // History glue.
 // ---------------------------------------------------------------------------
 
-namespace {
-thread_local int t_history_depth = 0;
-}  // namespace
-
-QueryHistoryScope::QueryHistoryScope() {
-  owner_ = t_history_depth == 0;
-  ++t_history_depth;
-  if (owner_) t0_us_ = obs::NowMicros();
-}
-
-QueryHistoryScope::~QueryHistoryScope() { --t_history_depth; }
-
-void QueryHistoryScope::Record(const QuerySpec& spec,
-                               const QueryResult& result, int64_t n,
-                               int pref_dim) const {
-  if (!owner_ || !result.ok) return;
+void RecordHistory(const obs::QueryScope& scope, const QuerySpec& spec,
+                   const QueryResult& result, int64_t n, int pref_dim) {
+  if (!scope.owner() || !result.ok) return;
   std::shared_ptr<obs::HistoryWriter> sink = obs::QueryHistory();
   if (sink == nullptr) return;
 
@@ -138,29 +125,8 @@ void QueryHistoryScope::Record(const QuerySpec& spec,
   rec.planned_algorithm = static_cast<uint8_t>(result.stats.planned_algorithm);
   rec.plan_reason = static_cast<uint8_t>(result.stats.plan_reason);
   rec.stats_csv = result.stats.CsvRow();
-
-  // Top-span rollup: per-name duration totals within this query's window.
-  // Only available when tracing is on; an empty rollup is fine.
-  if (obs::TracingEnabled()) {
-    std::vector<std::pair<std::string, double>> totals;
-    for (const obs::TraceEvent& e : obs::TraceSnapshot()) {
-      if (e.ts_us < t0_us_) continue;
-      const double ms = static_cast<double>(e.dur_us) / 1000.0;
-      auto it = std::find_if(totals.begin(), totals.end(), [&](const auto& p) {
-        return p.first == e.name;
-      });
-      if (it == totals.end())
-        totals.emplace_back(e.name, ms);
-      else
-        it->second += ms;
-    }
-    std::sort(totals.begin(), totals.end(), [](const auto& a, const auto& b) {
-      return a.second > b.second;
-    });
-    if (totals.size() > 16) totals.resize(16);
-    rec.top_spans = std::move(totals);
-  }
-
+  for (const auto& [name, us] : scope.TopSpans(16))
+    rec.top_spans.emplace_back(name, static_cast<double>(us) / 1000.0);
   sink->Append(rec);
 }
 

@@ -16,6 +16,7 @@
 
 #include "api/plan.h"
 #include "api/query.h"
+#include "obs/trace.h"
 
 namespace utk {
 
@@ -75,26 +76,13 @@ constexpr std::nullptr_t DefaultCostModel() { return nullptr; }
 // QuerySpec/QueryResult to a HistoryRecord lives here).
 // ---------------------------------------------------------------------------
 
-/// RAII marker for one top-level query. QueryEngine::Run and Server::Query
-/// each open one; only the outermost scope on the thread appends a history
-/// row, so a query served through a Server's miss path is one row.
-class QueryHistoryScope {
- public:
-  QueryHistoryScope();
-  ~QueryHistoryScope();
-  QueryHistoryScope(const QueryHistoryScope&) = delete;
-  QueryHistoryScope& operator=(const QueryHistoryScope&) = delete;
-
-  /// Appends one history row iff this scope is outermost, a global writer
-  /// is installed (obs::SetQueryHistory), and the result ran (result.ok).
-  /// `n` / `pref_dim` are the catalog features the planner saw.
-  void Record(const QuerySpec& spec, const QueryResult& result, int64_t n,
-              int pref_dim) const;
-
- private:
-  bool owner_ = false;
-  int64_t t0_us_ = 0;
-};
+/// Appends one history row iff `scope` owns its query (the outermost
+/// obs::QueryScope on the thread), a global writer is installed
+/// (obs::SetQueryHistory), and the result ran (result.ok). `n` / `pref_dim`
+/// are the catalog features the planner saw; the row's top_spans are the
+/// scope's top 16.
+void RecordHistory(const obs::QueryScope& scope, const QuerySpec& spec,
+                   const QueryResult& result, int64_t n, int pref_dim);
 
 }  // namespace utk
 

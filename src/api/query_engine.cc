@@ -18,7 +18,7 @@ std::optional<std::string> QueryEngine::Prepare(const QuerySpec& spec,
     return "region has " + std::to_string(spec.region.dim()) +
            " preference dims, dataset needs " + std::to_string(pref_dim());
   if (!spec.region.HasInteriorPoint())
-    return "query region has empty interior";
+    return "query region has empty interior within the weight simplex";
   *decision = Decide(spec);
   const Algorithm algo = decision->algorithm;
   if (spec.mode == QueryMode::kUtk2 &&
@@ -35,8 +35,7 @@ std::optional<std::string> QueryEngine::Validate(const QuerySpec& spec) const {
 
 QueryResult QueryEngine::Run(const QuerySpec& spec) const {
   UTK_SPAN(root_op_);
-  obs::QueryLogScope slow_log(root_op_);
-  QueryHistoryScope history;
+  obs::QueryScope scope(root_op_);
   QueryResult r;  // ok == false until Execute answers
   r.mode = spec.mode;
   r.algorithm = spec.algorithm;
@@ -61,8 +60,8 @@ QueryResult QueryEngine::Run(const QuerySpec& spec) const {
       "utk_engine_query_latency_us");
   queries.Add();
   latency.Observe(static_cast<int64_t>(r.stats.elapsed_ms * 1000.0));
-  slow_log.Finish(r.stats, [&spec] { return SpecFingerprint(spec); });
-  history.Record(spec, r, n, pref_dim());
+  scope.Finish(r.stats, [&spec] { return SpecFingerprint(spec); });
+  RecordHistory(scope, spec, r, n, pref_dim());
   return r;
 }
 

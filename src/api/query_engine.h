@@ -7,8 +7,8 @@
 //
 //   Run = Validate -> Decide -> Execute -> stamp/record
 //
-//   1. open the engine's root span (engine.run / live.run), the slow-query
-//      scope and the history scope;
+//   1. open the engine's root span (engine.run / live.run) and the query
+//      scope (obs::QueryScope: slow-query log and history row);
 //   2. apply the rejection rules against size(), the LIVE record count;
 //   3. plan once (DecidePlan);
 //   4. Execute(spec, decision) — the only step an engine supplies;
@@ -92,7 +92,7 @@ class QueryEngine {
   PlanNode Explain(const QuerySpec& spec) const;
 
   /// EXPLAIN ANALYZE: runs the query traced and returns the executed
-  /// operator tree with Explain's estimates grafted on (AnalyzeWithTrace).
+  /// operator tree with Explain's estimates copied on (AnalyzeWithTrace).
   PlanNode ExplainAnalyze(const QuerySpec& spec,
                           QueryResult* result = nullptr) const;
 

@@ -23,35 +23,18 @@ std::optional<std::string> ValidateDataset(const Dataset& data) {
          << dim;
       return os.str();
     }
-    for (int d = 0; d < dim; ++d) {
-      if (!std::isfinite(r.attrs[d])) {
-        std::ostringstream os;
-        os << "record " << i << " attribute " << d << " is not finite";
-        return os.str();
-      }
-    }
+    if (auto err = NonFiniteAttribute(r)) return err;
   }
   return std::nullopt;
 }
 
-std::optional<std::string> ValidateQuery(const Dataset& data,
-                                         const ConvexRegion& region, int k) {
-  if (auto err = ValidateDataset(data)) return err;
-  if (k < 1) return "k must be >= 1";
-  const int pref_dim = DataDim(data) - 1;
-  if (region.dim() != pref_dim) {
-    std::ostringstream os;
-    os << "region has dimension " << region.dim() << ", expected "
-       << pref_dim << " (= data dimensionality - 1)";
-    return os.str();
-  }
-  // The region must have interior and lie inside the weight simplex
-  // (otherwise some 'preferences' would weigh an attribute negatively).
-  ConvexRegion clipped = region;
-  ConvexRegion domain = ConvexRegion::FullDomain(pref_dim);
-  for (const Halfspace& h : domain.constraints()) clipped.AddConstraint(h);
-  if (!clipped.HasInteriorPoint()) {
-    return "query region has empty interior within the weight simplex";
+std::optional<std::string> NonFiniteAttribute(const Record& r) {
+  for (int d = 0; d < r.Dim(); ++d) {
+    if (!std::isfinite(r.attrs[d])) {
+      std::ostringstream os;
+      os << "record " << r.id << " attribute " << d << " is not finite";
+      return os.str();
+    }
   }
   return std::nullopt;
 }

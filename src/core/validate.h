@@ -1,16 +1,18 @@
-// Input validation for the public UTK entry points.
+// Dataset validation for the query engines.
 //
 // The algorithms themselves assume well-formed inputs (ids equal to indices,
-// consistent dimensionality, a query region with interior); these helpers
-// let applications check user-supplied data up front and report actionable
-// errors instead of tripping asserts deep inside the geometry.
+// consistent dimensionality, finite attributes); the engines run these
+// checks once on the data they are built over and on every live insert, so
+// bad data comes back as an actionable ok=false diagnostic instead of
+// tripping asserts deep inside the geometry. The per-query rules (k, region
+// dimensionality and interior) live in QueryEngine::Validate.
 #ifndef UTK_CORE_VALIDATE_H_
 #define UTK_CORE_VALIDATE_H_
 
 #include <optional>
 #include <string>
 
-#include "geometry/region.h"
+#include "common/types.h"
 
 namespace utk {
 
@@ -19,11 +21,9 @@ namespace utk {
 /// attribute values finite.
 std::optional<std::string> ValidateDataset(const Dataset& data);
 
-/// Returns an error description, or nullopt if (data, region, k) form a
-/// valid UTK query: valid dataset, k >= 1, region dimensionality d-1, and a
-/// region with non-empty interior inside the weight simplex.
-std::optional<std::string> ValidateQuery(const Dataset& data,
-                                         const ConvexRegion& region, int k);
+/// The check ValidateDataset applies to each record: an error naming the
+/// first non-finite attribute of `r`, or nullopt when all are finite.
+std::optional<std::string> NonFiniteAttribute(const Record& r);
 
 }  // namespace utk
 

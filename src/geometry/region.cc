@@ -146,7 +146,11 @@ bool ConvexRegion::HasInteriorPoint() const {
     // in HasInterior.
     return radius > kInteriorEps;
   }
-  return HasInterior(constraints_);
+  std::vector<Halfspace> clipped = constraints_;
+  const ConvexRegion simplex = FullDomain(dim_);
+  clipped.insert(clipped.end(), simplex.constraints_.begin(),
+                 simplex.constraints_.end());
+  return HasInterior(clipped);
 }
 
 }  // namespace utk

@@ -62,7 +62,10 @@ class ConvexRegion {
   std::optional<std::pair<Scalar, Scalar>> RangeOf(const Vec& coef,
                                                    Scalar offset) const;
 
-  /// True iff the region has interior (Chebyshev radius > kInteriorEps).
+  /// True iff the region keeps interior (Chebyshev radius > kInteriorEps)
+  /// once clipped to the weight simplex. Boxes lie inside it by
+  /// construction (FromBox clips any other) and take a closed form; other
+  /// regions solve one LP.
   bool HasInteriorPoint() const;
 
  private:

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "core/topk.h"
+#include "core/validate.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -46,6 +47,13 @@ Scalar ScoreFloor(const Dataset& data, const std::vector<int32_t>& ids,
   return floor;
 }
 
+/// ValidateDataset's verdict on a starting catalog; an empty one is valid
+/// (the catalog is then built with Insert).
+std::optional<std::string> StartError(const Dataset& data) {
+  if (data.empty()) return std::nullopt;
+  return ValidateDataset(data);
+}
+
 }  // namespace
 
 LiveEngine::LiveEngine(Dataset data)
@@ -53,7 +61,8 @@ LiveEngine::LiveEngine(Dataset data)
       data_(std::move(data)),
       alive_(data_.size(), 1),
       tree_(RTree::BulkLoad(data_)),
-      cols_(data_) {
+      cols_(data_),
+      data_error_(StartError(data_)) {
   live_.store(static_cast<int64_t>(data_.size()), std::memory_order_relaxed);
   dim_.store(DataDim(data_), std::memory_order_relaxed);
 }
@@ -64,7 +73,8 @@ LiveEngine::LiveEngine(Dataset data, std::vector<char> alive, RTree tree,
       data_(std::move(data)),
       alive_(std::move(alive)),
       tree_(std::move(tree)),
-      cols_(data_) {
+      cols_(data_),
+      data_error_(StartError(data_)) {
   assert(alive_.size() == data_.size());
   int64_t live = 0;
   for (char a : alive_) live += a ? 1 : 0;
@@ -119,6 +129,7 @@ int32_t LiveEngine::InsertLocked(Record rec, UpdateEvent* event) {
   const int32_t n = static_cast<int32_t>(data_.size());
   if (rec.id > n) return -1;  // ids are assigned densely, no gaps
   if (!data_.empty() && rec.Dim() != dim()) return -1;
+  if (NonFiniteAttribute(rec).has_value()) return -1;
   int32_t id = rec.id;
   if (id == n || id < 0) {
     id = n;

@@ -39,7 +39,9 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "api/engine.h"
@@ -94,7 +96,9 @@ struct LiveCounters {
 class LiveEngine final : public QueryEngine {
  public:
   /// Takes ownership of `data` (ids 0..n-1, the repo invariant) as epoch 0.
-  /// An empty dataset is a valid start — build the catalog with Insert.
+  /// An empty dataset is a valid start — build the catalog with Insert. A
+  /// dataset ValidateDataset rejects (a NaN attribute, say) answers every
+  /// query ok=false with its diagnostic, as Engine does.
   explicit LiveEngine(Dataset data);
 
   /// Recovery constructor (src/storage/catalog.cc): resumes a persisted
@@ -138,8 +142,9 @@ class LiveEngine final : public QueryEngine {
   // ------------------------------------------------------------- updates
   /// Inserts `rec` and commits an epoch. rec.id == -1 assigns the next id;
   /// a tombstoned id revives that slot (the reinsert path). Returns the
-  /// record's id, or -1 when the id is already live, out of range, or the
-  /// attribute dimensionality mismatches.
+  /// record's id, or -1 when the id is already live, out of range, the
+  /// attribute dimensionality mismatches, or an attribute is NaN or
+  /// infinite.
   int32_t Insert(Record rec);
 
   /// Erases a live record and commits an epoch. Returns false for unknown
@@ -198,6 +203,9 @@ class LiveEngine final : public QueryEngine {
   QueryResult Execute(const QuerySpec& spec,
                       const PlanDecision& decision) const override;
   void ReadPinned(const std::function<void()>& body) const override;
+  std::optional<std::string> DataError() const override {
+    return data_error_;
+  }
 
   /// Un-synchronized cores of Insert/Erase; the caller holds the exclusive
   /// lock and owns the commit.
@@ -232,6 +240,9 @@ class LiveEngine final : public QueryEngine {
   std::vector<char> alive_ UTK_GUARDED_BY(mu_);
   RTree tree_ UTK_GUARDED_BY(mu_);
   ColumnStore cols_ UTK_GUARDED_BY(mu_);
+  /// The starting catalog's ValidateDataset diagnostic (fixed at
+  /// construction; inserts are checked one by one).
+  const std::optional<std::string> data_error_;
   std::atomic<uint64_t> epoch_{0};
   std::atomic<int64_t> live_{0};
   /// Attribute dimensionality: fixed by the first record ever stored (0

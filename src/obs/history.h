@@ -129,8 +129,8 @@ std::optional<HistoryReplay> ReadHistory(const std::string& path,
                                          std::string* error = nullptr);
 
 /// Process-wide history sink. Engines append one row per top-level query
-/// when a writer is installed (see api/planner.h glue); nullptr (the
-/// default) disables recording.
+/// when a writer is installed (api/planner.h RecordHistory, called with the
+/// query's obs::QueryScope); nullptr (the default) disables recording.
 void SetQueryHistory(std::shared_ptr<HistoryWriter> writer);
 std::shared_ptr<HistoryWriter> QueryHistory();
 

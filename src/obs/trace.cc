@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <sstream>
 
@@ -13,11 +14,23 @@ namespace utk {
 namespace obs {
 
 namespace internal {
-std::atomic<bool> g_tracing_enabled{false};
+std::atomic<uint32_t> g_tracing{0};
 }  // namespace internal
 
 void SetTracingEnabled(bool on) {
-  internal::g_tracing_enabled.store(on, std::memory_order_relaxed);
+  if (on) {
+    internal::g_tracing.fetch_or(1, std::memory_order_relaxed);
+  } else {
+    internal::g_tracing.fetch_and(~uint32_t{1}, std::memory_order_relaxed);
+  }
+}
+
+TracingHold::TracingHold() {
+  internal::g_tracing.fetch_add(2, std::memory_order_relaxed);
+}
+
+TracingHold::~TracingHold() {
+  internal::g_tracing.fetch_sub(2, std::memory_order_relaxed);
 }
 
 int64_t NowMicros() {
@@ -39,6 +52,9 @@ struct ThreadBuffer {
   Mutex mu;
   std::vector<TraceEvent> events UTK_GUARDED_BY(mu);
   int64_t dropped UTK_GUARDED_BY(mu) = 0;
+  /// Spans ClearTrace discarded: events[i] is the thread's span number
+  /// cleared + i (ThreadState::recorded counts them all).
+  int64_t cleared UTK_GUARDED_BY(mu) = 0;
 };
 
 struct Collector {
@@ -54,19 +70,12 @@ Collector& GlobalCollector() {
   return *c;
 }
 
-// Per-name duration totals for the slow-query log, linear-scanned: a query
-// touches a couple dozen distinct span names at most.
-struct SlowFrame {
-  int scope_depth = 0;     // nested QueryLogScopes; only the outermost owns
-  bool collecting = false;
-  std::vector<std::pair<const char*, int64_t>> totals;
-};
-
 struct ThreadState {
   std::shared_ptr<ThreadBuffer> buffer;
   uint32_t tid = 0;
   int span_depth = 0;
-  SlowFrame slow;
+  int query_depth = 0;    // open QueryScopes; the outermost owns the query
+  int64_t recorded = 0;   // spans this thread ever buffered (SpanMark)
 
   ThreadState() : buffer(std::make_shared<ThreadBuffer>()) {
     Collector& c = GlobalCollector();
@@ -120,18 +129,10 @@ void SpanGuard::Close() {
     if (tls.buffer->events.size() < kMaxEventsPerThread) {
       tls.buffer->events.push_back(
           TraceEvent{name_, start_us_, dur, tls.tid, depth, arg_});
+      ++tls.recorded;
     } else {
       ++tls.buffer->dropped;
     }
-  }
-  if (tls.slow.collecting) {
-    for (auto& [n, total] : tls.slow.totals) {
-      if (n == name_) {  // same literal: span names are static strings
-        total += dur;
-        return;
-      }
-    }
-    tls.slow.totals.emplace_back(name_, dur);
   }
 }
 
@@ -171,6 +172,7 @@ void ClearTrace() {
   }
   for (const auto& buf : buffers) {
     MutexLock lock(buf->mu);
+    buf->cleared += static_cast<int64_t>(buf->events.size());
     buf->events.clear();
     buf->dropped = 0;
   }
@@ -221,6 +223,17 @@ std::vector<TraceEvent> TraceSnapshot() {
   return all;
 }
 
+int64_t SpanMark() { return TLS().recorded; }
+
+std::vector<TraceEvent> SpansSince(int64_t mark) {
+  ThreadBuffer& buf = *TLS().buffer;
+  MutexLock lock(buf.mu);
+  const int64_t size = static_cast<int64_t>(buf.events.size());
+  const int64_t begin = std::clamp(mark - buf.cleared, int64_t{0}, size);
+  return std::vector<TraceEvent>(buf.events.begin() + begin,
+                                 buf.events.end());
+}
+
 void SetSlowQueryThresholdMs(double ms) {
   g_slow_threshold_ms.store(ms, std::memory_order_relaxed);
 }
@@ -234,38 +247,47 @@ void SetSlowQuerySink(std::function<void(const std::string&)> sink) {
   g_slow_sink = std::move(sink);
 }
 
-QueryLogScope::QueryLogScope(const char* label) : label_(label) {
-  SlowFrame& frame = TLS().slow;
-  if (frame.scope_depth++ == 0 && SlowQueryThresholdMs() >= 0) {
-    owner_ = true;
-    frame.collecting = true;
-    frame.totals.clear();
-  }
+QueryScope::QueryScope(const char* label) : label_(label) {
+  ThreadState& tls = TLS();
+  owner_ = tls.query_depth++ == 0;
+  if (owner_) mark_ = tls.recorded;
 }
 
-QueryLogScope::~QueryLogScope() {
-  SlowFrame& frame = TLS().slow;
-  --frame.scope_depth;
-  if (owner_) {
-    frame.collecting = false;
-    frame.totals.clear();
+QueryScope::~QueryScope() { --TLS().query_depth; }
+
+std::vector<std::pair<const char*, int64_t>> QueryScope::TopSpans(
+    size_t limit) const {
+  // Linear-scanned: a query touches a couple dozen distinct names at most.
+  std::vector<std::pair<const char*, int64_t>> totals;
+  if (!owner_) return totals;
+  for (const TraceEvent& e : SpansSince(mark_)) {
+    auto it = std::find_if(totals.begin(), totals.end(), [&](const auto& t) {
+      // By content: one name may be a literal in several translation units.
+      return std::strcmp(t.first, e.name) == 0;
+    });
+    if (it == totals.end()) {
+      totals.emplace_back(e.name, e.dur_us);
+    } else {
+      it->second += e.dur_us;
+    }
   }
+  std::stable_sort(totals.begin(), totals.end(), [](const auto& a,
+                                                    const auto& b) {
+    return a.second > b.second;
+  });
+  if (totals.size() > limit) totals.resize(limit);
+  return totals;
 }
 
-void QueryLogScope::Finish(const QueryStats& stats,
-                           const std::function<std::string()>& fingerprint) {
+void QueryScope::Finish(const QueryStats& stats,
+                        const std::function<std::string()>& fingerprint) const {
   if (!owner_) return;
   double threshold = SlowQueryThresholdMs();
   if (threshold < 0 || stats.elapsed_ms < threshold) return;
 
-  SlowFrame& frame = TLS().slow;
-  // Top spans by total duration. Without tracing on, totals are empty and
-  // the line still carries fingerprint + stats.
-  std::vector<std::pair<const char*, int64_t>> top = frame.totals;
-  std::sort(top.begin(), top.end(),
-            [](const auto& a, const auto& b) { return a.second > b.second; });
-  if (top.size() > 3) top.resize(3);
-
+  // Without tracing on, there are no spans and the line still carries
+  // fingerprint + stats.
+  const std::vector<std::pair<const char*, int64_t>> top = TopSpans(3);
   std::ostringstream line;
   line << "slow-query label=" << label_ << " fp=" << fingerprint()
        << " elapsed_ms=" << stats.elapsed_ms << " top_spans=[";

@@ -1,5 +1,6 @@
-// Structured tracer: RAII span guards forming per-query span trees, plus a
-// threshold-gated slow-query log.
+// Structured tracer: RAII span guards forming per-query span trees, the
+// per-query scope that reads one query's spans back, and a threshold-gated
+// slow-query log.
 //
 // Usage at an instrumentation site:
 //
@@ -35,6 +36,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace utk {
@@ -52,14 +54,28 @@ namespace utk {
 namespace obs {
 
 namespace internal {
-extern std::atomic<bool> g_tracing_enabled;
+/// Bit 0 is the SetTracingEnabled switch; the higher bits count the live
+/// TracingHolds (in steps of 2). Spans record while any bit is set.
+extern std::atomic<uint32_t> g_tracing;
 }  // namespace internal
 
 /// Runtime switch for span recording. Off by default.
 void SetTracingEnabled(bool on);
 inline bool TracingEnabled() {
-  return internal::g_tracing_enabled.load(std::memory_order_relaxed);
+  return internal::g_tracing.load(std::memory_order_relaxed) != 0;
 }
+
+/// Keeps tracing on while alive, whatever SetTracingEnabled says. Holds
+/// count, so EXPLAIN ANALYZEs running at once on several threads each keep
+/// their spans recording until the last one finishes, and the user's switch
+/// comes back unchanged.
+class TracingHold {
+ public:
+  TracingHold();
+  ~TracingHold();
+  TracingHold(const TracingHold&) = delete;
+  TracingHold& operator=(const TracingHold&) = delete;
+};
 
 /// Microseconds on the process-wide monotonic clock (a single utk::Timer
 /// started at first use — the same clock QueryStats::elapsed_ms uses).
@@ -127,12 +143,27 @@ int64_t TraceDroppedCount();
 /// order (i.e. close order within a thread), threads concatenated.
 std::vector<TraceEvent> TraceSnapshot();
 
+/// A position in the calling thread's span sequence: SpansSince(mark)
+/// returns the spans this thread records from here on. Reads only
+/// thread-local state.
+int64_t SpanMark();
+/// Copy of the spans the calling thread recorded since `mark`, in close
+/// order (every span after its children). Spans a ClearTrace dropped, or
+/// the buffer cap refused, are missing.
+std::vector<TraceEvent> SpansSince(int64_t mark);
+
 // ---------------------------------------------------------------------------
-// Slow-query log: each top-level query opens a QueryLogScope; closed spans
-// on the same thread feed per-name duration totals into the innermost..
-// actually the *outermost* active scope (nested scopes are inert, so a
-// Server query that calls into Engine internals logs once). Finish() emits
-// one line to the sink when the query's elapsed time crosses the threshold:
+// Per-query scope. Every query runs on one thread, so its spans are exactly
+// the spans that thread closes while the query's outermost scope is open.
+// QueryEngine::Run and Server::Query each open a QueryScope; one
+// thread-local depth makes only the outermost scope the query's owner, so
+// a Server miss (the engine's Run nested in Server::Query) logs and records
+// once. The owner marks the thread's span sequence on open, and TopSpans
+// reads the spans closed since — the slow-query log prints its top 3, the
+// history row (api/planner.h RecordHistory) stores its top 16.
+//
+// Finish() emits one slow-query line to the sink when the query's elapsed
+// time crosses the threshold:
 //
 //   slow-query label=<label> fp=<fingerprint> elapsed_ms=<t>
 //     top_spans=[name:ms name:ms name:ms] stats={...}   (one line)
@@ -148,21 +179,30 @@ double SlowQueryThresholdMs();
 /// restore the default.
 void SetSlowQuerySink(std::function<void(const std::string&)> sink);
 
-class QueryLogScope {
+class QueryScope {
  public:
-  explicit QueryLogScope(const char* label);
-  ~QueryLogScope();
-  QueryLogScope(const QueryLogScope&) = delete;
-  QueryLogScope& operator=(const QueryLogScope&) = delete;
+  explicit QueryScope(const char* label);
+  ~QueryScope();
+  QueryScope(const QueryScope&) = delete;
+  QueryScope& operator=(const QueryScope&) = delete;
 
-  /// Call once, after stats are final. Emits iff this scope is the
-  /// outermost on its thread and stats.elapsed_ms >= threshold.
+  /// True iff this is the outermost scope on its thread.
+  bool owner() const { return owner_; }
+
+  /// Per-span-name total duration in microseconds of the spans this query
+  /// has closed so far, largest first, at most `limit` names. Empty for a
+  /// nested scope, and when tracing was off.
+  std::vector<std::pair<const char*, int64_t>> TopSpans(size_t limit) const;
+
+  /// Call once, after stats are final. Emits iff this scope is the owner
+  /// and stats.elapsed_ms >= threshold.
   void Finish(const QueryStats& stats,
-              const std::function<std::string()>& fingerprint);
+              const std::function<std::string()>& fingerprint) const;
 
  private:
   const char* label_;
   bool owner_ = false;
+  int64_t mark_ = 0;
 };
 
 }  // namespace obs

@@ -16,12 +16,11 @@ Server::Server(Engine engine, CacheConfig config)
 
 QueryResult Server::Query(const QuerySpec& spec) {
   UTK_SPAN("serve.query");
-  obs::QueryLogScope slow_log("serve.query");
-  // One history row per served query, whichever path answers it; the
-  // engine's own scope on the miss path nests inside this one and stays
-  // silent. Cache-hit rows carry cache_hits=1 in their stats CSV, so a
-  // reader of the history can tell them from engine runs.
-  QueryHistoryScope history;
+  // One slow-log line and history row per served query, whichever path
+  // answers it; the engine's own scope on the miss path nests inside this
+  // one and stays silent. Cache-hit rows carry cache_hits=1 in their stats
+  // CSV, so a reader of the history can tell them from engine runs.
+  obs::QueryScope scope("serve.query");
   auto& reg = obs::MetricRegistry::Global();
   static obs::Counter& queries = reg.GetCounter("utk_serve_queries_total");
   static obs::Counter& hits = reg.GetCounter("utk_serve_cache_hits_total");
@@ -32,8 +31,8 @@ QueryResult Server::Query(const QuerySpec& spec) {
   Timer timer;
   auto record = [&](QueryResult r) {
     latency.Observe(static_cast<int64_t>(r.stats.elapsed_ms * 1000.0));
-    slow_log.Finish(r.stats, [&spec] { return SpecFingerprint(spec); });
-    history.Record(spec, r, engine_->size(), engine_->pref_dim());
+    scope.Finish(r.stats, [&spec] { return SpecFingerprint(spec); });
+    RecordHistory(scope, spec, r, engine_->size(), engine_->pref_dim());
     return r;
   };
   // Requests the engine would reject bypass the cache entirely so the

@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "data/workload.h"
 #include "live/live_engine.h"
 #include "obs/trace.h"
+#include "serve/server.h"
 
 namespace utk {
 namespace {
@@ -159,11 +161,10 @@ TEST(Explain, AnalyzeTreeMatchesSpanTreeStructurally) {
 
       // Reference: record the span tree of a plain run by hand.
       obs::SetTracingEnabled(true);
-      obs::ClearTrace();
-      const int64_t t0 = obs::NowMicros();
+      const int64_t mark = obs::SpanMark();
       QueryResult direct = e->Run(spec);
       ASSERT_TRUE(direct.ok) << direct.error;
-      const PlanNode span_tree = PlanFromTrace(obs::TraceSnapshot(), t0);
+      const PlanNode span_tree = PlanFromTrace(obs::SpansSince(mark));
       obs::SetTracingEnabled(false);
 
       // The static plan is rooted where execution is.
@@ -204,6 +205,56 @@ TEST(Explain, AnalyzeTreeMatchesSpanTreeStructurally) {
       }
     }
   }
+}
+
+TEST(Explain, ConcurrentAnalyzeMatchesSerialShape) {
+  // Each ANALYZE reads only its own thread's spans and holds tracing on
+  // until it finishes, so four threads analysing one spec at once each
+  // rebuild the tree a run alone does: on an Engine, and on a Server in
+  // front of it analysed alongside.
+  TraceSandbox sandbox;
+  auto engine = std::make_shared<const Engine>(
+      Generate(Distribution::kAnticorrelated, 2000, 4, 5));
+  Server server(engine);
+  QuerySpec spec;
+  spec.mode = QueryMode::kUtk2;
+  spec.k = 5;
+  spec.region =
+      ConvexRegion::FromBox(Vec{0.2, 0.2, 0.2}, Vec{0.26, 0.26, 0.26});
+  // Warm the cache, so every Server ANALYZE below is the same hit.
+  ASSERT_TRUE(server.Query(spec).ok);
+
+  using Shape = std::map<std::pair<int, std::string>, int>;
+  auto shape = [](const PlanNode& tree) {
+    Shape out;
+    OpShape(tree, 0, &out);
+    return out;
+  };
+  const Shape engine_want = shape(engine->ExplainAnalyze(spec));
+  const Shape server_want = shape(server.ExplainAnalyze(spec));
+  ASSERT_GT(engine_want.size(), 3u);
+
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 3;
+  std::vector<Shape> engine_got(kThreads * kRounds);
+  std::vector<Shape> server_got(kThreads * kRounds);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      for (int r = 0; r < kRounds; ++r) {
+        engine_got[t * kRounds + r] = shape(engine->ExplainAnalyze(spec));
+        server_got[t * kRounds + r] = shape(server.ExplainAnalyze(spec));
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  for (int i = 0; i < kThreads * kRounds; ++i) {
+    SCOPED_TRACE("run " + std::to_string(i));
+    EXPECT_EQ(engine_got[i], engine_want);
+    EXPECT_EQ(server_got[i], server_want);
+  }
+  // Every hold is released: the user's switch (off) decides again.
+  EXPECT_FALSE(obs::TracingEnabled());
 }
 
 // ---------------------------------------------------------------------------

@@ -17,7 +17,9 @@
 #include "data/generator.h"
 #include "live/live_engine.h"
 #include "obs/history.h"
+#include "obs/trace.h"
 #include "serve/server.h"
+#include "scoped_threads.h"
 
 namespace utk {
 namespace {
@@ -323,15 +325,64 @@ TEST(History, OnlyTheOutermostScopeRecords) {
   ok_result.algorithm = Algorithm::kRsa;
 
   {
-    QueryHistoryScope outer;
+    obs::QueryScope outer("outer");
     {
-      QueryHistoryScope inner;
-      inner.Record(spec, ok_result, 100, 2);  // nested: swallowed
+      obs::QueryScope inner("inner");
+      RecordHistory(inner, spec, ok_result, 100, 2);  // nested: swallowed
     }
     EXPECT_EQ(w->records(), 0);
-    outer.Record(spec, ok_result, 100, 2);  // outermost: the one row
+    RecordHistory(outer, spec, ok_result, 100, 2);  // outermost: the one row
   }
   EXPECT_EQ(w->records(), 1);
+}
+
+TEST(History, ConcurrentBatchRowsNameOnlyTheirOwnSpans) {
+  // A query runs on one thread, so its row's top_spans come from the spans
+  // that thread closed during the query alone. In a 4-lane traced RunBatch
+  // alternating UTK1 (RSA) and UTK2 (JAA), no row may name the other
+  // mode's refine span, nor an engine.run (a row is written before its own
+  // root span closes, so any engine.run in it is another query's).
+  HistorySandbox sandbox;
+  ScopedThreads threads(4);
+  const std::string path = Path("concurrent_batch");
+  std::shared_ptr<obs::HistoryWriter> w = obs::HistoryWriter::Open(path);
+  ASSERT_NE(w, nullptr);
+  Engine engine(Generate(Distribution::kAnticorrelated, 2000, 4, 9));
+  std::vector<QuerySpec> specs;
+  for (int i = 0; i < 16; ++i) {
+    QuerySpec spec;
+    spec.mode = i % 2 == 0 ? QueryMode::kUtk1 : QueryMode::kUtk2;
+    spec.k = i % 2 == 0 ? 8 : 4;
+    const Scalar lo = 0.2 + 0.005 * i;
+    spec.region = ConvexRegion::FromBox(Vec{lo, lo, lo},
+                                        Vec{lo + 0.06, lo + 0.06, lo + 0.06});
+    specs.push_back(spec);
+  }
+
+  obs::SetQueryHistory(w);
+  obs::SetTracingEnabled(true);
+  const BatchQueryResult batch = engine.RunBatch(specs, 4);
+  obs::SetTracingEnabled(false);
+  obs::ClearTrace();
+  obs::SetQueryHistory(nullptr);
+  ASSERT_EQ(batch.failed, 0);
+
+  auto replay = obs::ReadHistory(path);
+  ASSERT_TRUE(replay.has_value());
+  ASSERT_EQ(replay->records.size(), specs.size());
+  for (const obs::HistoryRecord& rec : replay->records) {
+    const bool utk1 = rec.mode == static_cast<uint8_t>(QueryMode::kUtk1);
+    const std::string own = utk1 ? "rsa.refine" : "jaa.refine";
+    const std::string other = utk1 ? "jaa.refine" : "rsa.refine";
+    SCOPED_TRACE(rec.fingerprint);
+    bool has_own = false;
+    for (const auto& [name, ms] : rec.top_spans) {
+      EXPECT_NE(name, other);
+      EXPECT_NE(name, "engine.run");
+      has_own = has_own || name == own;
+    }
+    EXPECT_TRUE(has_own);
+  }
 }
 
 // Regression: ok()/last_error() used to read writer state without the

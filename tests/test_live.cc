@@ -10,6 +10,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -374,6 +376,62 @@ TEST(LiveEngine, RejectsInvalidInserts) {
   EXPECT_EQ(live.Insert(gap), -1);
   EXPECT_FALSE(live.Erase(50));
   EXPECT_EQ(live.epoch(), 0u);  // nothing committed
+}
+
+Record NonFiniteRecord(Scalar bad) {
+  Record r;
+  r.attrs = {0.5, bad, 0.5};
+  return r;
+}
+
+TEST(LiveEngine, InsertRejectsNonFiniteRecords) {
+  LiveEngine live(Generate(Distribution::kIndependent, 10, 3, 31));
+  EXPECT_EQ(live.Insert(NonFiniteRecord(std::nan(""))), -1);
+  EXPECT_EQ(live.Insert(
+                NonFiniteRecord(std::numeric_limits<Scalar>::infinity())),
+            -1);
+  EXPECT_EQ(live.epoch(), 0u);  // nothing committed
+  EXPECT_EQ(live.live_size(), 10);
+  const QueryResult r =
+      live.Run(MakeSpec(QueryMode::kUtk1, Algorithm::kAuto, 3, Region3d()));
+  EXPECT_TRUE(r.ok) << r.error;
+}
+
+TEST(LiveEngine, ApplyBatchSkipsNonFiniteInserts) {
+  LiveEngine live(Generate(Distribution::kIndependent, 10, 3, 31));
+  std::vector<UpdateOp> ops(3);
+  ops[0].kind = UpdateKind::kInsert;
+  ops[0].record = NonFiniteRecord(std::nan(""));
+  ops[1].kind = UpdateKind::kInsert;
+  ops[1].record = NonFiniteRecord(0.25);
+  ops[2].kind = UpdateKind::kInsert;
+  ops[2].record = NonFiniteRecord(-std::numeric_limits<Scalar>::infinity());
+  EXPECT_EQ(live.ApplyBatch(ops), 1);
+  EXPECT_EQ(live.live_size(), 11);
+  EXPECT_TRUE(live.IsLive(10));
+  EXPECT_FALSE(live.IsLive(11));
+}
+
+TEST(LiveEngine, NonFiniteStartAnswersDataError) {
+  Dataset data = Generate(Distribution::kIndependent, 20, 3, 31);
+  data[4].attrs[2] = std::nan("");
+  LiveEngine live(std::move(data));
+  for (QueryMode mode : {QueryMode::kUtk1, QueryMode::kUtk2}) {
+    const QuerySpec spec = MakeSpec(mode, Algorithm::kAuto, 3, Region3d());
+    EXPECT_EQ(live.Validate(spec), "record 4 attribute 2 is not finite");
+    const QueryResult r = live.Run(spec);
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.error, "record 4 attribute 2 is not finite");
+  }
+  // An empty start is still valid: the catalog is built with Insert.
+  LiveEngine empty(Dataset{});
+  Record rec;
+  rec.attrs = {0.5, 0.5, 0.5};
+  ASSERT_EQ(empty.Insert(rec), 0);
+  EXPECT_FALSE(
+      empty.Validate(MakeSpec(QueryMode::kUtk1, Algorithm::kAuto, 1,
+                              Region3d()))
+          .has_value());
 }
 
 TEST(LiveEngine, TopKTracksTheLiveTree) {

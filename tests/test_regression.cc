@@ -230,5 +230,35 @@ TEST(Regression, Utk2WitnessTopKMatchesWhenNeitherSideIsInterior) {
   }
 }
 
+// A region given as raw half-spaces is not a FromBox box, so nothing clips
+// it to the weight simplex. The box [0.5, 0.6]^3 has weights summing to
+// 1.5-1.8, outside the simplex everywhere, yet Validate passed it and Run
+// answered ok=true with 5 ids. Validate now clips non-box regions to the
+// simplex before the interior test.
+TEST(Regression, RawHalfspaceBoxOutsideTheSimplexIsRejected) {
+  Engine engine(Generate(Distribution::kIndependent, 1000, 4, 7));
+  std::vector<Halfspace> box;
+  for (int i = 0; i < 3; ++i) {
+    Halfspace upper, lower;
+    upper.a.assign(3, 0.0);
+    upper.a[i] = 1.0;
+    upper.b = 0.6;
+    lower.a.assign(3, 0.0);
+    lower.a[i] = -1.0;
+    lower.b = -0.5;
+    box.push_back(std::move(upper));
+    box.push_back(std::move(lower));
+  }
+  const QuerySpec spec =
+      MakeSpec(QueryMode::kUtk1, Algorithm::kAuto, 5, ConvexRegion(box));
+  ASSERT_FALSE(spec.region.is_box());
+  const std::optional<std::string> error = engine.Validate(spec);
+  ASSERT_TRUE(error.has_value());
+  EXPECT_NE(error->find("weight simplex"), std::string::npos) << *error;
+  const QueryResult r = engine.Run(spec);
+  EXPECT_FALSE(r.ok);
+  EXPECT_TRUE(r.ids.empty());
+}
+
 }  // namespace
 }  // namespace utk

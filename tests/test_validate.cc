@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <utility>
 
+#include "api/engine.h"
 #include "data/generator.h"
 
 namespace utk {
@@ -53,40 +56,49 @@ TEST(Validate, NonFiniteAttribute) {
   EXPECT_TRUE(ValidateDataset(data).has_value());
 }
 
+// The per-query rules, as QueryEngine::Validate applies them.
+
+QuerySpec Utk1Spec(ConvexRegion region, int k) {
+  QuerySpec spec;
+  spec.k = k;
+  spec.region = std::move(region);
+  return spec;
+}
+
 TEST(Validate, GoodQueryPasses) {
-  Dataset data = Generate(Distribution::kIndependent, 20, 3, 5);
+  Engine engine(Generate(Distribution::kIndependent, 20, 3, 5));
   ConvexRegion region = ConvexRegion::FromBox({0.1, 0.1}, {0.2, 0.2});
-  EXPECT_FALSE(ValidateQuery(data, region, 3).has_value());
+  EXPECT_FALSE(engine.Validate(Utk1Spec(region, 3)).has_value());
 }
 
 TEST(Validate, BadK) {
-  Dataset data = Generate(Distribution::kIndependent, 20, 3, 6);
+  Engine engine(Generate(Distribution::kIndependent, 20, 3, 6));
   ConvexRegion region = ConvexRegion::FromBox({0.1, 0.1}, {0.2, 0.2});
-  EXPECT_TRUE(ValidateQuery(data, region, 0).has_value());
-  EXPECT_TRUE(ValidateQuery(data, region, -3).has_value());
+  EXPECT_TRUE(engine.Validate(Utk1Spec(region, 0)).has_value());
+  EXPECT_TRUE(engine.Validate(Utk1Spec(region, -3)).has_value());
 }
 
 TEST(Validate, DimensionMismatch) {
-  Dataset data = Generate(Distribution::kIndependent, 20, 4, 7);
+  Engine engine(Generate(Distribution::kIndependent, 20, 4, 7));
   ConvexRegion region = ConvexRegion::FromBox({0.1, 0.1}, {0.2, 0.2});  // 2D
-  auto err = ValidateQuery(data, region, 3);
+  auto err = engine.Validate(Utk1Spec(region, 3));
   ASSERT_TRUE(err.has_value());
-  EXPECT_NE(err->find("dimension"), std::string::npos);
+  EXPECT_NE(err->find("preference dims"), std::string::npos);
 }
 
 TEST(Validate, RegionOutsideSimplex) {
-  Dataset data = Generate(Distribution::kIndependent, 20, 3, 8);
+  Engine engine(Generate(Distribution::kIndependent, 20, 3, 8));
   // Box with weights summing > 1 everywhere: no valid preference inside.
   ConvexRegion region = ConvexRegion::FromBox({0.7, 0.7}, {0.9, 0.9});
-  auto err = ValidateQuery(data, region, 3);
+  auto err = engine.Validate(Utk1Spec(region, 3));
   ASSERT_TRUE(err.has_value());
   EXPECT_NE(err->find("interior"), std::string::npos);
 }
 
 TEST(Validate, DegenerateRegion) {
-  Dataset data = Generate(Distribution::kIndependent, 20, 3, 9);
+  Engine engine(Generate(Distribution::kIndependent, 20, 3, 9));
   ConvexRegion region = ConvexRegion::FromBox({0.2, 0.2}, {0.2, 0.3});
-  EXPECT_TRUE(ValidateQuery(data, region, 3).has_value());
+  EXPECT_TRUE(engine.Validate(Utk1Spec(region, 3)).has_value());
 }
 
 }  // namespace
