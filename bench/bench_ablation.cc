@@ -142,13 +142,14 @@ BENCHMARK(Ablation_Layout_Filter_AoS)->Unit(benchmark::kMillisecond);
 BENCHMARK(Ablation_Layout_Filter_SoA)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// Explicit-SIMD ablation: the same SoA kernels with dispatch pinned to the
-// scalar reference tier versus the best tier the host supports (exec/simd.h
-// — AVX2 on x86-64). Both sides run back to back in this
-// process on the 100k IND corpus, so their ratio is the vectorization
-// speedup and nothing else; check_bench.py gates it. On a host with no
-// SIMD tier both sides run the scalar kernels and the pair reads 1.0x —
-// the baseline only applies where the report was produced (x86-64 CI).
+// Explicit-SIMD ablation: ScoreBatch, the one kernel with a vector twin,
+// with dispatch pinned to the scalar reference tier versus the best tier
+// the host supports (exec/simd.h — AVX2 on x86-64). Both sides run back to
+// back in this process on the 100k IND corpus, so their ratio is the
+// vectorization speedup and nothing else; check_bench.py gates it. On a
+// host with no SIMD tier both sides run the scalar kernel and the pair
+// reads 1.0x — the baseline only applies where the report was produced
+// (x86-64 CI).
 // ---------------------------------------------------------------------------
 
 /// Pins the dispatch tier for one benchmark's measurement loop.
@@ -163,25 +164,10 @@ class TierScope {
   SimdTier prior_;
 };
 
-void SimdScoreAllVariant(benchmark::State& state, SimdTier tier) {
-  const Engine& engine = LayoutData();
-  const Vec w = *Queries(kDim - 1, kLayoutSigma)[0].Pivot();
-  TierScope scope(tier);
-  std::vector<Scalar> out(engine.cols().size());
-  for (auto _ : state) {
-    ScoreAll(engine.cols(), w, out.data());
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() * engine.cols().size());
-}
-
-// The gathered form RSA/JAA actually hammer (scoring candidate pools and
-// R-tree leaves): indexed loads defeat the auto-vectorizer on the scalar
-// side, so this pair isolates the explicit-SIMD win on a compute-bound
-// shape. The contiguous ScoreAll pair above it is informational only — at
-// 100k x 4 doubles the sweep streams from beyond L2 and the ratio measures
-// DRAM bandwidth, not the kernels.
+// The gathered form the r-skyband filter and RSA/JAA hammer (scoring R-tree
+// leaves and candidate pools): indexed loads defeat the auto-vectorizer on
+// the scalar side, so this pair isolates the explicit-SIMD win on a
+// compute-bound shape.
 void SimdScoreBatchVariant(benchmark::State& state, SimdTier tier) {
   const Engine& engine = LayoutData();
   const Vec w = *Queries(kDim - 1, kLayoutSigma)[0].Pivot();
@@ -199,12 +185,6 @@ void SimdScoreBatchVariant(benchmark::State& state, SimdTier tier) {
                           static_cast<int64_t>(pool.size()));
 }
 
-void Ablation_Simd_ScoreAll_Scalar(benchmark::State& s) {
-  SimdScoreAllVariant(s, SimdTier::kScalar);
-}
-void Ablation_Simd_ScoreAll_Simd(benchmark::State& s) {
-  SimdScoreAllVariant(s, BestSupportedSimdTier());
-}
 void Ablation_Simd_ScoreBatch_Scalar(benchmark::State& s) {
   SimdScoreBatchVariant(s, SimdTier::kScalar);
 }
@@ -212,8 +192,6 @@ void Ablation_Simd_ScoreBatch_Simd(benchmark::State& s) {
   SimdScoreBatchVariant(s, BestSupportedSimdTier());
 }
 
-BENCHMARK(Ablation_Simd_ScoreAll_Scalar)->Unit(benchmark::kMillisecond);
-BENCHMARK(Ablation_Simd_ScoreAll_Simd)->Unit(benchmark::kMillisecond);
 BENCHMARK(Ablation_Simd_ScoreBatch_Scalar)->Unit(benchmark::kMillisecond);
 BENCHMARK(Ablation_Simd_ScoreBatch_Simd)->Unit(benchmark::kMillisecond);
 

@@ -127,13 +127,14 @@ inline bool IsFiniteAttr(Scalar v) { return std::isfinite(v); }
 /// Validates a whole attribute vector against the ingest policy. Returns
 /// nullopt when every value is finite, otherwise a diagnostic naming the
 /// first offending attribute — callers prepend their own row/record
-/// context. Shared by the CSV loaders (data/io.cc) and the segment writer
-/// (storage/segment.cc) so both boundaries enforce the identical rule.
+/// context. Shared by the CSV loaders (data/io.cc), the segment writer
+/// (storage/segment.cc), WAL replay (storage/wal.cc) and the engines'
+/// dataset check (core/validate.cc NonFiniteAttribute), so every boundary
+/// enforces the identical rule.
 inline std::optional<std::string> CheckFiniteAttrs(const Vec& attrs) {
   for (size_t i = 0; i < attrs.size(); ++i) {
     if (!IsFiniteAttr(attrs[i]))
-      return "attribute " + std::to_string(i) +
-             " is not finite (NaN/Inf are rejected at ingest)";
+      return "attribute " + std::to_string(i) + " is not finite";
   }
   return std::nullopt;
 }

@@ -1,7 +1,8 @@
 #include "core/validate.h"
 
-#include <cmath>
 #include <sstream>
+
+#include "common/serial.h"
 
 namespace utk {
 
@@ -29,13 +30,8 @@ std::optional<std::string> ValidateDataset(const Dataset& data) {
 }
 
 std::optional<std::string> NonFiniteAttribute(const Record& r) {
-  for (int d = 0; d < r.Dim(); ++d) {
-    if (!std::isfinite(r.attrs[d])) {
-      std::ostringstream os;
-      os << "record " << r.id << " attribute " << d << " is not finite";
-      return os.str();
-    }
-  }
+  if (auto bad = CheckFiniteAttrs(r.attrs))
+    return "record " + std::to_string(r.id) + " " + *bad;
   return std::nullopt;
 }
 

@@ -9,28 +9,16 @@
 namespace utk {
 
 void ScoreAll(const ColumnStore& cols, const Vec& w, Scalar* out) {
-  ScoreRange(cols, w, 0, cols.size(), out);
-}
-
-void ScoreRange(const ColumnStore& cols, const Vec& w, int32_t begin,
-                int32_t end, Scalar* out) {
-  if (cols.empty() || begin >= end) return;
+  if (cols.empty()) return;
   const int d = cols.dim();
   assert(static_cast<int>(w.size()) == d - 1);
-#if UTK_SIMD_X86
-  if (ActiveSimdTier() == SimdTier::kAvx2) {
-    simd::Avx2ScoreRange(cols, w, begin, end, out);
-    return;
-  }
-#endif
   const Scalar* last = cols.col(d - 1);
-  const int32_t n = end - begin;
-  for (int32_t j = 0; j < n; ++j) out[j] = last[begin + j];
+  const int32_t n = cols.size();
+  for (int32_t j = 0; j < n; ++j) out[j] = last[j];
   for (int i = 0; i < d - 1; ++i) {
     const Scalar wi = w[i];
     const Scalar* ci = cols.col(i);
-    for (int32_t j = 0; j < n; ++j)
-      out[j] += wi * (ci[begin + j] - last[begin + j]);
+    for (int32_t j = 0; j < n; ++j) out[j] += wi * (ci[j] - last[j]);
   }
 }
 
@@ -92,12 +80,6 @@ void DominatedCounts(const ColumnStore& cols, std::span<const int32_t> rows,
       "utk_exec_dominated_count_rows_total");
   calls.Add();
   counted.Add(static_cast<int64_t>(rows.size()));
-#if UTK_SIMD_X86
-  if (ActiveSimdTier() == SimdTier::kAvx2) {
-    simd::Avx2DominatedCounts(cols, rows, refs, cap, eps, out);
-    return;
-  }
-#endif
   for (size_t j = 0; j < rows.size(); ++j) {
     int32_t count = 0;
     for (int32_t r : refs) {
@@ -113,10 +95,6 @@ int CountDominatorsOfPoint(const ColumnStore& cols,
                            int cap, Scalar eps) {
   const int d = cols.dim();
   assert(static_cast<int>(v.size()) == d);
-#if UTK_SIMD_X86
-  if (ActiveSimdTier() == SimdTier::kAvx2)
-    return simd::Avx2CountDominatorsOfPoint(cols, rows, v, cap, eps);
-#endif
   int count = 0;
   for (int32_t r : rows) {
     const bool dominates = DominatesWith(
@@ -138,22 +116,6 @@ std::pair<Scalar, Scalar> BoxGapEvaluator::Range(int32_t p,
   return GapRange(
       cols_->dim(), [&](int i) { return cols_->at(p, i); },
       [&](int i) { return corner[i]; }, *lo_, *hi_);
-}
-
-void BoxGapEvaluator::RangeBatch(std::span<const int32_t> ps, int32_t q,
-                                 Scalar* out_lo, Scalar* out_hi) const {
-  assert(valid());
-#if UTK_SIMD_X86
-  if (ActiveSimdTier() == SimdTier::kAvx2) {
-    simd::Avx2GapRangeBatch(*cols_, *lo_, *hi_, ps, q, out_lo, out_hi);
-    return;
-  }
-#endif
-  for (size_t j = 0; j < ps.size(); ++j) {
-    const auto [lo, hi] = Range(ps[j], q);
-    out_lo[j] = lo;
-    out_hi[j] = hi;
-  }
 }
 
 }  // namespace utk

@@ -7,7 +7,7 @@
 // its AoS counterpart — the differential tests (tests/test_exec.cc) and
 // the 200-draw engine fuzz (tests/test_differential.cc) pin that down:
 //
-//   ScoreAll / ScoreBatch / ScoreRange  ==  geometry/linear.h Score()
+//   ScoreAll / ScoreBatch               ==  geometry/linear.h Score()
 //   DominatedCounts / CountDominatorsOfPoint == skyline/dominance.h loops
 //   BoxGapEvaluator::Range              ==  rdominance.cc DiffScore +
 //                                           ConvexRegion::RangeOf (box path)
@@ -19,10 +19,10 @@
 // the SK k-skyband membership probes; DominatedCounts is the many-vs-many
 // form behind the k-skyband brute-force oracle (skyline/skyband.cc).
 //
-// Every kernel dispatches on exec/simd.h ActiveSimdTier(): the scalar
-// loops below are the reference; the AVX2 twins (simd_avx2.cc) vectorize
-// across rows with the identical per-row expression tree and are
-// bit-identical by construction.
+// Each kernel has one implementation, the scalar SoA loop in kernels.cc,
+// except ScoreBatch: it dispatches on exec/simd.h ActiveSimdTier() to an
+// AVX2 twin (simd_avx2.cc) that vectorizes across rows with the identical
+// per-row expression tree and is bit-identical by construction.
 #ifndef UTK_EXEC_KERNELS_H_
 #define UTK_EXEC_KERNELS_H_
 
@@ -44,10 +44,6 @@ void ScoreAll(const ColumnStore& cols, const Vec& w, Scalar* out);
 /// record ids or a candidate pool in one pass.
 void ScoreBatch(const ColumnStore& cols, const Vec& w,
                 std::span<const int32_t> rows, Scalar* out);
-
-/// out[j - begin] = S(row j)(w) for rows [begin, end).
-void ScoreRange(const ColumnStore& cols, const Vec& w, int32_t begin,
-                int32_t end, Scalar* out);
 
 /// out[j] = number of rows r in `refs` with r != rows[j] whose attributes
 /// dominate rows[j]'s (skyline/dominance.h Dominates with `eps`), counted
@@ -116,14 +112,6 @@ class BoxGapEvaluator {
   /// Range of S(row p) - S(corner): the MBB top-corner form used by subtree
   /// pruning.
   std::pair<Scalar, Scalar> Range(int32_t p, const Vec& corner) const;
-
-  /// Range(ps[j], q) for every lane j into (out_lo[j], out_hi[j]) — the
-  /// batched row-vs-row form the r-skyband member scan consumes. Lanes are
-  /// independent p rows; each reproduces Range(p, q) bit for bit on every
-  /// tier. Callers chunk `ps` by SimdWidth() when they intend to consume
-  /// lanes speculatively (dominator scans that break at a cap).
-  void RangeBatch(std::span<const int32_t> ps, int32_t q, Scalar* out_lo,
-                  Scalar* out_hi) const;
 
  private:
   const ColumnStore* cols_;

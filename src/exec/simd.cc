@@ -75,14 +75,4 @@ void SetSimdTier(SimdTier tier) {
   g_tier.store(static_cast<int>(Clamp(tier)), std::memory_order_release);
 }
 
-int SimdWidth() {
-  switch (ActiveSimdTier()) {
-    case SimdTier::kAvx2:
-      return 4;
-    case SimdTier::kScalar:
-      break;
-  }
-  return 1;
-}
-
 }  // namespace utk

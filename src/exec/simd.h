@@ -1,6 +1,7 @@
-// Runtime SIMD dispatch for the batched kernels in exec/kernels.h.
+// Runtime SIMD dispatch for exec/kernels.h ScoreBatch, the one kernel with
+// a vector twin (EXPERIMENTS.md records the measurement that keeps it).
 //
-// Two tiers: the scalar reference loops (the bitwise ground truth the
+// Two tiers: the scalar reference loop (the bitwise ground truth the
 // vector path is tested against) and AVX2 (4-wide double, x86-64). Other
 // CPUs run scalar. The tier is resolved once, on first use:
 //
@@ -9,11 +10,11 @@
 //                           or build does not support it)
 //   unset / auto            best tier the running CPU supports
 //
-// The vectorized kernels are *bit-identical* to their scalar twins, not
-// merely close: they vectorize across rows (lanes are independent records),
-// never across the accumulation dimension, use separate multiply and add
-// (no FMA contraction — the AVX2 translation unit is compiled with -mavx2
-// only), and replay the exact per-element expression trees of kernels.cc.
+// The vector kernel is *bit-identical* to its scalar twin, not merely
+// close: it vectorizes across rows (lanes are independent records), never
+// across the accumulation dimension, uses separate multiply and add (no
+// FMA contraction — the AVX2 translation unit is compiled with -mavx2
+// only), and replays the exact per-element expression tree of kernels.cc.
 // The differential harness (tests/test_differential.cc) and the forced-
 // scalar CI job hold both tiers to EXPECT_EQ on doubles.
 #ifndef UTK_EXEC_SIMD_H_
@@ -28,7 +29,7 @@
 namespace utk {
 
 enum class SimdTier {
-  kScalar = 0,  ///< reference loops in kernels.cc
+  kScalar = 0,  ///< reference loop in kernels.cc
   kAvx2 = 1,    ///< 4-wide double, x86-64 with AVX2
 };
 
@@ -44,11 +45,6 @@ SimdTier ActiveSimdTier();
 /// Overrides the active tier — the hook tests and benches use to compare
 /// tiers within one process. Unsupported requests clamp to kScalar.
 void SetSimdTier(SimdTier tier);
-
-/// Row-lanes the active tier processes per step (1 / 4). Batch
-/// consumers (the gap-range batcher) use this to size their speculative
-/// chunks so scalar dispatch never computes a single wasted element.
-int SimdWidth();
 
 }  // namespace utk
 

@@ -10,18 +10,10 @@
 #include "core/validate.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "skyline/rdominance.h"
 
 namespace utk {
 namespace {
-
-/// Reduced coefficients of f(w) = S(q)(w) - S(t)(w) (see rdominance.cc).
-void DiffScore(const Vec& q, const Vec& t, Vec* coef, Scalar* offset) {
-  const int d = static_cast<int>(q.size());
-  coef->resize(d - 1);
-  *offset = q[d - 1] - t[d - 1];
-  for (int i = 0; i < d - 1; ++i)
-    (*coef)[i] = (q[i] - q[d - 1]) - (t[i] - t[d - 1]);
-}
 
 /// Reduced coefficients of the score S(x)(w) itself: x_i - x_d and x_d.
 void ScoreOf(const Vec& x, Vec* coef, Scalar* offset) {

@@ -6,9 +6,6 @@
 
 namespace utk {
 
-namespace {
-
-// Reduced coefficients of f(w) = S(p)(w) - S(q)(w).
 void DiffScore(const Vec& p, const Vec& q, Vec* coef, Scalar* offset) {
   const int d = static_cast<int>(p.size());
   coef->resize(d - 1);
@@ -16,8 +13,6 @@ void DiffScore(const Vec& p, const Vec& q, Vec* coef, Scalar* offset) {
   for (int i = 0; i < d - 1; ++i)
     (*coef)[i] = (p[i] - p[d - 1]) - (q[i] - q[d - 1]);
 }
-
-}  // namespace
 
 RDom ClassifyScoreRange(Scalar lo, Scalar hi) {
   if (EpsGe(lo, 0.0) && EpsGt(hi, 0.0)) return RDom::kDominates;

@@ -26,6 +26,11 @@ enum class RDom {
   kEqual,         ///< identical scores everywhere in R
 };
 
+/// Reduced coefficients of f(w) = S(p)(w) - S(q)(w) for attribute vectors
+/// p and q: f(w) = sum_i coef[i] * w[i] + offset over the d - 1 free
+/// weights. ConvexRegion::RangeOf(coef, offset) gives f's range over R.
+void DiffScore(const Vec& p, const Vec& q, Vec* coef, Scalar* offset);
+
 /// Relation of p to q over region R.
 RDom RDominance(const Record& p, const Record& q, const ConvexRegion& r,
                 QueryStats* stats = nullptr);

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "exec/kernels.h"
-#include "exec/simd.h"
 #include "geometry/linear.h"
 #include "skyline/rdominance.h"
 #include "skyline/rskyband.h"
@@ -70,42 +69,6 @@ class RDomDispatch {
       return ClassifyScoreRange(lo, hi) == RDom::kDominates;
     }
     return RDominance(data_[p], data_[q], r_, stats_) == RDom::kDominates;
-  }
-
-  /// The member-vs-candidate scan of ComputeRSkyband's record pops:
-  /// walks `members` in order, appends the index of every member that
-  /// r-dominates `q` to `doms`, and stops — returning true — as soon as
-  /// `doms` reaches `cap`. On a SIMD tier with the box fast path active
-  /// the ranges are computed SimdWidth() lanes at a time; lanes are then
-  /// consumed in member order, so the break position, the collected
-  /// indices, and the rdom_tests count are exactly the scalar loop's
-  /// (speculative lanes past the break are computed but never counted).
-  bool CollectDominators(const std::vector<int32_t>& members, int32_t q,
-                         int cap, std::vector<int>* doms) const {
-    const int width = gap_.has_value() ? SimdWidth() : 1;
-    if (width > 1) {
-      Scalar lo[8], hi[8];
-      assert(width <= 8);
-      const size_t n = members.size();
-      for (size_t i = 0; i < n; i += width) {
-        const size_t m = std::min<size_t>(width, n - i);
-        gap_->RangeBatch({members.data() + i, m}, q, lo, hi);
-        for (size_t j = 0; j < m; ++j) {
-          if (stats_ != nullptr) ++stats_->rdom_tests;
-          if (ClassifyScoreRange(lo[j], hi[j]) != RDom::kDominates) continue;
-          doms->push_back(static_cast<int>(i + j));
-          if (static_cast<int>(doms->size()) >= cap) return true;
-        }
-      }
-      return false;
-    }
-    for (size_t i = 0; i < members.size(); ++i) {
-      if (Dominates(members[i], q)) {
-        doms->push_back(static_cast<int>(i));
-        if (static_cast<int>(doms->size()) >= cap) return true;
-      }
-    }
-    return false;
   }
 
   /// RDominatesCorner(data[p], corner, r).
@@ -163,7 +126,13 @@ inline RSkybandResult ComputeRSkyband(const Dataset& data, const RTree& tree,
       // Collect the confirmed members that r-dominate this record; keep it
       // if fewer than k do.
       std::vector<int> doms;
-      const bool pruned = rdom.CollectDominators(result.ids, e.id, k, &doms);
+      bool pruned = false;
+      for (size_t i = 0; i < result.ids.size() && !pruned; ++i) {
+        if (rdom.Dominates(result.ids[i], e.id)) {
+          doms.push_back(static_cast<int>(i));
+          pruned = static_cast<int>(doms.size()) >= k;
+        }
+      }
       if (!pruned) {
         result.ids.push_back(e.id);
         result.dominators.push_back(std::move(doms));

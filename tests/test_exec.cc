@@ -121,7 +121,7 @@ TEST(ExecKernels, DominatedCountsMatchScalarDominates) {
     std::vector<int32_t> all(data.size());
     for (int32_t i = 0; i < static_cast<int32_t>(data.size()); ++i)
       all[i] = i;
-    for (int cap : {1, 3, 1000}) {
+    for (int cap : {1, 2, 3, 5, 1000}) {
       std::vector<int32_t> got(all.size());
       DominatedCounts(cols, all, all, cap, kEps, got.data());
       for (size_t j = 0; j < all.size(); ++j) {
@@ -149,7 +149,7 @@ TEST(ExecKernels, CountDominatorsOfPointMatchesScalarLoop) {
       Vec v(dim);
       for (int d = 0; d < dim; ++d) v[d] = rng.Uniform();
       if (trial == 0) v = data[4].attrs;  // probe AT a record (exact ties)
-      for (int cap : {1, 2, 1000}) {
+      for (int cap : {1, 2, 5, 1000}) {
         int want = 0;
         for (int32_t r : rows) {
           if (Dominates(data[r].attrs, v) && ++want >= cap) break;
@@ -213,10 +213,9 @@ TEST(ExecKernels, SetRowAppendsAndOverwrites) {
 }
 
 TEST(ExecSimd, TiersBitEqualOnTailsAndUnalignedGathers) {
-  // Every vector tier must reproduce the scalar kernels bit for bit on the
-  // awkward shapes: ranges whose length is not a lane multiple, ranges
-  // starting at odd offsets, and gather lists of odd length at odd
-  // positions. n = 257 leaves a 1-row tail at width 4 (and width 2).
+  // The vector ScoreBatch must reproduce the scalar kernel bit for bit on
+  // the awkward shapes: gather lists of odd length at odd, unaligned
+  // positions with a duplicated row, which leave a tail at width 4.
   TierGuard guard;
   Rng rng(501);
   for (int dim = 2; dim <= 7; ++dim) {
@@ -227,23 +226,6 @@ TEST(ExecSimd, TiersBitEqualOnTailsAndUnalignedGathers) {
     std::vector<int32_t> rows;  // odd count, unaligned, duplicated
     for (int32_t i = 1; i < 250; i += 3) rows.push_back(i);
     rows.push_back(rows[0]);
-
-    const std::pair<int32_t, int32_t> ranges[] = {
-        {0, 257}, {3, 257}, {1, 2}, {250, 255}, {0, 4}};
-    for (auto [begin, end] : ranges) {
-      SetSimdTier(SimdTier::kScalar);
-      std::vector<Scalar> want(end - begin);
-      ScoreRange(cols, w, begin, end, want.data());
-      for (SimdTier tier : HostTiers()) {
-        SetSimdTier(tier);
-        std::vector<Scalar> got(end - begin, -1.0);
-        ScoreRange(cols, w, begin, end, got.data());
-        for (int32_t j = 0; j < end - begin; ++j)
-          ASSERT_EQ(got[j], want[j]) << SimdTierName(tier) << " dim " << dim
-                                     << " range [" << begin << "," << end
-                                     << ") row " << begin + j;
-      }
-    }
 
     SetSimdTier(SimdTier::kScalar);
     std::vector<Scalar> want(rows.size());
@@ -259,84 +241,12 @@ TEST(ExecSimd, TiersBitEqualOnTailsAndUnalignedGathers) {
   }
 }
 
-TEST(ExecSimd, TiersBitEqualOnDominanceKernelsWithCaps) {
-  // The capped counting kernels break mid-scan; vector tiers must consume
-  // lanes in reference order so the break position — and therefore the
-  // clamped counts — match the scalar loop exactly.
-  TierGuard guard;
-  Rng rng(502);
-  for (int dim = 2; dim <= 7; ++dim) {
-    Dataset data = MakeStressData(131, dim, 7300 + dim);
-    ColumnStore cols(data);
-    std::vector<int32_t> all(data.size());
-    for (int32_t i = 0; i < static_cast<int32_t>(data.size()); ++i)
-      all[i] = i;
-    Vec v(dim);
-    for (int d = 0; d < dim; ++d) v[d] = rng.Uniform(0.3, 0.7);
-
-    for (int cap : {1, 2, 5, 1000}) {
-      SetSimdTier(SimdTier::kScalar);
-      std::vector<int32_t> want(all.size());
-      DominatedCounts(cols, all, all, cap, kEps, want.data());
-      const int want_pt = CountDominatorsOfPoint(cols, all, v, cap, kEps);
-      for (SimdTier tier : HostTiers()) {
-        SetSimdTier(tier);
-        std::vector<int32_t> got(all.size(), -1);
-        DominatedCounts(cols, all, all, cap, kEps, got.data());
-        EXPECT_EQ(got, want) << SimdTierName(tier) << " dim " << dim
-                             << " cap " << cap;
-        EXPECT_EQ(CountDominatorsOfPoint(cols, all, v, cap, kEps), want_pt)
-            << SimdTierName(tier) << " dim " << dim << " cap " << cap;
-      }
-    }
-  }
-}
-
-TEST(ExecSimd, TiersBitEqualOnRangeBatch) {
-  TierGuard guard;
-  Rng rng(503);
-  for (int dim = 2; dim <= 7; ++dim) {
-    Dataset data = MakeStressData(211, dim, 7500 + dim);
-    ColumnStore cols(data);
-    Vec lo(dim - 1), hi(dim - 1);
-    for (int i = 0; i < dim - 1; ++i) {
-      lo[i] = 0.1 / (dim - 1);
-      hi[i] = 0.5 / (dim - 1);
-    }
-    // The evaluator borrows the region's box vectors — it must outlive gap.
-    const ConvexRegion region = ConvexRegion::FromBox(lo, hi);
-    BoxGapEvaluator gap(cols, region);
-    ASSERT_TRUE(gap.valid());
-    std::vector<int32_t> ps;  // odd length: exercises the batch tail
-    for (int32_t i = 0; i < 41; ++i) ps.push_back(rng.UniformInt(0, 210));
-
-    SetSimdTier(SimdTier::kScalar);
-    std::vector<Scalar> want_lo(ps.size()), want_hi(ps.size());
-    gap.RangeBatch(ps, 7, want_lo.data(), want_hi.data());
-
-    for (SimdTier tier : HostTiers()) {
-      SetSimdTier(tier);
-      std::vector<Scalar> got_lo(ps.size(), -9.0), got_hi(ps.size(), -9.0);
-      gap.RangeBatch(ps, 7, got_lo.data(), got_hi.data());
-      for (size_t j = 0; j < ps.size(); ++j) {
-        ASSERT_EQ(got_lo[j], want_lo[j]) << SimdTierName(tier) << " lane "
-                                         << j;
-        ASSERT_EQ(got_hi[j], want_hi[j]) << SimdTierName(tier) << " lane "
-                                         << j;
-        // And each lane agrees with the single-pair evaluator.
-        const auto [slo, shi] = gap.Range(ps[j], 7);
-        ASSERT_EQ(got_lo[j], slo);
-        ASSERT_EQ(got_hi[j], shi);
-      }
-    }
-  }
-}
-
 TEST(ExecSimd, GatheredKernelsHandleAllDeadBlocks) {
   // A liveness filter that tombstones entire 1024-row blocks hands the
-  // gathered kernels row lists with kilorow-sized holes. Every tier must
-  // agree bit-for-bit with the scalar tier on such lists, and a fully-dead
-  // list must be a clean no-op.
+  // gathered kernels row lists with kilorow-sized holes. Every tier of
+  // ScoreBatch must agree bit-for-bit with the scalar tier on such lists,
+  // the dominance kernels with the AoS loops, and a fully-dead list must
+  // be a clean no-op.
   TierGuard guard;
   Rng rng(117);
   constexpr int32_t kBlockRows = 1024;
@@ -358,11 +268,10 @@ TEST(ExecSimd, GatheredKernelsHandleAllDeadBlocks) {
     SetSimdTier(SimdTier::kScalar);
     std::vector<Scalar> want_scores(alive.size());
     ScoreBatch(cols, w, alive, want_scores.data());
-    std::vector<int32_t> want_counts(alive.size());
-    DominatedCounts(cols, alive, alive, 3, kEps, want_counts.data());
-    const int want_doms = CountDominatorsOfPoint(cols, alive, probe, 5, kEps);
-    // Spot-check the scalar tier against the AoS loops on a sample so the
-    // reference itself is anchored, without an O(n^2) full sweep.
+    std::vector<int32_t> counts(alive.size());
+    DominatedCounts(cols, alive, alive, 3, kEps, counts.data());
+    // Anchor the scalar kernels against the AoS loops on a sample, without
+    // an O(n^2) full sweep.
     for (size_t j = 0; j < alive.size(); j += 257) {
       EXPECT_EQ(want_scores[j], Score(data[alive[j]], w)) << "dim " << dim;
       int aos = 0;
@@ -371,31 +280,31 @@ TEST(ExecSimd, GatheredKernelsHandleAllDeadBlocks) {
         if (Dominates(data[r].attrs, data[alive[j]].attrs) && ++aos >= 3)
           break;
       }
-      EXPECT_EQ(want_counts[j], aos) << "dim " << dim << " j " << j;
+      EXPECT_EQ(counts[j], aos) << "dim " << dim << " j " << j;
     }
+    int want_doms = 0;
+    for (int32_t r : alive) {
+      if (Dominates(data[r].attrs, probe) && ++want_doms >= 5) break;
+    }
+    EXPECT_EQ(CountDominatorsOfPoint(cols, alive, probe, 5, kEps), want_doms)
+        << "dim " << dim;
+
+    // Everything dead: the kernels must not touch the output buffers.
+    const std::vector<int32_t> none;
+    int32_t count_sentinel = -7;
+    DominatedCounts(cols, none, alive, 3, kEps, &count_sentinel);
+    EXPECT_EQ(count_sentinel, -7) << "dim " << dim;
+    EXPECT_EQ(CountDominatorsOfPoint(cols, none, probe, 5, kEps), 0)
+        << "dim " << dim;
 
     for (SimdTier tier : HostTiers()) {
       SetSimdTier(tier);
       std::vector<Scalar> scores(alive.size());
       ScoreBatch(cols, w, alive, scores.data());
       EXPECT_EQ(scores, want_scores) << "dim " << dim;
-      std::vector<int32_t> counts(alive.size());
-      DominatedCounts(cols, alive, alive, 3, kEps, counts.data());
-      EXPECT_EQ(counts, want_counts) << "dim " << dim;
-      EXPECT_EQ(CountDominatorsOfPoint(cols, alive, probe, 5, kEps),
-                want_doms)
-          << "dim " << dim;
-
-      // Everything dead: the kernels must not touch the output buffers.
-      const std::vector<int32_t> none;
       Scalar sentinel = -42.0;
       ScoreBatch(cols, w, none, &sentinel);
       EXPECT_EQ(sentinel, -42.0) << "dim " << dim;
-      int32_t count_sentinel = -7;
-      DominatedCounts(cols, none, alive, 3, kEps, &count_sentinel);
-      EXPECT_EQ(count_sentinel, -7) << "dim " << dim;
-      EXPECT_EQ(CountDominatorsOfPoint(cols, none, probe, 5, kEps), 0)
-          << "dim " << dim;
     }
   }
 }

@@ -4,15 +4,17 @@
 Usage, from anywhere inside the repository:
 
     python3 tools/perf_pair.py --workloads ind-filter,anti-refine \
-        --pairs 10 --seconds 20 [--parent REF] [--json out.json]
+        --pairs 10 --seconds 20 [--parent REF] [--json out.json] \
+        [--append BENCH_perfbench.json]
 
 The change side is this checkout's working tree. The parent side is REF
 (default: the merge base of HEAD with main), checked out with
 `git worktree add` into a temporary directory and removed afterwards;
 `--parent-dir DIR` uses an existing checkout instead and runs no git, so
-both sides may be plain copies (e.g. from `git archive`). Each side builds
-perfbench under its own CARGO_TARGET_DIR (perfbench/run.py's build
-directory) inside the work directory.
+both sides may be plain copies (e.g. from `git archive`); `--parent` then
+only names it in the report. Each side builds perfbench under its own
+CARGO_TARGET_DIR (perfbench/run.py's build directory) inside the work
+directory.
 
 For each workload, pair i (seeds 1..N) runs
 `perfbench/run.py --workload W --seed i --seconds S --trace 0` on both
@@ -21,7 +23,11 @@ even ones. The table then gives, for every end-to-end metric of
 BENCHMARK.json, each side's median with its quartiles, the ratio of the
 medians (change / parent) and the pairs the change won by the metric's
 `better` direction. The per-pair `ops_per_s` ratios follow the table.
-`--json FILE` writes the same figures as JSON.
+`--json FILE` writes the same figures as JSON. `--append FILE` appends one
+entry to the JSON array in FILE (created when missing): the parent and
+change labels, the seconds, the pair count and, per workload, each side's
+medians of the end-to-end metrics. A file of such entries is the
+benchmark's trajectory across changes.
 
 The exit code is non-zero when any run fails or reports a failed answer
 check. `--self-check` runs the table code on canned result lines and
@@ -155,13 +161,43 @@ def build_report(parent_ref, seconds, results, end_to_end):
     return report
 
 
+def trajectory_entry(report, change_label):
+    """The --append record of `report`: per-side medians only."""
+    workloads = {}
+    for workload, w in report["workloads"].items():
+        workloads[workload] = {
+            side: {name: m[side]["median"] for name, m in w["metrics"].items()}
+            for side in SIDES}
+    # Every workload runs the same seeds (a failed run aborts the report).
+    pairs = len(next(iter(report["workloads"].values()))["seeds"])
+    return {"parent": report["parent"], "change": change_label,
+            "seconds": report["seconds"], "pairs": pairs,
+            "workloads": workloads}
+
+
+def append_entry(path, entry):
+    """Appends `entry` to the JSON array in `path`, creating the file."""
+    entries = []
+    if os.path.exists(path):
+        with open(path) as f:
+            entries = json.load(f)
+        if not isinstance(entries, list):
+            raise ValueError("%s does not hold a JSON array" % path)
+    entries.append(entry)
+    with open(path, "w") as f:
+        json.dump(entries, f, indent=2)
+        f.write("\n")
+
+
 def resolve_parent(args, work, run_git=None):
     """(parent checkout, worktree to remove or None, report label). Only a
     worktree needs a ref, so `--parent-dir` runs no git command and works
-    from a change side that is not a git checkout."""
+    from a change side that is not a git checkout; there `--parent`, when
+    given, is only the label."""
     run_git = run_git or git
     if args.parent_dir:
-        return os.path.abspath(args.parent_dir), None, args.parent_dir
+        return (os.path.abspath(args.parent_dir), None,
+                args.parent or args.parent_dir)
     parent_ref = args.parent or run_git("merge-base", "HEAD", "main")
     worktree = os.path.join(work, "parent")
     run_git("worktree", "add", "--detach", worktree, parent_ref)
@@ -225,11 +261,40 @@ def self_check(end_to_end):
     checks.append((resolve_parent(given, "/w", fake_git) ==
                    (os.path.abspath("/p"), None, "/p") and not git_calls,
                    "--parent-dir runs no git"))
+    given = argparse.Namespace(parent="2db9582", parent_dir="/p")
+    checks.append((resolve_parent(given, "/w", fake_git)[2] == "2db9582" and
+                   not git_calls, "--parent labels a --parent-dir"))
     given = argparse.Namespace(parent=None, parent_dir=None)
     checks.append((resolve_parent(given, "/w", fake_git) ==
                    ("/w/parent", "/w/parent", "abc123") and
                    [c[0] for c in git_calls] == ["merge-base", "worktree"],
                    "a worktree resolves the merge base"))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trajectory.json")
+        append_entry(path, trajectory_entry(report, "change-a"))
+        append_entry(path, trajectory_entry(report, "change-b"))
+        with open(path) as f:
+            entries = json.load(f)
+        first = entries[0]
+        checks += [
+            ([e["change"] for e in entries] == ["change-a", "change-b"],
+             "--append keeps earlier entries"),
+            ((first["parent"], first["seconds"], first["pairs"]) ==
+             ("canned", 20, 3), "--append labels, seconds and pairs"),
+            (first["workloads"]["ind-filter"]["parent"]["ops_per_s"] == 1000
+             and first["workloads"]["ind-filter"]["change"]["utk1_ms_p90"]
+             == 0.31, "--append per-side medians"),
+            (sorted(first["workloads"]["ind-filter"]["change"]) ==
+             sorted(m["name"] for m in end_to_end),
+             "--append has every end-to-end metric"),
+        ]
+        with open(path, "w") as f:
+            f.write("{}")
+        try:
+            append_entry(path, first)
+            checks.append((False, "--append rejects a non-array file"))
+        except ValueError:
+            pass
     bad = [what for ok, what in checks if not ok]
     if bad:
         sys.stdout.write(text)
@@ -242,7 +307,7 @@ def self_check(end_to_end):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", help="parent ref (default: merge base with "
-                    "main)")
+                    "main); with --parent-dir, only its label")
     ap.add_argument("--parent-dir", help="an existing parent checkout to use "
                     "instead of a temporary worktree")
     ap.add_argument("--workloads", default="ind-filter,anti-refine,serve-live")
@@ -251,6 +316,10 @@ def main():
     ap.add_argument("--work-dir", help="build directories (and the parent "
                     "worktree) go here; default: a temporary directory")
     ap.add_argument("--json", help="also write the figures to this file")
+    ap.add_argument("--append", metavar="FILE", help="append the per-side "
+                    "medians to the JSON array in FILE")
+    ap.add_argument("--change-label", default="working tree",
+                    help="the change side's name in --append entries")
     ap.add_argument("--self-check", action="store_true")
     args = ap.parse_args()
 
@@ -293,6 +362,8 @@ def main():
         with open(args.json, "w") as f:
             json.dump(report, f, indent=2)
             f.write("\n")
+    if args.append:
+        append_entry(args.append, trajectory_entry(report, args.change_label))
     return 0
 
 
