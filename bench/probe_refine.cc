@@ -1,10 +1,12 @@
 // probe_refine — the fixed-request refinement probe.
 //
 // Answers a fixed anti-refine-shaped request stream through Engine::Run and
-// prints, per query seed, the refinement counter totals and an FNV-1a digest
-// of the answers. Two builds whose lines are equal took the same LP
-// decisions and gave the same answers, so a refactor of the refinement core
-// can be checked without a timing run.
+// prints, per query seed, the refinement counter totals, an FNV-1a digest
+// of the answers and one of the answers alone. Two builds whose lines are
+// equal took the same LP decisions and gave the same answers, so a refactor
+// of the refinement core can be checked without a timing run; a change that
+// moves cell centres can still be checked for equal answers by the last
+// column.
 //
 //   probe_refine [seed ...]        (default: seeds 1 2 3 4)
 //
@@ -12,12 +14,18 @@
 // UTK1 requests (k = 20, sigma = 5%, QueryBatch seed 2s + 1) interleaved
 // with 200 UTK2 requests (k = 10, sigma = 2%, QueryBatch seed 2s + 2). The
 // digest covers, in request order, each UTK1 answer's ids and each UTK2
-// cell's bound count, witness (%.17g) and top-k. Exits 1 if any request
-// comes back ok=false, 2 on a malformed seed.
+// cell's bound count, witness (%.17g) and top-k. The `answers` digest
+// covers, in request order, each UTK1 answer's ids and each UTK2 answer's
+// sorted set of distinct top-k sets, which no cell geometry enters. Exits 1
+// if any request comes back ok=false, 2 on a malformed seed.
+//
+// tests/golden/probe_refine_answers.txt holds seed 1's `answers` column.
+#include <algorithm>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -56,6 +64,19 @@ std::string Cell(const utk::Utk2Cell& cell) {
   return s + " " + Ids(cell.topk);
 }
 
+// The distinct top-k sets of a UTK2 answer, each sorted, in sorted order.
+std::string TopkSets(const utk::Utk2Result& answer) {
+  std::set<std::vector<int32_t>> sets;
+  for (const utk::Utk2Cell& cell : answer.cells) {
+    std::vector<int32_t> topk = cell.topk;
+    std::sort(topk.begin(), topk.end());
+    sets.insert(std::move(topk));
+  }
+  std::string s;
+  for (const std::vector<int32_t>& topk : sets) s += Ids(topk);
+  return s + ";\n";
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -75,14 +96,14 @@ int main(int argc, char** argv) {
       utk::Generate(utk::Distribution::kAnticorrelated, 10000, 4, 4242));
   int failed = 0;
   std::printf("seed lp_calls drills verify_calls cells_created "
-              "halfspaces_inserted digest\n");
+              "halfspaces_inserted digest answers\n");
   for (uint64_t seed : seeds) {
     const std::vector<utk::ConvexRegion> utk1 =
         utk::QueryBatch(3, 0.05, kRequests, 2 * seed + 1);
     const std::vector<utk::ConvexRegion> utk2 =
         utk::QueryBatch(3, 0.02, kRequests, 2 * seed + 2);
     utk::QueryStats total;
-    Digest digest;
+    Digest digest, answers;
     for (int i = 0; i < kRequests; ++i) {
       utk::QuerySpec spec;
       spec.k = 20;
@@ -91,6 +112,7 @@ int main(int argc, char** argv) {
       failed += r.ok ? 0 : 1;
       total += r.stats;
       digest.Add(Ids(r.ids));
+      answers.Add(Ids(r.ids));
 
       spec.mode = utk::QueryMode::kUtk2;
       spec.k = 10;
@@ -99,11 +121,13 @@ int main(int argc, char** argv) {
       failed += r.ok ? 0 : 1;
       total += r.stats;
       for (const utk::Utk2Cell& cell : r.utk2.cells) digest.Add(Cell(cell));
+      answers.Add(TopkSets(r.utk2));
     }
     std::printf("%" PRIu64 " %" PRId64 " %" PRId64 " %" PRId64 " %" PRId64
-                " %" PRId64 " %016" PRIx64 "\n",
+                " %" PRId64 " %016" PRIx64 " %016" PRIx64 "\n",
                 seed, total.lp_calls, total.drills, total.verify_calls,
-                total.cells_created, total.halfspaces_inserted, digest.h);
+                total.cells_created, total.halfspaces_inserted, digest.h,
+                answers.h);
   }
   if (failed > 0) {
     std::fprintf(stderr, "error: %d requests came back ok=false\n", failed);

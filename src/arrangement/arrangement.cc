@@ -98,6 +98,27 @@ int ClipVertices(const Cell& c, const Scalar* dist, Scalar sign, int m,
   return n;
 }
 
+// The centroid c of the n vertices in `buf` and r, the distance from c to
+// the nearest of `bounds` and `cut`. r is measured against the rows, not
+// the vertices, so the ball (c, r) lies in the polytope they bound whatever
+// the vertices' rounding; r is negative when c falls outside.
+InteriorPoint VertexBall(const std::vector<Halfspace>& bounds,
+                         const Halfspace& cut, const ClipBuffer& buf, int n,
+                         int dim) {
+  InteriorPoint ball{Vec(dim, 0.0), std::numeric_limits<Scalar>::infinity()};
+  for (int v = 0; v < n; ++v)
+    for (int j = 0; j < dim; ++j) ball.x[j] += buf.verts[v * dim + j];
+  for (Scalar& x : ball.x) x /= n;
+  auto reach = [&](const Halfspace& h) {
+    const Scalar norm = Norm(h.a);
+    if (EpsLe(norm, 0.0)) return;  // a zero row bounds nothing
+    ball.radius = std::min(ball.radius, Reach(h, ball.x.data(), norm));
+  };
+  for (const Halfspace& h : bounds) reach(h);
+  reach(cut);
+  return ball;
+}
+
 // True iff rows 2i and 2i+1 of `bounds` are w_i <= hi_i and -w_i <= -lo_i
 // for every i < dim, the layout ConvexRegion::FromBox writes.
 bool LeadsWithBox(const std::vector<Halfspace>& bounds, int dim) {
@@ -115,9 +136,10 @@ bool LeadsWithBox(const std::vector<Halfspace>& bounds, int dim) {
 
 }  // namespace
 
-Cell BaseCell(const ConvexRegion& region) {
+Cell BaseCell(const ConvexRegion& region, QueryStats* stats) {
   Cell c;
   c.bounds = region.constraints();
+  if (stats != nullptr) ++stats->lp_calls;
   auto ip = FindInteriorPoint(c.bounds,
                               region.Pivot().value_or(Vec(region.dim(), 0.0)));
   assert(ip.has_value() && ip->radius > 0 && "base region must have interior");
@@ -161,9 +183,7 @@ Cell BaseCell(const ConvexRegion& region) {
 }
 
 CellArrangement::CellArrangement(const ConvexRegion& base, QueryStats* stats)
-    : CellArrangement(BaseCell(base), stats) {
-  if (stats_ != nullptr) ++stats_->lp_calls;
-}
+    : CellArrangement(BaseCell(base, stats), stats) {}
 
 CellArrangement::CellArrangement(const Cell& zone, QueryStats* stats)
     : stats_(stats) {
@@ -224,7 +244,7 @@ void CellArrangement::Insert(int hs_id, const Halfspace& hs) {
   const Halfspace complement = hs.Complement();
   const int dim = static_cast<int>(hs.a.size());
   Scalar dist[kMaxCellVertices];  // the visited cell's vertices, into hs
-  ClipBuffer buf;
+  ClipBuffer bufs[2];             // its list clipped into hs, complement
   const size_t n = cells_.size();
   for (size_t i = 0; i < n; ++i) {
     // Note: Insert may push new cells; only pre-existing cells are visited.
@@ -244,15 +264,41 @@ void CellArrangement::Insert(int hs_id, const Halfspace& hs) {
       }
     }
 
-    // One Chebyshev solve per side, started from the cell's cached centre.
-    // A rejected side with radius in (kEps, kInteriorEps] is a sliver; one
-    // no wider than kEps lies within the membership tolerance of the cut.
+    // The visited cell's list clipped into side s (0: hs, 1: its
+    // complement), which the cut becomes the next bound of, in bufs[s].
+    // Each side is clipped at most once, for its certificate or for the
+    // list it keeps. kept[s] is the vertex count, <= 0 for no list.
+    constexpr int kUnclipped = std::numeric_limits<int>::min();
+    int kept[2] = {kUnclipped, kUnclipped};
+    auto clip = [&](int s) {
+      if (kept[s] != kUnclipped) return kept[s];
+      const int m = static_cast<int>(cells_[i].bounds.size());
+      kept[s] = ClipVertices(cells_[i], dist, s == 0 ? 1.0 : -1.0, m,
+                             &bufs[s]);
+      return kept[s];
+    };
+
+    // Side s of the cut, bounded by h, is interior when it keeps a ball of
+    // radius kInteriorEps. A rejected side with radius in (kEps,
+    // kInteriorEps] is a sliver; one no wider than kEps lies within the
+    // membership tolerance of the cut.
     bool sliver = false;
-    auto side_interior = [&](const Halfspace& h, Scalar reach) {
+    auto side_interior = [&](const Halfspace& h, Scalar reach, int s) {
       // Every vertex within kEps of the cut: the side fits in a slab kEps
       // wide, so its radius is at most kEps / 2, and the LP would reject
       // it as neither interior nor a sliver.
       if (EpsLe(reach, 0.0)) return std::optional<InteriorPoint>{};
+      // The certificate: a ball about the side's vertex centroid that
+      // clears kInteriorEps proves the Chebyshev radius does too, so the LP
+      // would keep the side as well (DESIGN.md §4).
+      if (const int nc = clip(s); nc > 0) {
+        InteriorPoint ball =
+            VertexBall(cells_[i].bounds, h, bufs[s], nc, dim);
+        // utk-lint: allow(eps-compare) kInteriorEps is the threshold itself:
+        // a radius strictly above it is interior (DESIGN.md §4).
+        if (ball.radius > kInteriorEps) return std::optional{std::move(ball)};
+      }
+      // One Chebyshev solve, started from the cell's cached centre.
       if (stats_ != nullptr) ++stats_->lp_calls;
       auto ip = FindInteriorPoint(cells_[i].bounds, h, cells_[i].interior);
       // utk-lint: allow(eps-compare) kInteriorEps is the threshold itself:
@@ -263,39 +309,35 @@ void CellArrangement::Insert(int hs_id, const Halfspace& hs) {
       if (ip.has_value() && ip->radius > kEps) sliver = true;
       return std::optional<InteriorPoint>{};
     };
-    // Clips the visited cell's list into `buf` for the side of the cut
-    // (sign +1: hs, -1: its complement) that becomes its next bound, and
-    // gives the list to `dst`.
-    auto clip_into = [&](Cell& dst, Scalar sign) {
-      if (nv == 0) return;
-      const int m = static_cast<int>(cells_[i].bounds.size());
-      const int kept = ClipVertices(cells_[i], dist, sign, m, &buf);
-      SetVertices(dst, buf.verts, buf.tight, kept);
+    // Gives `dst` side s's clipped list.
+    auto clip_into = [&](Cell& dst, int s) {
+      const int nc = clip(s);
+      SetVertices(dst, bufs[s].verts, bufs[s].tight, nc);
     };
     // Keeping one side of a cut that drops a sliver records the cut, so no
     // later split can move the centre back into the sliver (DESIGN.md §4).
-    auto bound_if_sliver = [&](const Halfspace& kept, Scalar sign) {
+    auto bound_if_sliver = [&](const Halfspace& bound, int s) {
       if (!sliver) return;
-      clip_into(cells_[i], sign);
-      cells_[i].bounds.push_back(kept);
-      bytes_ += BoundBytes(kept);
+      clip_into(cells_[i], s);
+      cells_[i].bounds.push_back(bound);
+      bytes_ += BoundBytes(bound);
     };
 
     // Fast path: if the cached ball lies entirely on one side of the
     // hyperplane, that side is feasible with the current interior point and
-    // only the other side needs an LP.
+    // only the other side needs deciding.
     const Scalar slack = hs.Slack(cells_[i].interior);
     const Scalar radius = cells_[i].radius;
     std::optional<InteriorPoint> in_ip, out_ip;
     if (slack >= norm * radius) {
       in_ip = InteriorPoint{cells_[i].interior, radius};
-      out_ip = side_interior(complement, out_reach);
+      out_ip = side_interior(complement, out_reach, 1);
     } else if (slack <= -norm * radius) {
       out_ip = InteriorPoint{cells_[i].interior, radius};
-      in_ip = side_interior(hs, in_reach);
+      in_ip = side_interior(hs, in_reach, 0);
     } else {
-      in_ip = side_interior(hs, in_reach);
-      out_ip = side_interior(complement, out_reach);
+      in_ip = side_interior(hs, in_reach, 0);
+      out_ip = side_interior(complement, out_reach, 1);
     }
     const bool inside_feasible = in_ip.has_value();
     const bool outside_feasible = out_ip.has_value();
@@ -310,8 +352,8 @@ void CellArrangement::Insert(int hs_id, const Halfspace& hs) {
       outside.interior = std::move(out_ip->x);
       outside.radius = out_ip->radius;
       bytes_ += CellBytes(outside);
-      clip_into(outside, -1.0);
-      clip_into(cells_[i], 1.0);
+      clip_into(outside, 1);
+      clip_into(cells_[i], 0);
 
       cells_[i].bounds.push_back(hs);
       bytes_ += BoundBytes(hs);
@@ -324,11 +366,11 @@ void CellArrangement::Insert(int hs_id, const Halfspace& hs) {
         stats_->peak_bytes = std::max(stats_->peak_bytes, bytes_);
       }
     } else if (inside_feasible) {
-      bound_if_sliver(hs, 1.0);
+      bound_if_sliver(hs, 0);
       Cover(cells_[i], hs_id);
       Recentre(cells_[i], std::move(*in_ip));
     } else if (outside_feasible) {
-      bound_if_sliver(complement, -1.0);
+      bound_if_sliver(complement, 1);
       Recentre(cells_[i], std::move(*out_ip));
     } else if (EpsGe(slack, 0.0, 0.0)) {
       // Neither side reaches kInteriorEps. One side of any cut keeps a ball

@@ -9,8 +9,9 @@
 // as the binary tree (every insertion visits every leaf in both layouts) and
 // simplifies iteration. A cell may also carry its vertex list, each vertex
 // with the mask of bounds tight there. The list only settles questions the
-// LP would answer the same way: a cut that misses the cell, and the drill
-// vector (core/drill.h). A cell without one runs the LPs.
+// LP would answer the same way: a cut that misses the cell, a side that is
+// interior, and the drill vector (core/drill.h). A cell without one runs the
+// LPs.
 //
 // Instances are small and disposable: RSA/JAA build one local arrangement
 // per recursive Verify/Partition call and throw it away afterwards
@@ -22,8 +23,12 @@
 // top-k, so the kept side's half-space becomes a bound of the cell and no
 // later split can move the centre back into it. A side whose every vertex
 // lies within kEps of the cut fits in a slab kEps wide, so its radius is at
-// most kEps/2: it is rejected without an LP, as the LP would reject it
-// (DESIGN.md §4).
+// most kEps/2: it is rejected without an LP, as the LP would reject it. A
+// side whose clipped vertices' centroid lies more than kInteriorEps inside
+// every bound and the cut holds that ball, so its Chebyshev radius clears
+// the threshold: it is kept without an LP, as the LP would keep it, with
+// the centroid as its centre. A cell's centre is therefore the maximal
+// Chebyshev centre only where an LP found it (DESIGN.md §4).
 #ifndef UTK_ARRANGEMENT_ARRANGEMENT_H_
 #define UTK_ARRANGEMENT_ARRANGEMENT_H_
 
@@ -45,7 +50,10 @@ struct Cell {
   std::vector<Halfspace> bounds;  ///< base region + signed path half-spaces
   std::vector<int> covering;      ///< ids of half-spaces covering the cell
   Vec interior;                   ///< cached interior point
-  Scalar radius = 0.0;            ///< Chebyshev radius at `interior`
+  /// Radius of a ball inside the cell at `interior`: the Chebyshev radius
+  /// where an LP found the centre, at most that where a vertex certificate
+  /// did.
+  Scalar radius = 0.0;
   bool frozen = false;            ///< stopped splitting (count threshold hit)
   /// Vertices, NumVertices() rows of dim coordinates each. Empty when the
   /// cell carries no vertex list; every question about it is then an LP.
@@ -59,11 +67,11 @@ struct Cell {
 };
 
 /// The single cell of `region`: its constraints and the Chebyshev centre
-/// found from its pivot. When the first 2 * dim rows are the axis box, as
+/// found from its pivot, a solve charged to `stats`. When the first 2 * dim rows are the axis box, as
 /// ConvexRegion::FromBox puts them, the cell also carries the box corners,
 /// clipped by any further rows; otherwise it carries no vertex list. The
 /// region must have interior.
-Cell BaseCell(const ConvexRegion& region);
+Cell BaseCell(const ConvexRegion& region, QueryStats* stats = nullptr);
 
 class CellArrangement {
  public:

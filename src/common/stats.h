@@ -18,10 +18,10 @@ namespace utk {
 struct QueryStats {
   int64_t candidates = 0;        ///< records surviving the filtering step
   /// LP solves charged to the query: drill and onion-margin LPs, plus every
-  /// Chebyshev solve (FindInteriorPoint) of an arrangement's base cell and
-  /// of each cell side the cached ball does not settle. A side the cell's
-  /// vertices settle and a drill taken at a vertex solve nothing, so they
-  /// are not counted.
+  /// Chebyshev solve (FindInteriorPoint) of a base cell (BaseCell) and of
+  /// each cell side neither the cached ball nor the cell's vertices settle.
+  /// A side the vertices miss or certify interior and a drill taken at a
+  /// vertex solve nothing, so they are not counted.
   int64_t lp_calls = 0;
   int64_t rdom_tests = 0;        ///< r-dominance tests performed
   int64_t cells_created = 0;     ///< arrangement leaves materialized

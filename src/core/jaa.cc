@@ -157,7 +157,7 @@ void Refine(const Jaa::Options& options, const Dataset& data,
   Refinement ref(data, band, options, &result->stats);
   const JaaContext ctx{ref, result};
   const Bitset none(ref.g.size());
-  Solve(ctx, BaseCell(r), none, k, none);
+  Solve(ctx, BaseCell(r, ref.stats), none, k, none);
 }
 
 }  // namespace

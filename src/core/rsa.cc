@@ -125,7 +125,7 @@ void Refine(const Rsa::Options& options, const Dataset& data,
     return init_count[a] > init_count[b];
   });
 
-  const Cell base = BaseCell(r);
+  const Cell base = BaseCell(r, &result->stats);
   for (int p : order) {
     if (state[p] != State::kUnknown) continue;
     UTK_SPAN("rsa.candidate");

@@ -368,9 +368,11 @@ class TwoPhaseArrangement {
 };
 
 // Cells equal the oracle's exactly in count, bounds, covering and frozen
-// flags. Radii agree within 1e-10, widened by kEps per sliver the oracle
-// met on the cell's path (see TwoPhaseArrangement::slivers). Centres may
-// differ (the maximal ball is not unique), so each centre's ball must
+// flags. The oracle keeps maximal radii; Insert keeps one only where its LP
+// ran, and elsewhere a vertex certificate's smaller ball. So each radius
+// exceeds kInteriorEps and is at most the oracle's plus 1e-10, widened by
+// kEps per sliver the oracle met on the cell's path (see
+// TwoPhaseArrangement::slivers). Centres differ, so each centre's ball must
 // instead lie within its bounds.
 void ExpectSameCells(const TwoPhaseArrangement& oracle,
                      const std::vector<Cell>& got, const std::string& label) {
@@ -383,8 +385,9 @@ void ExpectSameCells(const TwoPhaseArrangement& oracle,
       EXPECT_EQ(got[i].bounds[j].b, want[i].bounds[j].b) << label;
     }
     EXPECT_EQ(got[i].covering, want[i].covering) << label << " cell " << i;
-    EXPECT_NEAR(got[i].radius, want[i].radius,
-                1e-10 + oracle.slivers(i) * kEps)
+    EXPECT_GT(got[i].radius, kInteriorEps) << label << " cell " << i;
+    EXPECT_LE(got[i].radius,
+              want[i].radius + 1e-10 + oracle.slivers(i) * kEps)
         << label << " cell " << i;
     ExpectValidCentre(got[i].bounds,
                       InteriorPoint{got[i].interior, got[i].radius},

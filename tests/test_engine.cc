@@ -239,7 +239,10 @@ TEST(EngineValidation, SpecKnobsReachTheAlgorithms) {
   QueryResult r = engine.Run(tweaked);
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(r.ids, base.ids);
-  EXPECT_NE(r.stats.lp_calls, base.stats.lp_calls);
+  // Drills and Verify calls, not LPs: vertex certificates settle nearly
+  // every side either way, so both runs solve about one LP.
+  EXPECT_NE(r.stats.drills, base.stats.drills);
+  EXPECT_NE(r.stats.verify_calls, base.stats.verify_calls);
 }
 
 TEST(EngineValidation, RejectsNegativeWaveCap) {

@@ -7,6 +7,7 @@
 
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "core/jaa.h"
 #include "core/rsa.h"
@@ -79,6 +80,23 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(3, 4),
                        ::testing::Values(Knob::kDefaults, Knob::kNoDrill,
                                          Knob::kNoLemma1, Knob::kWaveCap3)));
+
+// Refinement charges its base cell's Chebyshev solve to lp_calls. Record
+// 2 beats the others everywhere, so at k = 1 it is the whole answer, and
+// the box's base cell is the only cell: its solve is the only LP.
+TEST(RefineStats, ChargesTheBaseCellSolve) {
+  const Dataset data = {{0, {0.5, 0.4, 0.3}},
+                        {1, {0.2, 0.3, 0.1}},
+                        {2, {0.9, 0.9, 0.9}}};
+  const RTree tree = RTree::BulkLoad(data);
+  const ConvexRegion region = ConvexRegion::FromBox({0.2, 0.3}, {0.3, 0.4});
+  const Utk1Result rsa = Rsa().Run(data, tree, region, 1);
+  EXPECT_EQ(rsa.ids, std::vector<int32_t>{2});
+  EXPECT_EQ(rsa.stats.lp_calls, 1);
+  const Utk2Result jaa = Jaa().Run(data, tree, region, 1);
+  ASSERT_EQ(jaa.cells.size(), 1u);
+  EXPECT_EQ(jaa.stats.lp_calls, 1);
+}
 
 }  // namespace
 }  // namespace utk

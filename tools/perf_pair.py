@@ -25,9 +25,11 @@ medians (change / parent) and the pairs the change won by the metric's
 `better` direction. The per-pair `ops_per_s` ratios follow the table.
 `--json FILE` writes the same figures as JSON. `--append FILE` appends one
 entry to the JSON array in FILE (created when missing): the parent and
-change labels, the seconds, the pair count and, per workload, each side's
-medians of the end-to-end metrics. A file of such entries is the
-benchmark's trajectory across changes.
+change labels, the seconds, the pair count, the machine (`env`: CPU
+count, CPU model, the first line of `c++ --version` and the build type
+perfbench/run.py configures) and, per workload, each side's medians of the
+end-to-end metrics. A file of such entries is the benchmark's trajectory
+across changes.
 
 The exit code is non-zero when any run fails or reports a failed answer
 check. `--self-check` runs the table code on canned result lines and
@@ -38,6 +40,7 @@ import argparse
 import json
 import math
 import os
+import re
 import shutil
 import statistics
 import subprocess
@@ -161,8 +164,39 @@ def build_report(parent_ref, seconds, results, end_to_end):
     return report
 
 
-def trajectory_entry(report, change_label):
-    """The --append record of `report`: per-side medians only."""
+def first_match(path, pattern):
+    """Group 1 of the first line of the file at `path` that matches
+    `pattern`, or "unknown" when the file is unreadable or no line does."""
+    try:
+        with open(path) as f:
+            m = re.search(pattern, f.read(), re.MULTILINE)
+    except OSError:
+        return "unknown"
+    return m.group(1).strip() if m else "unknown"
+
+
+def first_output_line(cmd):
+    """The first stdout line of `cmd`, or "unknown" when it cannot run."""
+    try:
+        out = subprocess.run(cmd, stdout=subprocess.PIPE,
+                             stderr=subprocess.DEVNULL, text=True).stdout
+    except OSError:
+        return "unknown"
+    return out.splitlines()[0].strip() if out.strip() else "unknown"
+
+
+def environment(cpuinfo="/proc/cpuinfo", cxx="c++",
+                run_py=os.path.join(ROOT, "perfbench", "run.py")):
+    """The machine an --append entry was measured on."""
+    return {"cpu_count": os.cpu_count(),
+            "cpu_model": first_match(cpuinfo, r"^model name\s*:\s*(.+)$"),
+            "compiler": first_output_line([cxx, "--version"]),
+            "build_type": first_match(run_py, r"-DCMAKE_BUILD_TYPE=(\w+)")}
+
+
+def trajectory_entry(report, change_label, env):
+    """The --append record of `report`: the machine `env` and per-side
+    medians only."""
     workloads = {}
     for workload, w in report["workloads"].items():
         workloads[workload] = {
@@ -171,7 +205,7 @@ def trajectory_entry(report, change_label):
     # Every workload runs the same seeds (a failed run aborts the report).
     pairs = len(next(iter(report["workloads"].values()))["seeds"])
     return {"parent": report["parent"], "change": change_label,
-            "seconds": report["seconds"], "pairs": pairs,
+            "seconds": report["seconds"], "pairs": pairs, "env": env,
             "workloads": workloads}
 
 
@@ -270,9 +304,30 @@ def self_check(end_to_end):
                    [c[0] for c in git_calls] == ["merge-base", "worktree"],
                    "a worktree resolves the merge base"))
     with tempfile.TemporaryDirectory() as tmp:
+        cpuinfo = os.path.join(tmp, "cpuinfo")
+        run_py = os.path.join(tmp, "run.py")
+        with open(cpuinfo, "w") as f:
+            f.write("processor\t: 0\nmodel name\t: Canned CPU @ 2.00GHz\n"
+                    "processor\t: 1\nmodel name\t: Canned CPU @ 2.00GHz\n")
+        with open(run_py, "w") as f:
+            f.write('cfg = ["cmake", "-DCMAKE_BUILD_TYPE=RelWithDebInfo"]\n')
+        env = environment(cpuinfo, sys.executable, run_py)
+        missing = os.path.join(tmp, "missing")
+        checks += [
+            (env["cpu_count"] == os.cpu_count(), "env CPU count"),
+            (env["cpu_model"] == "Canned CPU @ 2.00GHz", "env CPU model"),
+            (env["compiler"].startswith("Python 3"),
+             "env first line of --version"),
+            (env["build_type"] == "RelWithDebInfo", "env build type"),
+            (environment(missing, missing, missing) ==
+             dict(env, cpu_model="unknown", compiler="unknown",
+                  build_type="unknown"), "env without its sources"),
+            (environment()["build_type"] == "Release",
+             "env reads perfbench/run.py's build type"),
+        ]
         path = os.path.join(tmp, "trajectory.json")
-        append_entry(path, trajectory_entry(report, "change-a"))
-        append_entry(path, trajectory_entry(report, "change-b"))
+        append_entry(path, trajectory_entry(report, "change-a", env))
+        append_entry(path, trajectory_entry(report, "change-b", env))
         with open(path) as f:
             entries = json.load(f)
         first = entries[0]
@@ -284,6 +339,7 @@ def self_check(end_to_end):
             (first["workloads"]["ind-filter"]["parent"]["ops_per_s"] == 1000
              and first["workloads"]["ind-filter"]["change"]["utk1_ms_p90"]
              == 0.31, "--append per-side medians"),
+            (first["env"] == env, "--append records the machine"),
             (sorted(first["workloads"]["ind-filter"]["change"]) ==
              sorted(m["name"] for m in end_to_end),
              "--append has every end-to-end metric"),
@@ -363,7 +419,8 @@ def main():
             json.dump(report, f, indent=2)
             f.write("\n")
     if args.append:
-        append_entry(args.append, trajectory_entry(report, args.change_label))
+        append_entry(args.append, trajectory_entry(report, args.change_label,
+                                                   environment()))
     return 0
 
 
