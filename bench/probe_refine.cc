@@ -16,8 +16,12 @@
 // digest covers, in request order, each UTK1 answer's ids and each UTK2
 // cell's bound count, witness (%.17g) and top-k. The `answers` digest
 // covers, in request order, each UTK1 answer's ids and each UTK2 answer's
-// sorted set of distinct top-k sets, which no cell geometry enters. Exits 1
-// if any request comes back ok=false, 2 on a malformed seed.
+// sorted set of distinct top-k sets, which no cell geometry enters. The
+// `allocs` column counts the operator new calls made inside Engine::Run for
+// the seed's 400 requests; this file replaces the global operator new and
+// delete to count them. Allocation-only changes keep every other column and
+// move this one. Exits 1 if any request comes back ok=false, 2 on a
+// malformed seed.
 //
 // tests/golden/probe_refine_answers.txt holds seed 1's `answers` column.
 #include <algorithm>
@@ -25,6 +29,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <new>
 #include <set>
 #include <string>
 #include <vector>
@@ -35,7 +40,54 @@
 
 namespace {
 
+// operator new calls while `g_counting` is set (the allocs column).
+bool g_counting = false;
+int64_t g_allocs = 0;
+
+// Out of line, so the compiler sees no malloc/free pair to mismatch.
+[[gnu::noinline]] void* CountedMalloc(std::size_t size) noexcept {
+  if (g_counting) ++g_allocs;
+  return std::malloc(size == 0 ? 1 : size);
+}
+[[gnu::noinline]] void Free(void* p) noexcept { std::free(p); }
+
+void* CheckedMalloc(std::size_t size) {
+  if (void* p = CountedMalloc(size)) return p;
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+// Every replaceable form but the aligned ones, which nothing here uses. The
+// nothrow forms matter under ASan, whose own would otherwise serve
+// std::stable_sort's buffer.
+void* operator new(std::size_t size) { return CheckedMalloc(size); }
+void* operator new[](std::size_t size) { return CheckedMalloc(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return CountedMalloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return CountedMalloc(size);
+}
+void operator delete(void* p) noexcept { Free(p); }
+void operator delete[](void* p) noexcept { Free(p); }
+void operator delete(void* p, std::size_t) noexcept { Free(p); }
+void operator delete[](void* p, std::size_t) noexcept { Free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { Free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { Free(p); }
+
+namespace {
+
 constexpr int kRequests = 200;  // per mode
+
+// Engine::Run with its operator new calls counted.
+utk::QueryResult CountedRun(const utk::Engine& engine,
+                            const utk::QuerySpec& spec) {
+  g_counting = true;
+  utk::QueryResult r = engine.Run(spec);
+  g_counting = false;
+  return r;
+}
 
 // FNV-1a, 64-bit, over everything appended.
 struct Digest {
@@ -96,7 +148,7 @@ int main(int argc, char** argv) {
       utk::Generate(utk::Distribution::kAnticorrelated, 10000, 4, 4242));
   int failed = 0;
   std::printf("seed lp_calls drills verify_calls cells_created "
-              "halfspaces_inserted digest answers\n");
+              "halfspaces_inserted digest answers allocs\n");
   for (uint64_t seed : seeds) {
     const std::vector<utk::ConvexRegion> utk1 =
         utk::QueryBatch(3, 0.05, kRequests, 2 * seed + 1);
@@ -104,11 +156,12 @@ int main(int argc, char** argv) {
         utk::QueryBatch(3, 0.02, kRequests, 2 * seed + 2);
     utk::QueryStats total;
     Digest digest, answers;
+    g_allocs = 0;
     for (int i = 0; i < kRequests; ++i) {
       utk::QuerySpec spec;
       spec.k = 20;
       spec.region = utk1[i];
-      utk::QueryResult r = engine.Run(spec);
+      utk::QueryResult r = CountedRun(engine, spec);
       failed += r.ok ? 0 : 1;
       total += r.stats;
       digest.Add(Ids(r.ids));
@@ -117,17 +170,17 @@ int main(int argc, char** argv) {
       spec.mode = utk::QueryMode::kUtk2;
       spec.k = 10;
       spec.region = utk2[i];
-      r = engine.Run(spec);
+      r = CountedRun(engine, spec);
       failed += r.ok ? 0 : 1;
       total += r.stats;
       for (const utk::Utk2Cell& cell : r.utk2.cells) digest.Add(Cell(cell));
       answers.Add(TopkSets(r.utk2));
     }
     std::printf("%" PRIu64 " %" PRId64 " %" PRId64 " %" PRId64 " %" PRId64
-                " %" PRId64 " %016" PRIx64 " %016" PRIx64 "\n",
+                " %" PRId64 " %016" PRIx64 " %016" PRIx64 " %" PRId64 "\n",
                 seed, total.lp_calls, total.drills, total.verify_calls,
                 total.cells_created, total.halfspaces_inserted, digest.h,
-                answers.h);
+                answers.h, g_allocs);
   }
   if (failed > 0) {
     std::fprintf(stderr, "error: %d requests came back ok=false\n", failed);

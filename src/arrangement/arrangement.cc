@@ -20,28 +20,24 @@ constexpr int kMaxVertexDim =
 // Bits in a vertex's tight-bound mask.
 constexpr int kMaskBits = 64;
 
-int64_t BoundBytes(const Halfspace& h) {
-  return static_cast<int64_t>(sizeof(Halfspace) + h.a.size() * sizeof(Scalar));
-}
-
 int64_t VertexBytes(const Cell& c) {
   return static_cast<int64_t>(c.verts.size() * sizeof(Scalar) +
                               c.tight.size() * sizeof(uint64_t));
 }
 
 int64_t CellBytes(const Cell& c) {
-  int64_t bytes = static_cast<int64_t>(sizeof(Cell));
-  for (const Halfspace& h : c.bounds) bytes += BoundBytes(h);
-  return bytes + VertexBytes(c) +
+  return static_cast<int64_t>(sizeof(Cell)) + c.bounds.Bytes() +
+         VertexBytes(c) +
          static_cast<int64_t>(c.covering.size() * sizeof(int) +
                               c.interior.size() * sizeof(Scalar));
 }
 
-// Signed distance of vertex `v` into `h`: Slack(v) / ||a||.
-Scalar Reach(const Halfspace& h, const Scalar* v, Scalar norm) {
+// Signed distance of vertex `v` into row i of `rows`: Slack(v) / ||a||.
+Scalar Reach(const HalfspaceRows& rows, int i, const Scalar* v) {
+  const Scalar* a = rows.a(i);
   Scalar dot = 0.0;
-  for (size_t j = 0; j < h.a.size(); ++j) dot += h.a[j] * v[j];
-  return (h.b - dot) / norm;
+  for (int j = 0; j < rows.dim(); ++j) dot += a[j] * v[j];
+  return (rows.b(i) - dot) / rows.norm(i);
 }
 
 // Scratch for one clipped vertex list.
@@ -99,35 +95,34 @@ int ClipVertices(const Cell& c, const Scalar* dist, Scalar sign, int m,
 }
 
 // The centroid c of the n vertices in `buf` and r, the distance from c to
-// the nearest of `bounds` and `cut`. r is measured against the rows, not
-// the vertices, so the ball (c, r) lies in the polytope they bound whatever
-// the vertices' rounding; r is negative when c falls outside.
-InteriorPoint VertexBall(const std::vector<Halfspace>& bounds,
-                         const Halfspace& cut, const ClipBuffer& buf, int n,
-                         int dim) {
+// the nearest of `bounds` and row s of `cut`. r is measured against the
+// rows, not the vertices, so the ball (c, r) lies in the polytope they
+// bound whatever the vertices' rounding; r is negative when c falls
+// outside.
+InteriorPoint VertexBall(const HalfspaceRows& bounds, const HalfspaceRows& cut,
+                         int s, const ClipBuffer& buf, int n, int dim) {
   InteriorPoint ball{Vec(dim, 0.0), std::numeric_limits<Scalar>::infinity()};
   for (int v = 0; v < n; ++v)
     for (int j = 0; j < dim; ++j) ball.x[j] += buf.verts[v * dim + j];
   for (Scalar& x : ball.x) x /= n;
-  auto reach = [&](const Halfspace& h) {
-    const Scalar norm = Norm(h.a);
-    if (EpsLe(norm, 0.0)) return;  // a zero row bounds nothing
-    ball.radius = std::min(ball.radius, Reach(h, ball.x.data(), norm));
+  auto reach = [&](const HalfspaceRows& rows, int i) {
+    if (EpsLe(rows.norm(i), 0.0)) return;  // a zero row bounds nothing
+    ball.radius = std::min(ball.radius, Reach(rows, i, ball.x.data()));
   };
-  for (const Halfspace& h : bounds) reach(h);
-  reach(cut);
+  for (int i = 0; i < bounds.size(); ++i) reach(bounds, i);
+  reach(cut, s);
   return ball;
 }
 
 // True iff rows 2i and 2i+1 of `bounds` are w_i <= hi_i and -w_i <= -lo_i
 // for every i < dim, the layout ConvexRegion::FromBox writes.
-bool LeadsWithBox(const std::vector<Halfspace>& bounds, int dim) {
-  if (static_cast<int>(bounds.size()) < 2 * dim) return false;
+bool LeadsWithBox(const HalfspaceRows& bounds, int dim) {
+  if (bounds.size() < 2 * dim) return false;
   for (int i = 0; i < dim; ++i) {
     for (int j = 0; j < dim; ++j) {
       const Scalar unit = i == j ? 1.0 : 0.0;
-      if (!EpsEq(bounds[2 * i].a[j], unit, 0.0) ||
-          !EpsEq(bounds[2 * i + 1].a[j], -unit, 0.0))
+      if (!EpsEq(bounds.a(2 * i)[j], unit, 0.0) ||
+          !EpsEq(bounds.a(2 * i + 1)[j], -unit, 0.0))
         return false;
     }
   }
@@ -138,9 +133,9 @@ bool LeadsWithBox(const std::vector<Halfspace>& bounds, int dim) {
 
 Cell BaseCell(const ConvexRegion& region, QueryStats* stats) {
   Cell c;
-  c.bounds = region.constraints();
+  c.bounds = HalfspaceRows(region.constraints());
   if (stats != nullptr) ++stats->lp_calls;
-  auto ip = FindInteriorPoint(c.bounds,
+  auto ip = FindInteriorPoint(region.constraints(),
                               region.Pivot().value_or(Vec(region.dim(), 0.0)));
   assert(ip.has_value() && ip->radius > 0 && "base region must have interior");
   c.interior = std::move(ip->x);
@@ -157,20 +152,18 @@ Cell BaseCell(const ConvexRegion& region, QueryStats* stats) {
     for (int i = 0; i < dim; ++i) {
       const bool hi = (corner >> i) & 1;
       c.verts[corner * dim + i] =
-          hi ? c.bounds[2 * i].b : -c.bounds[2 * i + 1].b;
+          hi ? c.bounds.b(2 * i) : -c.bounds.b(2 * i + 1);
       c.tight[corner] |= uint64_t{1} << (hi ? 2 * i : 2 * i + 1);
     }
   }
   // Further rows, such as the weight simplex, clip the corners.
   Scalar dist[kMaxCellVertices];
   ClipBuffer buf;
-  for (size_t j = 2 * dim; j < c.bounds.size(); ++j) {
-    const Halfspace& h = c.bounds[j];
-    const Scalar norm = Norm(h.a);
-    if (EpsLe(norm, 0.0)) continue;  // a zero row cuts nothing
+  for (int j = 2 * dim; j < c.bounds.size(); ++j) {
+    if (EpsLe(c.bounds.norm(j), 0.0)) continue;  // a zero row cuts nothing
     for (int v = 0; v < c.NumVertices(); ++v)
-      dist[v] = Reach(h, &c.verts[v * dim], norm);
-    const int n = ClipVertices(c, dist, 1.0, static_cast<int>(j), &buf);
+      dist[v] = Reach(c.bounds, j, &c.verts[v * dim]);
+    const int n = ClipVertices(c, dist, 1.0, j, &buf);
     if (n <= 0) {
       c.verts.clear();
       c.tight.clear();
@@ -229,9 +222,17 @@ void CellArrangement::SetVertices(Cell& c, const Scalar* verts,
   bytes_ += VertexBytes(c);
 }
 
+void CellArrangement::AddBound(Cell& c, int s) {
+  bytes_ -= c.bounds.Bytes();
+  c.bounds.PushRow(cut_, s);
+  bytes_ += c.bounds.Bytes();
+}
+
 void CellArrangement::Insert(int hs_id, const Halfspace& hs) {
   if (stats_ != nullptr) ++stats_->halfspaces_inserted;
-  const Scalar norm = Norm(hs.a);
+  cut_.Reserve(static_cast<int>(hs.a.size()), 2);
+  cut_.push_back(hs);
+  const Scalar norm = cut_.norm(0);
   if (EpsLe(norm, 0.0)) {
     // Degenerate half-space: covers everything or nothing.
     if (EpsGe(hs.b, 0.0)) {
@@ -241,8 +242,8 @@ void CellArrangement::Insert(int hs_id, const Halfspace& hs) {
     return;
   }
 
-  const Halfspace complement = hs.Complement();
-  const int dim = static_cast<int>(hs.a.size());
+  cut_.PushComplement(0);
+  const int dim = cut_.dim();
   Scalar dist[kMaxCellVertices];  // the visited cell's vertices, into hs
   ClipBuffer bufs[2];             // its list clipped into hs, complement
   const size_t n = cells_.size();
@@ -258,7 +259,7 @@ void CellArrangement::Insert(int hs_id, const Halfspace& hs) {
     if (nv > 0) {
       in_reach = out_reach = -in_reach;
       for (int v = 0; v < nv; ++v) {
-        dist[v] = Reach(hs, &cells_[i].verts[v * dim], norm);
+        dist[v] = Reach(cut_, 0, &cells_[i].verts[v * dim]);
         in_reach = std::max(in_reach, dist[v]);
         out_reach = std::max(out_reach, -dist[v]);
       }
@@ -278,12 +279,12 @@ void CellArrangement::Insert(int hs_id, const Halfspace& hs) {
       return kept[s];
     };
 
-    // Side s of the cut, bounded by h, is interior when it keeps a ball of
-    // radius kInteriorEps. A rejected side with radius in (kEps,
-    // kInteriorEps] is a sliver; one no wider than kEps lies within the
-    // membership tolerance of the cut.
+    // Side s of the cut, bounded by row s of cut_, is interior when it
+    // keeps a ball of radius kInteriorEps. A rejected side with radius in
+    // (kEps, kInteriorEps] is a sliver; one no wider than kEps lies within
+    // the membership tolerance of the cut.
     bool sliver = false;
-    auto side_interior = [&](const Halfspace& h, Scalar reach, int s) {
+    auto side_interior = [&](int s, Scalar reach) {
       // Every vertex within kEps of the cut: the side fits in a slab kEps
       // wide, so its radius is at most kEps / 2, and the LP would reject
       // it as neither interior nor a sliver.
@@ -293,14 +294,15 @@ void CellArrangement::Insert(int hs_id, const Halfspace& hs) {
       // would keep the side as well (DESIGN.md §4).
       if (const int nc = clip(s); nc > 0) {
         InteriorPoint ball =
-            VertexBall(cells_[i].bounds, h, bufs[s], nc, dim);
+            VertexBall(cells_[i].bounds, cut_, s, bufs[s], nc, dim);
         // utk-lint: allow(eps-compare) kInteriorEps is the threshold itself:
         // a radius strictly above it is interior (DESIGN.md §4).
         if (ball.radius > kInteriorEps) return std::optional{std::move(ball)};
       }
       // One Chebyshev solve, started from the cell's cached centre.
       if (stats_ != nullptr) ++stats_->lp_calls;
-      auto ip = FindInteriorPoint(cells_[i].bounds, h, cells_[i].interior);
+      auto ip =
+          FindInteriorPoint(cells_[i].bounds, cut_, s, cells_[i].interior);
       // utk-lint: allow(eps-compare) kInteriorEps is the threshold itself:
       // a radius strictly above it is interior (DESIGN.md §4).
       if (ip.has_value() && ip->radius > kInteriorEps) return ip;
@@ -316,49 +318,52 @@ void CellArrangement::Insert(int hs_id, const Halfspace& hs) {
     };
     // Keeping one side of a cut that drops a sliver records the cut, so no
     // later split can move the centre back into the sliver (DESIGN.md §4).
-    auto bound_if_sliver = [&](const Halfspace& bound, int s) {
+    auto bound_if_sliver = [&](int s) {
       if (!sliver) return;
       clip_into(cells_[i], s);
-      cells_[i].bounds.push_back(bound);
-      bytes_ += BoundBytes(bound);
+      AddBound(cells_[i], s);
     };
 
     // Fast path: if the cached ball lies entirely on one side of the
-    // hyperplane, that side is feasible with the current interior point and
-    // only the other side needs deciding.
-    const Scalar slack = hs.Slack(cells_[i].interior);
+    // hyperplane, that side, `cached`, is feasible and keeps the cell's
+    // centre; only the other side needs deciding.
+    const Scalar slack = cut_.Slack(0, cells_[i].interior);
     const Scalar radius = cells_[i].radius;
-    std::optional<InteriorPoint> in_ip, out_ip;
+    int cached = -1;
+    std::optional<InteriorPoint> ip[2];
     if (slack >= norm * radius) {
-      in_ip = InteriorPoint{cells_[i].interior, radius};
-      out_ip = side_interior(complement, out_reach, 1);
+      cached = 0;
+      ip[1] = side_interior(1, out_reach);
     } else if (slack <= -norm * radius) {
-      out_ip = InteriorPoint{cells_[i].interior, radius};
-      in_ip = side_interior(hs, in_reach, 0);
+      cached = 1;
+      ip[0] = side_interior(0, in_reach);
     } else {
-      in_ip = side_interior(hs, in_reach, 0);
-      out_ip = side_interior(complement, out_reach, 1);
+      ip[0] = side_interior(0, in_reach);
+      ip[1] = side_interior(1, out_reach);
     }
-    const bool inside_feasible = in_ip.has_value();
-    const bool outside_feasible = out_ip.has_value();
+    const bool inside_feasible = cached == 0 || ip[0].has_value();
+    const bool outside_feasible = cached == 1 || ip[1].has_value();
 
     if (inside_feasible && outside_feasible) {
       // Split: the existing cell becomes the inside child, a new cell is the
       // outside child. Both clip the parent's list.
       Cell outside;
-      outside.bounds = cells_[i].bounds;
-      outside.bounds.push_back(complement);
+      outside.bounds.Reserve(dim, cells_[i].bounds.size() + 1);
+      outside.bounds.Append(cells_[i].bounds);
+      outside.bounds.PushRow(cut_, 1);
       outside.covering = cells_[i].covering;
-      outside.interior = std::move(out_ip->x);
-      outside.radius = out_ip->radius;
+      InteriorPoint centre = cached == 1
+                                 ? InteriorPoint{cells_[i].interior, radius}
+                                 : std::move(*ip[1]);
+      outside.interior = std::move(centre.x);
+      outside.radius = centre.radius;
       bytes_ += CellBytes(outside);
       clip_into(outside, 1);
       clip_into(cells_[i], 0);
 
-      cells_[i].bounds.push_back(hs);
-      bytes_ += BoundBytes(hs);
+      AddBound(cells_[i], 0);
       Cover(cells_[i], hs_id);
-      Recentre(cells_[i], std::move(*in_ip));
+      if (cached != 0) Recentre(cells_[i], std::move(*ip[0]));
 
       cells_.push_back(std::move(outside));
       if (stats_ != nullptr) {
@@ -366,12 +371,12 @@ void CellArrangement::Insert(int hs_id, const Halfspace& hs) {
         stats_->peak_bytes = std::max(stats_->peak_bytes, bytes_);
       }
     } else if (inside_feasible) {
-      bound_if_sliver(hs, 0);
+      bound_if_sliver(0);
       Cover(cells_[i], hs_id);
-      Recentre(cells_[i], std::move(*in_ip));
+      if (cached != 0) Recentre(cells_[i], std::move(*ip[0]));
     } else if (outside_feasible) {
-      bound_if_sliver(complement, 1);
-      Recentre(cells_[i], std::move(*out_ip));
+      bound_if_sliver(1);
+      if (cached != 1) Recentre(cells_[i], std::move(*ip[1]));
     } else if (EpsGe(slack, 0.0, 0.0)) {
       // Neither side reaches kInteriorEps. One side of any cut keeps a ball
       // of half the cell's radius, so that needs a cell no wider than
@@ -400,8 +405,8 @@ bool CellArrangement::AllFrozen() const {
 int CellArrangement::Locate(const Vec& w, Scalar eps) const {
   for (size_t i = 0; i < cells_.size(); ++i) {
     bool ok = true;
-    for (const Halfspace& h : cells_[i].bounds) {
-      if (!h.Contains(w, eps)) {
+    for (int j = 0; j < cells_[i].bounds.size(); ++j) {
+      if (!EpsGe(cells_[i].bounds.Slack(j, w), 0.0, eps)) {
         ok = false;
         break;
       }

@@ -13,6 +13,10 @@
 // interior, and the drill vector (core/drill.h). A cell without one runs the
 // LPs.
 //
+// A cell's bounds are one HalfspaceRows buffer, so a split copies one
+// buffer. Cells stay values: they leave their arrangement as JAA zones and
+// as returned cells (DESIGN.md §4, "Flat bounds").
+//
 // Instances are small and disposable: RSA/JAA build one local arrangement
 // per recursive Verify/Partition call and throw it away afterwards
 // (Section 4.5), which keeps each index tiny.
@@ -47,7 +51,8 @@ inline constexpr int kMaxCellVertices = 64;
 
 /// One arrangement cell.
 struct Cell {
-  std::vector<Halfspace> bounds;  ///< base region + signed path half-spaces
+  /// Base region + signed path half-spaces, one HalfspaceRows row each.
+  HalfspaceRows bounds;
   std::vector<int> covering;      ///< ids of half-spaces covering the cell
   Vec interior;                   ///< cached interior point
   /// Radius of a ball inside the cell at `interior`: the Chebyshev radius
@@ -106,8 +111,9 @@ class CellArrangement {
   int Locate(const Vec& w, Scalar eps = kEps) const;
 
   /// Estimated memory footprint of the cell store, for stats: per cell
-  /// sizeof(Cell) plus its bounds, covering ids, interior point and vertex
-  /// arrays. Kept as a running total, so reading it is O(1).
+  /// sizeof(Cell) plus its bound rows (HalfspaceRows::Bytes), covering ids,
+  /// interior point and vertex arrays. Kept as a running total, so reading
+  /// it is O(1).
   int64_t MemoryBytes() const { return bytes_; }
 
  private:
@@ -119,8 +125,12 @@ class CellArrangement {
   // or drops it when n <= 0.
   void SetVertices(Cell& c, const Scalar* verts, const uint64_t* tight,
                    int n);
+  // Appends row s of cut_ to c's bounds.
+  void AddBound(Cell& c, int s);
 
   std::vector<Cell> cells_;
+  // The cut being inserted (row 0) and its complement (row 1).
+  HalfspaceRows cut_;
   int freeze_threshold_ = std::numeric_limits<int>::max();
   QueryStats* stats_;
   int64_t bytes_ = 0;  // MemoryBytes()

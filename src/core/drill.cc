@@ -16,11 +16,10 @@ void CountDrill(QueryStats* stats) {
   probes.Add();
 }
 
-}  // namespace
-
-std::optional<Vec> DrillVector(const AffineScore& objective,
-                               const std::vector<Halfspace>& cons,
-                               const Vec* start, QueryStats* stats) {
+// The drill LP over `cons`, a list of Halfspaces or HalfspaceRows.
+template <class Cons>
+std::optional<Vec> DrillLp(const AffineScore& objective, const Cons& cons,
+                           const Vec* start, QueryStats* stats) {
   if (stats != nullptr) ++stats->lp_calls;
   CountDrill(stats);
   LpResult r = SolveLp(objective.coef, cons, /*maximize=*/true, start);
@@ -28,10 +27,18 @@ std::optional<Vec> DrillVector(const AffineScore& objective,
   return r.x;
 }
 
+}  // namespace
+
+std::optional<Vec> DrillVector(const AffineScore& objective,
+                               const std::vector<Halfspace>& cons,
+                               const Vec* start, QueryStats* stats) {
+  return DrillLp(objective, cons, start, stats);
+}
+
 std::optional<Vec> DrillVector(const AffineScore& objective, const Cell& cell,
                                QueryStats* stats) {
   if (!cell.HasVertices())
-    return DrillVector(objective, cell.bounds, &cell.interior, stats);
+    return DrillLp(objective, cell.bounds, &cell.interior, stats);
   CountDrill(stats);
   const size_t dim = cell.interior.size();
   const Scalar* best = nullptr;

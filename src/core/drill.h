@@ -37,7 +37,7 @@ std::optional<Vec> DrillVector(const AffineScore& objective,
 /// The drill vector of arrangement cell `cell`. When the cell carries its
 /// vertices, it is the vertex with the largest `objective` (the first
 /// maximum wins), found without an LP: it counts a drill but no LP call.
-/// Otherwise it is DrillVector over the cell's bounds from its centre.
+/// Otherwise it is the drill LP over the cell's bound rows from its centre.
 std::optional<Vec> DrillVector(const AffineScore& objective, const Cell& cell,
                                QueryStats* stats = nullptr);
 

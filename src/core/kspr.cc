@@ -33,9 +33,11 @@ KsprResult Kspr(const Dataset& data, int32_t p,
               [&](int32_t a, int32_t b) { return score[a] > score[b]; });
   }
 
+  Halfspace cut;
   for (int32_t q : order) {
     if (q == p) continue;
-    arr.Insert(q, BetterOrEqual(data[q], data[p]));
+    BetterOrEqual(data[q], data[p], &cut);
+    arr.Insert(q, cut);
     if (early_exit && arr.AllFrozen()) {
       // Every cell already has k competitors above p: disqualified.
       early_exits.Add();

@@ -23,7 +23,7 @@ CellArrangement Refinement::Arrange(const Cell& zone, int p,
                                     Bitset* inserted) {
   CellArrangement arr(zone, stats);
   arr.set_freeze_threshold(freeze);
-  std::vector<int> wave;
+  wave.clear();
   competitors.ForEach([&](int i) {
     if (!g.Ancestors(i).Intersects(competitors)) wave.push_back(i);
   });
@@ -39,7 +39,8 @@ CellArrangement Refinement::Arrange(const Cell& zone, int p,
   *inserted = Bitset(g.size());
   UTK_SPAN_VAL("arrangement.build", static_cast<int64_t>(wave.size()));
   for (int i : wave) {
-    arr.Insert(i, BetterOrEqual(data[band.ids[i]], data[band.ids[p]]));
+    BetterOrEqual(data[band.ids[i]], data[band.ids[p]], &cut);
+    arr.Insert(i, cut);
     inserted->Set(i);
   }
   return arr;

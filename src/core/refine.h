@@ -64,6 +64,9 @@ struct Refinement {
   /// rows over and over; the batched kernels sweep them contiguously.
   const ColumnStore band_cols;
   std::vector<Scalar> scratch;  ///< |band| score buffer for the kernels
+  /// Arrange's wave and cut, kept so repeated calls reuse their storage.
+  std::vector<int> wave;
+  Halfspace cut;
   const RefineOptions options;
   QueryStats* stats;
 };

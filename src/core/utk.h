@@ -24,7 +24,7 @@ struct Utk1Result {
 
 /// One cell of the UTK2 partitioning of R.
 struct Utk2Cell {
-  std::vector<Halfspace> bounds;  ///< H-representation of the cell
+  HalfspaceRows bounds;  ///< H-representation of the cell, one row each
   Vec witness;                    ///< an interior point of the cell
   std::vector<int32_t> topk;      ///< record ids of the exact top-k set
 };

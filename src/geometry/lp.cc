@@ -131,62 +131,80 @@ class Tableau {
   std::vector<Scalar> ratio_;  // ratio-test scratch, one per row
 };
 
-// The one simplex, from a start point. With `c`, it maximizes c . x over the
-// rows of `bounds` and `*extra`, and `start` must satisfy them. Without `c`,
-// it solves their Chebyshev LP: maximize t subject to
+// One kept row of a program: its normal, ||normal|| and slack at the start.
+struct LpRow {
+  const Scalar* a;
+  Scalar norm;
+  Scalar slack;
+};
+
+// The rows of the program being solved, gathered by Gather.
+thread_local std::vector<LpRow> t_rows;
+
+// Keeps row (a, b, ||a||, slack) in t_rows unless it is zero-normal,
+// ||a|| <= kEps (for the Chebyshev LP, the entrywise test of its augmented
+// row (a, ||a||), as ||a|| >= max |a_j|). False when such a row's
+// b < -kEps makes the program infeasible.
+bool Keep(const Scalar* a, Scalar b, Scalar norm, Scalar slack) {
+  if (EpsEq(norm, 0.0)) return !EpsLt(b, 0.0);
+  t_rows.push_back({a, norm, slack});
+  return true;
+}
+
+// Gathers the rows of `cons` into t_rows with their slacks at `start`; the
+// rows overload also gathers row `row` of `*cut`. False when Keep is.
+bool Gather(const std::vector<Halfspace>& cons, const Vec& start) {
+  t_rows.clear();
+  for (const Halfspace& h : cons) {
+    assert(h.a.size() == start.size());
+    if (!Keep(h.a.data(), h.b, Norm(h.a), h.Slack(start))) return false;
+  }
+  return true;
+}
+bool Gather(const HalfspaceRows& cons, const Vec& start,
+            const HalfspaceRows* cut = nullptr, int row = 0) {
+  t_rows.clear();
+  assert(cons.empty() || cons.dim() == static_cast<int>(start.size()));
+  for (int i = 0; i < cons.size(); ++i)
+    if (!Keep(cons.a(i), cons.b(i), cons.norm(i), cons.Slack(i, start)))
+      return false;
+  return cut == nullptr ||
+         Keep(cut->a(row), cut->b(row), cut->norm(row), cut->Slack(row, start));
+}
+
+// The one simplex over the gathered rows, from a start point. With `c`, it
+// maximizes c . x, and `start` must satisfy every row. Without `c`, it
+// solves their Chebyshev LP: maximize t subject to
 // a_i . x + ||a_i|| t <= b_i and t <= kRadiusCap, from
 // t0 = min(kRadiusCap, min_i slack_i(start) / ||a_i||), so `start` need not
 // lie in the region; the radius goes to `*radius`. In x = start + u - v
 // (and t = t0 + s), each right-hand side is that row's slack at the start
 // (less ||a_i|| t0), clamped at 0 against rounding, so the slack basis is
 // feasible and no phase 1 is needed. The optimum has t >= t0 because
-// (start, t0) is feasible, so s >= 0 loses nothing. Zero-normal rows are
-// dropped when b >= -kEps and make the program infeasible otherwise.
-LpStatus SolveFrom(const std::vector<Halfspace>& bounds, const Halfspace* extra,
-                   const Vec& start, const Vec* c, Vec* x, Scalar* radius) {
+// (start, t0) is feasible, so s >= 0 loses nothing.
+LpStatus SolveFrom(const Vec& start, const Vec* c, Vec* x, Scalar* radius) {
   const int nv = static_cast<int>(start.size());
   const bool chebyshev = c == nullptr;
-
-  // Kept rows (normal, ||normal||, slack at the start). A row is zero-normal
-  // when ||a|| <= kEps; for the Chebyshev LP that is the entrywise test of
-  // its augmented row (a, ||a||), as ||a|| >= max |a_j|.
-  thread_local std::vector<const Halfspace*> rows;
-  thread_local std::vector<Scalar> norms, slacks;
-  rows.clear();
-  norms.clear();
-  slacks.clear();
   Scalar t0 = chebyshev ? kRadiusCap : 0.0;
-  auto keep = [&](const Halfspace& h) {
-    assert(static_cast<int>(h.a.size()) == nv);
-    const Scalar norm = Norm(h.a);
-    if (EpsEq(norm, 0.0)) return !EpsLt(h.b, 0.0);
-    const Scalar slack = h.Slack(start);
-    if (chebyshev) t0 = std::min(t0, slack / norm);
-    rows.push_back(&h);
-    norms.push_back(norm);
-    slacks.push_back(slack);
-    return true;
-  };
-  for (const Halfspace& h : bounds)
-    if (!keep(h)) return LpStatus::kInfeasible;
-  if (extra != nullptr && !keep(*extra)) return LpStatus::kInfeasible;
+  if (chebyshev)
+    for (const LpRow& row : t_rows) t0 = std::min(t0, row.slack / row.norm);
 
   // Variables u, v, then s (Chebyshev only), then one slack per row, each
   // basic in its own row; the Chebyshev LP has one more row,
   // s <= cap - t0.
-  const int m = static_cast<int>(rows.size());
+  const int m = static_cast<int>(t_rows.size());
   const int s_col = 2 * nv;
   const int n_cols = chebyshev ? s_col + 1 : s_col;
   thread_local Tableau t;
   t.Reset(chebyshev ? m + 1 : m, n_cols);
   for (int r = 0; r < m; ++r) {
-    const Vec& a = rows[r]->a;
+    const LpRow& row = t_rows[r];
     for (int j = 0; j < nv; ++j) {
-      t.At(r, j) = a[j];
-      t.At(r, nv + j) = -a[j];
+      t.At(r, j) = row.a[j];
+      t.At(r, nv + j) = -row.a[j];
     }
-    if (chebyshev) t.At(r, s_col) = norms[r];
-    t.Rhs(r) = std::max(0.0, slacks[r] - norms[r] * t0);
+    if (chebyshev) t.At(r, s_col) = row.norm;
+    t.Rhs(r) = std::max(0.0, row.slack - row.norm * t0);
   }
   if (chebyshev) {
     t.At(m, s_col) = 1.0;
@@ -207,32 +225,26 @@ LpStatus SolveFrom(const std::vector<Halfspace>& bounds, const Halfspace* extra,
   return LpStatus::kOptimal;
 }
 
-// The Chebyshev LP of `bounds` plus `*extra` (if any), solved from `start`.
-std::optional<InteriorPoint> SolveChebyshev(
-    const std::vector<Halfspace>& bounds, const Halfspace* extra,
-    const Vec& start) {
-  if (start.empty()) return std::nullopt;
+// The Chebyshev LP of the rows a Gather kept, solved from `start`; nullopt
+// when the gather found the program infeasible.
+std::optional<InteriorPoint> SolveChebyshev(bool gathered, const Vec& start) {
   InteriorPoint ip;
-  if (SolveFrom(bounds, extra, start, nullptr, &ip.x, &ip.radius) !=
-      LpStatus::kOptimal)
+  if (!gathered ||
+      SolveFrom(start, nullptr, &ip.x, &ip.radius) != LpStatus::kOptimal)
     return std::nullopt;
   return ip;
 }
 
-}  // namespace
-
-LpResult SolveLp(const Vec& c, const std::vector<Halfspace>& cons,
-                 bool maximize, const Vec* start) {
+template <class Cons>
+LpResult Solve(const Vec& c, const Cons& cons, bool maximize,
+               const Vec* start) {
   std::optional<InteriorPoint> centre;
   if (start == nullptr) {
-    centre = FindInteriorPoint(cons, Vec(c.size(), 0.0));
+    const Vec origin(c.size(), 0.0);
+    if (!origin.empty()) centre = SolveChebyshev(Gather(cons, origin), origin);
     if (!centre.has_value() || EpsLt(centre->radius, 0.0))
       return {LpStatus::kInfeasible, {}, 0.0};
     start = &centre->x;
-  } else {
-    assert(std::all_of(cons.begin(), cons.end(), [&](const Halfspace& h) {
-      return h.Contains(*start);
-    }));
   }
   const Vec* obj = &c;
   Vec neg;
@@ -242,21 +254,38 @@ LpResult SolveLp(const Vec& c, const std::vector<Halfspace>& cons,
     obj = &neg;
   }
   LpResult res;
-  res.status = SolveFrom(cons, nullptr, *start, obj, &res.x, nullptr);
+  if (!Gather(cons, *start)) return res;
+  assert(std::all_of(t_rows.begin(), t_rows.end(),
+                     [](const LpRow& row) { return EpsGe(row.slack, 0.0); }));
+  res.status = SolveFrom(*start, obj, &res.x, nullptr);
   // Recompute the objective from x for numerical cleanliness.
   if (res.status == LpStatus::kOptimal) res.objective = Dot(c, res.x);
   return res;
 }
 
-std::optional<InteriorPoint> FindInteriorPoint(
-    const std::vector<Halfspace>& cons, const Vec& start) {
-  return SolveChebyshev(cons, nullptr, start);
+}  // namespace
+
+LpResult SolveLp(const Vec& c, const std::vector<Halfspace>& cons,
+                 bool maximize, const Vec* start) {
+  return Solve(c, cons, maximize, start);
+}
+
+LpResult SolveLp(const Vec& c, const HalfspaceRows& cons, bool maximize,
+                 const Vec* start) {
+  return Solve(c, cons, maximize, start);
 }
 
 std::optional<InteriorPoint> FindInteriorPoint(
-    const std::vector<Halfspace>& bounds, const Halfspace& extra,
-    const Vec& start) {
-  return SolveChebyshev(bounds, &extra, start);
+    const std::vector<Halfspace>& cons, const Vec& start) {
+  if (start.empty()) return std::nullopt;
+  return SolveChebyshev(Gather(cons, start), start);
+}
+
+std::optional<InteriorPoint> FindInteriorPoint(const HalfspaceRows& bounds,
+                                               const HalfspaceRows& cut,
+                                               int row, const Vec& start) {
+  if (start.empty()) return std::nullopt;
+  return SolveChebyshev(Gather(bounds, start, &cut, row), start);
 }
 
 bool HasInterior(const std::vector<Halfspace>& cons) {

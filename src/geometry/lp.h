@@ -38,6 +38,9 @@ struct LpResult {
 /// program infeasible.
 LpResult SolveLp(const Vec& c, const std::vector<Halfspace>& cons,
                  bool maximize = true, const Vec* start = nullptr);
+/// The same over the rows of `cons`, reading each row's stored norm.
+LpResult SolveLp(const Vec& c, const HalfspaceRows& cons,
+                 bool maximize = true, const Vec* start = nullptr);
 
 /// Cap on the Chebyshev radius, so unbounded regions still yield a finite
 /// centre.
@@ -59,10 +62,11 @@ struct InteriorPoint {
 std::optional<InteriorPoint> FindInteriorPoint(
     const std::vector<Halfspace>& cons, const Vec& start);
 
-/// The same for `bounds` plus `extra`, without copying the bounds.
-std::optional<InteriorPoint> FindInteriorPoint(
-    const std::vector<Halfspace>& bounds, const Halfspace& extra,
-    const Vec& start);
+/// The same for the rows of `bounds` plus row `row` of `cut`, without
+/// copying the bounds; each row's stored norm is read, not recomputed.
+std::optional<InteriorPoint> FindInteriorPoint(const HalfspaceRows& bounds,
+                                               const HalfspaceRows& cut,
+                                               int row, const Vec& start);
 
 /// True iff the region has an interior point with Chebyshev radius
 /// > kInteriorEps, solved from the origin.

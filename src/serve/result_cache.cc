@@ -27,14 +27,12 @@ int64_t BytesOfVec(const Vec& v) {
   return static_cast<int64_t>(v.capacity() * sizeof(Scalar) + sizeof(Vec));
 }
 
-int64_t BytesOfHalfspaces(const std::vector<Halfspace>& hs) {
-  int64_t total = static_cast<int64_t>(sizeof(hs));
-  for (const Halfspace& h : hs) total += BytesOfVec(h.a) + sizeof(Scalar);
-  return total;
+int64_t BytesOfRows(const HalfspaceRows& rows) {
+  return static_cast<int64_t>(sizeof(rows)) + rows.Bytes();
 }
 
 int64_t BytesOfCell(const Cell& c) {
-  return BytesOfHalfspaces(c.bounds) + BytesOfVec(c.interior) +
+  return BytesOfRows(c.bounds) + BytesOfVec(c.interior) +
          static_cast<int64_t>(c.covering.capacity() * sizeof(int) +
                               sizeof(Cell));
 }
@@ -87,7 +85,7 @@ int64_t EstimateResultBytes(const QueryResult& r) {
   total += static_cast<int64_t>(r.error.capacity());
   total += static_cast<int64_t>(r.ids.capacity() * sizeof(int32_t));
   for (const Utk2Cell& c : r.utk2.cells) {
-    total += BytesOfHalfspaces(c.bounds) + BytesOfVec(c.witness) +
+    total += BytesOfRows(c.bounds) + BytesOfVec(c.witness) +
              static_cast<int64_t>(c.topk.capacity() * sizeof(int32_t) +
                                   sizeof(Utk2Cell));
   }

@@ -116,7 +116,7 @@ TEST(Arrangement, CellsCoverRegionAndAreDisjoint) {
     int owners = 0;
     for (const Cell& c : arr.cells()) {
       bool inside = true;
-      for (const Halfspace& h : c.bounds)
+      for (const Halfspace& h : c.bounds.ToVector())
         if (h.Slack(w) < -1e-7) {
           inside = false;
           break;
@@ -156,7 +156,7 @@ TEST(Arrangement, InteriorPointsValid) {
     arr.Insert(i, Hs({rng.Uniform(-1, 1), rng.Uniform(-1, 1)},
                      rng.Uniform(-0.2, 0.5)));
   for (const Cell& c : arr.cells()) {
-    for (const Halfspace& h : c.bounds) {
+    for (const Halfspace& h : c.bounds.ToVector()) {
       EXPECT_GE(h.Slack(c.interior), -kEps) << "interior point outside cell";
     }
     EXPECT_GT(c.radius, 0.0);
@@ -228,9 +228,9 @@ int64_t RecountBytes(const CellArrangement& arr) {
   int64_t bytes = 0;
   for (const Cell& c : arr.cells()) {
     bytes += static_cast<int64_t>(sizeof(Cell));
-    for (const Halfspace& h : c.bounds)
-      bytes += static_cast<int64_t>(sizeof(Halfspace) +
-                                    h.a.size() * sizeof(Scalar));
+    // One row per bound: its coefficients, b and the norm.
+    bytes += static_cast<int64_t>(c.bounds.size() * (c.bounds.dim() + 2) *
+                                  sizeof(Scalar));
     bytes += static_cast<int64_t>(c.covering.size() * sizeof(int) +
                                   c.interior.size() * sizeof(Scalar));
     bytes += static_cast<int64_t>(c.verts.size() * sizeof(Scalar) +
@@ -274,7 +274,7 @@ class TwoPhaseArrangement {
     const std::optional<InteriorPoint> ip =
         TwoPhaseInteriorPoint(base.constraints());
     Cell c;
-    c.bounds = base.constraints();
+    c.bounds = HalfspaceRows(base.constraints());
     c.interior = ip->x;
     c.radius = ip->radius;
     cells_.push_back(std::move(c));
@@ -309,7 +309,7 @@ class TwoPhaseArrangement {
       if (cells_[i].frozen) continue;
       Scalar rejected = -1.0;  // radius of a rejected side, if solved
       auto side_interior = [&](const Halfspace& h) {
-        std::vector<Halfspace> cons = cells_[i].bounds;
+        std::vector<Halfspace> cons = cells_[i].bounds.ToVector();
         cons.push_back(h);
         auto ip = TwoPhaseInteriorPoint(cons);
         if (ip.has_value() && ip->radius > kInteriorEps) return ip;
@@ -379,17 +379,19 @@ void ExpectSameCells(const TwoPhaseArrangement& oracle,
   const std::vector<Cell>& want = oracle.cells();
   ASSERT_EQ(got.size(), want.size()) << label;
   for (size_t i = 0; i < want.size(); ++i) {
-    ASSERT_EQ(got[i].bounds.size(), want[i].bounds.size()) << label;
-    for (size_t j = 0; j < want[i].bounds.size(); ++j) {
-      EXPECT_EQ(got[i].bounds[j].a, want[i].bounds[j].a) << label;
-      EXPECT_EQ(got[i].bounds[j].b, want[i].bounds[j].b) << label;
+    const std::vector<Halfspace> got_bounds = got[i].bounds.ToVector();
+    const std::vector<Halfspace> want_bounds = want[i].bounds.ToVector();
+    ASSERT_EQ(got_bounds.size(), want_bounds.size()) << label;
+    for (size_t j = 0; j < want_bounds.size(); ++j) {
+      EXPECT_EQ(got_bounds[j].a, want_bounds[j].a) << label;
+      EXPECT_EQ(got_bounds[j].b, want_bounds[j].b) << label;
     }
     EXPECT_EQ(got[i].covering, want[i].covering) << label << " cell " << i;
     EXPECT_GT(got[i].radius, kInteriorEps) << label << " cell " << i;
     EXPECT_LE(got[i].radius,
               want[i].radius + 1e-10 + oracle.slivers(i) * kEps)
         << label << " cell " << i;
-    ExpectValidCentre(got[i].bounds,
+    ExpectValidCentre(got_bounds,
                       InteriorPoint{got[i].interior, got[i].radius},
                       label + " cell " + std::to_string(i));
     EXPECT_EQ(got[i].frozen, want[i].frozen) << label << " cell " << i;
@@ -502,8 +504,9 @@ void ExpectListMatchesGeometry(const Cell& c, Rng& rng,
   ASSERT_EQ(c.verts.size(), c.tight.size() * dim) << label;
   for (int v = 0; v < c.NumVertices(); ++v) {
     const Vec x(c.verts.begin() + v * dim, c.verts.begin() + (v + 1) * dim);
-    for (size_t j = 0; j < c.bounds.size(); ++j)
-      EXPECT_GE(c.bounds[j].Slack(x) / Norm(c.bounds[j].a), -1e-9)
+    const std::vector<Halfspace> bounds = c.bounds.ToVector();
+    for (size_t j = 0; j < bounds.size(); ++j)
+      EXPECT_GE(bounds[j].Slack(x) / Norm(bounds[j].a), -1e-9)
           << label << " vertex " << v << " bound " << j;
   }
   for (int t = 0; t < 8; ++t) {

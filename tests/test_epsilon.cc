@@ -100,16 +100,16 @@ TEST(Epsilon, ArrangementLocateAgreesOnCellBoundary) {
     const int c = arr.Locate(w);
     ASSERT_GE(c, 0) << "seam point fell between cells";
     const Cell& cell = arr.cells()[c];
-    for (const Halfspace& h : cell.bounds)
+    for (const Halfspace& h : cell.bounds.ToVector())
       EXPECT_TRUE(h.Contains(w)) << "cell bound rejects its seam point";
-    EXPECT_TRUE(ConvexRegion(cell.bounds).Contains(w));
-    EXPECT_TRUE(LpFeasibleAt(cell.bounds, w));
+    EXPECT_TRUE(ConvexRegion(cell.bounds.ToVector()).Contains(w));
+    EXPECT_TRUE(LpFeasibleAt(cell.bounds.ToVector(), w));
   }
   // Both sides of the seam accept the boundary point under eps: the seam
   // is shared, not owned, and Locate just reports the first match.
   int owners = 0;
   for (const Cell& cell : arr.cells())
-    if (ConvexRegion(cell.bounds).Contains({0.4, 0.3})) ++owners;
+    if (ConvexRegion(cell.bounds.ToVector()).Contains({0.4, 0.3})) ++owners;
   EXPECT_EQ(owners, 2);
 }
 

@@ -85,7 +85,7 @@ TEST_F(FigureOneTest, JaaCellsAgreeWithPointwiseTopk) {
     const Utk2Cell* owner = nullptr;
     for (const auto& cell : r.utk2.cells) {
       bool inside = true;
-      for (const Halfspace& h : cell.bounds)
+      for (const Halfspace& h : cell.bounds.ToVector())
         if (!h.Contains(w, 1e-7)) {
           inside = false;
           break;

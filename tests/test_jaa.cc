@@ -20,7 +20,7 @@ const Utk2Cell* LocateCell(const Utk2Result& r, const Vec& w,
                            Scalar eps = 1e-7) {
   for (const Utk2Cell& cell : r.cells) {
     bool inside = true;
-    for (const Halfspace& h : cell.bounds) {
+    for (const Halfspace& h : cell.bounds.ToVector()) {
       if (!h.Contains(w, eps)) {
         inside = false;
         break;
@@ -121,7 +121,7 @@ TEST(Jaa, CellsInteriorDisjoint) {
     for (size_t j = 0; j < r.cells.size(); ++j) {
       if (i == j) continue;
       bool strictly_inside = true;
-      for (const Halfspace& h : r.cells[j].bounds) {
+      for (const Halfspace& h : r.cells[j].bounds.ToVector()) {
         if (h.Slack(r.cells[i].witness) < 1e-9) {
           strictly_inside = false;
           break;
@@ -187,7 +187,7 @@ TEST(Jaa, OneDimensionalCellsTileRegionExactly) {
   ASSERT_FALSE(r.cells.empty());
   std::vector<std::pair<Scalar, Scalar>> intervals;
   for (const Utk2Cell& cell : r.cells) {
-    ConvexRegion cr{cell.bounds};
+    ConvexRegion cr{cell.bounds.ToVector()};
     auto range = cr.RangeOf({1.0}, 0.0);
     ASSERT_TRUE(range.has_value());
     intervals.push_back(*range);
@@ -212,7 +212,7 @@ TEST(Jaa, OneDimensionalCellsTileRegionExactly) {
     bool matched = false;
     for (const Utk2Cell& cell : r.cells) {
       bool inside = true;
-      for (const Halfspace& h : cell.bounds)
+      for (const Halfspace& h : cell.bounds.ToVector())
         if (!h.Contains(mid, 1e-9)) {
           inside = false;
           break;

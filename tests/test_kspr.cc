@@ -88,7 +88,7 @@ TEST(Kspr, CellsDisjointInteriors) {
       if (i == j) continue;
       // Cell i's interior point must violate at least one bound of cell j.
       bool strictly_inside_j = true;
-      for (const Halfspace& h : r.topk_cells[j].bounds) {
+      for (const Halfspace& h : r.topk_cells[j].bounds.ToVector()) {
         if (h.Slack(r.topk_cells[i].interior) < 1e-9) {
           strictly_inside_j = false;
           break;

@@ -266,6 +266,16 @@ void AddBox(std::vector<Halfspace>& cons, int nv, Scalar r) {
   }
 }
 
+// The rows overload for `bounds` plus `extra`, as CellArrangement::Insert
+// solves a side of a cut: the bounds as rows, the cut as row 0 of its own.
+std::optional<InteriorPoint> SolveSide(const std::vector<Halfspace>& bounds,
+                                       const Halfspace& extra,
+                                       const Vec& start) {
+  HalfspaceRows cut;
+  cut.push_back(extra);
+  return FindInteriorPoint(HalfspaceRows(bounds), cut, 0, start);
+}
+
 // The solver's contract for bounds + {extra} solved from x0: no optimum
 // exactly where the oracle has none (a trivially infeasible zero-normal
 // row), otherwise the oracle's radius within 1e-10 and a centre whose ball
@@ -275,8 +285,7 @@ std::optional<InteriorPoint> ExpectMatchesOracle(
     const Vec& x0, const std::string& label) {
   std::vector<Halfspace> cons = bounds;
   cons.push_back(extra);
-  const std::optional<InteriorPoint> ip =
-      FindInteriorPoint(bounds, extra, x0);
+  const std::optional<InteriorPoint> ip = SolveSide(bounds, extra, x0);
   const std::optional<InteriorPoint> ref = TwoPhaseInteriorPoint(cons);
   EXPECT_EQ(ip.has_value(), ref.has_value()) << label;
   const std::optional<InteriorPoint> joined = FindInteriorPoint(cons, x0);
@@ -535,8 +544,7 @@ TEST(LpFuzz, ChebyshevRadiusOnRecordedArrangementSide) {
   std::vector<Halfspace> cons = bounds;
   cons.push_back(extra);
   for (const Vec& start : {x0, Vec(3, 0.0)}) {
-    const std::optional<InteriorPoint> ip =
-        FindInteriorPoint(bounds, extra, start);
+    const std::optional<InteriorPoint> ip = SolveSide(bounds, extra, start);
     ASSERT_TRUE(ip.has_value());
     EXPECT_NEAR(ip->radius, ref->radius, 1e-10);
     ExpectValidCentre(cons, *ip, "original rows");
@@ -577,7 +585,7 @@ TEST(LpFuzz, ChebyshevCentreOnNearParallelSlab) {
   cons.push_back(extra);
   const std::optional<InteriorPoint> ref = TwoPhaseInteriorPoint(cons);
   ASSERT_TRUE(ref.has_value());
-  const std::optional<InteriorPoint> ip = FindInteriorPoint(bounds, extra, x0);
+  const std::optional<InteriorPoint> ip = SolveSide(bounds, extra, x0);
   ASSERT_TRUE(ip.has_value());
   EXPECT_NEAR(ip->radius, ref->radius, 1e-10);
   EXPECT_NEAR(ip->radius, 1.1639e-7, 1e-11);

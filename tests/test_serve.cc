@@ -46,7 +46,8 @@ void ExpectSameAnswer(const QueryResult& want, const QueryResult& got) {
   for (size_t i = 0; i < got.utk2.cells.size(); ++i) {
     EXPECT_EQ(got.utk2.cells[i].topk, want.utk2.cells[i].topk);
     EXPECT_EQ(got.utk2.cells[i].witness, want.utk2.cells[i].witness);
-    ExpectSameBounds(want.utk2.cells[i].bounds, got.utk2.cells[i].bounds);
+    ExpectSameBounds(want.utk2.cells[i].bounds.ToVector(),
+                     got.utk2.cells[i].bounds.ToVector());
   }
   ASSERT_EQ(got.per_record.records.size(), want.per_record.records.size());
   for (size_t i = 0; i < got.per_record.records.size(); ++i) {
@@ -57,7 +58,8 @@ void ExpectSameAnswer(const QueryResult& want, const QueryResult& got) {
     for (size_t c = 0; c < g.cells.size(); ++c) {
       EXPECT_EQ(g.cells[c].interior, w.cells[c].interior);
       EXPECT_EQ(g.cells[c].covering, w.cells[c].covering);
-      ExpectSameBounds(w.cells[c].bounds, g.cells[c].bounds);
+      ExpectSameBounds(w.cells[c].bounds.ToVector(),
+                       g.cells[c].bounds.ToVector());
     }
   }
 }
